@@ -9,7 +9,7 @@
 #
 # Also gates the SoA scale engine (bench/bench_scale) against
 # BENCH_scale.json: gossip throughput (rounds/s) and peak RSS per
-# (protocol, topology, node-count) configuration. The scale gate fails
+# (protocol, topology, node-count, thread-count) configuration. The scale gate fails
 # if throughput drops below baseline/(1+tolerance) or peak RSS rises
 # above baseline*(1+tolerance).
 #
@@ -201,23 +201,29 @@ if [[ "$MODE" == scale* ]]; then
   fi
 
   # name|bench_scale arguments. Keep in sync with BENCH_scale.json.
+  # Every entry pins its thread count (the /tN key suffix and the
+  # --threads argument agree), so a baseline taken on one host compares
+  # like with like on another, and a multi-core regression shows up in
+  # the t4 entries instead of being averaged into a host-sized default.
   SMOKE_TIER=(
-    "centroid/ring/10000|--topology ring --nodes 10000 --rounds 10"
-    "centroid/grid/10000|--topology grid --nodes 10000 --rounds 10"
-    "centroid/geometric/10000|--topology geometric --nodes 10000 --radius 0.022 --rounds 10"
-    "centroid/er/10000|--topology er --nodes 10000 --er-prob 0.0016 --rounds 10"
-    "gm/ring/10000|--protocol gm --topology ring --nodes 10000 --rounds 5"
+    "centroid/ring/10000/t1|--topology ring --nodes 10000 --rounds 10 --threads 1"
+    "centroid/grid/10000/t1|--topology grid --nodes 10000 --rounds 10 --threads 1"
+    "centroid/geometric/10000/t1|--topology geometric --nodes 10000 --radius 0.022 --rounds 10 --threads 1"
+    "centroid/er/10000/t1|--topology er --nodes 10000 --er-prob 0.0016 --rounds 10 --threads 1"
+    "gm/ring/10000/t1|--protocol gm --topology ring --nodes 10000 --rounds 5 --threads 1"
   )
   FULL_TIER=(
-    "centroid/ring/100000|--topology ring --nodes 100000 --rounds 10"
-    "centroid/grid/100000|--topology grid --nodes 100000 --rounds 10"
-    "centroid/geometric/100000|--topology geometric --nodes 100000 --radius 0.007 --rounds 10"
-    "centroid/er/100000|--topology er --nodes 100000 --er-prob 0.00016 --rounds 10"
-    "gm/ring/100000|--protocol gm --topology ring --nodes 100000 --rounds 3"
-    "centroid/ring/1000000|--topology ring --nodes 1000000 --rounds 5"
-    "centroid/grid/1000000|--topology grid --nodes 1000000 --rounds 5"
-    "centroid/geometric/1000000|--topology geometric --nodes 1000000 --radius 0.0022 --rounds 5"
-    "centroid/er/1000000|--topology er --nodes 1000000 --er-prob 0.000016 --rounds 5"
+    "centroid/ring/100000/t1|--topology ring --nodes 100000 --rounds 10 --threads 1"
+    "centroid/grid/100000/t1|--topology grid --nodes 100000 --rounds 10 --threads 1"
+    "centroid/geometric/100000/t1|--topology geometric --nodes 100000 --radius 0.007 --rounds 10 --threads 1"
+    "centroid/er/100000/t1|--topology er --nodes 100000 --er-prob 0.00016 --rounds 10 --threads 1"
+    "centroid/er/100000/t4|--topology er --nodes 100000 --er-prob 0.00016 --rounds 10 --threads 4"
+    "gm/ring/100000/t1|--protocol gm --topology ring --nodes 100000 --rounds 3 --threads 1"
+    "gm/er/100000/t4|--protocol gm --topology er --nodes 100000 --er-prob 0.00016 --rounds 3 --threads 4"
+    "centroid/ring/1000000/t1|--topology ring --nodes 1000000 --rounds 5 --threads 1"
+    "centroid/grid/1000000/t1|--topology grid --nodes 1000000 --rounds 5 --threads 1"
+    "centroid/geometric/1000000/t1|--topology geometric --nodes 1000000 --radius 0.0022 --rounds 5 --threads 1"
+    "centroid/er/1000000/t1|--topology er --nodes 1000000 --er-prob 0.000016 --rounds 5 --threads 1"
   )
 
   # run_tier <entry>... — emit "name rounds_per_s peak_rss_mb" per entry.
@@ -228,7 +234,7 @@ if [[ "$MODE" == scale* ]]; then
       args=${entry#*|}
       # shellcheck disable=SC2086
       line=$("$BUILD_DIR/bench/bench_scale" $args \
-               --engine soa --threads 0 --seed 1 --name "$name")
+               --engine soa --seed 1 --name "$name")
       echo "$line" | awk -F'[:,]' -v name="$name" '{
         for (i = 1; i < NF; ++i) {
           if ($i ~ /"rounds_per_s"/) rps = $(i + 1)
@@ -240,6 +246,8 @@ if [[ "$MODE" == scale* ]]; then
   }
 
   if [[ "$MODE" == scale-update ]]; then
+    echo "Fresh \"host\" line for BENCH_scale.json:"
+    echo "  \"host\": {\"nproc\": $(nproc), \"cpu\": \"$(uname -m)\"},"
     for block in gate full; do
       if [[ "$block" == gate ]]; then
         rows=$(run_tier "${SMOKE_TIER[@]}")

@@ -51,6 +51,20 @@ namespace ddc::common {
 /// group. Structurally identical to core::Grouping.
 using AgglomerationGroups = std::vector<std::vector<std::size_t>>;
 
+/// Caller-owned scratch of agglomerate_to_k. Its buffers only grow, and
+/// `groups` keeps every entry (and that entry's capacity) past the
+/// result count, so a workspace reused across calls stops allocating
+/// once it has served its largest input.
+struct AgglomerationWorkspace {
+  /// groups[0 .. count) hold the last call's result; entries past the
+  /// count are scratch.
+  AgglomerationGroups groups;
+  std::vector<std::size_t> live;
+  std::vector<double> dist;
+  std::vector<double> nn_dist;
+  std::vector<std::size_t> nn_slot;
+};
+
 /// Merge the closest pair under `distance` until at most `k` groups
 /// remain. `distance(a, b)` is called with element slots a < b and must be
 /// a pure function of the elements' current values; `merge(a, b)` must
@@ -60,32 +74,38 @@ using AgglomerationGroups = std::vector<std::vector<std::size_t>>;
 /// must be bit-identical to calling `distance` per entry (callers with a
 /// batched kernel, e.g. the packed centroid partition, hook it here; the
 /// fill runs before any merge, so slots are still the original
-/// contiguous indices). Returns the surviving groups in ascending
-/// lowest-member order; each group's first entry is the slot its merges
-/// accumulated into. Requires k ≥ 1.
+/// contiguous indices). Returns the number of surviving groups, which
+/// land in ws.groups[0 .. count) in ascending lowest-member order; each
+/// group's first entry is the slot its merges accumulated into.
+/// Requires k ≥ 1.
 template <typename DistanceFn, typename MergeFn, typename RowFillFn>
-[[nodiscard]] AgglomerationGroups agglomerate_to_k(std::size_t size,
-                                                   std::size_t k,
-                                                   DistanceFn&& distance,
-                                                   MergeFn&& merge,
-                                                   RowFillFn&& fill_row) {
+[[nodiscard]] std::size_t agglomerate_to_k(std::size_t size, std::size_t k,
+                                           AgglomerationWorkspace& ws,
+                                           DistanceFn&& distance,
+                                           MergeFn&& merge,
+                                           RowFillFn&& fill_row) {
   DDC_EXPECTS(k >= 1);
-  AgglomerationGroups groups(size);
-  for (std::size_t i = 0; i < size; ++i) groups[i] = {i};
-  if (size <= k) return groups;
+  AgglomerationGroups& groups = ws.groups;
+  if (groups.size() < size) groups.resize(size);
+  for (std::size_t i = 0; i < size; ++i) groups[i].assign(1, i);
+  if (size <= k) return size;
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t invalid = size;
 
   // Live slots, always in ascending order (merges keep the lower slot).
-  std::vector<std::size_t> live(size);
+  std::vector<std::size_t>& live = ws.live;
+  live.resize(size);
   std::iota(live.begin(), live.end(), std::size_t{0});
 
   // dist[a·size + b] caches distance(a, b) for live slots a < b; rows
   // additionally track their nearest neighbor (earliest column on ties).
-  std::vector<double> dist(size * size, kInf);
-  std::vector<double> nn_dist(size, kInf);
-  std::vector<std::size_t> nn_slot(size, invalid);
+  std::vector<double>& dist = ws.dist;
+  std::vector<double>& nn_dist = ws.nn_dist;
+  std::vector<std::size_t>& nn_slot = ws.nn_slot;
+  dist.assign(size * size, kInf);
+  nn_dist.assign(size, kInf);
+  nn_slot.assign(size, invalid);
   const auto cached = [&](std::size_t a, std::size_t b) -> double& {
     return dist[a * size + b];
   };
@@ -182,21 +202,23 @@ template <typename DistanceFn, typename MergeFn, typename RowFillFn>
     }
   }
 
-  AgglomerationGroups out;
-  out.reserve(live.size());
-  for (const std::size_t s : live) out.push_back(std::move(groups[s]));
-  return out;
+  // Compact the survivors to the front. live is ascending with
+  // live[p] ≥ p, so each swap only touches slots no later step reads.
+  for (std::size_t p = 0; p < live.size(); ++p) {
+    if (live[p] != p) std::swap(groups[p], groups[live[p]]);
+  }
+  return live.size();
 }
 
 /// Convenience overload: the initial row fill evaluates `distance` per
 /// entry (the reference behavior the batched hook must match).
 template <typename DistanceFn, typename MergeFn>
-[[nodiscard]] AgglomerationGroups agglomerate_to_k(std::size_t size,
-                                                   std::size_t k,
-                                                   DistanceFn&& distance,
-                                                   MergeFn&& merge) {
+[[nodiscard]] std::size_t agglomerate_to_k(std::size_t size, std::size_t k,
+                                           AgglomerationWorkspace& ws,
+                                           DistanceFn&& distance,
+                                           MergeFn&& merge) {
   return agglomerate_to_k(
-      size, k, distance, std::forward<MergeFn>(merge),
+      size, k, ws, distance, std::forward<MergeFn>(merge),
       [&distance](std::size_t a, std::size_t count, double* out) {
         for (std::size_t j = 0; j < count; ++j) {
           out[j] = distance(a, a + 1 + j);

@@ -18,8 +18,11 @@
 //     dashed-frame auxiliary code, so Lemma 1 can be *checked* at runtime.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -63,6 +66,82 @@ struct ClassifierStats {
   /// itself). Feeds `ddcsim --timing`.
   double partition_seconds = 0.0;
 };
+
+/// Constraint (2) of Section 4.1: every collection of weight exactly q
+/// must be merged with at least one other. Repairs groups[0 .. count):
+/// a group that is a lone collection of one quantum
+/// (`single_quantum(j)`) moves into the group holding the nearest other
+/// collection under `distance(lone, j)` (first strict minimum in group,
+/// then member order — the proof only needs *some* merge to happen;
+/// nearest keeps the repair quality-neutral), and its now-empty slot is
+/// removed, preserving the order of the rest. Removed entries rotate
+/// past the returned count instead of being destroyed, so their
+/// capacity survives for reuse. Returns the new group count.
+template <typename SingleQuantumFn, typename DistanceFn>
+[[nodiscard]] std::size_t rehome_quantum_singletons(
+    Grouping& groups, std::size_t count, SingleQuantumFn&& single_quantum,
+    DistanceFn&& distance) {
+  if (count <= 1) return count;  // nothing to re-home into
+  for (std::size_t g = 0; g < count;) {
+    if (groups[g].size() != 1 || !single_quantum(groups[g].front())) {
+      ++g;
+      continue;
+    }
+    const std::size_t lone = groups[g].front();
+    // Find the nearest collection in any other group.
+    std::size_t best_group = count;
+    double best_distance = 0.0;
+    for (std::size_t h = 0; h < count; ++h) {
+      if (h == g) continue;
+      for (const std::size_t j : groups[h]) {
+        const double dist = distance(lone, j);
+        if (best_group == count || dist < best_distance) {
+          best_group = h;
+          best_distance = dist;
+        }
+      }
+    }
+    DDC_ASSERT(best_group < count);
+    groups[best_group].push_back(lone);
+    std::rotate(groups.begin() + static_cast<std::ptrdiff_t>(g),
+                groups.begin() + static_cast<std::ptrdiff_t>(g) + 1,
+                groups.begin() + static_cast<std::ptrdiff_t>(count));
+    --count;
+    // Do not advance g: the element now at position g is unexamined.
+  }
+  return count;
+}
+
+/// Algorithm 1's grouping step over m collections, shared by
+/// GenericClassifier::receive and the scale engine's pool receive:
+/// `partition()` runs the policy into groups[0 .. count) and returns
+/// count; the result is checked (a partition of {0, …, m−1} into at most
+/// k groups — `seen` is the check's reusable scratch) and repaired by
+/// rehome_quantum_singletons. The partition and the re-home are timed
+/// into stats.partition_seconds; re-homes are counted. Returns the final
+/// group count.
+template <typename PartitionFn, typename SingleQuantumFn, typename DistanceFn>
+[[nodiscard]] std::size_t group_collections(
+    Grouping& groups, std::size_t m, std::size_t k, std::vector<bool>& seen,
+    ClassifierStats& stats, PartitionFn&& partition,
+    SingleQuantumFn&& single_quantum, DistanceFn&& distance) {
+  // Audited timing probe: the clock reads feed only the
+  // partition_seconds reporting counter (`ddcsim --timing`), never
+  // control flow, so determinism of the classification is unaffected.
+  const auto start = std::chrono::steady_clock::now();  // ddclint: allow(wall-clock)
+  const std::size_t count = partition();
+  DDC_ENSURES(is_valid_grouping(
+      std::span<const std::vector<std::size_t>>(groups.data(), count), m,
+      seen));
+  DDC_ENSURES(count <= k);
+  const std::size_t kept =
+      rehome_quantum_singletons(groups, count, single_quantum, distance);
+  stats.singleton_rehomes += count - kept;
+  stats.partition_seconds +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)  // ddclint: allow(wall-clock)
+          .count();
+  return kept;
+}
 
 /// Per-node engine of the generic algorithm, instantiated with a
 /// SummaryPolicy (domain S, valToSummary, mergeSet, dS) and a
@@ -134,7 +213,12 @@ class GenericClassifier {
     DDC_ASSERT(!big_set.empty());
 
     Grouping groups = compute_grouping(big_set);
+    // The working copies are dead once used; dropping them (capacity
+    // kept) leaves a node holding only its classification between
+    // receives, which is most of the object engine's memory at scale.
+    flat_.clear();
     merge_groups(std::move(big_set), groups);
+    parts_.clear();
     DDC_ENSURES(classification_.size() <= options_.k);
   }
 
@@ -168,7 +252,7 @@ class GenericClassifier {
 
  private:
   /// Runs the policy and enforces the structural constraints of
-  /// Section 4.1 on its output.
+  /// Section 4.1 on its output (group_collections).
   [[nodiscard]] Grouping compute_grouping(const Classification<Summary>& big_set) {
     flat_.clear();
     flat_.reserve(big_set.size());
@@ -176,58 +260,18 @@ class GenericClassifier {
       flat_.push_back(WeightedSummary<Summary>{
           c.summary, static_cast<double>(c.weight.quanta())});
     }
-
-    // Audited timing probe: the clock reads feed only the
-    // partition_seconds reporting counter (`ddcsim --timing`), never
-    // control flow, so determinism of the classification is unaffected.
-    const auto start = std::chrono::steady_clock::now();  // ddclint: allow(wall-clock)
-    Grouping groups = partition_policy_.partition(flat_, options_.k);
-    stats_.partition_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)  // ddclint: allow(wall-clock)
-            .count();
-    DDC_ENSURES(is_valid_grouping(groups, flat_.size()));
-    DDC_ENSURES(groups.size() <= options_.k);
-
-    rehome_quantum_singletons(big_set, flat_, groups);
+    Grouping groups;
+    groups.resize(group_collections(
+        groups, flat_.size(), options_.k, seen_, stats_,
+        [&] {
+          groups = partition_policy_.partition(flat_, options_.k);
+          return groups.size();
+        },
+        [&](std::size_t j) { return big_set[j].weight.is_single_quantum(); },
+        [&](std::size_t a, std::size_t b) {
+          return SP::distance(flat_[a].summary, flat_[b].summary);
+        }));
     return groups;
-  }
-
-  /// Constraint (2) of Section 4.1: every collection of weight exactly q
-  /// must be merged with at least one other. Any grouping that leaves such
-  /// a collection alone is repaired by moving it into the group whose
-  /// members are nearest in dS (the proof only needs *some* merge to
-  /// happen; nearest keeps the repair quality-neutral).
-  void rehome_quantum_singletons(const Classification<Summary>& big_set,
-                                 const std::vector<WeightedSummary<Summary>>& flat,
-                                 Grouping& groups) {
-    if (groups.size() <= 1) return;  // nothing to re-home into
-    for (std::size_t g = 0; g < groups.size();) {
-      if (groups[g].size() != 1 ||
-          !big_set[groups[g].front()].weight.is_single_quantum()) {
-        ++g;
-        continue;
-      }
-      const std::size_t lone = groups[g].front();
-      // Find the nearest collection in any other group.
-      std::size_t best_group = groups.size();
-      double best_distance = 0.0;
-      for (std::size_t h = 0; h < groups.size(); ++h) {
-        if (h == g) continue;
-        for (const std::size_t j : groups[h]) {
-          const double dist =
-              SP::distance(flat[lone].summary, flat[j].summary);
-          if (best_group == groups.size() || dist < best_distance) {
-            best_group = h;
-            best_distance = dist;
-          }
-        }
-      }
-      DDC_ASSERT(best_group < groups.size());
-      groups[best_group].push_back(lone);
-      groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(g));
-      ++stats_.singleton_rehomes;
-      // Do not advance g: the element now at position g is unexamined.
-    }
   }
 
   /// Merges each group into one collection (Algorithm 1, line 11).
@@ -268,12 +312,13 @@ class GenericClassifier {
   Classification<Summary> classification_;
   ClassifierStats stats_;
   // Scratch reused across receives: the flattened working set handed to
-  // the partition policy and the per-group merge parts. Both are rebuilt
-  // (clear + refill) on every use; keeping the capacity avoids two
-  // allocations per receive and several per merge on the split/receive
-  // hot cycle.
+  // the partition policy, the per-group merge parts and the grouping
+  // check's marks. All are rebuilt (clear + refill) on every use;
+  // keeping the capacity avoids three allocations per receive and several
+  // per merge on the split/receive hot cycle.
   std::vector<WeightedSummary<Summary>> flat_;
   std::vector<WeightedSummary<Summary>> parts_;
+  std::vector<bool> seen_;  // is_valid_grouping's marks
 };
 
 }  // namespace ddc::core

@@ -19,6 +19,7 @@
 
 #include <concepts>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include <ddc/core/collection.hpp>
@@ -63,6 +64,13 @@ concept PartitionPolicy = requires(
 
 /// Checks that `grouping` is a partition of {0, …, size−1} into nonempty
 /// groups. Used by the engine (as a contract on policies) and by tests.
+/// `seen` is caller-owned scratch, so a caller that keeps it across calls
+/// checks without allocating.
+[[nodiscard]] bool is_valid_grouping(
+    std::span<const std::vector<std::size_t>> grouping, std::size_t size,
+    std::vector<bool>& seen);
+
+/// Convenience form with its own scratch.
 [[nodiscard]] bool is_valid_grouping(const Grouping& grouping, std::size_t size);
 
 }  // namespace ddc::core

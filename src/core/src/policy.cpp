@@ -1,11 +1,10 @@
 #include <ddc/core/policy.hpp>
 
-#include <algorithm>
-
 namespace ddc::core {
 
-bool is_valid_grouping(const Grouping& grouping, std::size_t size) {
-  std::vector<bool> seen(size, false);
+bool is_valid_grouping(std::span<const std::vector<std::size_t>> grouping,
+                       std::size_t size, std::vector<bool>& seen) {
+  seen.assign(size, false);
   std::size_t covered = 0;
   for (const auto& group : grouping) {
     if (group.empty()) return false;
@@ -16,6 +15,11 @@ bool is_valid_grouping(const Grouping& grouping, std::size_t size) {
     }
   }
   return covered == size;
+}
+
+bool is_valid_grouping(const Grouping& grouping, std::size_t size) {
+  std::vector<bool> seen;
+  return is_valid_grouping(grouping, size, seen);
 }
 
 }  // namespace ddc::core

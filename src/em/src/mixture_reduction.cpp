@@ -296,15 +296,17 @@ ReductionResult reduce_greedy(const GaussianMixture& input, std::size_t k,
   for (std::size_t i = 0; i < input.size(); ++i) current.push_back(input[i]);
 
   ReductionResult out;
-  out.groups = common::agglomerate_to_k(
-      input.size(), k,
+  common::AgglomerationWorkspace ws;
+  ws.groups.resize(common::agglomerate_to_k(
+      input.size(), k, ws,
       [&](std::size_t a, std::size_t b) {
         return cost(current[a], current[b]);
       },
       [&](std::size_t a, std::size_t b) {
         current[a] = {current[a].weight + current[b].weight,
                       stats::moment_match({current[a], current[b]})};
-      });
+      }));
+  out.groups = std::move(ws.groups);
   // Each surviving group's first entry is the slot its merges folded into.
   for (const auto& g : out.groups) out.mixture.add(current[g.front()]);
   out.objective = std::numeric_limits<double>::quiet_NaN();

@@ -9,6 +9,7 @@
 // the k bound.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <vector>
@@ -32,29 +33,54 @@ namespace ddc::partition {
 /// reference it is tested against).
 ///
 /// Policies that declare `kPackedEuclideanSummary` (their Summary is a
-/// linalg::Vector and their distance is linalg::distance2) additionally
-/// take a packed path: summaries are copied into one flat row-major m×d
-/// buffer and the C(m,2) up-front distance-matrix fill runs through
-/// linalg::simd::batch_distance_kernel(), 4 distances per AVX2 pass
-/// where available. Every tier of that kernel is bit-identical to the
-/// scalar kernels::distance2 — which is itself a transcription of
+/// linalg::Vector, their distance is linalg::distance2 and they provide
+/// merge_rows) additionally take a packed path: summaries live in one
+/// flat row-major m×d buffer, merges fold rows in place through
+/// SP::merge_rows, and the C(m,2) up-front distance-matrix fill runs
+/// through linalg::simd::batch_distance_kernel(), 4 distances per AVX2
+/// pass where available. Every tier of that kernel is bit-identical to
+/// the scalar kernels::distance2 — which is itself a transcription of
 /// linalg::distance2's accumulation order — so the grouping is
 /// unchanged bit for bit (greedy_partition_property_test pits the
-/// packed path against the naive reference directly).
+/// packed path against the naive reference directly). The scale
+/// engine's pool receive calls partition_rows on rows it already holds,
+/// with a workspace it reuses across receives.
 template <core::SummaryPolicy SP>
 struct GreedyDistancePartition {
   using Summary = typename SP::Summary;
+
+  /// Caller-owned scratch of the packed path. Buffers only grow.
+  struct PackedWorkspace {
+    common::AgglomerationWorkspace agglomeration;
+    std::vector<double> rows;     // m × d working summaries
+    std::vector<double> weights;  // m working weights
+    std::vector<double> merged;   // one merge result (d doubles)
+  };
 
   [[nodiscard]] core::Grouping partition(
       const std::vector<core::WeightedSummary<Summary>>& collections,
       std::size_t k) const {
     if constexpr (requires { SP::kPackedEuclideanSummary; }) {
-      if (packable(collections)) return partition_packed(collections, k);
+      if (packable(collections)) {
+        const std::size_t m = collections.size();
+        const std::size_t d = collections.front().summary.dim();
+        PackedWorkspace ws;
+        ws.rows.resize(m * d);
+        ws.weights.resize(m);
+        for (std::size_t i = 0; i < m; ++i) {
+          std::copy_n(collections[i].summary.data().data(), d,
+                      ws.rows.data() + i * d);
+          ws.weights[i] = collections[i].weight;
+        }
+        ws.agglomeration.groups.resize(partition_rows(ws, m, d, k));
+        return std::move(ws.agglomeration.groups);
+      }
     }
     std::vector<core::WeightedSummary<Summary>> merged(collections.begin(),
                                                        collections.end());
-    return common::agglomerate_to_k(
-        merged.size(), k,
+    common::AgglomerationWorkspace ws;
+    ws.groups.resize(common::agglomerate_to_k(
+        merged.size(), k, ws,
         [&](std::size_t a, std::size_t b) {
           return SP::distance(merged[a].summary, merged[b].summary);
         },
@@ -62,6 +88,48 @@ struct GreedyDistancePartition {
           merged[a] = core::WeightedSummary<Summary>{
               SP::merge_set({merged[a], merged[b]}),
               merged[a].weight + merged[b].weight};
+        }));
+    return std::move(ws.groups);
+  }
+
+  /// The packed path on m rows of width d already loaded into ws.rows /
+  /// ws.weights (overwritten as merges fold in). Returns the group count;
+  /// the groups are ws.agglomeration.groups[0 .. count).
+  [[nodiscard]] static std::size_t partition_rows(PackedWorkspace& ws,
+                                                  std::size_t m,
+                                                  std::size_t d,
+                                                  std::size_t k)
+    requires requires { SP::kPackedEuclideanSummary; }
+  {
+    DDC_EXPECTS(d >= 1);
+    DDC_EXPECTS(ws.rows.size() >= m * d && ws.weights.size() >= m);
+    if (ws.merged.size() < d) ws.merged.resize(d);
+    double* const rows = ws.rows.data();
+    double* const weights = ws.weights.data();
+    double* const merged = ws.merged.data();
+    const auto row = [rows, d](std::size_t i) { return rows + i * d; };
+    const linalg::simd::DistanceBatchFn fill =
+        linalg::simd::batch_distance_kernel();
+    return common::agglomerate_to_k(
+        m, k, ws.agglomeration,
+        [&](std::size_t a, std::size_t b) {
+          // Post-merge refresh distances: one pair at a time off the
+          // packed rows — kernels::distance2 is bit-identical to
+          // SP::distance (linalg::distance2) on the same components.
+          return linalg::kernels::dispatch_dim(d, [&](auto dd) {
+            return linalg::kernels::distance2<dd()>(row(a), row(b), d);
+          });
+        },
+        [&](std::size_t a, std::size_t b) {
+          const std::size_t pair[2] = {a, b};
+          SP::merge_rows(
+              2, [&](std::size_t j) { return row(pair[j]); },
+              [&](std::size_t j) { return weights[pair[j]]; }, merged, d);
+          std::copy_n(merged, d, row(a));
+          weights[a] += weights[b];
+        },
+        [&](std::size_t a, std::size_t count, double* out) {
+          fill(row(a), row(a + 1), count, out, d);
         });
   }
 
@@ -78,44 +146,6 @@ struct GreedyDistancePartition {
       if (c.summary.dim() != d) return false;
     }
     return true;
-  }
-
-  [[nodiscard]] core::Grouping partition_packed(
-      const std::vector<core::WeightedSummary<Summary>>& collections,
-      std::size_t k) const {
-    const std::size_t m = collections.size();
-    const std::size_t d = collections.front().summary.dim();
-    std::vector<core::WeightedSummary<Summary>> merged(collections.begin(),
-                                                       collections.end());
-    std::vector<double> flat(m * d);
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto& elems = merged[i].summary.data();
-      for (std::size_t c = 0; c < d; ++c) flat[i * d + c] = elems[c];
-    }
-    const auto row = [&](std::size_t i) { return flat.data() + i * d; };
-    const linalg::simd::DistanceBatchFn fill =
-        linalg::simd::batch_distance_kernel();
-    return common::agglomerate_to_k(
-        m, k,
-        [&](std::size_t a, std::size_t b) {
-          // Post-merge refresh distances: one pair at a time off the
-          // packed rows — kernels::distance2 is bit-identical to
-          // SP::distance (linalg::distance2) on the same components.
-          return linalg::kernels::dispatch_dim(d, [&](auto dd) {
-            return linalg::kernels::distance2<dd()>(row(a), row(b), d);
-          });
-        },
-        [&](std::size_t a, std::size_t b) {
-          merged[a] = core::WeightedSummary<Summary>{
-              SP::merge_set({merged[a], merged[b]}),
-              merged[a].weight + merged[b].weight};
-          const auto& elems = merged[a].summary.data();
-          DDC_EXPECTS(elems.size() == d);
-          for (std::size_t c = 0; c < d; ++c) flat[a * d + c] = elems[c];
-        },
-        [&](std::size_t a, std::size_t count, double* out) {
-          fill(row(a), row(a + 1), count, out, d);
-        });
   }
 };
 

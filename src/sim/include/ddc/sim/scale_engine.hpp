@@ -16,19 +16,32 @@
 //   * inboxes: a CSR index over delivered slots, built by a stable
 //     counting sort that preserves delivery order.
 //
-// Bit-identity with RoundRunner — the contract the golden equivalence
-// suite pins — holds BY CONSTRUCTION, not by re-implementation: each
-// worker chunk owns a scratch classifier (the very GenericClassifier the
-// object engine runs); per node the engine rehydrates the scratch from
-// the pools, runs the unmodified split/receive kernels, and writes the
-// state back. Round structure, draw order (selection, loss, crash) and
-// per-node call order replicate RoundRunner phase for phase:
+// Round structure, draw order (selection, loss, crash) and per-node call
+// order replicate RoundRunner phase for phase:
 //
 //   1. plan     (sequential)  selection draws, reply bookkeeping
-//   2. prepare  (parallel)    splits into the slot arena
+//   2. prepare  (parallel)    splits on the pools into the slot arena
 //   3. deliver  (sequential)  loss draws, inbox CSR build, in node order
 //   4. absorb   (parallel)    per receiver: union inbox slots, one receive
 //   5. crash    (sequential)  end-of-round crash draws
+//
+// Both parallel phases work on the pools. Prepare halves weights in place
+// (core::Weight's half / remainder, 1-quantum collections stay home) and
+// copies summary doubles straight into the slot arena, for every
+// protocol. Absorb depends on the protocol binding, chosen at compile
+// time: a protocol with a PoolScratch (centroids, whose summary is a
+// packed Euclidean row) receives on rows gathered into a per-chunk
+// scratch — the packed greedy partition, the shared grouping step
+// (core::group_collections) and CentroidPolicy::merge_rows, the same
+// functions GenericClassifier runs — and writes the result straight back.
+// Any other protocol (GM) rehydrates a per-chunk scratch classifier,
+// runs GenericClassifier::receive and stores the state back.
+// Bit-identity with RoundRunner is pinned by tests, not assumed:
+// tests/sim/soa_pool_receive_test.cpp compares receive_rows with
+// GenericClassifier::receive on randomized inputs (coarse quanta, exact
+// ties), and tests/sim/scale_equivalence_test.cpp compares whole runs by
+// digest against the object engine, including a coarse-quanta cell in
+// which one-quantum re-homes fire.
 //
 // Deliberate non-features: no TraceRecorder (a per-event log defeats the
 // point at 10⁶ nodes — use RoundRunner to trace) and no aux-vector
@@ -39,17 +52,28 @@
 // into the pools (see ddc/gossip/scale.hpp for the centroid and GM
 // bindings):
 //
-//   using Classifier = ...;            // the scratch node type
+//   using Classifier = ...;            // the protocol's node type
 //   using Summary    = ...;            // its summary type
 //   static constexpr bool has_node_rng;// per-node persistent RNG stream?
 //   std::size_t k();                   // max collections per node
 //   std::int64_t quanta_per_unit();
 //   std::size_t summary_doubles();     // sd: packed doubles per summary
-//   Classifier make_scratch();         // state is overwritten before use
 //   void pack(const Summary&, double* out);
 //   Summary unpack(const double* in);  // exact round-trip with pack
 //   stats::Rng initial_rng(NodeId);            // iff has_node_rng
 //   static stats::Rng& node_rng(Classifier&);  // iff has_node_rng
+//
+// and either receives on the pools —
+//
+//   struct PoolScratch { std::vector<double> rows;             // m × sd
+//                        std::vector<std::int64_t> quanta;     // m
+//                        core::ClassifierStats stats; ... };
+//   std::size_t receive_rows(PoolScratch&, std::size_t m,
+//                            double* out_rows, std::int64_t* out_quanta);
+//
+// — or through a scratch classifier:
+//
+//   Classifier make_scratch();         // state is overwritten before use
 #pragma once
 
 #include <algorithm>
@@ -71,12 +95,29 @@
 
 namespace ddc::sim {
 
+namespace detail {
+/// Protocol::PoolScratch when the protocol receives on the pools, else an
+/// empty placeholder.
+template <typename Protocol>
+struct PoolScratchOf {
+  struct type {};
+};
+template <typename Protocol>
+  requires requires { typename Protocol::PoolScratch; }
+struct PoolScratchOf<Protocol> {
+  using type = typename Protocol::PoolScratch;
+};
+}  // namespace detail
+
 template <typename Protocol>
 class SoaRoundEngine {
  public:
   using Classifier = typename Protocol::Classifier;
   using Summary = typename Protocol::Summary;
   using Message = core::Classification<Summary>;
+  /// True when the protocol's receive runs on the pools (receive_rows).
+  static constexpr bool kPoolReceive =
+      requires { typename Protocol::PoolScratch; };
 
   /// Builds the engine over `topology` with node i's initial state being
   /// one full-weight collection of summary `initial_summary(i)`.
@@ -128,9 +169,13 @@ class SoaRoundEngine {
       pool_ = std::make_unique<exec::ThreadPool>(threads - 1);
     }
     const std::size_t chunks = exec::parallel_chunk_count(pool_.get(), n_);
-    scratch_.reserve(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      scratch_.push_back(protocol_.make_scratch());
+    if constexpr (kPoolReceive) {
+      pool_scratch_.resize(chunks);
+    } else {
+      scratch_.reserve(chunks);
+      for (std::size_t c = 0; c < chunks; ++c) {
+        scratch_.push_back(protocol_.make_scratch());
+      }
     }
     deliveries_.reserve(2 * n_);
   }
@@ -212,12 +257,16 @@ class SoaRoundEngine {
     return acc;
   }
 
-  /// Wall-clock the scratch classifiers spent inside the partition
-  /// policy, summed over chunks (equals the per-node sum the object
-  /// engine reports, since every receive runs on exactly one scratch).
+  /// Wall-clock spent in the partition and the one-quantum re-home,
+  /// summed over chunks (equals the per-node sum the object engine
+  /// reports, since every receive runs on exactly one chunk's scratch).
   [[nodiscard]] double partition_seconds() const noexcept {
     double acc = 0.0;
-    for (const Classifier& s : scratch_) acc += s.stats().partition_seconds;
+    if constexpr (kPoolReceive) {
+      for (const auto& s : pool_scratch_) acc += s.stats.partition_seconds;
+    } else {
+      for (const Classifier& s : scratch_) acc += s.stats().partition_seconds;
+    }
     return acc;
   }
 
@@ -235,6 +284,7 @@ class SoaRoundEngine {
 
  private:
   static constexpr NodeId kNoTarget = static_cast<NodeId>(-1);
+  using PoolScratch = typename detail::PoolScratchOf<Protocol>::type;
 
   [[nodiscard]] bool sends_data() const noexcept {
     return options_.pattern != GossipPattern::pull;
@@ -278,39 +328,29 @@ class SoaRoundEngine {
     }
   }
 
-  /// Phase 2 — parallel splits into the slot arena. Each chunk's scratch
-  /// classifier serves its nodes one after another; per node the split
-  /// order (replies to lower-indexed initiators, own send, replies to
-  /// higher-indexed ones) matches RoundRunner::prepare_messages exactly.
+  /// Phase 2 — parallel splits on the pools into the slot arena. Per
+  /// node the split order (replies to lower-indexed initiators, own send,
+  /// replies to higher-indexed ones) matches
+  /// RoundRunner::prepare_messages exactly.
   void prepare_messages() {
     const bool sends = sends_data();
     const bool replies = wants_reply();
     std::fill(slot_counts_.begin(), slot_counts_.end(), std::uint32_t{0});
     exec::parallel_for_chunks(
-        pool_.get(), n_,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          Classifier& scratch = scratch_[chunk];
+        pool_.get(), n_, [&](std::size_t, std::size_t begin, std::size_t end) {
           for (NodeId j = begin; j < end; ++j) {
-            if (replies) {
-              const std::size_t rb = req_offsets_[j];
-              const std::size_t re = req_offsets_[j + 1];
-              const bool own_send = sends && targets_[j] != kNoTarget;
-              if (rb == re && !own_send) continue;
-              load_state(j, scratch);
-              std::size_t r = rb;
-              for (; r < re && req_initiators_[r] < j; ++r) {
-                emit(scratch.split(), n_ + req_initiators_[r]);
-              }
-              if (own_send) emit(scratch.split(), j);
-              for (; r < re; ++r) {
-                emit(scratch.split(), n_ + req_initiators_[r]);
-              }
-              store_state(j, scratch);
-            } else if (targets_[j] != kNoTarget) {
-              load_state(j, scratch);
-              emit(scratch.split(), j);
-              store_state(j, scratch);
+            const bool own_send = sends && targets_[j] != kNoTarget;
+            if (!replies) {
+              if (own_send) split_into(j, j);
+              continue;
             }
+            const std::size_t re = req_offsets_[j + 1];
+            std::size_t r = req_offsets_[j];
+            for (; r < re && req_initiators_[r] < j; ++r) {
+              split_into(j, n_ + req_initiators_[r]);
+            }
+            if (own_send) split_into(j, j);
+            for (; r < re; ++r) split_into(j, n_ + req_initiators_[r]);
           }
         });
   }
@@ -347,31 +387,74 @@ class SoaRoundEngine {
   }
 
   /// Phase 4 — parallel batch absorption: per receiver, union the inbox
-  /// slots in delivery order into one message, run one receive.
+  /// slots in delivery order with its own collections, run one receive.
   void absorb_inboxes() {
     exec::parallel_for_chunks(
         pool_.get(), n_,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          Classifier& scratch = scratch_[chunk];
           for (NodeId i = begin; i < end; ++i) {
             const std::size_t ib = inbox_offsets_[i];
             const std::size_t ie = inbox_offsets_[i + 1];
             if (!alive_[i] || ib == ie) continue;
-            load_state(i, scratch);
-            if constexpr (Protocol::has_node_rng) {
-              Protocol::node_rng(scratch) = rngs_[i];
-            }
-            Message combined;
-            for (std::size_t s = ib; s < ie; ++s) {
-              unpack_slot(inbox_slots_[s], combined);
-            }
-            scratch.receive(std::move(combined));
-            store_state(i, scratch);
-            if constexpr (Protocol::has_node_rng) {
-              rngs_[i] = Protocol::node_rng(scratch);
+            if constexpr (kPoolReceive) {
+              receive_on_pools(pool_scratch_[chunk], i, ib, ie);
+            } else {
+              receive_on_scratch(scratch_[chunk], i, ib, ie);
             }
           }
         });
+  }
+
+  /// Gathers node i's rows, then its inbox slots' rows, into the chunk's
+  /// scratch (receive's union order) and lets the protocol receive on
+  /// them, writing the result straight into the pools.
+  void receive_on_pools(PoolScratch& s, NodeId i, std::size_t ib,
+                        std::size_t ie) {
+    std::size_t m = counts_[i];
+    for (std::size_t e = ib; e < ie; ++e) m += slot_counts_[inbox_slots_[e]];
+    if (s.rows.size() < m * sd_) s.rows.resize(m * sd_);
+    if (s.quanta.size() < m) s.quanta.resize(m);
+    std::size_t filled = gather_rows(
+        &weights_[i * k_], &summaries_[i * k_ * sd_], counts_[i], s, 0);
+    for (std::size_t e = ib; e < ie; ++e) {
+      const std::size_t slot = inbox_slots_[e];
+      filled = gather_rows(&slot_weights_[slot * k_],
+                           &slot_summaries_[slot * k_ * sd_],
+                           slot_counts_[slot], s, filled);
+    }
+    const std::size_t count = protocol_.receive_rows(
+        s, m, &summaries_[i * k_ * sd_], &weights_[i * k_]);
+    DDC_ASSERT(count >= 1 && count <= k_);
+    counts_[i] = static_cast<std::uint32_t>(count);
+  }
+
+  /// Appends `count` collections (quanta, then sd-wide summary rows) to
+  /// the scratch at position `at`; returns the new fill.
+  std::size_t gather_rows(const std::int64_t* quanta, const double* rows,
+                          std::size_t count, PoolScratch& s,
+                          std::size_t at) const {
+    std::copy_n(quanta, count, s.quanta.data() + at);
+    std::copy_n(rows, count * sd_, s.rows.data() + at * sd_);
+    return at + count;
+  }
+
+  /// Rehydrates node i into the chunk's scratch classifier, runs one
+  /// GenericClassifier::receive on the inbox union and stores it back.
+  void receive_on_scratch(Classifier& scratch, NodeId i, std::size_t ib,
+                          std::size_t ie) {
+    load_state(i, scratch);
+    if constexpr (Protocol::has_node_rng) {
+      Protocol::node_rng(scratch) = rngs_[i];
+    }
+    Message combined;
+    for (std::size_t e = ib; e < ie; ++e) {
+      unpack_slot(inbox_slots_[e], combined);
+    }
+    scratch.receive(std::move(combined));
+    store_state(i, scratch);
+    if constexpr (Protocol::has_node_rng) {
+      rngs_[i] = Protocol::node_rng(scratch);
+    }
   }
 
   /// Phase 5 — end-of-round crash draws, sequential.
@@ -420,17 +503,26 @@ class SoaRoundEngine {
     }
   }
 
-  /// Packs an outgoing message into its arena slot. Only the owning
-  /// prepare task writes a given slot, so parallel emits are disjoint.
-  void emit(Message message, std::size_t slot) {
-    const std::size_t count = message.size();
-    DDC_ASSERT(count <= k_);
-    slot_counts_[slot] = static_cast<std::uint32_t>(count);
-    for (std::size_t c = 0; c < count; ++c) {
-      slot_weights_[slot * k_ + c] = message[c].weight.quanta();
-      protocol_.pack(message[c].summary,
-                     &slot_summaries_[(slot * k_ + c) * sd_]);
+  /// GenericClassifier::split on the pools: halves each of node j's
+  /// collections in place and writes the sent halves (summary doubles
+  /// copied verbatim) into arena slot `slot`. A 1-quantum collection
+  /// stays home whole. Only the owning prepare task writes a given slot,
+  /// so parallel splits are disjoint.
+  void split_into(NodeId j, std::size_t slot) {
+    std::uint32_t sent_count = 0;
+    for (std::size_t c = 0; c < counts_[j]; ++c) {
+      std::int64_t& quanta = weights_[j * k_ + c];
+      const core::Weight weight = core::Weight::from_quanta(quanta);
+      const core::Weight sent = weight.remainder_after_half();
+      if (sent.is_zero()) continue;
+      quanta = weight.half().quanta();
+      const std::size_t out = slot * k_ + sent_count;
+      slot_weights_[out] = sent.quanta();
+      std::copy_n(&summaries_[(j * k_ + c) * sd_], sd_,
+                  &slot_summaries_[out * sd_]);
+      ++sent_count;
     }
+    slot_counts_[slot] = sent_count;
   }
 
   /// Appends a slot's collections onto `message` in slot order.
@@ -489,8 +581,10 @@ class SoaRoundEngine {
   std::vector<std::size_t> inbox_offsets_;
   std::vector<std::size_t> inbox_slots_;
 
-  // One scratch classifier per parallel chunk; their stats accumulate
-  // the work of every node they served (see partition_seconds()).
+  // Per parallel chunk: the pool receive's scratch (pool protocols) or a
+  // scratch classifier (the rest). Their stats accumulate the work of
+  // every node they served (see partition_seconds()).
+  std::vector<PoolScratch> pool_scratch_;
   std::vector<Classifier> scratch_;
 
   std::unique_ptr<exec::ThreadPool> pool_;

@@ -10,16 +10,13 @@ using linalg::Vector;
 CentroidPolicy::Summary CentroidPolicy::merge_set(
     const std::vector<core::WeightedSummary<Summary>>& parts) {
   DDC_EXPECTS(!parts.empty());
-  double total = 0.0;
-  for (const auto& p : parts) {
-    DDC_EXPECTS(p.weight > 0.0);
-    total += p.weight;
-  }
-  Vector acc(parts.front().summary.dim());
-  // In-place `acc += scale * summary` — no scaled temporary per part.
-  for (const auto& p : parts) {
-    linalg::add_scaled(acc, p.weight / total, p.summary);
-  }
+  const std::size_t d = parts.front().summary.dim();
+  for (const auto& p : parts) DDC_EXPECTS(p.summary.dim() == d);
+  Vector acc(d);
+  merge_rows(
+      parts.size(),
+      [&](std::size_t j) { return parts[j].summary.data().data(); },
+      [&](std::size_t j) { return parts[j].weight; }, acc.data().data(), d);
   return acc;
 }
 

@@ -6,8 +6,9 @@
 //
 //   1. SoaRoundEngine ≡ RoundRunner for the supported protocols, across
 //      3 seeds × {centroid, gm} × {lossless, loss 0.1}, plus crash
-//      models, gossip patterns, selection policies, thread counts and
-//      topology families — the struct-of-arrays pools, message arena and
+//      models, gossip patterns, selection policies, thread counts,
+//      topology families and coarse quanta (one-quantum re-homes) — the
+//      struct-of-arrays pools, message arena, pool split and receive and
 //      scratch-classifier rehydration must not change a single mantissa
 //      bit relative to one-object-per-node execution.
 //   2. EngineConfig-built classic runners ≡ hand-assembled classic
@@ -251,6 +252,37 @@ TEST(ScaleEquivalence, PatternsAndSelection) {
           "pattern " + std::to_string(static_cast<int>(pattern)) +
               " selection " + std::to_string(static_cast<int>(selection)));
     }
+  }
+}
+
+// Every other cell runs at 2²⁰ quanta per unit, where a one-quantum
+// collection never arises. At 16 quanta the halvings reach single quanta
+// within a few rounds, so splits keep 1-quantum collections home and the
+// receive's one-quantum re-home fires — on the object engine through
+// GenericClassifier, on the scale engine through the pool receive.
+TEST(ScaleEquivalence, CoarseQuantaRehomes) {
+  const auto inputs = bimodal_inputs(kCentroidNodes, 23);
+  for (const GossipPattern pattern :
+       {GossipPattern::push, GossipPattern::pull, GossipPattern::push_pull}) {
+    EngineConfig config = base_config(kCentroidNodes, 23);
+    config.quanta_per_unit = 16;
+    config.pattern = pattern;
+    const std::string label =
+        "coarse quanta, pattern " + std::to_string(static_cast<int>(pattern));
+    auto classic = gossip::make_centroid_round_runner(
+        Topology::complete(kCentroidNodes), inputs, config);
+    classic.run_rounds(kRounds);
+    std::uint64_t rehomes = 0;
+    for (const auto& node : classic.nodes()) {
+      rehomes += node.classifier().stats().singleton_rehomes;
+    }
+    EXPECT_GT(rehomes, 0U) << label;
+    auto scale = gossip::make_centroid_scale_engine(
+        Topology::complete(kCentroidNodes), inputs, config);
+    scale.run_rounds(kRounds);
+    EXPECT_EQ(digest_nodes(classic), digest_engine(scale)) << label;
+    EXPECT_EQ(metrics::total_quanta(classic.nodes()), scale.total_quanta())
+        << label;
   }
 }
 
