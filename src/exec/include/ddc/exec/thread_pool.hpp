@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -47,6 +48,12 @@ class ThreadPool {
 
   /// std::thread::hardware_concurrency with a floor of 1.
   [[nodiscard]] static std::size_t hardware_threads() noexcept;
+
+  /// The pool behind an engine's `parallelism` option (1 = sequential,
+  /// 0 = one lane per hardware thread): null for one lane, else lanes−1
+  /// workers, because the calling thread participates in parallel_for.
+  [[nodiscard]] static std::unique_ptr<ThreadPool> for_parallelism(
+      std::size_t parallelism);
 
  private:
   void worker_loop();

@@ -34,6 +34,13 @@ std::size_t ThreadPool::hardware_threads() noexcept {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+std::unique_ptr<ThreadPool> ThreadPool::for_parallelism(
+    std::size_t parallelism) {
+  const std::size_t lanes =
+      parallelism == 0 ? hardware_threads() : parallelism;
+  return lanes > 1 ? std::make_unique<ThreadPool>(lanes - 1) : nullptr;
+}
+
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

@@ -37,13 +37,7 @@ using CentroidShardCluster = ShardCluster<gossip::CentroidNode, CentroidCodec>;
 [[nodiscard]] inline ShardEngineOptions shard_options(
     const sim::EngineConfig& config) {
   ShardEngineOptions options;
-  options.selection = config.selection;
-  options.pattern = config.pattern;
-  options.seed = config.seed;
-  options.crash_probability = config.faults.crash_probability;
-  options.crash_send_policy = config.faults.crash_send_policy;
-  options.message_loss_probability = config.faults.message_loss_probability;
-  options.parallelism = config.parallelism;
+  static_cast<sim::RoundRunnerOptions&>(options) = config.round_options();
   return options;
 }
 
@@ -88,14 +82,8 @@ make_centroid_shard_nodes(const std::vector<linalg::Vector>& inputs,
 [[nodiscard]] inline ShardEngineOptions merge_exchange_options(
     const sim::EngineConfig& config,
     const ShardEngineOptions& options_override) {
-  ShardEngineOptions options = shard_options(config);
-  options.resend_interval_polls = options_override.resend_interval_polls;
-  options.max_exchange_polls = options_override.max_exchange_polls;
-  options.idle = options_override.idle;
-  options.partitioner = options_override.partitioner;
-  options.overlap_chunk = options_override.overlap_chunk;
-  options.testing_suppress_empty_barrier_retransmit =
-      options_override.testing_suppress_empty_barrier_retransmit;
+  ShardEngineOptions options = options_override;
+  static_cast<sim::RoundRunnerOptions&>(options) = config.round_options();
   return options;
 }
 

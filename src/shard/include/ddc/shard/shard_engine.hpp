@@ -4,8 +4,8 @@
 // A ShardEngine is one process's slice of a round-based simulation. The
 // global Topology is split by a ShardMap (contiguous ranges or the
 // edge-cut-aware BFS partitioner — see shard_map.hpp); this engine owns
-// the node objects of ONE shard, replays the round phases of
-// sim::RoundRunner for them, and exchanges the messages that cross a
+// the node objects of ONE shard, runs the shared sim::RoundPlan schedule
+// (round_plan.hpp) for them, and exchanges the messages that cross a
 // shard boundary through a net::Transport — all of one round's
 // cross-shard messages to a given peer packed into a single
 // wire::FrameKind::batch frame (encode_batch), acknowledged and
@@ -27,21 +27,19 @@
 // The argument (DESIGN.md "Sharded cluster engine"):
 //
 //  * Every environment draw (neighbor selection, crash bernoullis) is
-//    replayed IDENTICALLY on every shard: each engine carries the full
-//    global alive vector and selector state and walks all n nodes in
-//    the plan/crash phases, consuming exactly RoundRunner's draws. The
-//    alive vector evolves as a pure function of the seed, so replicas
-//    never diverge.
+//    replayed IDENTICALLY on every shard: each engine carries a full
+//    global RoundPlan — alive vector, selector state, reply requests —
+//    and walks all n nodes in the plan/crash phases, consuming exactly
+//    RoundRunner's draws. The alive vector evolves as a pure function of
+//    the seed, so replicas never diverge.
 //  * Node-local randomness derives from the protocol seed by GLOBAL
 //    node id (gossip::make_*_nodes discipline), so a node's stream does
 //    not depend on which shard hosts it.
-//  * Channel loss cannot use RoundRunner's sequential loss stream (its
-//    draw count depends on message emptiness, which is unknowable for
-//    remote senders), so the engine derives a STATELESS per-message
-//    verdict from (loss seed, round, initiator, direction). Lossy runs
-//    are therefore bit-identical across shard counts, but sample a
-//    different (equally distributed) loss pattern than RoundRunner;
-//    lossless runs match RoundRunner exactly.
+//  * Channel loss is RoundPlan's stateless verdict, hashed from (seed,
+//    round, leg, initiator): the sending shard and the receiving shard
+//    reach the same verdict without exchanging it, and so does
+//    RoundRunner. Lossy runs, like lossless ones, match RoundRunner bit
+//    for bit.
 //
 // The engine is stepped — begin_round() sends, try_complete_round()
 // polls — so a single thread can drive S in-process engines (see
@@ -66,26 +64,17 @@
 #include <ddc/net/transport.hpp>
 #include <ddc/shard/shard_map.hpp>
 #include <ddc/sim/gossip_node.hpp>
-#include <ddc/sim/neighbor_selection.hpp>
+#include <ddc/sim/round_plan.hpp>
 #include <ddc/sim/topology.hpp>
-#include <ddc/stats/rng.hpp>
 #include <ddc/wire/framing.hpp>
 
 namespace ddc::shard {
 
-/// Configuration of a shard engine. The simulation fields mirror
-/// RoundRunnerOptions; the exchange fields pace the batch protocol in
-/// transport polls (poll = one try_complete_round() that did not finish
-/// the round).
-struct ShardEngineOptions : sim::CommonRunnerOptions {
-  double crash_probability = 0.0;
-  sim::CrashSendPolicy crash_send_policy = sim::CrashSendPolicy::avoid_crashed;
-  /// Per-message loss verdicts are hashed from (seed, round, initiator,
-  /// direction) — see the determinism note in the header comment.
-  double message_loss_probability = 0.0;
-  /// Worker threads for the owned range's prepare/absorb phases
-  /// (1 sequential, 0 hardware concurrency; bit-identical either way).
-  std::size_t parallelism = 1;
+/// Configuration of a shard engine: the simulation fields are
+/// RoundRunnerOptions' (parallelism applies to the owned nodes' prepare
+/// and absorb); the exchange fields pace the batch protocol in transport
+/// polls (poll = one try_complete_round() that did not finish the round).
+struct ShardEngineOptions : sim::RoundRunnerOptions {
   /// Unacked batches are retransmitted every this many polls.
   std::size_t resend_interval_polls = 64;
   /// After this many polls without a peer's batch or ack, the whole peer
@@ -151,17 +140,13 @@ class ShardEngine {
         shard_(shard_id),
         nodes_(std::move(owned_nodes)),
         options_(std::move(options)),
-        env_rng_(stats::Rng::derive(options_.seed, 0x524e445255ULL)),
-        loss_seed_(stats::derive_seed(options_.seed, 0x4c4f5353ULL)),
         transport_(transport),
-        alive_(map_.num_nodes(), true),
-        selector_(options_.selection, map_.num_nodes()),
-        targets_(map_.num_nodes()),
-        reply_requests_(map_.num_nodes()),
+        plan_(options_, map_.num_nodes()),
         replies_(map_.num_nodes()),
         outbox_(nodes_.size()),
         inbox_(nodes_.size()),
-        peers_(map_.num_shards()) {
+        peers_(map_.num_shards()),
+        pool_(exec::ThreadPool::for_parallelism(options_.parallelism)) {
     DDC_EXPECTS(shard_ < map_.num_shards());
     DDC_EXPECTS(topology_.num_nodes() == map_.num_nodes());
     DDC_EXPECTS(nodes_.size() == map_.size(shard_));
@@ -169,16 +154,6 @@ class ShardEngine {
                 (transport_ != nullptr &&
                  transport_->num_peers() == map_.num_shards() &&
                  transport_->self() == shard_));
-    DDC_EXPECTS(options_.crash_probability >= 0.0 &&
-                options_.crash_probability <= 1.0);
-    DDC_EXPECTS(options_.message_loss_probability >= 0.0 &&
-                options_.message_loss_probability <= 1.0);
-    const std::size_t threads = options_.parallelism == 0
-                                    ? exec::ThreadPool::hardware_threads()
-                                    : options_.parallelism;
-    if (threads > 1) {
-      pool_ = std::make_unique<exec::ThreadPool>(threads - 1);
-    }
     stats_.cut_edges = map_.cut_edges(topology_, shard_);
   }
 
@@ -188,7 +163,7 @@ class ShardEngine {
   // ddcverify: hotpath
   void begin_round() {
     DDC_EXPECTS(!round_open_);
-    plan_targets();
+    plan_.plan(topology_);
     classify_boundary();
     const std::size_t n = map_.num_nodes();
     for (sim::NodeId i = 0; i < n; ++i) replies_[i].reset();
@@ -228,7 +203,6 @@ class ShardEngine {
     }
     deliver_messages();
     absorb_inboxes();
-    apply_crashes();
     // Retire this round's exchange state BEFORE advancing the round
     // counter, so batches for the next round arriving early (via
     // service() between rounds, or the next round's polls) land in a
@@ -238,7 +212,7 @@ class ShardEngine {
       peer.got_batch = false;
       peer.acked = false;
     }
-    ++round_;
+    plan_.end_round();
     round_open_ = false;
     return true;
   }
@@ -265,7 +239,7 @@ class ShardEngine {
     for (std::size_t r = 0; r < count; ++r) run_round();
   }
 
-  [[nodiscard]] std::size_t round() const noexcept { return round_; }
+  [[nodiscard]] std::size_t round() const noexcept { return plan_.round(); }
   [[nodiscard]] ShardId shard_id() const noexcept { return shard_; }
   [[nodiscard]] const ShardMap& map() const noexcept { return map_; }
   [[nodiscard]] const sim::Topology& topology() const noexcept {
@@ -280,14 +254,9 @@ class ShardEngine {
     return stats_;
   }
 
-  [[nodiscard]] bool alive(sim::NodeId i) const {
-    DDC_EXPECTS(i < alive_.size());
-    return alive_[i];
-  }
+  [[nodiscard]] bool alive(sim::NodeId i) const { return plan_.alive(i); }
   [[nodiscard]] std::size_t alive_count() const noexcept {
-    std::size_t count = 0;
-    for (const bool a : alive_) count += a ? 1 : 0;
-    return count;
+    return plan_.alive_count();
   }
   /// False once `s` timed out of the barrier (cleared if it resurfaces).
   [[nodiscard]] bool peer_shard_alive(ShardId s) const {
@@ -321,12 +290,6 @@ class ShardEngine {
     bool dead = false;
   };
 
-  [[nodiscard]] bool sends_data() const noexcept {
-    return options_.pattern != sim::GossipPattern::pull;
-  }
-  [[nodiscard]] bool wants_reply() const noexcept {
-    return options_.pattern != sim::GossipPattern::push;
-  }
   [[nodiscard]] bool owns(sim::NodeId i) const {
     return map_.shard_of(i) == shard_;
   }
@@ -334,37 +297,16 @@ class ShardEngine {
     return map_.local_index(i);
   }
 
-  /// Stateless per-message loss verdict — identical on every shard by
-  /// construction, because it depends only on global quantities. The
-  /// initiator/direction pair names the message uniquely within a round
-  /// (one forward and at most one reply per initiator).
-  [[nodiscard]] bool channel_drops(sim::NodeId initiator,
-                                   wire::BatchTag tag) const {
-    if (options_.message_loss_probability <= 0.0) return false;
-    const std::uint64_t salt = stats::derive_seed(
-        round_ * 2 + static_cast<std::uint64_t>(tag), initiator);
-    stats::Rng draw = stats::Rng::derive(loss_seed_, salt);
-    return draw.bernoulli(options_.message_loss_probability);
+  /// The local message of a hop whose sender this shard owns: a
+  /// forward sits in the sender's outbox slot, a reply in the slot of
+  /// the initiator it answers.
+  [[nodiscard]] std::optional<Message>& message(const sim::Hop& hop) {
+    return hop.leg == sim::Leg::forward ? outbox_[local(hop.initiator)]
+                                        : replies_[hop.initiator];
   }
-
-  /// Phase 1 — RoundRunner::plan_targets, replayed over ALL n nodes so
-  /// every shard consumes the identical environment draws.
-  void plan_targets() {
-    const bool replies = wants_reply();
-    const std::size_t n = map_.num_nodes();
-    for (sim::NodeId i = 0; i < n; ++i) {
-      targets_[i].reset();
-      if (replies) reply_requests_[i].clear();
-    }
-    for (sim::NodeId i = 0; i < n; ++i) {
-      if (!alive_[i]) continue;
-      const bool avoid =
-          options_.crash_send_policy == sim::CrashSendPolicy::avoid_crashed;
-      targets_[i] = selector_.pick(topology_, i, alive_, avoid, env_rng_);
-      if (replies && targets_[i] && alive_[*targets_[i]]) {
-        reply_requests_[*targets_[i]].push_back(i);
-      }
-    }
+  [[nodiscard]] bool sent_locally(const sim::Hop& hop) {
+    const std::optional<Message>& msg = message(hop);
+    return msg && !msg->empty();
   }
 
   /// Splits the owned nodes into boundary (this round's plan moves one
@@ -376,16 +318,17 @@ class ShardEngine {
     boundary_js_.clear();
     interior_js_.clear();
     const bool multi = map_.num_shards() > 1;
-    const bool sends = sends_data();
-    const bool replies = wants_reply();
     const std::span<const sim::NodeId> owned = map_.owned(shard_);
     for (std::size_t j = 0; j < owned.size(); ++j) {
       const sim::NodeId g = owned[j];
+      const sim::NodeId target = plan_.target(g);
       bool boundary = false;
       if (multi) {
-        if (sends && targets_[g] && !owns(*targets_[g])) boundary = true;
-        if (!boundary && replies) {
-          for (const sim::NodeId r : reply_requests_[g]) {
+        if (plan_.sends() && target != sim::kNoTarget && !owns(target)) {
+          boundary = true;
+        }
+        if (!boundary) {
+          for (const sim::NodeId r : plan_.requests(g)) {
             if (!owns(r)) {
               boundary = true;
               break;
@@ -398,32 +341,19 @@ class ShardEngine {
     stats_.boundary_nodes += boundary_js_.size();
   }
 
-  /// Phase 2 — RoundRunner::prepare_messages restricted to the given
-  /// owned local indices. reply_requests_ is global, so an owned
-  /// responder interleaves its own send between lower- and
-  /// higher-indexed initiators exactly as the monolithic engine would,
-  /// remote initiators included. Per-node draws are node-local, so any
-  /// split of the owned set into prepare_nodes calls is bit-identical.
+  /// Phase 2 — the plan's per-node split order, restricted to the given
+  /// owned local indices. The plan is global, so an owned responder
+  /// interleaves its own send between lower- and higher-indexed
+  /// initiators exactly as the monolithic engine would, remote
+  /// initiators included. Per-node draws are node-local, so any split of
+  /// the owned set into prepare_nodes calls is bit-identical.
   void prepare_nodes(std::span<const std::size_t> js) {
-    const bool sends = sends_data();
-    const bool replies = wants_reply();
     const std::span<const sim::NodeId> owned = map_.owned(shard_);
     exec::parallel_for(pool_.get(), js.size(), [&](std::size_t idx) {
       const std::size_t j = js[idx];
-      const sim::NodeId g = owned[j];
-      if (replies) {
-        const std::vector<sim::NodeId>& requests = reply_requests_[g];
-        std::size_t r = 0;
-        for (; r < requests.size() && requests[r] < g; ++r) {
-          replies_[requests[r]] = nodes_[j].prepare_message();
-        }
-        if (sends && targets_[g]) outbox_[j] = nodes_[j].prepare_message();
-        for (; r < requests.size(); ++r) {
-          replies_[requests[r]] = nodes_[j].prepare_message();
-        }
-      } else if (targets_[g]) {
-        outbox_[j] = nodes_[j].prepare_message();
-      }
+      plan_.for_each_split(owned[j], [&](const sim::Hop& hop) {
+        message(hop) = nodes_[j].prepare_message();
+      });
     });
   }
 
@@ -433,8 +363,6 @@ class ShardEngine {
   /// — they are global functions, so the receiver would agree.
   void send_batches() {
     if (map_.num_shards() == 1) return;
-    const bool sends = sends_data();
-    const bool replies = wants_reply();
     // Reused member scratch (hot-path-alloc): the outer vectors keep
     // their capacity across rounds; `encoded` keeps payloads alive
     // until the per-peer frames are built below.
@@ -443,31 +371,18 @@ class ShardEngine {
     outgoing_scratch_.resize(map_.num_shards());
     std::vector<std::vector<wire::BatchRecord>>& outgoing = outgoing_scratch_;
     for (std::vector<wire::BatchRecord>& records : outgoing) records.clear();
-    const std::size_t n = map_.num_nodes();
-    for (sim::NodeId i = 0; i < n; ++i) {
-      if (!alive_[i] || !targets_[i]) continue;
-      const sim::NodeId t = *targets_[i];
-      if (sends && owns(i) && !owns(t)) {
-        const std::optional<Message>& msg = outbox_[local(i)];
-        if (msg && !msg->empty() && alive_[t] &&
-            !channel_drops(i, wire::BatchTag::forward)) {
-          encoded.push_back(Codec::encode(*msg));
-          outgoing[map_.shard_of(t)].push_back(
-              {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(t),
-               wire::BatchTag::forward, encoded.back()});
-        }
-      }
-      if (replies && owns(t) && !owns(i)) {
-        const std::optional<Message>& msg = replies_[i];
-        // The initiator is alive by plan; only the loss verdict applies.
-        if (msg && !msg->empty() && !channel_drops(i, wire::BatchTag::reply)) {
-          encoded.push_back(Codec::encode(*msg));
-          outgoing[map_.shard_of(i)].push_back(
-              {static_cast<std::uint32_t>(t), static_cast<std::uint32_t>(i),
-               wire::BatchTag::reply, encoded.back()});
-        }
-      }
-    }
+    plan_.for_each_hop(
+        [&](const sim::Hop& hop) {
+          return owns(hop.from) && !owns(hop.to) && sent_locally(hop);
+        },
+        [&](const sim::Hop& hop, sim::Fate fate) {
+          if (fate != sim::Fate::delivered) return;
+          encoded.push_back(Codec::encode(*message(hop)));
+          outgoing[map_.shard_of(hop.to)].push_back(
+              {static_cast<std::uint32_t>(hop.from),
+               static_cast<std::uint32_t>(hop.to), batch_tag(hop.leg),
+               encoded.back()});
+        });
     for (ShardId s = 0; s < map_.num_shards(); ++s) {
       if (s == shard_) continue;
       PeerState& peer = peers_[s];
@@ -476,9 +391,9 @@ class ShardEngine {
       // immediately moved into the peer's resend slot.
       // ddcverify: allow(hot-path-alloc)
       const std::vector<std::byte> payload = wire::encode_batch(
-          round_, shard_, map_.num_shards(), outgoing[s]);
+          plan_.round(), shard_, map_.num_shards(), outgoing[s]);
       peer.sent_frame = wire::encode_frame(wire::FrameKind::batch, shard_,
-                                           round_ + 1, payload);
+                                           plan_.round() + 1, payload);
       peer.sent_records = !outgoing[s].empty();
       peer.acked = false;
       peer.silent_polls = 0;
@@ -486,7 +401,7 @@ class ShardEngine {
       // for THIS round that arrived between rounds is already slotted —
       // try_complete_round cleared the state before advancing.)
       if (!peer.got_batch && peer.future_round &&
-          *peer.future_round == round_) {
+          *peer.future_round == plan_.round()) {
         peer.records = std::move(peer.future_records);
         peer.future_records.clear();
         peer.future_round.reset();
@@ -538,14 +453,14 @@ class ShardEngine {
                      wire::encode_frame(wire::FrameKind::batch_ack, shard_,
                                         batch.round + 1,
                                         wire::encode_batch_ack(batch.round)));
-    if (batch.round == round_) {
+    if (batch.round == plan_.round()) {
       if (!peer.got_batch) {
         peer.records = store_records(batch);
         peer.got_batch = true;
         ++stats_.batch_frames_received;
         stats_.batch_records_received += batch.records.size();
       }
-    } else if (batch.round > round_) {
+    } else if (batch.round > plan_.round()) {
       // The peer moved on; a lockstep peer is at most one round ahead,
       // anything further means WE restarted behind the cluster. Either
       // way its current-round batch is implicitly settled.
@@ -556,7 +471,7 @@ class ShardEngine {
         stats_.batch_records_received += batch.records.size();
       }
     }
-    // batch.round < round_: a retransmit we already applied; the re-ack
+    // batch.round < round(): a retransmit we already applied; the re-ack
     // above is the whole effect.
   }
 
@@ -572,7 +487,7 @@ class ShardEngine {
     PeerState& peer = peers_[static_cast<ShardId>(from)];
     peer.dead = false;
     peer.silent_polls = 0;
-    if (acked_round == round_ && !peer.acked) {
+    if (acked_round == plan_.round() && !peer.acked) {
       peer.acked = true;
       ++stats_.acks_received;
     }
@@ -600,11 +515,10 @@ class ShardEngine {
   /// A peer no longer blocks the barrier once its batch arrived, it
   /// provably moved past this round, or it timed out.
   [[nodiscard]] bool peer_settled(const PeerState& peer) const {
-    const bool batch_ok =
-        peer.got_batch || peer.dead ||
-        (peer.future_round && *peer.future_round > round_);
-    const bool ack_ok = peer.acked || peer.dead ||
-                        (peer.future_round && *peer.future_round > round_);
+    const bool moved_on =
+        peer.future_round && *peer.future_round > plan_.round();
+    const bool batch_ok = peer.got_batch || peer.dead || moved_on;
+    const bool ack_ok = peer.acked || peer.dead || moved_on;
     return batch_ok && ack_ok;
   }
 
@@ -630,7 +544,7 @@ class ShardEngine {
       // missing or in flight. Re-sending the frame, usually a bare
       // barrier token, would just provoke another re-ack;
       // peer_settled() already treats the advanced peer as settled.
-      if (peer.future_round && *peer.future_round > round_) continue;
+      if (peer.future_round && *peer.future_round > plan_.round()) continue;
       // The planted bug the schedule explorer's self-test re-enables:
       // an early draft reasoned "an empty batch moves no data, so it
       // need not be retransmitted" — but the empty batch IS the
@@ -657,13 +571,12 @@ class ShardEngine {
     }
   }
 
-  /// Phase 3 — RoundRunner::deliver_messages, replayed in global node
-  /// order. Local messages come from outbox_/replies_; remote ones from
-  /// the peers' batches, slotted into their planned positions (forward
-  /// keyed by initiator, reply keyed by the initiator it answers).
+  /// Phase 3 — the plan's delivery walk, over the hops this shard
+  /// receives. Local messages come from outbox_/replies_; remote ones
+  /// from the peers' batches, slotted into their planned positions
+  /// (forward keyed by initiator, reply keyed by the initiator it
+  /// answers).
   void deliver_messages() {
-    const bool sends = sends_data();
-    const bool replies = wants_reply();
     for (std::size_t j = 0; j < nodes_.size(); ++j) inbox_[j].clear();
     // Planned-position index over the stored records of every peer.
     const std::size_t n = map_.num_nodes();
@@ -681,34 +594,19 @@ class ShardEngine {
         }
       }
     }
-    for (sim::NodeId i = 0; i < n; ++i) {
-      if (!alive_[i] || !targets_[i]) continue;
-      const sim::NodeId t = *targets_[i];
-      if (sends && owns(t)) {
-        if (owns(i)) {
-          std::optional<Message>& msg = outbox_[local(i)];
-          if (msg && !msg->empty() && alive_[t] &&
-              !channel_drops(i, wire::BatchTag::forward)) {
-            inbox_[local(t)].push_back(std::move(*msg));
+    plan_.for_each_hop(
+        [&](const sim::Hop& hop) {
+          if (!owns(hop.to)) return false;
+          return owns(hop.from) ? sent_locally(hop) : remote(hop) != nullptr;
+        },
+        [&](const sim::Hop& hop, sim::Fate fate) {
+          if (fate != sim::Fate::delivered) return;
+          if (owns(hop.from)) {
+            inbox_[local(hop.to)].push_back(std::move(*message(hop)));
+          } else {
+            deliver_record(*remote(hop));
           }
-        } else if (StoredRecord* rec = fwd_index_[i];
-                   rec != nullptr && rec->dst == t) {
-          deliver_record(*rec);
-        }
-      }
-      if (replies && owns(i) && targets_[i]) {
-        if (owns(t)) {
-          std::optional<Message>& msg = replies_[i];
-          if (msg && !msg->empty() &&
-              !channel_drops(i, wire::BatchTag::reply)) {
-            inbox_[local(i)].push_back(std::move(*msg));
-          }
-        } else if (StoredRecord* rec = reply_index_[i];
-                   rec != nullptr && rec->src == t) {
-          deliver_record(*rec);
-        }
-      }
-    }
+        });
     // Records that matched no planned slot — only possible after a peer
     // restarted with a diverged plan. Deliver them in a deterministic
     // order so the healthy shards at least agree with each other.
@@ -717,7 +615,7 @@ class ShardEngine {
       if (s == shard_) continue;
       for (StoredRecord& rec : peers_[s].records) {
         if (!rec.consumed && rec.dst < n && owns(rec.dst) &&
-            alive_[rec.dst]) {
+            plan_.alive(rec.dst)) {
           leftovers_.push_back(&rec);
         }
       }
@@ -733,6 +631,21 @@ class ShardEngine {
     }
   }
 
+  /// The peer record carrying a hop this shard receives, if it arrived.
+  [[nodiscard]] StoredRecord* remote(const sim::Hop& hop) const {
+    StoredRecord* rec = hop.leg == sim::Leg::forward
+                            ? fwd_index_[hop.initiator]
+                            : reply_index_[hop.initiator];
+    return rec != nullptr && rec->src == hop.from && rec->dst == hop.to
+               ? rec
+               : nullptr;
+  }
+
+  [[nodiscard]] static wire::BatchTag batch_tag(sim::Leg leg) {
+    return leg == sim::Leg::forward ? wire::BatchTag::forward
+                                    : wire::BatchTag::reply;
+  }
+
   void deliver_record(StoredRecord& rec) {
     rec.consumed = true;
     try {
@@ -746,22 +659,10 @@ class ShardEngine {
   void absorb_inboxes() {
     const std::span<const sim::NodeId> owned = map_.owned(shard_);
     exec::parallel_for(pool_.get(), nodes_.size(), [&](std::size_t j) {
-      if (alive_[owned[j]] && !inbox_[j].empty()) {
+      if (plan_.alive(owned[j]) && !inbox_[j].empty()) {
         nodes_[j].absorb(std::move(inbox_[j]));
       }
     });
-  }
-
-  /// Phase 5 — RoundRunner::apply_crashes replayed over ALL n nodes;
-  /// the global alive vector stays a pure function of the seed.
-  void apply_crashes() {
-    if (options_.crash_probability <= 0.0) return;
-    const std::size_t n = map_.num_nodes();
-    for (sim::NodeId i = 0; i < n; ++i) {
-      if (alive_[i] && env_rng_.bernoulli(options_.crash_probability)) {
-        alive_[i] = false;
-      }
-    }
   }
 
   sim::Topology topology_;
@@ -769,14 +670,10 @@ class ShardEngine {
   ShardId shard_;
   std::vector<Node> nodes_;
   ShardEngineOptions options_;
-  stats::Rng env_rng_;
-  std::uint64_t loss_seed_;
   net::Transport* transport_;
-  std::vector<bool> alive_;
-  sim::NeighborSelector selector_;
-  // Global per-round plan (replayed on every shard).
-  std::vector<std::optional<sim::NodeId>> targets_;
-  std::vector<std::vector<sim::NodeId>> reply_requests_;
+  // Global per-round plan (replayed on every shard); replies_ is indexed
+  // by the initiator a reply answers, which may live on any shard.
+  sim::RoundPlan plan_;
   std::vector<std::optional<Message>> replies_;
   // Owned-range scratch.
   std::vector<std::optional<Message>> outbox_;
@@ -791,7 +688,6 @@ class ShardEngine {
   std::vector<std::vector<wire::BatchRecord>> outgoing_scratch_;
   std::vector<PeerState> peers_;
   std::unique_ptr<exec::ThreadPool> pool_;
-  std::size_t round_ = 0;
   std::size_t polls_this_round_ = 0;
   bool round_open_ = false;
   ShardEngineStats stats_;

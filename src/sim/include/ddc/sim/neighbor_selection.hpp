@@ -30,6 +30,8 @@ class NeighborSelector {
   /// is set, dead neighbors (per `alive`) are skipped; returns nullopt
   /// when every eligible neighbor is dead. Draws from `rng` only for
   /// uniform_random selection — round-robin consumes no randomness.
+  /// Runs for every live node in every round, so it never allocates.
+  // ddcverify: hotpath
   [[nodiscard]] std::optional<NodeId> pick(const Topology& topology, NodeId i,
                                            const std::vector<bool>& alive,
                                            bool avoid, stats::Rng& rng) {
@@ -47,13 +49,16 @@ class NeighborSelector {
       }
       case NeighborSelection::uniform_random: {
         if (!avoid) return nbrs[rng.uniform_index(nbrs.size())];
-        std::vector<NodeId> live;
-        live.reserve(nbrs.size());
+        // A uniform index into the live neighbors, walked to in place:
+        // the same draw and target as indexing a filtered copy.
+        std::size_t live = 0;
+        for (const NodeId t : nbrs) live += alive[t] ? 1 : 0;
+        if (live == 0) return std::nullopt;
+        std::size_t skip = rng.uniform_index(live);
         for (const NodeId t : nbrs) {
-          if (alive[t]) live.push_back(t);
+          if (alive[t] && skip-- == 0) return t;
         }
-        if (live.empty()) return std::nullopt;
-        return live[rng.uniform_index(live.size())];
+        break;
       }
     }
     DDC_ASSERT(false);

@@ -16,14 +16,16 @@
 //   * inboxes: a CSR index over delivered slots, built by a stable
 //     counting sort that preserves delivery order.
 //
-// Round structure, draw order (selection, loss, crash) and per-node call
-// order replicate RoundRunner phase for phase:
+// The round schedule — selection, reply requests, per-node split order,
+// the delivery walk with its loss verdicts, crash draws — is the shared
+// sim::RoundPlan that RoundRunner runs too (round_plan.hpp); this engine
+// keeps only the pools:
 //
-//   1. plan     (sequential)  selection draws, reply bookkeeping
+//   1. plan     (sequential)  RoundPlan::plan
 //   2. prepare  (parallel)    splits on the pools into the slot arena
-//   3. deliver  (sequential)  loss draws, inbox CSR build, in node order
+//   3. deliver  (sequential)  RoundPlan's walk, then the inbox CSR build
 //   4. absorb   (parallel)    per receiver: union inbox slots, one receive
-//   5. crash    (sequential)  end-of-round crash draws
+//   5. crash    (sequential)  RoundPlan::end_round
 //
 // Both parallel phases work on the pools. Prepare halves weights in place
 // (core::Weight's half / remainder, 1-quantum collections stay home) and
@@ -77,7 +79,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -88,8 +89,7 @@
 #include <ddc/exec/parallel_for.hpp>
 #include <ddc/exec/thread_pool.hpp>
 #include <ddc/sim/gossip_node.hpp>
-#include <ddc/sim/neighbor_selection.hpp>
-#include <ddc/sim/round_runner.hpp>
+#include <ddc/sim/round_plan.hpp>
 #include <ddc/sim/topology.hpp>
 #include <ddc/stats/rng.hpp>
 
@@ -127,21 +127,13 @@ class SoaRoundEngine {
                  RoundRunnerOptions options, InitSummary&& initial_summary)
       : topology_(std::move(topology)),
         protocol_(std::move(protocol)),
-        options_(options),
-        env_rng_(stats::Rng::derive(options.seed, 0x524e445255ULL)),
-        loss_rng_(stats::Rng::derive(options.seed, 0x4c4f5353ULL)),
         n_(topology_.num_nodes()),
         k_(protocol_.k()),
         sd_(protocol_.summary_doubles()),
-        alive_(n_, true),
-        selector_(options.selection, n_),
+        plan_(options, n_),
         counts_(n_, 1),
         weights_(n_ * k_, 0),
         summaries_(n_ * k_ * sd_, 0.0),
-        targets_(n_, kNoTarget),
-        req_counts_(n_, 0),
-        req_offsets_(n_ + 1, 0),
-        req_initiators_(n_, 0),
         slot_counts_(2 * n_, 0),
         slot_weights_(2 * n_ * k_, 0),
         slot_summaries_(2 * n_ * k_ * sd_, 0.0),
@@ -150,10 +142,6 @@ class SoaRoundEngine {
     DDC_EXPECTS(n_ >= 2);
     DDC_EXPECTS(k_ >= 1);
     DDC_EXPECTS(sd_ >= 1);
-    DDC_EXPECTS(options_.crash_probability >= 0.0 &&
-                options_.crash_probability <= 1.0);
-    DDC_EXPECTS(options_.message_loss_probability >= 0.0 &&
-                options_.message_loss_probability <= 1.0);
     for (NodeId i = 0; i < n_; ++i) {
       weights_[i * k_] = protocol_.quanta_per_unit();
       protocol_.pack(initial_summary(i), &summaries_[i * k_ * sd_]);
@@ -162,12 +150,7 @@ class SoaRoundEngine {
       rngs_.reserve(n_);
       for (NodeId i = 0; i < n_; ++i) rngs_.push_back(protocol_.initial_rng(i));
     }
-    const std::size_t threads = options_.parallelism == 0
-                                    ? exec::ThreadPool::hardware_threads()
-                                    : options_.parallelism;
-    if (threads > 1) {
-      pool_ = std::make_unique<exec::ThreadPool>(threads - 1);
-    }
+    pool_ = exec::ThreadPool::for_parallelism(options.parallelism);
     const std::size_t chunks = exec::parallel_chunk_count(pool_.get(), n_);
     if constexpr (kPoolReceive) {
       pool_scratch_.resize(chunks);
@@ -180,48 +163,31 @@ class SoaRoundEngine {
     deliveries_.reserve(2 * n_);
   }
 
-  /// Executes one round — same five phases, same environment draw order
-  /// as RoundRunner<Node>::run_round.
+  /// Executes one round — the same RoundPlan schedule as
+  /// RoundRunner<Node>::run_round.
   // ddcverify: hotpath
   void run_round() {
-    plan_targets();
-    // Audited timing probes (as in RoundRunner): the clock reads feed the
-    // `--timing` counters only, never control flow.
-    const auto t_prepare = std::chrono::steady_clock::now();  // ddclint: allow(wall-clock)
-    prepare_messages();
-    const auto t_deliver = std::chrono::steady_clock::now();  // ddclint: allow(wall-clock)
-    timings_.prepare_seconds +=
-        std::chrono::duration<double>(t_deliver - t_prepare).count();
+    plan_.plan(topology_);
+    timed_phase(timings_.prepare_seconds, [&] { prepare_messages(); });
     deliver_messages();
-    const auto t_absorb = std::chrono::steady_clock::now();  // ddclint: allow(wall-clock)
-    absorb_inboxes();
-    timings_.absorb_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -  // ddclint: allow(wall-clock)
-                                      t_absorb)
-            .count();
-    apply_crashes();
-    ++round_;
+    timed_phase(timings_.absorb_seconds, [&] { absorb_inboxes(); });
+    plan_.end_round();
   }
 
   void run_rounds(std::size_t count) {
     for (std::size_t r = 0; r < count; ++r) run_round();
   }
 
-  [[nodiscard]] std::size_t round() const noexcept { return round_; }
+  [[nodiscard]] std::size_t round() const noexcept { return plan_.round(); }
   [[nodiscard]] std::size_t num_nodes() const noexcept { return n_; }
   [[nodiscard]] const Topology& topology() const noexcept { return topology_; }
   [[nodiscard]] const RoundPhaseTimings& timings() const noexcept {
     return timings_;
   }
 
-  [[nodiscard]] bool alive(NodeId i) const {
-    DDC_EXPECTS(i < n_);
-    return alive_[i];
-  }
+  [[nodiscard]] bool alive(NodeId i) const { return plan_.alive(i); }
   [[nodiscard]] std::size_t alive_count() const noexcept {
-    std::size_t count = 0;
-    for (const bool a : alive_) count += a ? 1 : 0;
-    return count;
+    return plan_.alive_count();
   }
 
   /// Node i's classification, rehydrated from the pools. O(k) — intended
@@ -283,96 +249,34 @@ class SoaRoundEngine {
   }
 
  private:
-  static constexpr NodeId kNoTarget = static_cast<NodeId>(-1);
   using PoolScratch = typename detail::PoolScratchOf<Protocol>::type;
 
-  [[nodiscard]] bool sends_data() const noexcept {
-    return options_.pattern != GossipPattern::pull;
-  }
-  [[nodiscard]] bool wants_reply() const noexcept {
-    return options_.pattern != GossipPattern::push;
-  }
-
-  /// Phase 1 — mirrors RoundRunner::plan_targets draw for draw, then
-  /// lowers the per-target request lists into a CSR (the counting sort
-  /// fills ascending by initiator, reproducing push_back order).
-  void plan_targets() {
-    const bool replies = wants_reply();
-    const bool avoid =
-        options_.crash_send_policy == CrashSendPolicy::avoid_crashed;
-    std::fill(targets_.begin(), targets_.end(), kNoTarget);
-    if (replies) {
-      std::fill(req_counts_.begin(), req_counts_.end(), std::size_t{0});
-    }
-    for (NodeId i = 0; i < n_; ++i) {
-      if (!alive_[i]) continue;
-      const std::optional<NodeId> target =
-          selector_.pick(topology_, i, alive_, avoid, env_rng_);
-      if (!target) continue;
-      targets_[i] = *target;
-      // A crashed contact cannot answer (reachable only under
-      // drop_at_crashed); the request simply vanishes.
-      if (replies && alive_[*target]) ++req_counts_[*target];
-    }
-    if (replies) {
-      req_offsets_[0] = 0;
-      for (NodeId j = 0; j < n_; ++j) {
-        req_offsets_[j + 1] = req_offsets_[j] + req_counts_[j];
-      }
-      for (NodeId j = 0; j < n_; ++j) req_counts_[j] = req_offsets_[j];
-      for (NodeId i = 0; i < n_; ++i) {
-        const NodeId target = targets_[i];
-        if (target == kNoTarget || !alive_[target]) continue;
-        req_initiators_[req_counts_[target]++] = i;
-      }
-    }
-  }
-
-  /// Phase 2 — parallel splits on the pools into the slot arena. Per
-  /// node the split order (replies to lower-indexed initiators, own send,
-  /// replies to higher-indexed ones) matches
-  /// RoundRunner::prepare_messages exactly.
+  /// Phase 2 — parallel splits on the pools into the slot arena, each
+  /// node in the plan's pinned split order; every message has its own
+  /// arena slot, so parallel splits are disjoint.
   void prepare_messages() {
-    const bool sends = sends_data();
-    const bool replies = wants_reply();
     std::fill(slot_counts_.begin(), slot_counts_.end(), std::uint32_t{0});
     exec::parallel_for_chunks(
         pool_.get(), n_, [&](std::size_t, std::size_t begin, std::size_t end) {
           for (NodeId j = begin; j < end; ++j) {
-            const bool own_send = sends && targets_[j] != kNoTarget;
-            if (!replies) {
-              if (own_send) split_into(j, j);
-              continue;
-            }
-            const std::size_t re = req_offsets_[j + 1];
-            std::size_t r = req_offsets_[j];
-            for (; r < re && req_initiators_[r] < j; ++r) {
-              split_into(j, n_ + req_initiators_[r]);
-            }
-            if (own_send) split_into(j, j);
-            for (; r < re; ++r) split_into(j, n_ + req_initiators_[r]);
+            plan_.for_each_split(
+                j, [&](const Hop& hop) { split_into(j, plan_.slot(hop)); });
           }
         });
   }
 
-  /// Phase 3 — the wire, sequential in node order (loss draws included),
-  /// then the inbox CSR via stable counting sort: per receiver, slots
-  /// appear in delivery order, exactly like RoundRunner's inbox
-  /// push_backs.
+  /// Phase 3 — the plan's delivery walk over the non-empty slots, then
+  /// the inbox CSR via stable counting sort: per receiver, slots appear
+  /// in delivery order, exactly like RoundRunner's inbox push_backs.
   void deliver_messages() {
-    const bool sends = sends_data();
-    const bool replies = wants_reply();
     deliveries_.clear();
-    for (NodeId i = 0; i < n_; ++i) {
-      if (!alive_[i]) continue;
-      const NodeId target = targets_[i];
-      if (target == kNoTarget) continue;
-      if (sends && slot_counts_[i] > 0) transmit(target, i);
-      if (replies && alive_[target] && slot_counts_[n_ + i] > 0) {
-        // The contacted neighbor answers with half of its own state.
-        transmit(i, n_ + i);
-      }
-    }
+    plan_.for_each_hop(
+        [&](const Hop& hop) { return slot_counts_[plan_.slot(hop)] > 0; },
+        [&](const Hop& hop, Fate fate) {
+          if (fate == Fate::delivered) {
+            deliveries_.emplace_back(hop.to, plan_.slot(hop));
+          }
+        });
     std::fill(inbox_counts_.begin(), inbox_counts_.end(), std::size_t{0});
     for (const auto& [to, slot] : deliveries_) ++inbox_counts_[to];
     inbox_offsets_[0] = 0;
@@ -395,7 +299,7 @@ class SoaRoundEngine {
           for (NodeId i = begin; i < end; ++i) {
             const std::size_t ib = inbox_offsets_[i];
             const std::size_t ie = inbox_offsets_[i + 1];
-            if (!alive_[i] || ib == ie) continue;
+            if (!plan_.alive(i) || ib == ie) continue;
             if constexpr (kPoolReceive) {
               receive_on_pools(pool_scratch_[chunk], i, ib, ie);
             } else {
@@ -455,27 +359,6 @@ class SoaRoundEngine {
     if constexpr (Protocol::has_node_rng) {
       rngs_[i] = Protocol::node_rng(scratch);
     }
-  }
-
-  /// Phase 5 — end-of-round crash draws, sequential.
-  void apply_crashes() {
-    if (options_.crash_probability <= 0.0) return;
-    for (NodeId i = 0; i < n_; ++i) {
-      if (alive_[i] && env_rng_.bernoulli(options_.crash_probability)) {
-        alive_[i] = false;
-      }
-    }
-  }
-
-  /// Queues one non-empty message slot for delivery — the same
-  /// dead-target / loss-draw sequence as RoundRunner::transmit.
-  void transmit(NodeId to, std::size_t slot) {
-    if (!alive_[to]) return;  // packet to a dead mote (drop_at_crashed)
-    if (options_.message_loss_probability > 0.0 &&
-        loss_rng_.bernoulli(options_.message_loss_probability)) {
-      return;
-    }
-    deliveries_.emplace_back(to, slot);
   }
 
   /// Rehydrates node i's classification into the scratch classifier.
@@ -548,26 +431,16 @@ class SoaRoundEngine {
 
   Topology topology_;
   Protocol protocol_;
-  RoundRunnerOptions options_;
-  stats::Rng env_rng_;
-  stats::Rng loss_rng_;
   std::size_t n_;
   std::size_t k_;
   std::size_t sd_;
-  std::vector<bool> alive_;
-  NeighborSelector selector_;
+  RoundPlan plan_;
 
   // Node-state pools. counts_[i] collections live at rows i·k … i·k+c.
   std::vector<std::uint32_t> counts_;
   std::vector<std::int64_t> weights_;
   std::vector<double> summaries_;
   std::vector<stats::Rng> rngs_;  // engaged iff Protocol::has_node_rng
-
-  // Per-round plan (sequential writes, parallel reads).
-  std::vector<NodeId> targets_;
-  std::vector<std::size_t> req_counts_;
-  std::vector<std::size_t> req_offsets_;
-  std::vector<NodeId> req_initiators_;
 
   // Message slot arena: slot i = node i's outgoing gossip, slot n+i =
   // the reply addressed to node i. Parallel writes hit disjoint slots.
@@ -588,7 +461,6 @@ class SoaRoundEngine {
   std::vector<Classifier> scratch_;
 
   std::unique_ptr<exec::ThreadPool> pool_;
-  std::size_t round_ = 0;
   RoundPhaseTimings timings_;
 };
 

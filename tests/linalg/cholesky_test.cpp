@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <ddc/common/error.hpp>
-#include <ddc/linalg/ldlt.hpp>
 #include <ddc/stats/rng.hpp>
 
 namespace ddc::linalg {
@@ -110,33 +109,6 @@ TEST(SpdHelpers, InverseAndDet) {
   EXPECT_LT(max_abs(spd_inverse(a) - Matrix{{0.25, 0.0}, {0.0, 1.0 / 9.0}}),
             1e-12);
   EXPECT_NEAR(spd_det(a), 36.0, 1e-9);
-}
-
-TEST(Ldlt, ReconstructsSemiDefiniteMatrix) {
-  // Rank-1 PSD matrix: outer product of (1, 2).
-  const Matrix a = outer(Vector{1.0, 2.0}, Vector{1.0, 2.0});
-  const Ldlt f(a);
-  EXPECT_EQ(f.rank(), 1u);
-  EXPECT_FALSE(f.positive_definite());
-  const Matrix rebuilt =
-      f.lower() * Matrix::diagonal(f.diag()) * transpose(f.lower());
-  EXPECT_LT(max_abs(rebuilt - a), 1e-12);
-}
-
-TEST(Ldlt, FullRankSolveMatchesCholesky) {
-  stats::Rng rng(12);
-  const Matrix a = random_spd(4, rng);
-  const Vector b{1.0, 0.0, -1.0, 2.0};
-  EXPECT_LT(distance2(Ldlt(a).solve(b), Cholesky(a).solve(b)), 1e-8);
-}
-
-TEST(Ldlt, RejectsIndefinite) {
-  EXPECT_THROW(Ldlt(Matrix{{0.0, 1.0}, {1.0, 0.0}}), NumericalError);
-}
-
-TEST(Ldlt, LogPseudoDetSkipsZeroPivots) {
-  const Matrix a = Matrix::diagonal(Vector{3.0, 0.0});
-  EXPECT_NEAR(Ldlt(a).log_pseudo_det(), std::log(3.0), 1e-12);
 }
 
 }  // namespace

@@ -10,13 +10,13 @@
 //      policies, crash models, sparse topologies and injected link loss
 //      (the batch retransmit layer must absorb dropped frames without
 //      changing a bit).
-//   2. ShardCluster(S) ≡ RoundRunner on LOSSLESS cells. Lossy cells are
-//      excluded by design: the cluster derives stateless per-message
-//      loss verdicts (RoundRunner's sequential loss stream is
-//      unreplayable across shards — its draw count depends on message
-//      emptiness, unknowable for remote senders), so it samples a
-//      different, equally valid loss pattern. See DESIGN.md "Sharded
-//      cluster engine".
+//   2. ShardCluster(S) ≡ RoundRunner on every cell, lossy ones included:
+//      all round engines run one sim::RoundPlan, whose loss verdict is a
+//      stateless hash of (seed, round, leg, initiator), so the shards,
+//      the object engine and the SoA engine reach the same verdict for
+//      every message. A push-pull + crash + loss cell also pins
+//      RoundRunner ≡ SoaRoundEngine ≡ ShardCluster(4). See DESIGN.md
+//      "Sharded cluster engine".
 //
 // A 2-shard × 512-node smoke keeps the batching claim honest (mean
 // messages per frame > 1) and doubles as the CI multi-shard gate.
@@ -31,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <ddc/gossip/runners.hpp>
+#include <ddc/gossip/scale.hpp>
 #include <ddc/wire/serialize.hpp>
 
 namespace ddc::shard {
@@ -128,15 +129,13 @@ TEST(ShardEquivalence, CentroidMatrix) {
         }
       }
 
-      if (loss == 0.0) {
-        // Lossless runs must also match the monolithic RoundRunner bit
-        // for bit — the cluster is then a pure re-execution of it.
-        auto runner =
-            gossip::make_centroid_round_runner(topology, inputs, config);
-        runner.run_rounds(kRounds);
-        EXPECT_EQ(reference, digest_runner(runner))
-            << "centroid vs RoundRunner seed=" << seed;
-      }
+      // The cluster is a pure re-execution of the monolithic
+      // RoundRunner, loss verdicts included.
+      auto runner =
+          gossip::make_centroid_round_runner(topology, inputs, config);
+      runner.run_rounds(kRounds);
+      EXPECT_EQ(reference, digest_runner(runner))
+          << "centroid vs RoundRunner seed=" << seed << " loss=" << loss;
     }
   }
 }
@@ -165,14 +164,41 @@ TEST(ShardEquivalence, GmMatrix) {
         }
       }
 
-      if (loss == 0.0) {
-        auto runner = gossip::make_gm_round_runner(topology, inputs, config);
-        runner.run_rounds(kRounds);
-        EXPECT_EQ(reference, digest_runner(runner))
-            << "gm vs RoundRunner seed=" << seed;
-      }
+      auto runner = gossip::make_gm_round_runner(topology, inputs, config);
+      runner.run_rounds(kRounds);
+      EXPECT_EQ(reference, digest_runner(runner))
+          << "gm vs RoundRunner seed=" << seed << " loss=" << loss;
     }
   }
+}
+
+TEST(ShardEquivalence, LossyPushPullWithCrashesMatchesEveryEngine) {
+  // One lossy cell through all three round engines: the object engine,
+  // the SoA pools and a 4-shard cluster must agree on every loss verdict,
+  // every reply and every crash draw.
+  sim::EngineConfig config = base_config(kCentroidNodes, 4);
+  config.pattern = sim::GossipPattern::push_pull;
+  config.faults.crash_probability = 0.05;
+  config.faults.message_loss_probability = 0.1;
+  const auto inputs = bimodal_inputs(kCentroidNodes, 4);
+  const auto topology = sim::Topology::complete(kCentroidNodes);
+
+  auto runner = gossip::make_centroid_round_runner(topology, inputs, config);
+  runner.run_rounds(kRounds);
+  auto soa = gossip::make_centroid_scale_engine(
+      topology, inputs, gossip::network_config(config), config.round_options());
+  soa.run_rounds(kRounds);
+  auto cluster = make_centroid_shard_cluster(topology, inputs, config, 4);
+  cluster.run_rounds(kRounds);
+
+  Digest soa_digest;
+  soa.for_each_classification([&](sim::NodeId, const auto& classification) {
+    soa_digest.absorb(wire::encode_classification(classification));
+  });
+  const std::string reference = digest_runner(runner);
+  EXPECT_EQ(soa_digest.hex(), reference);
+  EXPECT_EQ(digest_cluster(cluster), reference);
+  EXPECT_LT(runner.alive_count(), kCentroidNodes);  // crashes did fire
 }
 
 TEST(ShardEquivalence, PatternsSelectionCrashesAndSparseTopologies) {

@@ -125,21 +125,26 @@ struct GoldenCase {
 
 // Generated from the pre-optimization kernels (naive O(m³) greedy
 // partition, per-pair Cholesky EM scoring, temporary-allocating moment
-// matching) at the commit that introduced this test.
+// matching) at the commit that introduced this test. The six lossy round
+// digests were re-baselined once, when every round engine moved to the
+// shared RoundPlan's hashed loss verdict (the sharded cluster's model)
+// in place of a sequential loss stream; each equals the 1-shard
+// ShardCluster digest of the same configuration, which that change left
+// untouched. The lossless and async digests are the originals.
 std::vector<GoldenCase> golden_cases() {
   return {
       {"round", "gm", 1, 0.0, "6055fd077ad9a9ef"},
       {"round", "gm", 2, 0.0, "d8fe69448631ef74"},
       {"round", "gm", 3, 0.0, "f71ad5b5196f8776"},
-      {"round", "gm", 1, 0.1, "535151d5bcb56bba"},
-      {"round", "gm", 2, 0.1, "5d9b322cbea93ab0"},
-      {"round", "gm", 3, 0.1, "90e8d5d733dd122a"},
+      {"round", "gm", 1, 0.1, "e964f5f1d0d1ee79"},
+      {"round", "gm", 2, 0.1, "6ecb1b1b0a112824"},
+      {"round", "gm", 3, 0.1, "1a64b34833972e94"},
       {"round", "centroid", 1, 0.0, "61f655bd7e72c10a"},
       {"round", "centroid", 2, 0.0, "078630f474f0d966"},
       {"round", "centroid", 3, 0.0, "2f6f56671c36f325"},
-      {"round", "centroid", 1, 0.1, "8ad96b37d10c2df5"},
-      {"round", "centroid", 2, 0.1, "5fdd07fb370f7546"},
-      {"round", "centroid", 3, 0.1, "b601cef9f135454f"},
+      {"round", "centroid", 1, 0.1, "5991b00454110fda"},
+      {"round", "centroid", 2, 0.1, "f812713cbe2e586e"},
+      {"round", "centroid", 3, 0.1, "ed6aae7f873e1efb"},
       {"async", "gm", 1, 0.0, "7a3cddc5f0823b0b"},
       {"async", "gm", 2, 0.0, "c2c60bddeb24deee"},
       {"async", "gm", 3, 0.0, "b28faf546751a506"},

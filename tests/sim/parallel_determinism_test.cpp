@@ -126,9 +126,10 @@ TEST(ParallelDeterminism, AutoParallelismMatchesSequential) {
 }
 
 TEST(ParallelDeterminism, LossFreeRunsUnaffectedByLossStream) {
-  // The loss RNG stream is derived independently of selection/crash draws,
-  // so configuring loss_probability = 0 must reproduce a run where the
-  // loss knob never existed (same selection draws, same crash schedule).
+  // Loss verdicts are hashed per message and consume no environment
+  // draw, so configuring loss_probability = 0 must reproduce a run where
+  // the loss knob never existed (same selection draws, same crash
+  // schedule).
   FaultConfig a{"push_crashes", GossipPattern::push, 0.05, 0.0};
   const RunResult r1 = run_gm(a, 1);
   const RunResult r2 = run_gm(a, 4);
