@@ -7,10 +7,10 @@
 #
 #   1. format      clang-format --check against .clang-format
 #                  (skips, loudly, where clang-format is absent).
-#   2. lint        both lint generations (scripts/lint.sh): ddclint's
-#                  determinism rules, then ddcverify's protocol
-#                  invariants (wire-taint, hot-path-alloc, simd-parity).
-#                  Each tool self-tests its planted violations first.
+#   2. lint        the static analyzer (scripts/verify_invariants.sh):
+#                  ddcverify's determinism rules and protocol invariants
+#                  (wire-taint, hot-path-alloc, simd-parity) over src/,
+#                  after its planted-violation self-test.
 #   3. clang-tidy  curated .clang-tidy over src/ tools/ bench/ fuzz/
 #                  (skips, loudly, where clang-tidy is absent; CI has
 #                  it and exports DDC_TIDY_STRICT=1).
@@ -68,7 +68,7 @@ scripts/format.sh --check
 
 echo
 echo "=== gate 2/9: lint (determinism + protocol invariants) ==="
-scripts/lint.sh
+scripts/verify_invariants.sh
 
 echo
 echo "=== gate 3/9: clang-tidy ==="

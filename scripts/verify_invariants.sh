@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Protocol-invariant lint gate (generation 2).
+# Static-analysis gate: runs tools/ddcverify over the library sources
+# and the node binary's plumbing. Four rule families (see
+# `ddcverify --list-rules`):
 #
-# Runs tools/ddcverify — the token-aware analyzer — over the layers
-# where its three rule families have teeth:
-#
-#   wire-taint       src/wire, src/net, src/shard: transport-derived
-#                    bytes must flow through the bounds-checked Decoder;
-#                    raw memcpy / pointer arithmetic / reinterpret_cast
-#                    on tainted buffers is flagged.
+#   determinism      raw-rand, nonportable-engine, unordered-iter,
+#                    wall-clock, float-reorder: the hazard patterns
+#                    that break bit-identical runs.
+#   wire-taint       transport-derived bytes must flow through the
+#                    bounds-checked Decoder; raw memcpy / pointer
+#                    arithmetic / reinterpret_cast on tainted buffers is
+#                    flagged.
 #   hot-path-alloc   functions reachable from a `// ddcverify: hotpath`
 #                    root must not allocate (new/malloc/make_unique or
 #                    fresh owning containers) — scratch must be hoisted.
@@ -20,10 +22,10 @@
 # with an audit rationale on the same or preceding line — the analyzer
 # reports a clean tree only when every unmarked site is genuinely clean.
 #
-# The analyzer's self-test runs first: one planted violation and one
-# allow-marker per rule, so a rule that goes blind (or a marker that
+# The analyzer's self-test runs first: planted violations and allow
+# markers for every rule, so a rule that goes blind (or a marker that
 # stops suppressing) fails the gate before the tree scan can vacuously
-# pass.
+# pass. ctest runs this script as `ddcverify_tree_scan`.
 #
 # Usage:
 #   scripts/verify_invariants.sh           # self-test + scan
@@ -42,20 +44,13 @@ fi
 
 "$DDCVERIFY" --self-test
 
-# The scanned set: the wire/transport/shard stack (taint + hot path),
-# the compute layers with hotpath roots (sim, stats, gossip, linalg),
-# and the node binary's stats/result plumbing.
+# The scanned set: every library module, so a new module is covered by
+# default, plus the node binary's stats/result plumbing.
 "$DDCVERIFY" \
   --simd-dispatch src/linalg/include/ddc/linalg/simd.hpp,src/linalg/src/simd.cpp \
   --simd-tests tests/linalg/kernel_equivalence_test.cpp,tests/stats/score_batch_test.cpp \
-  src/wire \
-  src/net \
-  src/shard \
-  src/sim \
-  src/stats \
-  src/gossip \
-  src/linalg \
+  src \
   tools/ddcnode.cpp \
   tools/result_line.hpp
 
-echo "Protocol-invariant lint passed."
+echo "Static analysis passed."

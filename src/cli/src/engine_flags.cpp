@@ -24,19 +24,13 @@ sim::GossipPattern parse_pattern(const std::string& name) {
 }
 
 const char* backend_name(sim::EngineBackend backend) {
-  switch (backend) {
-    case sim::EngineBackend::object: return "object";
-    case sim::EngineBackend::soa: return "soa";
-    case sim::EngineBackend::auto_select: return "auto";
-  }
-  return "?";
+  return backend == sim::EngineBackend::object ? "object" : "soa";
 }
 
 sim::EngineBackend parse_backend(const std::string& name) {
   if (name == "object") return sim::EngineBackend::object;
   if (name == "soa") return sim::EngineBackend::soa;
-  if (name == "auto") return sim::EngineBackend::auto_select;
-  throw ConfigError("unknown engine '" + name + "' (object | soa | auto)");
+  throw ConfigError("unknown engine '" + name + "' (object | soa)");
 }
 
 /// The exponent e with 2^e == quanta, for rendering the --quanta-exp
@@ -90,9 +84,9 @@ void declare_engine_flags(Flags& flags, const sim::EngineConfig& defaults,
   }
   if (set.backend) {
     flags.declare("engine",
-                  "node-state backend: object (one protocol object per "
-                  "node) | soa (struct-of-arrays scale engine, round mode "
-                  "only) | auto (soa at scale, object otherwise)",
+                  "node-state backend: soa (struct-of-arrays scale engine) "
+                  "| object (one protocol object per node); results are "
+                  "identical, and runs soa cannot serve use object",
                   backend_name(defaults.backend));
   }
   if (set.simd) {

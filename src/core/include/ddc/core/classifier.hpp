@@ -19,7 +19,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include <ddc/common/assert.hpp>
+#include <ddc/common/timing.hpp>
 #include <ddc/core/collection.hpp>
 #include <ddc/core/policy.hpp>
 #include <ddc/core/weight.hpp>
@@ -125,21 +125,16 @@ template <typename PartitionFn, typename SingleQuantumFn, typename DistanceFn>
     Grouping& groups, std::size_t m, std::size_t k, std::vector<bool>& seen,
     ClassifierStats& stats, PartitionFn&& partition,
     SingleQuantumFn&& single_quantum, DistanceFn&& distance) {
-  // Audited timing probe: the clock reads feed only the
-  // partition_seconds reporting counter (`ddcsim --timing`), never
-  // control flow, so determinism of the classification is unaffected.
-  const auto start = std::chrono::steady_clock::now();  // ddclint: allow(wall-clock)
-  const std::size_t count = partition();
-  DDC_ENSURES(is_valid_grouping(
-      std::span<const std::vector<std::size_t>>(groups.data(), count), m,
-      seen));
-  DDC_ENSURES(count <= k);
-  const std::size_t kept =
-      rehome_quantum_singletons(groups, count, single_quantum, distance);
-  stats.singleton_rehomes += count - kept;
-  stats.partition_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)  // ddclint: allow(wall-clock)
-          .count();
+  std::size_t kept = 0;
+  timed_phase(stats.partition_seconds, [&] {
+    const std::size_t count = partition();
+    DDC_ENSURES(is_valid_grouping(
+        std::span<const std::vector<std::size_t>>(groups.data(), count), m,
+        seen));
+    DDC_ENSURES(count <= k);
+    kept = rehome_quantum_singletons(groups, count, single_quantum, distance);
+    stats.singleton_rehomes += count - kept;
+  });
   return kept;
 }
 

@@ -17,7 +17,7 @@
 // kernels that re-associate the d² trace-term accumulation into 4-lane
 // partial sums. Fast-math results differ from scalar in the last few
 // ulps; they are covered by error-bound tests (tests/stats) and must
-// never feed a golden/digest test. ddclint's float-reorder rule flags
+// never feed a golden/digest test. ddcverify's float-reorder rule flags
 // the fast-math entry points so every use is audited.
 //
 // Mode selection:

@@ -142,7 +142,7 @@ ScoreBatchFn batch_score_kernel() noexcept {
   if (dispatch() == Tier::avx2) {
 #if defined(DDC_LINALG_HAVE_AVX2_TU)
     if (g_fast_math.load(std::memory_order_relaxed)) {
-      return &detail::score_batch_avx2_fastmath;  // ddclint: allow(float-reorder) explicit fast-math tier selection; only reachable via Mode::avx2 opt-in
+      return &detail::score_batch_avx2_fastmath;  // ddcverify: allow(float-reorder) explicit fast-math tier selection; only reachable via Mode::avx2 opt-in
     }
     return &detail::score_batch_avx2_lanewise;
 #endif
@@ -162,7 +162,7 @@ ScoreBatchFn avx2_lanewise_score_kernel() noexcept {
 
 ScoreBatchFn fast_math_score_kernel() noexcept {
 #if defined(DDC_LINALG_HAVE_AVX2_TU)
-  return &detail::score_batch_avx2_fastmath;  // ddclint: allow(float-reorder) accessor for the error-bound tests; off the default path
+  return &detail::score_batch_avx2_fastmath;  // ddcverify: allow(float-reorder) accessor for the error-bound tests; off the default path
 #else
   return nullptr;
 #endif

@@ -132,7 +132,7 @@ double trace_reassoc(const double* inv, const double* cov,
     acc = _mm256_add_pd(
         acc, _mm256_mul_pd(_mm256_loadu_pd(inv + e), _mm256_loadu_pd(cov + e)));
   }
-  const __m256d folded = _mm256_hadd_pd(acc, acc);  // ddclint: allow(float-reorder) cross-lane reduction is the fast-math tier's documented re-association; error-bounded in tests/stats/score_batch_test.cpp
+  const __m256d folded = _mm256_hadd_pd(acc, acc);  // ddcverify: allow(float-reorder) cross-lane reduction is the fast-math tier's documented re-association; error-bounded in tests/stats/score_batch_test.cpp
   double tr = _mm_cvtsd_f64(_mm_add_sd(_mm256_castpd256_pd128(folded),
                                        _mm256_extractf128_pd(folded, 1)));
   for (std::size_t e = vec_end; e < n2; ++e) tr += inv[e] * cov[e];
@@ -201,7 +201,7 @@ void score_batch_avx2_lanewise(const kernels::ScorerData& s,
   });
 }
 
-void score_batch_avx2_fastmath(  // ddclint: allow(float-reorder) fast-math tier definition; opt-in via --simd=avx2 only, never on the golden path
+void score_batch_avx2_fastmath(  // ddcverify: allow(float-reorder) fast-math tier definition; opt-in via --simd=avx2 only, never on the golden path
     const kernels::ScorerData& s, const double* means, const double* covs,
     std::size_t count, double* out, double* scratch) {
   kernels::dispatch_dim(s.d, [&](auto d) {

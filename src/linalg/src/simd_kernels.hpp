@@ -20,7 +20,7 @@ void score_batch_avx2_lanewise(const kernels::ScorerData& s,
 
 /// Re-associated trace-term batch scorer. NOT bit-identical to scalar —
 /// fast-math tier only, error-bound tested, never in golden tests.
-void score_batch_avx2_fastmath(  // ddclint: allow(float-reorder) fast-math tier entry point; re-association is its documented contract (tests/stats/score_batch_test.cpp bounds the error)
+void score_batch_avx2_fastmath(  // ddcverify: allow(float-reorder) fast-math tier entry point; re-association is its documented contract (tests/stats/score_batch_test.cpp bounds the error)
     const kernels::ScorerData& s, const double* means, const double* covs,
     std::size_t count, double* out, double* scratch);
 

@@ -97,6 +97,8 @@ class UdpTransport final : public Transport {
   }
 
  private:
+  // Liveness timeouts run on real time by design: a transport is not a
+  // deterministic module. ddcverify: allow(wall-clock)
   using Clock = std::chrono::steady_clock;
 
   struct PeerState {
@@ -120,6 +122,8 @@ class UdpTransport final : public Transport {
   std::uint16_t local_port_ = 0;
   std::vector<PeerState> state_;
   std::vector<LinkStats> stats_;
+  // Source-address lookup only (find/insert/erase), never iterated, so
+  // hash order cannot reach any output. ddcverify: allow(unordered-iter)
   std::unordered_map<std::uint64_t, PeerId> by_address_;
   std::uint64_t probe_seq_ = 0;
   std::uint64_t unknown_source_frames_ = 0;

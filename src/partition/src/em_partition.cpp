@@ -1,8 +1,7 @@
 #include <ddc/partition/em_partition.hpp>
 
-#include <chrono>
-
 #include <ddc/common/assert.hpp>
+#include <ddc/common/timing.hpp>
 #include <ddc/stats/mixture.hpp>
 
 namespace ddc::partition {
@@ -25,14 +24,11 @@ stats::GaussianMixture to_input_mixture(
 core::Grouping EmPartition::partition(
     const std::vector<core::WeightedSummary<stats::Gaussian>>& collections,
     std::size_t k) {
-  // Audited timing probe: feeds only the em_seconds reporting counter
-  // (`ddcsim --timing`), never control flow.
-  const auto start = std::chrono::steady_clock::now();  // ddclint: allow(wall-clock)
-  core::Grouping groups =
-      em::reduce_em(to_input_mixture(collections), k, rng_, options_).groups;
-  em_seconds_ +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)  // ddclint: allow(wall-clock)
-          .count();
+  core::Grouping groups;
+  timed_phase(em_seconds_, [&] {
+    groups =
+        em::reduce_em(to_input_mixture(collections), k, rng_, options_).groups;
+  });
   return groups;
 }
 

@@ -39,13 +39,13 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include <ddc/common/assert.hpp>
+#include <ddc/common/timing.hpp>
 #include <ddc/sim/gossip_node.hpp>
 #include <ddc/sim/neighbor_selection.hpp>
 #include <ddc/sim/topology.hpp>
@@ -82,18 +82,6 @@ struct RoundPhaseTimings {
   double prepare_seconds = 0.0;
   double absorb_seconds = 0.0;
 };
-
-/// Runs `phase` and adds its wall-clock to `seconds`. Audited timing
-/// probe: the clock reads feed only the `--timing` counters, never
-/// control flow, so a round's outcome stays a pure function of
-/// (options, seed).
-template <typename Phase>
-void timed_phase(double& seconds, Phase&& phase) {
-  const auto start = std::chrono::steady_clock::now();  // ddclint: allow(wall-clock)
-  phase();
-  const auto stop = std::chrono::steady_clock::now();  // ddclint: allow(wall-clock)
-  seconds += std::chrono::duration<double>(stop - start).count();
-}
 
 /// "No target this round" in a flat target array.
 inline constexpr NodeId kNoTarget = static_cast<NodeId>(-1);

@@ -109,15 +109,7 @@ Topology EngineConfig::build_topology(stats::Rng& rng) const {
 }
 
 bool EngineConfig::use_soa() const noexcept {
-  switch (backend) {
-    case EngineBackend::object:
-      return false;
-    case EngineBackend::soa:
-      return true;
-    case EngineBackend::auto_select:
-      return mode == EngineMode::round && topology.nodes >= soa_threshold;
-  }
-  return false;
+  return mode == EngineMode::round && backend == EngineBackend::soa;
 }
 
 void EngineConfig::validate() const {
@@ -147,9 +139,6 @@ void EngineConfig::validate() const {
   }
   if (async.min_delay < 0.0 || async.min_delay > async.max_delay) {
     throw ConfigError("async delays must satisfy 0 ≤ min_delay ≤ max_delay");
-  }
-  if (mode == EngineMode::async && backend == EngineBackend::soa) {
-    throw ConfigError("the SoA backend is round-mode only");
   }
 }
 

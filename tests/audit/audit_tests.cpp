@@ -4,7 +4,7 @@
 // plants one specific violation in a snapshot of that pool (it must
 // throw AuditFailure, and the message must describe the violation well
 // enough to debug from a CI log alone). This is the same pattern as
-// ddclint --self-test: every detector is proven live before it is
+// ddcverify --self-test: every detector is proven live before it is
 // trusted as a gate — the fuzz harnesses in fuzz/ rely on these
 // auditors as their crash oracle.
 #include <gtest/gtest.h>

@@ -28,7 +28,7 @@ TEST(EngineFlags, DefaultsReproduceDdcsimDefaults) {
   EXPECT_EQ(config.k, 2U);
   EXPECT_EQ(config.quanta_per_unit, std::int64_t{1} << 20);
   EXPECT_EQ(config.parallelism, 1U);
-  EXPECT_EQ(config.backend, sim::EngineBackend::auto_select);
+  EXPECT_EQ(config.backend, sim::EngineBackend::soa);
   // The ddcsim seed split: protocol = --seed, environment = --seed + 1.
   EXPECT_EQ(config.protocol_seed, 1U);
   EXPECT_EQ(config.seed, 2U);
@@ -84,6 +84,11 @@ TEST(EngineFlags, ValidationMirrorsDdcsim) {
   {
     Flags flags = make_flags();
     ASSERT_TRUE(flags.parse({"--engine=vroom"}));
+    EXPECT_THROW((void)parse_engine_config(flags), ConfigError);
+  }
+  {
+    Flags flags = make_flags();  // SoA is the default; no size switch
+    ASSERT_TRUE(flags.parse({"--engine=auto"}));
     EXPECT_THROW((void)parse_engine_config(flags), ConfigError);
   }
   {

@@ -91,18 +91,14 @@ TEST(EngineConfig, RoundOptionsSliceCarriesEverything) {
 
 TEST(EngineConfig, BackendResolution) {
   EngineConfig config;
-  config.topology.nodes = 200;
-  EXPECT_FALSE(config.use_soa());  // auto: below threshold
-  config.topology.nodes = 16384;
-  EXPECT_TRUE(config.use_soa());  // auto: at threshold
+  EXPECT_EQ(config.backend, EngineBackend::soa);  // SoA is the default
+  config.topology.nodes = 10;
+  EXPECT_TRUE(config.use_soa());  // at any size
   config.mode = EngineMode::async;
-  EXPECT_FALSE(config.use_soa());  // auto never picks soa for async
+  EXPECT_FALSE(config.use_soa());  // async has only the object engine
   config.mode = EngineMode::round;
   config.backend = EngineBackend::object;
   EXPECT_FALSE(config.use_soa());
-  config.backend = EngineBackend::soa;
-  config.topology.nodes = 10;
-  EXPECT_TRUE(config.use_soa());  // explicit soa ignores the threshold
 }
 
 TEST(EngineConfig, ValidateRejectsBadValues) {
@@ -133,10 +129,10 @@ TEST(EngineConfig, ValidateRejectsBadValues) {
   bad.async.min_delay = 3.0;  // > max_delay
   EXPECT_THROW(bad.validate(), ConfigError);
 
-  bad = config;
-  bad.mode = EngineMode::async;
-  bad.backend = EngineBackend::soa;
-  EXPECT_THROW(bad.validate(), ConfigError);
+  // An async config that never sets the backend is valid as it stands.
+  EngineConfig async_config;
+  async_config.mode = EngineMode::async;
+  EXPECT_NO_THROW(async_config.validate());
 }
 
 }  // namespace

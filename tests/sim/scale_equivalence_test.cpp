@@ -385,9 +385,7 @@ TEST(ScaleEquivalence, Smoke100kCentroid) {
   const auto inputs = bimodal_inputs(kBig, 1);
   EngineConfig config = base_config(kBig, 1);
   config.parallelism = 0;  // one lane per hardware thread
-  config.backend = EngineBackend::auto_select;
-  config.mode = EngineMode::round;
-  ASSERT_TRUE(config.use_soa());
+  ASSERT_TRUE(config.use_soa());  // the default backend
 
   // TopologySpec's exact-factorization grid packing: 100000 → 250×400.
   config.topology.family = TopologyFamily::grid;

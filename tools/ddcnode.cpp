@@ -52,6 +52,9 @@
 namespace {
 
 using ddc::linalg::Vector;
+// The start barriers wait on real time, outside any round: a process
+// cluster is nondeterministic by design. ddcverify: allow(wall-clock)
+using Clock = std::chrono::steady_clock;
 
 /// Which engine flag groups ddcnode exposes. Faults stay off — the
 /// engine fault model simulates lossy channels, while ddcnode's own
@@ -207,7 +210,6 @@ std::string stats_json(const ddc::net::UdpTransport& transport,
 template <typename Driver>
 void await_peers(const Config& config, ddc::net::UdpTransport& transport,
                  Driver& driver) {
-  using Clock = std::chrono::steady_clock;
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(config.start_timeout_ms);
   while (Clock::now() < deadline) {
@@ -235,7 +237,6 @@ void await_peers(const Config& config, ddc::net::UdpTransport& transport,
 void await_shard_peers(const Config& config,
                        ddc::net::UdpTransport& transport) {
   if (config.num_shards <= 1) return;
-  using Clock = std::chrono::steady_clock;
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(config.start_timeout_ms);
   while (Clock::now() < deadline) {

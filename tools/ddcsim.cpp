@@ -7,7 +7,11 @@
 //   ddcsim --workload outliers --delta 10 --crash-prob 0.05
 //   ddcsim --workload fence --k 7 --nodes 500 --topology geometric
 //   ddcsim --protocol pushsum --workload loads --csv
-//   ddcsim --nodes 100000 --engine soa --rounds 20   # scale engine
+//   ddcsim --nodes 100000 --topology ring --rounds 20
+//   ddcsim --trace events.csv                      # per-event trace CSV
+//
+// gm and centroid run on the SoA engine by default; push-sum and --trace
+// runs use the object engine, which the SoA engine matches bit for bit.
 //
 // The engine flags (--topology/--nodes/--pattern/--threads/--engine/...)
 // are the shared cli::declare_engine_flags surface; only the
@@ -290,12 +294,10 @@ int main(int argc, char** argv) {
         make_inputs(tool, config.topology.nodes, rng);
     ddc::sim::Topology topology = config.build_topology(rng);
 
-    const bool scale = config.use_soa() &&
+    // The SoA engine keeps no per-event trace and has no push-sum
+    // binding; those runs take the object engine.
+    const bool scale = config.use_soa() && tool.trace_path.empty() &&
                        (tool.protocol == "gm" || tool.protocol == "centroid");
-    if (scale && !tool.trace_path.empty()) {
-      throw ddc::ConfigError(
-          "--trace needs the object engine (pass --engine object)");
-    }
 
     if (tool.protocol == "gm") {
       auto print = [](const ddc::stats::Gaussian& g) { return describe(g); };
@@ -329,8 +331,6 @@ int main(int argc, char** argv) {
           print, mean);
     }
     if (tool.protocol == "pushsum") {
-      // Push-sum has no SoA protocol binding; it always runs on the
-      // object engine regardless of --engine.
       return run_push_sum(tool,
                           ddc::sim::make_push_sum_round_runner(
                               std::move(topology), inputs, config),

@@ -1,17 +1,18 @@
-// ddcverify — protocol-invariant static analysis, generation 2.
+// ddcverify — the repo's static analyzer: determinism and protocol
+// invariants in one compiler-free pass.
 //
-// ddclint (generation 1) guards the *determinism* contract with a
-// substring scanner: mention of a hazard in a deterministic module is
-// itself worth a comment, so mention-level matching is the right bias.
-// The three subsystems added since that pass — the sharded batch/ack
-// protocol, the SoA scale engine and the SIMD dispatch seam — have
-// invariants that substring matching cannot express: they are about
-// *flow* (which buffer reached which operation), *reachability* (which
-// function runs inside the per-round hot path) and *cross-file
-// consistency* (which kernels the dispatch table registers vs. which
-// the equivalence tests cover). ddcverify grows the scanner into a
-// token-aware, multi-pass analyzer for exactly those three rule
-// families:
+// The headline guarantee is bit-identical runs at any thread count, SIMD
+// tier, shard count and transport. Example-based tests catch a breakage
+// only on the configurations they run; this analyzer catches the source
+// *pattern* at review time. Four rule families:
+//
+//   determinism     raw-rand, nonportable-engine, unordered-iter,
+//                   wall-clock and float-reorder: the hazards that
+//                   silently break bit-reproducibility for every seed
+//                   (unseeded randomness, implementation-defined
+//                   engines, hash iteration order, real time, reordered
+//                   float accumulation). Mention-level: naming a hazard
+//                   in a scanned file is itself worth an audited marker.
 //
 //   wire-taint      In transport-facing code, any buffer originating
 //                   from Transport::receive()/frame payloads (tainted:
@@ -29,8 +30,7 @@
 //                   allocate: no new/malloc/make_unique/make_shared,
 //                   no local owning std containers (vector, string,
 //                   map, ...). This locks in the scratch-reuse
-//                   discipline the merge/EM/SoA/shard hot paths
-//                   established by hand (PRs 3, 5, 8, 9).
+//                   discipline of the merge/EM/SoA/shard hot paths.
 //
 //   simd-parity     Every kernel registered in the linalg::simd
 //                   dispatch seam (--simd-dispatch files) must have a
@@ -46,7 +46,7 @@
 //             [--simd-dispatch <f1,f2>] [--simd-tests <f1,f2>]
 //             <file-or-dir>...
 //
-// Findings print one per line, ddclint-style:
+// Findings print one per line:
 //
 //   src/net/src/udp.cpp:162: [wire-taint] raw memory operation on ...
 //
@@ -54,17 +54,16 @@
 //
 // Suppressions: `// ddcverify: allow(<rule>)` on the same line or the
 // line directly above. Every marker is an *audited* exception and must
-// carry a justification in the surrounding comment (the PR 4
-// convention). `allow(*)` suppresses all rules on that line.
+// carry a justification in the surrounding comment. `allow(*)`
+// suppresses all rules on that line.
 //
-// Like ddclint, the analyzer is deliberately compiler-free: a shared
-// lexer strips comments and string literals, a lightweight parser finds
-// function definitions and call sites, and everything else is
-// token-level pattern matching. No compile database, builds in
-// seconds, runs in milliseconds — and the price (it reasons about
-// tokens, not types) is the right bias for a gate: code too clever for
-// the analyzer to follow deserves either simplification or an audited
-// allow marker explaining itself.
+// The analyzer is deliberately compiler-free: one lexer strips comments
+// and string literals, a lightweight parser finds function definitions
+// and call sites, and everything else is token-level pattern matching.
+// No compile database, builds in seconds, runs in milliseconds — and the
+// price (it reasons about tokens, not types) is the right bias for a
+// gate: code too clever for the analyzer to follow deserves either
+// simplification or an audited allow marker explaining itself.
 #include <algorithm>
 #include <cctype>
 #include <cstddef>
@@ -783,6 +782,77 @@ void scan_simd_parity(const std::vector<SourceFile>& dispatch,
 }
 
 // ---------------------------------------------------------------------------
+// Rule family 4: determinism.
+// ---------------------------------------------------------------------------
+
+/// One determinism rule. A code line violates it when it holds one of
+/// `tokens` as a whole token (find_token) or one of `fragments` as a
+/// part of any name (the fast-math kernels are `*_fastmath`).
+struct DeterminismRule {
+  std::string_view name;
+  std::vector<std::string_view> tokens;
+  std::vector<std::string_view> fragments;
+  std::string_view message;
+};
+
+const std::vector<DeterminismRule>& determinism_rules() {
+  static const std::vector<DeterminismRule> kRules = {
+      {"raw-rand",
+       {"random_device", "rand(", "srand("},
+       {},
+       "raw C randomness / random_device (derive a ddc::stats::Rng "
+       "stream via stats::derive_seed instead)"},
+      {"nonportable-engine",
+       {"default_random_engine", "knuth_b"},
+       {},
+       "implementation-defined random engine (its sequence differs across "
+       "standard libraries; use ddc::stats::Rng / std::mt19937_64)"},
+      {"unordered-iter",
+       {"unordered_map", "unordered_set", "unordered_multimap",
+        "unordered_multiset"},
+       {},
+       "unordered container (hash iteration order is unspecified and "
+       "feeds ordered output; use std::map / std::set / a sorted vector, "
+       "or justify a lookup-only use with an allow marker)"},
+      {"wall-clock",
+       {"steady_clock", "system_clock", "high_resolution_clock",
+        "gettimeofday", "time(nullptr", "time(NULL", "clock()"},
+       {},
+       "wall-clock mention (real time must not steer a deterministic "
+       "path; route timing probes through common/timing.hpp, or allow-"
+       "mark a site that is nondeterministic by design)"},
+      {"float-reorder",
+       {"std::reduce", "std::execution", "atomic<double>", "atomic<float>",
+        "_mm256_hadd_pd"},
+       {"fastmath"},
+       "accumulation-order hazard (float addition is not associative; "
+       "reductions must run in a fixed sequential order — see "
+       "exec/parallel_for.hpp — and fast-math / horizontal-add SIMD "
+       "kernels re-associate by design, so every use needs an audited "
+       "allow marker and error-bound tests, never golden digests)"},
+  };
+  return kRules;
+}
+
+void scan_determinism(const SourceFile& f, std::vector<Finding>& findings) {
+  for (std::size_t n = 0; n < f.code.size(); ++n) {
+    const std::string& code = f.code[n];
+    // `#include <unordered_map>` is not a use; the use site still fires.
+    if (code.compare(skip_ws(code, 0), 8, "#include") == 0) continue;
+    for (const DeterminismRule& rule : determinism_rules()) {
+      const bool hit =
+          std::any_of(rule.tokens.begin(), rule.tokens.end(),
+                      [&](std::string_view t) { return has_token(code, t); }) ||
+          std::any_of(rule.fragments.begin(), rule.fragments.end(),
+                      [&](std::string_view t) {
+                        return code.find(t) != std::string::npos;
+                      });
+      if (hit) report(findings, f, n + 1, rule.name, std::string(rule.message));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Driver.
 // ---------------------------------------------------------------------------
 
@@ -792,22 +862,28 @@ struct RuleDoc {
 };
 
 const std::vector<RuleDoc>& rules() {
-  static const std::vector<RuleDoc> kRules = {
-      {kWireTaintRule,
-       "transport-originated bytes (spans, Packet/Frame/Batch variables,\n"
-       "    recv buffers) must flow through the bounds-checked wire::Decoder\n"
-       "    readers; raw memcpy/reinterpret_cast/pointer arithmetic on\n"
-       "    tainted bytes is flagged"},
-      {kHotPathRule,
-       "functions reachable (same-file call graph) from a\n"
-       "    `// ddcverify: hotpath` root must not allocate: no new/malloc/\n"
-       "    make_unique, no local owning std containers (scratch-reuse\n"
-       "    discipline of the per-round hot paths)"},
-      {kSimdParityRule,
-       "every kernel registered in the linalg::simd dispatch seam needs a\n"
-       "    scalar twin (X_avx2* pairs with X_scalar) and every dispatch\n"
-       "    accessor must be referenced by the kernel-equivalence tests"},
-  };
+  static const std::vector<RuleDoc> kRules = [] {
+    std::vector<RuleDoc> all = {
+        {kWireTaintRule,
+         "transport-originated bytes (spans, Packet/Frame/Batch variables,\n"
+         "    recv buffers) must flow through the bounds-checked\n"
+         "    wire::Decoder readers; raw memcpy/reinterpret_cast/pointer\n"
+         "    arithmetic on tainted bytes is flagged"},
+        {kHotPathRule,
+         "functions reachable (same-file call graph) from a\n"
+         "    `// ddcverify: hotpath` root must not allocate: no new/malloc/\n"
+         "    make_unique, no local owning std containers (scratch-reuse\n"
+         "    discipline of the per-round hot paths)"},
+        {kSimdParityRule,
+         "every kernel registered in the linalg::simd dispatch seam needs a\n"
+         "    scalar twin (X_avx2* pairs with X_scalar) and every dispatch\n"
+         "    accessor must be referenced by the kernel-equivalence tests"},
+    };
+    for (const DeterminismRule& rule : determinism_rules()) {
+      all.push_back(RuleDoc{rule.name, rule.message});
+    }
+    return all;
+  }();
   return kRules;
 }
 
@@ -856,6 +932,7 @@ int scan_paths(const std::vector<std::string>& paths,
       std::cerr << "ddcverify: cannot read " << file.string() << "\n";
       return 2;
     }
+    scan_determinism(f, findings);
     scan_wire_taint(f, findings);
     scan_hot_path_alloc(f, findings);
   }
@@ -905,15 +982,20 @@ std::vector<Finding> findings_for(const std::string& text,
                                   std::string_view rule) {
   const SourceFile f = lex("<plant>", text);
   std::vector<Finding> findings;
-  if (rule == kWireTaintRule) scan_wire_taint(f, findings);
-  if (rule == kHotPathRule) scan_hot_path_alloc(f, findings);
+  if (rule == kWireTaintRule) {
+    scan_wire_taint(f, findings);
+  } else if (rule == kHotPathRule) {
+    scan_hot_path_alloc(f, findings);
+  } else {
+    scan_determinism(f, findings);
+  }
   return findings;
 }
 
 int self_test() {
   std::size_t failures = 0;
   const auto expect_fires = [&](const std::string& text,
-                                std::string_view rule, const char* what) {
+                                std::string_view rule, std::string_view what) {
     bool fired = false;
     for (const Finding& f : findings_for(text, rule)) {
       fired = fired || f.rule == rule;
@@ -925,7 +1007,7 @@ int self_test() {
     }
   };
   const auto expect_clean = [&](const std::string& text,
-                                std::string_view rule, const char* what) {
+                                std::string_view rule, std::string_view what) {
     if (!findings_for(text, rule).empty()) {
       std::cerr << "self-test FAIL: " << rule << " fired on " << what << "\n";
       ++failures;
@@ -1085,6 +1167,51 @@ int self_test() {
     }
   }
 
+  // --- determinism ----------------------------------------------------
+  // Each plant's first line must fire; a same-line or preceding-line
+  // marker must suppress it; the same text in comments and strings must
+  // stay silent. `tail` is follow-on code that must not fire by itself.
+  struct Plant {
+    std::string_view rule;
+    std::string_view hit;
+    std::string_view tail;
+  };
+  const std::vector<Plant> plants = {
+      {"raw-rand", "  std::random_device rd;", ""},
+      {"raw-rand", "  int x = rand();", ""},
+      {"raw-rand", "  std::srand(7);", ""},
+      {"nonportable-engine", "  std::default_random_engine eng(7);", ""},
+      {"unordered-iter", "  std::unordered_map<int, int> counts;", ""},
+      {"wall-clock", "  auto t = std::chrono::steady_clock::now();", ""},
+      {"wall-clock", "  using Clock = std::chrono::steady_clock;",
+       "  const auto t = Clock::now();\n"},
+      {"wall-clock", "  const std::time_t now = std::time(nullptr);", ""},
+      {"float-reorder", "  double s = std::reduce(v.begin(), v.end(), 0.0);",
+       ""},
+      {"float-reorder", "  const __m256d h = _mm256_hadd_pd(acc, acc);", ""},
+      {"float-reorder", "  out[i] = score_batch_avx2_fastmath(s, x);", ""},
+  };
+  for (const Plant& p : plants) {
+    const std::string hit(p.hit);
+    const std::string tail(p.tail);
+    const std::string marker = "ddcverify: allow(" + std::string(p.rule) + ")";
+    expect_fires(hit + "\n" + tail, p.rule, hit);
+    expect_clean(hit + "  // " + marker + "\n" + tail, p.rule,
+                 "same-line " + marker + ": " + hit);
+    expect_clean("  // audited sink. " + marker + "\n" + hit + "\n" + tail,
+                 p.rule, "preceding-line " + marker + ": " + hit);
+    expect_clean("//" + hit + "\n/*" + hit + "\n*/\nconst char* s = \"" + hit +
+                     "\";\n",
+                 p.rule, "comment/string mention: " + hit);
+  }
+  // Token boundaries: names that merely contain a hazard stay silent.
+  expect_clean(
+      "  int operand(int x);\n"
+      "  std::map<int, int> ordered;\n"
+      "  std::chrono::duration<double> elapsed{0.0};\n"
+      "  double runtime(double x);\n",
+      "raw-rand", "hazard-like names (benign)");
+
   if (failures != 0) {
     std::cerr << "ddcverify self-test: " << failures << " failure(s)\n";
     return 1;
@@ -1109,6 +1236,11 @@ std::vector<std::string> split_csv(const std::string& arg) {
   }
   return out;
 }
+
+constexpr std::string_view kUsage =
+    "usage: ddcverify [--self-test] [--list-rules]\n"
+    "                 [--simd-dispatch <f1,f2>] [--simd-tests <f1,f2>]\n"
+    "                 <file-or-dir>...\n";
 
 }  // namespace
 
@@ -1136,10 +1268,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: ddcverify [--self-test] [--list-rules]\n"
-                   "                 [--simd-dispatch <f1,f2>] "
-                   "[--simd-tests <f1,f2>]\n"
-                   "                 <file-or-dir>...\n";
+      std::cout << kUsage;
       return 0;
     }
     if (arg.rfind("--", 0) == 0) {
@@ -1149,10 +1278,7 @@ int main(int argc, char** argv) {
     paths.emplace_back(arg);
   }
   if (paths.empty() && dispatch_paths.empty()) {
-    std::cerr << "usage: ddcverify [--self-test] [--list-rules]\n"
-                 "                 [--simd-dispatch <f1,f2>] "
-                 "[--simd-tests <f1,f2>]\n"
-                 "                 <file-or-dir>...\n";
+    std::cerr << kUsage;
     return 2;
   }
   return scan_paths(paths, dispatch_paths, test_paths);
