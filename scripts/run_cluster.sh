@@ -1,18 +1,14 @@
 #!/usr/bin/env bash
-# Launches a cluster of ddcnode processes gossiping over UDP localhost,
-# checks that every node reports the same final classification, and
-# cross-validates the result against the in-process simulator
-# (ddcsim --summary-line) on the same seeded workload.
-#
-#   scripts/run_cluster.sh --nodes 8 --protocol gm
-#   scripts/run_cluster.sh --nodes 6 --protocol centroid --loss 0.1
-#   scripts/run_cluster.sh --nodes 8 --kill 3        # kill node 3 mid-run
-#
-# Shard mode runs S ddcnode shard processes, each hosting M simulated
+# Launches S ddcnode shard processes over UDP localhost, each hosting M
 # nodes (S*M nodes total, batched cross-shard traffic, one UDP frame per
-# peer shard per round). A healthy shard run must match ddcsim exactly.
+# peer shard per round), checks that every shard reports the same final
+# classification, and cross-validates the result against the in-process
+# simulator (ddcsim --summary-line) on the same seeded workload. A
+# healthy run must match ddcsim exactly. One mote per process is
+# --nodes-per-shard 1.
 #
 #   scripts/run_cluster.sh --shards 4 --nodes-per-shard 1000
+#   scripts/run_cluster.sh --shards 6 --nodes-per-shard 1 --protocol gm
 #   scripts/run_cluster.sh --shards 4 --nodes-per-shard 1000 --kill-shard 2
 #   scripts/run_cluster.sh --shards 4 --nodes-per-shard 512 --shard-map edgecut
 #
@@ -20,37 +16,32 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-NODES=8
 PROTOCOL=gm
 BASE_PORT=""
 SEED=1
 ROUNDS=60
-TICK_MS=20
 LOSS=0
-KILL_ID=""
 SHARDS=0
 NODES_PER_SHARD=0
 KILL_SHARD=""
 SHARD_MAP=contiguous
 BUILD_DIR=build
 # Numeric tolerances for the cross-checks. Weights drift by the residual
-# gossip imbalance; means sit on well-separated clusters (0 vs 25), so
-# these bands are tight relative to the structure being recovered.
+# gossip imbalance (a killed shard misses rounds); means sit on
+# well-separated clusters (0 vs 25), so these bands are tight relative
+# to the structure being recovered.
 WEIGHT_TOL=0.05
 MEAN_TOL=1.0
 
-usage() { sed -n '2,18p' "$0"; exit "${1:-0}"; }
+usage() { sed -n '2,15p' "$0"; exit "${1:-0}"; }
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
-    --nodes)           NODES=$2; shift 2 ;;
     --protocol)        PROTOCOL=$2; shift 2 ;;
     --base-port)       BASE_PORT=$2; shift 2 ;;
     --seed)            SEED=$2; shift 2 ;;
     --rounds)          ROUNDS=$2; shift 2 ;;
-    --tick-ms)         TICK_MS=$2; shift 2 ;;
     --loss)            LOSS=$2; shift 2 ;;
-    --kill)            KILL_ID=$2; shift 2 ;;
     --shards)          SHARDS=$2; shift 2 ;;
     --nodes-per-shard) NODES_PER_SHARD=$2; shift 2 ;;
     --kill-shard)      KILL_SHARD=$2; shift 2 ;;
@@ -61,8 +52,8 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
-if [[ "$SHARDS" -gt 0 && "$NODES_PER_SHARD" -le 0 ]]; then
-  echo "run_cluster.sh: --shards needs --nodes-per-shard" >&2
+if [[ "$SHARDS" -le 0 || "$NODES_PER_SHARD" -le 0 ]]; then
+  echo "run_cluster.sh: --shards and --nodes-per-shard (both >= 1) are required" >&2
   exit 1
 fi
 
@@ -88,38 +79,28 @@ trap 'jobs -p | xargs -r kill 2>/dev/null || true; wait 2>/dev/null || true; rm 
 
 declare -a PIDS
 
-# launch_member <index> — one cluster process (node or shard) writing to
+# launch_member <index> — one shard process writing to
 # $WORK_DIR/node<index>.{out,err}, pid recorded in PIDS[index].
 launch_member() {
   local i=$1
-  if [[ "$SHARDS" -gt 0 ]]; then
-    "$DDCNODE" --shard-id "$i" --num-shards "$SHARDS" \
-      --nodes-per-shard "$NODES_PER_SHARD" --base-port "$BASE_PORT" \
-      --protocol "$PROTOCOL" --seed "$SEED" --rounds "$ROUNDS" \
-      --shard-map "$SHARD_MAP" --loss-prob "$LOSS" --stats-json \
-      > "$WORK_DIR/node$i.out" 2> "$WORK_DIR/node$i.err" &
-  else
-    "$DDCNODE" --id "$i" --nodes "$NODES" --base-port "$BASE_PORT" \
-      --protocol "$PROTOCOL" --seed "$SEED" --rounds "$ROUNDS" \
-      --tick-ms "$TICK_MS" --loss-prob "$LOSS" --stats-json \
-      > "$WORK_DIR/node$i.out" 2> "$WORK_DIR/node$i.err" &
-  fi
+  "$DDCNODE" --shard-id "$i" --num-shards "$SHARDS" \
+    --nodes-per-shard "$NODES_PER_SHARD" --base-port "$BASE_PORT" \
+    --protocol "$PROTOCOL" --seed "$SEED" --rounds "$ROUNDS" \
+    --shard-map "$SHARD_MAP" --loss-prob "$LOSS" --stats-json \
+    > "$WORK_DIR/node$i.out" 2> "$WORK_DIR/node$i.err" &
   PIDS[i]=$!
 }
-
-MEMBERS=$NODES
-[[ "$SHARDS" -gt 0 ]] && MEMBERS=$SHARDS
 
 # Launch with bind-failure retry: if any member cannot bind its port
 # (stale process, overlapping CI job), kill the attempt and shift the
 # whole cluster to a fresh port range.
 for attempt in 1 2 3 4 5; do
-  for (( i = 0; i < MEMBERS; i++ )); do
+  for (( i = 0; i < SHARDS; i++ )); do
     launch_member "$i"
   done
   sleep 0.4
   BIND_FAILED=0
-  for (( i = 0; i < MEMBERS; i++ )); do
+  for (( i = 0; i < SHARDS; i++ )); do
     if ! kill -0 "${PIDS[i]}" 2>/dev/null \
         && grep -q "cannot bind" "$WORK_DIR/node$i.err" 2>/dev/null; then
       BIND_FAILED=1
@@ -137,21 +118,9 @@ for attempt in 1 2 3 4 5; do
   fi
 done
 
-if [[ "$SHARDS" -gt 0 ]]; then
-  echo "cluster: $SHARDS shards x $NODES_PER_SHARD nodes ($PROTOCOL, $SHARD_MAP map) on 127.0.0.1:$BASE_PORT+, seed $SEED, loss $LOSS${KILL_SHARD:+, kill+restart shard $KILL_SHARD}"
-else
-  echo "cluster: $NODES x ddcnode ($PROTOCOL) on 127.0.0.1:$BASE_PORT+, seed $SEED, loss $LOSS${KILL_ID:+, killing node $KILL_ID mid-run}"
-fi
+echo "cluster: $SHARDS shards x $NODES_PER_SHARD nodes ($PROTOCOL, $SHARD_MAP map) on 127.0.0.1:$BASE_PORT+, seed $SEED, loss $LOSS${KILL_SHARD:+, kill+restart shard $KILL_SHARD}"
 
-if [[ -n "$KILL_ID" && "$SHARDS" == 0 ]]; then
-  # Let the cluster mix first, then take the node down hard; the
-  # survivors' probe-based failure detectors must route around it.
-  sleep "$(awk "BEGIN { print $ROUNDS * $TICK_MS / 1000.0 / 3 }")"
-  kill -9 "${PIDS[KILL_ID]}" 2>/dev/null || true
-  echo "killed node $KILL_ID (pid ${PIDS[KILL_ID]})"
-fi
-
-if [[ -n "$KILL_SHARD" && "$SHARDS" -gt 0 ]]; then
+if [[ -n "$KILL_SHARD" ]]; then
   # Kill a whole shard mid-exchange (past the start barrier, into the
   # round loop), then restart it: the survivors must time the dead shard
   # out and keep rounding; the restarted process replays its rounds from
@@ -166,11 +135,7 @@ if [[ -n "$KILL_SHARD" && "$SHARDS" -gt 0 ]]; then
 fi
 
 FAILED=0
-for (( i = 0; i < MEMBERS; i++ )); do
-  if [[ "$SHARDS" == 0 && -n "$KILL_ID" && "$i" == "$KILL_ID" ]]; then
-    wait "${PIDS[i]}" 2>/dev/null || true
-    continue
-  fi
+for (( i = 0; i < SHARDS; i++ )); do
   if ! wait "${PIDS[i]}"; then
     echo "member $i exited non-zero:" >&2
     cat "$WORK_DIR/node$i.err" >&2
@@ -179,10 +144,9 @@ for (( i = 0; i < MEMBERS; i++ )); do
 done
 [[ "$FAILED" == 0 ]] || exit 1
 
-# Collect RESULT lines from every surviving member.
+# Collect RESULT lines from every member.
 : > "$WORK_DIR/results"
-for (( i = 0; i < MEMBERS; i++ )); do
-  [[ "$SHARDS" == 0 && -n "$KILL_ID" && "$i" == "$KILL_ID" ]] && continue
+for (( i = 0; i < SHARDS; i++ )); do
   line=$(grep '^RESULT ' "$WORK_DIR/node$i.out" || true)
   if [[ -z "$line" ]]; then
     echo "member $i produced no RESULT line:" >&2
@@ -193,19 +157,12 @@ for (( i = 0; i < MEMBERS; i++ )); do
   echo "$line" >> "$WORK_DIR/results"
 done
 
-# The simulator's answer on the identical workload and seed. Shard mode
-# replays the simulator's round protocol exactly, so it compares against
-# a lossless simulator run (transport loss is absorbed by retransmits);
-# the async single-node mode passes the loss rate through.
-SIM_NODES=$NODES
-SIM_LOSS=$LOSS
-if [[ "$SHARDS" -gt 0 ]]; then
-  SIM_NODES=$(( SHARDS * NODES_PER_SHARD ))
-  SIM_LOSS=0
-fi
+# The simulator's answer on the identical workload and seed. The shards
+# replay the simulator's round protocol exactly, so they compare against
+# a lossless simulator run (transport loss is absorbed by retransmits).
 SIM_LINE=$("$DDCSIM" --protocol "$PROTOCOL" --workload clusters \
-  --nodes "$SIM_NODES" --rounds "$ROUNDS" --seed "$SEED" \
-  --loss-prob "$SIM_LOSS" --summary-line | grep '^RESULT ')
+  --nodes "$(( SHARDS * NODES_PER_SHARD ))" --rounds "$ROUNDS" \
+  --seed "$SEED" --summary-line | grep '^RESULT ')
 echo "ddcsim: $SIM_LINE"
 
 # compare_results <reference-line> <file-of-lines> <weight-tol> <mean-tol>
@@ -257,9 +214,9 @@ if ! compare_results "$REFERENCE" "$WORK_DIR/results" "$NODE_WEIGHT_TOL" "$NODE_
   echo "FAIL: members disagree on the final classification" >&2
   exit 1
 fi
-echo "OK: all $(wc -l < "$WORK_DIR/results") surviving members agree"
+echo "OK: all $(wc -l < "$WORK_DIR/results") members agree"
 
-if [[ "$SHARDS" -gt 0 && -z "$KILL_SHARD" ]]; then
+if [[ -z "$KILL_SHARD" ]]; then
   # Healthy shard runs replay ddcsim's protocol bit for bit: shard 0
   # reports global node 0, the same node ddcsim's summary line reports,
   # so the two lines must be identical strings.
@@ -279,11 +236,12 @@ if ! compare_results "$SIM_LINE" "$WORK_DIR/results" "$WEIGHT_TOL" "$MEAN_TOL"; 
 fi
 echo "OK: cluster matches ddcsim (weights ±$WEIGHT_TOL, means ±$MEAN_TOL)"
 
-if [[ "$SHARDS" -gt 1 ]]; then
+if [[ "$SHARDS" -gt 1 && "$NODES_PER_SHARD" -gt 1 ]]; then
   # Batching efficiency: the whole point of the batch frame is packing
   # many cross-shard messages into one datagram. Assert the mean number
   # of records per sent batch frame exceeds 1 on every shard that ran
-  # the full exchange.
+  # the full exchange. A one-node shard sends at most a message or two
+  # per round across its S-1 peer frames, so the check needs M > 1.
   for (( i = 0; i < SHARDS; i++ )); do
     rpf=$(grep -o '"records_per_frame":[0-9.]*' "$WORK_DIR/node$i.out" \
           | head -1 | cut -d: -f2)

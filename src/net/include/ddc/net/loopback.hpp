@@ -7,8 +7,8 @@
 // spends in flight — comes from a stream seeded in the options, and
 // delivery order is fixed by (due tick, submission order), so a run is
 // bit-identical across executions for a fixed seed. That determinism
-// contract is what lets the networked node driver be tested with the
-// same rigor as the simulator (tests/net/loopback_test).
+// contract is what lets the shard exchange be tested with the same
+// rigor as the simulator (tests/net/loopback_test).
 #pragma once
 
 #include <cstdint>
@@ -58,15 +58,6 @@ class LoopbackNetwork {
   /// Advances time by one tick and delivers every frame that is due.
   void advance();
 
-  /// Marks a peer down (or back up). Every endpoint's peer_reachable
-  /// reflects it immediately — the loopback fabric models the PERFECT
-  /// failure detector, the best case a real deployment's probe-based
-  /// detector approximates. Frames already in flight to a down peer
-  /// still deliver into its queue (nobody services them), so the weight
-  /// they carry is lost exactly as when a real node dies holding it.
-  void set_peer_up(PeerId id, bool up);
-  [[nodiscard]] bool peer_up(PeerId id) const;
-
   [[nodiscard]] std::size_t tick() const noexcept { return tick_; }
   [[nodiscard]] std::size_t frames_in_flight() const noexcept {
     return in_flight_.size();
@@ -94,7 +85,6 @@ class LoopbackNetwork {
   /// Kept in submission order; advance() scans it stably, so two frames
   /// due the same tick deliver in the order they were sent.
   std::deque<InFlight> in_flight_;
-  std::vector<bool> up_;
   std::size_t tick_ = 0;
   std::uint64_t dropped_ = 0;
 };
@@ -106,7 +96,6 @@ class LoopbackTransport final : public Transport {
   [[nodiscard]] std::size_t num_peers() const override;
   void send(PeerId to, const std::vector<std::byte>& frame) override;
   [[nodiscard]] std::vector<Packet> receive() override;
-  [[nodiscard]] bool peer_reachable(PeerId to) const override;
   [[nodiscard]] const LinkStats& stats(PeerId peer) const override;
 
  private:

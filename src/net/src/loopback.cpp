@@ -14,7 +14,6 @@ LoopbackNetwork::LoopbackNetwork(std::size_t num_peers,
   DDC_EXPECTS(options_.loss_probability >= 0.0 &&
               options_.loss_probability <= 1.0);
   DDC_EXPECTS(options_.min_delay_ticks <= options_.max_delay_ticks);
-  up_.assign(num_peers, true);
   endpoints_.reserve(num_peers);
   for (std::size_t i = 0; i < num_peers; ++i) {
     endpoints_.emplace_back(new LoopbackTransport(
@@ -65,22 +64,8 @@ void LoopbackNetwork::advance() {
   in_flight_ = std::move(still_in_flight);
 }
 
-void LoopbackNetwork::set_peer_up(PeerId id, bool up) {
-  DDC_EXPECTS(id < up_.size());
-  up_[id] = up;
-}
-
-bool LoopbackNetwork::peer_up(PeerId id) const {
-  DDC_EXPECTS(id < up_.size());
-  return up_[id];
-}
-
 std::size_t LoopbackTransport::num_peers() const {
   return network_.num_peers();
-}
-
-bool LoopbackTransport::peer_reachable(PeerId to) const {
-  return network_.peer_up(to);
 }
 
 void LoopbackTransport::send(PeerId to, const std::vector<std::byte>& frame) {

@@ -8,6 +8,7 @@
 // equivalence matrix (1 vs S shards) can demand bit-identical states.
 #pragma once
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -16,17 +17,33 @@
 #include <ddc/gossip/network.hpp>
 #include <ddc/gossip/runners.hpp>
 #include <ddc/linalg/vector.hpp>
-#include <ddc/net/codec.hpp>
 #include <ddc/net/transport.hpp>
 #include <ddc/shard/cluster.hpp>
 #include <ddc/shard/shard_engine.hpp>
 #include <ddc/shard/shard_map.hpp>
 #include <ddc/sim/engine_config.hpp>
+#include <ddc/wire/serialize.hpp>
 
 namespace ddc::shard {
 
-using GmCodec = net::ClassificationCodec<stats::Gaussian>;
-using CentroidCodec = net::ClassificationCodec<linalg::Vector>;
+/// The ShardEngine codec for classifier nodes (Message =
+/// core::Classification<Summary>). decode throws wire::DecodeError on a
+/// malformed payload; the engine counts and drops those records.
+/// Auxiliary vectors never travel — they are diagnostic-only and O(n).
+template <typename Summary>
+struct ClassificationCodec {
+  using Message = core::Classification<Summary>;
+
+  [[nodiscard]] static std::vector<std::byte> encode(const Message& message) {
+    return wire::encode_classification(message);
+  }
+  [[nodiscard]] static Message decode(std::span<const std::byte> payload) {
+    return wire::decode_classification<Summary>(payload);
+  }
+};
+
+using GmCodec = ClassificationCodec<stats::Gaussian>;
+using CentroidCodec = ClassificationCodec<linalg::Vector>;
 using GmShardEngine = ShardEngine<gossip::GmNode, GmCodec>;
 using CentroidShardEngine = ShardEngine<gossip::CentroidNode, CentroidCodec>;
 using GmShardCluster = ShardCluster<gossip::GmNode, GmCodec>;

@@ -121,7 +121,8 @@ struct ShardEngineStats {
 };
 
 /// One process's shard of a round-based gossip simulation. `Codec`
-/// encodes Node::Message payloads for the wire (net/codec.hpp shapes).
+/// encodes Node::Message payloads for the wire: static encode(Message)
+/// and decode(bytes), as ClassificationCodec in factories.hpp.
 template <sim::GossipNode Node, typename Codec>
 class ShardEngine {
  public:

@@ -1,5 +1,5 @@
-// Fair gossip-target selection, shared by the simulation runners and the
-// networked node driver (src/net).
+// Fair gossip-target selection, shared by RoundPlan (every round
+// engine) and AsyncRunner.
 //
 // Both selection policies satisfy the paper's fairness requirement (each
 // neighbor chosen infinitely often): round-robin deterministically,

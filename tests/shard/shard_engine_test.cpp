@@ -32,6 +32,7 @@
 
 #include <ddc/gossip/runners.hpp>
 #include <ddc/gossip/scale.hpp>
+#include <ddc/wire/framing.hpp>
 #include <ddc/wire/serialize.hpp>
 
 namespace ddc::shard {
@@ -255,9 +256,11 @@ TEST(ShardEquivalence, PatternsSelectionCrashesAndSparseTopologies) {
 }
 
 TEST(ShardEquivalence, InjectedLinkLossIsAbsorbedByRetransmits) {
-  // 30% of loopback frames (batches AND acks) vanish; the seq/ack layer
-  // must recover every one, leaving the digest bit-identical to the
-  // clean monolithic run.
+  // Loopback frames (batches AND acks) vanish, and on the second channel
+  // also spend up to 3 ticks in flight, so a round's batches and acks
+  // arrive out of order and across polls. The seq/ack layer must recover
+  // every one, leaving the digest bit-identical to the clean monolithic
+  // run.
   sim::EngineConfig config = base_config(kCentroidNodes, 11);
   const auto inputs = bimodal_inputs(kCentroidNodes, 11);
   const auto topology = sim::Topology::complete(kCentroidNodes);
@@ -265,19 +268,27 @@ TEST(ShardEquivalence, InjectedLinkLossIsAbsorbedByRetransmits) {
   auto mono = make_centroid_shard_cluster(topology, inputs, config, 1);
   mono.run_rounds(kRounds);
 
-  net::LoopbackOptions lossy;
-  lossy.seed = 99;
-  lossy.loss_probability = 0.3;
-  auto cluster =
-      make_centroid_shard_cluster(topology, inputs, config, 4, lossy);
-  cluster.run_rounds(kRounds);
+  const net::LoopbackOptions channels[] = {
+      {.seed = 99, .loss_probability = 0.3},
+      {.seed = 99,
+       .loss_probability = 0.1,
+       .min_delay_ticks = 0,
+       .max_delay_ticks = 3},
+  };
+  for (const net::LoopbackOptions& channel : channels) {
+    auto cluster =
+        make_centroid_shard_cluster(topology, inputs, config, 4, channel);
+    cluster.run_rounds(kRounds);
 
-  EXPECT_EQ(digest_cluster(cluster), digest_cluster(mono));
-  std::uint64_t retransmits = 0;
-  for (ShardId s = 0; s < 4; ++s) {
-    retransmits += cluster.engine(s).stats().retransmits;
+    EXPECT_EQ(digest_cluster(cluster), digest_cluster(mono))
+        << "loss=" << channel.loss_probability
+        << " max_delay=" << channel.max_delay_ticks;
+    std::uint64_t retransmits = 0;
+    for (ShardId s = 0; s < 4; ++s) {
+      retransmits += cluster.engine(s).stats().retransmits;
+    }
+    EXPECT_GT(retransmits, 0UL) << "loss=" << channel.loss_probability;
   }
-  EXPECT_GT(retransmits, 0UL);
 }
 
 // ---------------------------------------------------------------------------
@@ -389,6 +400,37 @@ TEST(ShardFaults, SilentPeerTimesOutAndLaggardRejoins) {
   EXPECT_EQ(e1.round(), target);
   EXPECT_TRUE(e0.peer_shard_alive(1));
   EXPECT_TRUE(e1.peer_shard_alive(0));
+}
+
+TEST(ShardFaults, CorruptAndForeignFramesAreCountedAndDropped) {
+  // Every round, shard 1's endpoint also hands shard 0 three frames the
+  // exchange must survive: raw garbage (fails the envelope), a batch
+  // whose header claims to come from shard 0 (fails the sender check)
+  // and a gossip-kind frame (not the shard exchange's; ignored). The two
+  // corrupt ones are counted, none of them changes a bit of state.
+  constexpr std::size_t kNodes = 60;
+  constexpr std::size_t kFaultRounds = 10;
+  sim::EngineConfig config = base_config(kNodes, 6);
+  const auto inputs = bimodal_inputs(kNodes, 6);
+  const auto topology = sim::Topology::complete(kNodes);
+
+  auto mono = make_centroid_shard_cluster(topology, inputs, config, 1);
+  mono.run_rounds(kFaultRounds);
+
+  auto cluster = make_centroid_shard_cluster(topology, inputs, config, 2);
+  net::LoopbackTransport& intruder = cluster.network().endpoint(1);
+  for (std::size_t r = 0; r < kFaultRounds; ++r) {
+    intruder.send(0, {std::byte{0x00}, std::byte{0x11}, std::byte{0xff}});
+    intruder.send(0, wire::encode_frame(wire::FrameKind::batch, 1, r + 1,
+                                        wire::encode_batch(r, 0, 2, {})));
+    intruder.send(0, wire::encode_frame(wire::FrameKind::gossip, 1, r + 1,
+                                        std::vector<std::byte>{std::byte{1}}));
+    cluster.run_round();
+  }
+
+  EXPECT_EQ(digest_cluster(cluster), digest_cluster(mono));
+  EXPECT_EQ(cluster.engine(0).stats().decode_errors, 2 * kFaultRounds);
+  EXPECT_EQ(cluster.engine(1).stats().decode_errors, 0UL);
 }
 
 }  // namespace
