@@ -48,15 +48,14 @@ int main() {
   // collect printable rows in order.
   const auto rows = ddc::bench::sweep(losses.size(), [&](std::size_t li) {
     const double loss = losses[li];
-    ddc::gossip::NetworkConfig config;
+    ddc::sim::EngineConfig config;
     config.k = 2;
     config.quanta_per_unit = std::int64_t{1} << 40;
-    config.seed = 151;
-    ddc::sim::RoundRunnerOptions options;
-    options.message_loss_probability = loss;
-    options.seed = 152;
-    auto runner = ddc::sim::make_centroid_round_runner(
-        ddc::sim::Topology::complete(n), inputs, config, options);
+    config.protocol_seed = 151;
+    config.message_loss_probability = loss;
+    config.seed = 152;
+    auto runner = ddc::gossip::make_centroid_round_runner(
+        ddc::sim::Topology::complete(n), inputs, config);
     runner.run_rounds(rounds);
 
     const double initial_quanta =

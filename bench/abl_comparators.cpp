@@ -58,10 +58,10 @@ int main() {
 
   // Our protocol: one run of the generic algorithm (centroids, k = 2).
   {
-    ddc::gossip::NetworkConfig config;
+    ddc::sim::EngineConfig config;
     config.k = 3;
-    config.seed = 131;
-    auto runner = ddc::sim::make_centroid_round_runner(
+    config.protocol_seed = 131;
+    auto runner = ddc::gossip::make_centroid_round_runner(
         ddc::sim::Topology::complete(n), inputs, config);
     std::size_t rounds = 0;
     while (rounds < 5000) {
@@ -85,15 +85,15 @@ int main() {
   const auto kmeans_rows =
       ddc::bench::sweep(budgets.size(), [&](std::size_t bi) {
         const std::size_t rpi = budgets[bi];
-        ddc::sim::RoundRunnerOptions options;
-        options.seed = 132;
+        ddc::sim::EngineConfig config;
+        config.seed = 132;
         // Shared initial centroids that cut through the left cluster, so
         // Lloyd needs several assignment/update iterations to untangle them
         // (a bad-enough init stalls Lloyd permanently — centralized or
         // distributed — so we pick one that is recoverable but slow).
-        auto runner = ddc::sim::make_dkmeans_round_runner(
+        auto runner = ddc::gossip::make_dkmeans_round_runner(
             ddc::sim::Topology::complete(n), inputs,
-            {Vector{1.0}, Vector{2.0}, Vector{9.0}}, rpi, options);
+            {Vector{1.0}, Vector{2.0}, Vector{9.0}}, rpi, config);
         std::size_t rounds = 0;
         while (rounds < 5000) {
           runner.run_round();

@@ -38,10 +38,10 @@ int main() {
       for (std::size_t c = 0; c < d; ++c) v[c] = rng.normal(center, 1.0);
       inputs.push_back(std::move(v));
     }
-    ddc::gossip::NetworkConfig config;
+    ddc::sim::EngineConfig config;
     config.k = 2;
-    config.seed = 161;
-    auto runner = ddc::sim::make_gm_round_runner(
+    config.protocol_seed = 161;
+    auto runner = ddc::gossip::make_gm_round_runner(
         ddc::sim::Topology::complete(n), inputs, config);
     DimRow row;
     row.d = d;

@@ -35,15 +35,15 @@ int main() {
         ddc::stats::Rng rng(900 + run);
         const auto scenario =
             ddc::workload::outlier_scenario(delta, rng, n_good, n_out);
-        ddc::gossip::NetworkConfig config;
+        ddc::sim::EngineConfig config;
         config.k = 2;
         config.track_aux = true;
-        config.seed = 950 + run;
+        config.protocol_seed = 950 + run;
         ddc::em::ReductionOptions reduction;
         reduction.restarts = restarts;
-        auto runner = ddc::sim::make_gm_round_runner(
+        auto runner = ddc::gossip::make_gm_round_runner(
             ddc::sim::Topology::complete(scenario.inputs.size()),
-            scenario.inputs, config, {}, reduction);
+            scenario.inputs, config, reduction);
         runner.run_rounds(40);
 
         double missed = 0.0;

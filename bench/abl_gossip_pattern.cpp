@@ -44,17 +44,15 @@ int main() {
   const auto rounds_per_combo =
       ddc::bench::sweep(std::size(combos), [&](std::size_t ci) {
         const Combo& combo = combos[ci];
-        ddc::gossip::NetworkConfig config;
+        ddc::sim::EngineConfig config;
         config.k = 2;
         config.quanta_per_unit = std::int64_t{1} << 40;
-        config.seed = 91;
-        ddc::sim::RoundRunnerOptions options;
-        options.selection = combo.selection;
-        options.pattern = combo.pattern;
-        options.seed = 92;
-        auto runner = ddc::sim::make_centroid_round_runner(
-            ddc::sim::Topology::grid(8, 8, /*torus=*/true), inputs, config,
-            options);
+        config.protocol_seed = 91;
+        config.selection = combo.selection;
+        config.pattern = combo.pattern;
+        config.seed = 92;
+        auto runner = ddc::gossip::make_centroid_round_runner(
+            ddc::sim::Topology::grid(8, 8, /*torus=*/true), inputs, config);
         return ddc::bench::run_until_agreement<ddc::summaries::CentroidPolicy>(
             runner, 1e-3, 5, 10000);
       });

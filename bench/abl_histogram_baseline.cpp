@@ -58,11 +58,11 @@ int main() {
     }
 
     // GM classifier, k = 2.
-    ddc::gossip::NetworkConfig config;
+    ddc::sim::EngineConfig config;
     config.k = 2;
-    config.seed = 141;
-    auto gm = ddc::sim::make_gm_round_runner(ddc::sim::Topology::complete(n),
-                                             vectors, config);
+    config.protocol_seed = 141;
+    auto gm = ddc::gossip::make_gm_round_runner(ddc::sim::Topology::complete(n),
+                                                vectors, config);
     gm.run_rounds(40);
     // The far collection is the lighter of the two.
     const auto& classification = gm.nodes()[0].classification();

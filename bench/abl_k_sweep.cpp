@@ -36,10 +36,10 @@ int main() {
   const auto rows = ddc::bench::sweep(ks.size(), [&](std::size_t ki) {
     KRow row;
     row.k = ks[ki];
-    ddc::gossip::NetworkConfig config;
+    ddc::sim::EngineConfig config;
     config.k = row.k;
-    config.seed = 71;
-    auto runner = ddc::sim::make_gm_round_runner(
+    config.protocol_seed = 71;
+    auto runner = ddc::gossip::make_gm_round_runner(
         ddc::sim::Topology::complete(n), inputs, config);
     row.rounds =
         ddc::bench::run_until_agreement<ddc::summaries::GaussianPolicy>(

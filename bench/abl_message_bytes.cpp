@@ -32,13 +32,13 @@ int main() {
           inputs.push_back(ddc::linalg::Vector{
               rng.normal(i % 2 == 0 ? 0.0 : 20.0, 1.0), rng.normal()});
         }
-        ddc::gossip::NetworkConfig config;
+        ddc::sim::EngineConfig config;
         config.k = k;
-        config.seed = 111;
+        config.protocol_seed = 111;
 
-        auto gm = ddc::sim::make_gm_round_runner(
+        auto gm = ddc::gossip::make_gm_round_runner(
             ddc::sim::Topology::complete(n), inputs, config);
-        auto cent = ddc::sim::make_centroid_round_runner(
+        auto cent = ddc::gossip::make_centroid_round_runner(
             ddc::sim::Topology::complete(n), inputs, config);
         gm.run_rounds(15);  // let classifications fill to k collections
         cent.run_rounds(15);

@@ -46,15 +46,14 @@ int main() {
   const auto rows = ddc::bench::sweep(log_qpus.size(), [&](std::size_t qi) {
     QRow row;
     row.qpu = std::int64_t{1} << log_qpus[qi];
-    ddc::gossip::NetworkConfig config;
+    ddc::sim::EngineConfig config;
     config.k = 2;
     config.quanta_per_unit = row.qpu;
-    config.seed = 81;
-    ddc::sim::RoundRunnerOptions options;
-    options.selection = ddc::sim::NeighborSelection::round_robin;
-    options.seed = 82;
-    auto runner = ddc::sim::make_centroid_round_runner(
-        ddc::sim::Topology::ring(n), inputs, config, options);
+    config.protocol_seed = 81;
+    config.selection = ddc::sim::NeighborSelection::round_robin;
+    config.seed = 82;
+    auto runner = ddc::gossip::make_centroid_round_runner(
+        ddc::sim::Topology::ring(n), inputs, config);
     runner.run_rounds(rounds);
 
     row.disagreement = ddc::metrics::max_disagreement_vs_first<

@@ -47,8 +47,8 @@ ScaleRow measure_n(std::size_t n) {
   ddc::sim::EngineConfig config;
   config.k = 2;
   config.protocol_seed = 101;
-  auto runner = ddc::sim::make_gm_round_runner(ddc::sim::Topology::complete(n),
-                                               inputs, config);
+  auto runner = ddc::gossip::make_gm_round_runner(
+      ddc::sim::Topology::complete(n), inputs, config);
   ScaleRow row;
   row.n = n;
   row.rounds = ddc::bench::run_until_agreement<ddc::summaries::GaussianPolicy>(
@@ -72,7 +72,7 @@ std::pair<double, std::vector<std::byte>> time_threads(
   config.protocol_seed = 101;
   config.seed = 103;
   config.parallelism = threads;
-  auto runner = ddc::sim::make_gm_round_runner(
+  auto runner = ddc::gossip::make_gm_round_runner(
       ddc::sim::Topology::complete(inputs.size()), inputs, config);
 
   const auto start = std::chrono::steady_clock::now();

@@ -77,7 +77,7 @@ int main() {
     Row row;
     row.diameter = entry.topology.diameter();
     row.edges = entry.topology.num_edges();
-    auto runner = ddc::sim::make_centroid_round_runner(
+    auto runner = ddc::gossip::make_centroid_round_runner(
         std::move(entry.topology), inputs, config);
     row.rounds =
         ddc::bench::run_until_agreement<ddc::summaries::CentroidPolicy>(

@@ -35,13 +35,12 @@ int main() {
   ddc::stats::Rng rng(2);
   const auto inputs = ddc::workload::sample_inputs(truth, n, rng);
 
-  ddc::gossip::NetworkConfig config;
+  ddc::sim::EngineConfig config;
   config.k = k;
-  config.seed = 2;
-  ddc::sim::RoundRunnerOptions options;
-  options.parallelism = ddc::bench::bench_threads();
-  auto runner = ddc::sim::make_gm_round_runner(ddc::sim::Topology::complete(n),
-                                               inputs, config, options);
+  config.protocol_seed = 2;
+  config.parallelism = ddc::bench::bench_threads();
+  auto runner = ddc::gossip::make_gm_round_runner(
+      ddc::sim::Topology::complete(n), inputs, config);
 
   const std::size_t rounds =
       ddc::bench::run_until_agreement<ddc::summaries::GaussianPolicy>(

@@ -43,19 +43,19 @@ DeltaRow measure_delta(int delta_int, std::size_t rounds) {
       ddc::workload::outlier_scenario(row.delta, rng);
   const std::size_t n = scenario.inputs.size();
 
-  ddc::gossip::NetworkConfig config;
+  ddc::sim::EngineConfig config;
   config.k = 2;
   config.track_aux = true;  // exact missed-outlier accounting
-  config.seed = 400 + static_cast<std::uint64_t>(delta_int);
+  config.protocol_seed = 400 + static_cast<std::uint64_t>(delta_int);
   // A few EM restarts per partition smooth out the bistability of the
   // separation near the critical Δ (merging is irreversible, so one bad
   // local optimum early can decide a whole run).
   ddc::em::ReductionOptions reduction;
   reduction.restarts = 3;
-  auto runner = ddc::sim::make_gm_round_runner(
-      ddc::sim::Topology::complete(n), scenario.inputs, config, {}, reduction);
+  auto runner = ddc::gossip::make_gm_round_runner(
+      ddc::sim::Topology::complete(n), scenario.inputs, config, reduction);
 
-  auto baseline = ddc::sim::make_push_sum_round_runner(
+  auto baseline = ddc::gossip::make_push_sum_round_runner(
       ddc::sim::Topology::complete(n), scenario.inputs);
 
   runner.run_rounds(rounds);

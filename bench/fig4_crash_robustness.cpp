@@ -32,14 +32,13 @@ struct Series {
 Series run_robust(const ddc::workload::OutlierScenario& scenario,
                   double crash_probability) {
   const std::size_t n = scenario.inputs.size();
-  ddc::gossip::NetworkConfig config;
+  ddc::sim::EngineConfig config;
   config.k = 2;
-  config.seed = 44;
-  ddc::sim::RoundRunnerOptions options;
-  options.crash_probability = crash_probability;
-  options.seed = 45;
-  auto runner = ddc::sim::make_gm_round_runner(
-      ddc::sim::Topology::complete(n), scenario.inputs, config, options);
+  config.protocol_seed = 44;
+  config.crash_probability = crash_probability;
+  config.seed = 45;
+  auto runner = ddc::gossip::make_gm_round_runner(
+      ddc::sim::Topology::complete(n), scenario.inputs, config);
 
   Series series;
   for (std::size_t r = 0; r < kRounds; ++r) {
@@ -61,11 +60,11 @@ Series run_robust(const ddc::workload::OutlierScenario& scenario,
 Series run_regular(const ddc::workload::OutlierScenario& scenario,
                    double crash_probability) {
   const std::size_t n = scenario.inputs.size();
-  ddc::sim::RoundRunnerOptions options;
-  options.crash_probability = crash_probability;
-  options.seed = 45;  // same crash schedule as the robust run
-  auto runner = ddc::sim::make_push_sum_round_runner(
-      ddc::sim::Topology::complete(n), scenario.inputs, options);
+  ddc::sim::EngineConfig config;
+  config.crash_probability = crash_probability;
+  config.seed = 45;  // same crash schedule as the robust run
+  auto runner = ddc::gossip::make_push_sum_round_runner(
+      ddc::sim::Topology::complete(n), scenario.inputs, config);
 
   Series series;
   for (std::size_t r = 0; r < kRounds; ++r) {

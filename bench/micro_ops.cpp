@@ -310,7 +310,7 @@ void BM_ClassifierExchange(benchmark::State& state) {
   // One full split→receive cycle between two GM nodes.
   ddc::stats::Rng rng(9);
   std::vector<Vector> inputs = {Vector{0.0, 0.0}, Vector{5.0, 5.0}};
-  ddc::gossip::NetworkConfig config;
+  ddc::sim::EngineConfig config;
   config.k = static_cast<std::size_t>(state.range(0));
   auto nodes = ddc::gossip::make_gm_nodes(inputs, config);
   for (auto _ : state) {
@@ -347,7 +347,7 @@ void BM_PushSumRound(benchmark::State& state) {
   ddc::stats::Rng rng(10);
   std::vector<Vector> inputs;
   for (std::size_t i = 0; i < n; ++i) inputs.push_back(Vector{rng.normal()});
-  auto runner = ddc::sim::make_push_sum_round_runner(
+  auto runner = ddc::gossip::make_push_sum_round_runner(
       ddc::sim::Topology::complete(n), inputs);
   for (auto _ : state) {
     runner.run_round();
@@ -363,12 +363,11 @@ void BM_GmNetworkRound(benchmark::State& state) {
     inputs.push_back(Vector{rng.normal(i % 2 == 0 ? 0.0 : 10.0, 1.0),
                             rng.normal()});
   }
-  ddc::gossip::NetworkConfig config;
+  ddc::sim::EngineConfig config;
   config.k = 2;
-  ddc::sim::RoundRunnerOptions options;
-  options.parallelism = static_cast<std::size_t>(state.range(1));
-  auto runner = ddc::sim::make_gm_round_runner(ddc::sim::Topology::complete(n),
-                                               inputs, config, options);
+  config.parallelism = static_cast<std::size_t>(state.range(1));
+  auto runner = ddc::gossip::make_gm_round_runner(
+      ddc::sim::Topology::complete(n), inputs, config);
   for (auto _ : state) {
     runner.run_round();
   }

@@ -26,19 +26,16 @@ int main(int argc, char** argv) {
         Vector{i % 2 == 0 ? rng.normal(0.0, 1.0) : rng.normal(25.0, 2.0)});
   }
 
-  ddc::gossip::NetworkConfig config;
+  ddc::sim::EngineConfig config;
   config.k = 2;
+  config.protocol_seed = 19;
   config.seed = 19;
+  config.async.mean_tick_interval = 1.0;
+  config.async.min_delay = 0.05;
+  config.async.max_delay = 3.0;  // delays exceed ticks → heavy reordering
 
-  ddc::sim::AsyncRunnerOptions options;
-  options.seed = 19;
-  options.mean_tick_interval = 1.0;
-  options.min_delay = 0.05;
-  options.max_delay = 3.0;  // delays exceed tick intervals → heavy reordering
-
-  auto runner = ddc::sim::make_gm_async_runner(
-      ddc::sim::Topology::random_geometric(n, 0.3, rng), inputs, config,
-      options);
+  auto runner = ddc::gossip::make_gm_async_runner(
+      ddc::sim::Topology::random_geometric(n, 0.3, rng), inputs, config);
 
   std::cout << "time   messages   max disagreement vs node 0\n";
   for (double t = sim_time / 8.0; t <= sim_time; t += sim_time / 8.0) {

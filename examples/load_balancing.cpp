@@ -27,10 +27,10 @@ void classify_probe(double probe_load, double low_center, double high_center) {
       ddc::workload::load_balancing_inputs(n, rng, low_center, high_center);
   loads[0] = ddc::linalg::Vector{probe_load};
 
-  ddc::gossip::NetworkConfig config;
+  ddc::sim::EngineConfig config;
   config.k = 2;
-  config.seed = 13;
-  auto runner = ddc::sim::make_centroid_round_runner(
+  config.protocol_seed = 13;
+  auto runner = ddc::gossip::make_centroid_round_runner(
       ddc::sim::Topology::erdos_renyi(n, 0.1, rng), loads, config);
   runner.run_rounds(150);
 

@@ -18,12 +18,12 @@ int main() {
       Vector{10.1}, Vector{50.4}, Vector{9.9},  Vector{50.0}};
 
   // Protocol parameters: at most k=2 collections per node.
-  ddc::gossip::NetworkConfig config;
+  ddc::sim::EngineConfig config;
   config.k = 2;
-  config.seed = 42;
+  config.protocol_seed = 42;
 
   // A ring of 8 nodes running the centroids instantiation (Algorithm 2).
-  auto runner = ddc::sim::make_centroid_round_runner(
+  auto runner = ddc::gossip::make_centroid_round_runner(
       ddc::sim::Topology::ring(inputs.size()), inputs, config);
 
   runner.run_rounds(200);

@@ -23,15 +23,15 @@ int main(int argc, char** argv) {
 
   // GM classifier network, k = 2 (one collection for good values, one for
   // outliers), with auxiliary tracking so we can audit the separation.
-  ddc::gossip::NetworkConfig config;
+  ddc::sim::EngineConfig config;
   config.k = 2;
   config.track_aux = true;
-  config.seed = 3;
-  auto runner = ddc::sim::make_gm_round_runner(ddc::sim::Topology::complete(n),
-                                               scenario.inputs, config);
+  config.protocol_seed = 3;
+  auto runner = ddc::gossip::make_gm_round_runner(
+      ddc::sim::Topology::complete(n), scenario.inputs, config);
 
   // Baseline: plain push-sum average aggregation on the same inputs.
-  auto baseline = ddc::sim::make_push_sum_round_runner(
+  auto baseline = ddc::gossip::make_push_sum_round_runner(
       ddc::sim::Topology::complete(n), scenario.inputs);
 
   runner.run_rounds(rounds);

@@ -37,12 +37,12 @@ int main(int argc, char** argv) {
                  "slack, the paper's choice)\n\n";
   }
 
-  ddc::gossip::NetworkConfig config;
+  ddc::sim::EngineConfig config;
   config.k = 7;  // the paper's Fig. 2 parameter
-  config.seed = 7;
+  config.protocol_seed = 7;
 
   // Sensors communicate by radio range: a random geometric graph.
-  auto runner = ddc::sim::make_gm_round_runner(
+  auto runner = ddc::gossip::make_gm_round_runner(
       ddc::sim::Topology::random_geometric(n, 0.15, rng), inputs, config);
   runner.run_rounds(rounds);
 

@@ -26,13 +26,13 @@ int main() {
                             rng.normal(0.0, 1.0)});
   }
 
-  ddc::gossip::NetworkConfig config;
+  ddc::sim::EngineConfig config;
   config.k = 2;
   config.track_aux = true;  // auditors need the mixture-space vectors
-  config.seed = 33;
+  config.protocol_seed = 33;
 
-  auto runner = ddc::sim::make_gm_round_runner(ddc::sim::Topology::ring(n),
-                                               inputs, config);
+  auto runner = ddc::gossip::make_gm_round_runner(ddc::sim::Topology::ring(n),
+                                                  inputs, config);
 
   ddc::audit::ReferenceAngleMonitor angles(n);
   const std::int64_t expected_quanta =

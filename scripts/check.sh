@@ -20,17 +20,20 @@
 #                  shard batch+ack round must complete with the
 #                  1-shard-identical digest, and the planted
 #                  empty-barrier-retransmit bug must be caught.
-#   5. TSan        exec/sim/gossip suites under ThreadSanitizer — the
+#   5. perfbench   builds the benchmark driver (perfbench/), the main
+#                  consumer of the engine factories, which no ctest
+#                  compiles.
+#   6. TSan        exec/sim/gossip suites under ThreadSanitizer — the
 #                  parallel engine's determinism tests drive the pool
 #                  at several thread counts, which is where races live.
-#   6. ASan+UBSan  the FULL ctest suite under AddressSanitizer +
+#   7. ASan+UBSan  the FULL ctest suite under AddressSanitizer +
 #                  UndefinedBehaviorSanitizer. Not just wire/net/io:
 #                  the partition/EM hot paths rewritten in PR 3 run
 #                  under ASan here too, as do the shard suite, the
 #                  schedule explorer and the multi-shard UDP smoke
 #                  (cluster_multishard_smoke drives sanitized ddcnode
 #                  shard processes).
-#   7. SIMD tiers  a dedicated -mavx2 build runs the kernel-equivalence
+#   8. SIMD tiers  a dedicated -mavx2 build runs the kernel-equivalence
 #                  and batched-scorer suites (the lanewise AVX2 kernel
 #                  must be bit-identical to the scalar reference; the
 #                  fast-math tier must sit inside its documented error
@@ -38,7 +41,7 @@
 #                  DDC_SIMD=scalar — including the sim golden digests —
 #                  and a ddcsim cross-mode run asserts --simd=auto and
 #                  --simd=scalar produce byte-identical RESULT lines.
-#   8. bench gate  smoke-mode scripts/bench_gate.sh against
+#   9. bench gate  smoke-mode scripts/bench_gate.sh against
 #                  BENCH_hotpath.json, so a hot-path complexity
 #                  regression (say, an accidental return to the O(m³)
 #                  partition rescan) fails even when every unit test
@@ -48,7 +51,7 @@
 #                  scripts/bench_gate.sh --scale-full); then the
 #                  sharded-cluster tier against BENCH_cluster.json
 #                  (loopback throughput, RSS, records per batch frame).
-#   9. fuzz smoke  both fuzz harnesses (wire framing decode, classifier
+#  10. fuzz smoke  both fuzz harnesses (wire framing decode, classifier
 #                  invariants via the ddc::audit pool auditors) replay
 #                  the committed corpus plus DDC_FUZZ_RUNS fresh
 #                  deterministic iterations under ASan+UBSan.
@@ -63,15 +66,15 @@ cd "$(dirname "$0")/.."
 
 DDC_FUZZ_RUNS=${DDC_FUZZ_RUNS:-20000}
 
-echo "=== gate 1/9: format check ==="
+echo "=== gate 1/10: format check ==="
 scripts/format.sh --check
 
 echo
-echo "=== gate 2/9: lint (determinism + protocol invariants) ==="
+echo "=== gate 2/10: lint (determinism + protocol invariants) ==="
 scripts/verify_invariants.sh
 
 echo
-echo "=== gate 3/9: clang-tidy ==="
+echo "=== gate 3/10: clang-tidy ==="
 scripts/tidy.sh
 
 if [[ "${DDC_SKIP_SLOW:-0}" == "1" ]]; then
@@ -86,7 +89,7 @@ SIMD_DIR=build-simd
 FUZZ_DIR=build-fuzz
 
 echo
-echo "=== gate 4/9: schedule-exhaustive race explorer ==="
+echo "=== gate 4/10: schedule-exhaustive race explorer ==="
 cmake -B build -S . >/dev/null
 cmake --build build --target schedule_tests -j "$(nproc)"
 build/tests/schedule_tests
@@ -94,7 +97,14 @@ build/tests/schedule_tests
 echo "Schedule gate passed: all explored schedules barrier-live and bit-exact."
 
 echo
-echo "=== gate 5/9: ThreadSanitizer (exec, sim, gossip) ==="
+echo "=== gate 5/10: benchmark driver build ==="
+cmake -S perfbench -B build-perfbench >/dev/null
+cmake --build build-perfbench --target ddc_perfbench -j "$(nproc)"
+
+echo "perfbench driver builds against the current factories."
+
+echo
+echo "=== gate 6/10: ThreadSanitizer (exec, sim, gossip) ==="
 cmake -B "$TSAN_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
@@ -108,7 +118,7 @@ cmake --build "$TSAN_DIR" --target exec_tests sim_tests gossip_tests -j "$(nproc
 echo "TSan-clean: exec, sim and gossip test suites."
 
 echo
-echo "=== gate 6/9: ASan+UBSan, full test suite ==="
+echo "=== gate 7/10: ASan+UBSan, full test suite ==="
 cmake -B "$ASAN_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
@@ -126,7 +136,7 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 echo "ASan+UBSan-clean: full ctest suite."
 
 echo
-echo "=== gate 7/9: SIMD tiers (AVX2 build + forced-scalar rerun) ==="
+echo "=== gate 8/10: SIMD tiers (AVX2 build + forced-scalar rerun) ==="
 cmake -B "$SIMD_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-mavx2"
@@ -161,7 +171,7 @@ fi
 echo "SIMD gate passed: AVX2 + forced-scalar legs clean, cross-mode RESULT identical."
 
 echo
-echo "=== gate 8/9: bench regression gate ==="
+echo "=== gate 9/10: bench regression gate ==="
 # The gate needs an optimized, unsanitized binary; the default build dir
 # is RelWithDebInfo. Smoke mode keeps the run short and its tolerance
 # loose enough for a loaded CI host while still catching order-of-
@@ -183,7 +193,7 @@ scripts/bench_gate.sh --cluster
 echo "Cluster gate passed: sharded tier within tolerance of BENCH_cluster.json."
 
 echo
-echo "=== gate 9/9: fuzz smoke ==="
+echo "=== gate 10/10: fuzz smoke ==="
 cmake -B "$FUZZ_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDDC_FUZZ=ON \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \

@@ -128,8 +128,8 @@ sim::EngineConfig parse_engine_config(const Flags& flags,
                            : sim::NeighborSelection::uniform_random;
   }
   if (set.faults) {
-    config.faults.crash_probability = flags.get_double("crash-prob");
-    config.faults.message_loss_probability = flags.get_double("loss-prob");
+    config.crash_probability = flags.get_double("crash-prob");
+    config.message_loss_probability = flags.get_double("loss-prob");
   }
   if (set.parallelism) {
     if (flags.get_int("threads") < 0) {

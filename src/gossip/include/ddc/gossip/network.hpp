@@ -1,11 +1,18 @@
-// Convenience constructors for whole networks of protocol nodes.
+// Node construction for whole networks of protocol nodes.
 //
-// Experiments repeat the same setup — n inputs, one node each, shared
-// protocol parameters, per-node derived RNG streams — so it lives here
-// once instead of in every bench.
+// Every engine builds its nodes here, from the protocol slice of one
+// sim::EngineConfig (k, quanta_per_unit, track_aux, protocol_seed).
+// Node i's construction is written once per protocol (make_gm_node,
+// make_centroid_node): its EM restart stream derives from the protocol
+// seed by GLOBAL id i, so a node's randomness does not depend on which
+// engine or shard hosts it. make_nodes applies one of them to a set of
+// ids: every id for the monolithic engines, the owned ids for a shard
+// (shard/factories.hpp).
 #pragma once
 
 #include <cstdint>
+#include <ranges>
+#include <type_traits>
 #include <vector>
 
 #include <ddc/common/assert.hpp>
@@ -14,21 +21,14 @@
 #include <ddc/gossip/classifier_node.hpp>
 #include <ddc/gossip/push_sum.hpp>
 #include <ddc/linalg/vector.hpp>
+#include <ddc/sim/engine_config.hpp>
 #include <ddc/stats/rng.hpp>
 
 namespace ddc::gossip {
 
-/// Shared parameters of a classifier network.
-struct NetworkConfig {
-  std::size_t k = 2;
-  std::int64_t quanta_per_unit = std::int64_t{1} << 20;
-  bool track_aux = false;
-  std::uint64_t seed = 1;
-};
-
 /// Per-node classifier options for node `i` of `n`.
 [[nodiscard]] inline core::ClassifierOptions node_options(
-    const NetworkConfig& config, std::size_t i, std::size_t n) {
+    const sim::EngineConfig& config, std::size_t i, std::size_t n) {
   core::ClassifierOptions options;
   options.k = config.k;
   options.quanta_per_unit = config.quanta_per_unit;
@@ -38,36 +38,59 @@ struct NetworkConfig {
   return options;
 }
 
-/// One GM node (paper Section 5) per input, each with its own derived RNG
-/// stream for EM restarts.
-[[nodiscard]] inline std::vector<GmNode> make_gm_nodes(
-    const std::vector<linalg::Vector>& inputs, const NetworkConfig& config,
-    em::ReductionOptions reduction = {}) {
-  DDC_EXPECTS(!inputs.empty());
-  std::vector<GmNode> nodes;
-  nodes.reserve(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    nodes.emplace_back(
-        inputs[i],
-        partition::EmPartition(stats::Rng::derive(config.seed, i), reduction),
-        node_options(config, i, inputs.size()));
-  }
+/// GM node i (paper Section 5) of the network over `inputs`, with its own
+/// derived RNG stream for EM restarts.
+[[nodiscard]] inline GmNode make_gm_node(
+    const std::vector<linalg::Vector>& inputs, sim::NodeId i,
+    const sim::EngineConfig& config,
+    const em::ReductionOptions& reduction = {}) {
+  return GmNode(
+      inputs[i],
+      partition::EmPartition(stats::Rng::derive(config.protocol_seed, i),
+                             reduction),
+      node_options(config, i, inputs.size()));
+}
+
+/// Centroid node i (paper Algorithm 2) of the network over `inputs`.
+[[nodiscard]] inline CentroidNode make_centroid_node(
+    const std::vector<linalg::Vector>& inputs, sim::NodeId i,
+    const sim::EngineConfig& config) {
+  return CentroidNode(
+      inputs[i],
+      partition::GreedyDistancePartition<summaries::CentroidPolicy>{},
+      node_options(config, i, inputs.size()));
+}
+
+/// make_node(i) for every global id i in `ids`, in order. The monolithic
+/// engines pass every id; a shard passes only the ids it owns.
+template <std::ranges::sized_range Ids, typename MakeNode>
+[[nodiscard]] auto make_nodes(const Ids& ids, MakeNode make_node) {
+  std::vector<std::invoke_result_t<MakeNode&, sim::NodeId>> nodes;
+  nodes.reserve(std::ranges::size(ids));
+  for (const sim::NodeId i : ids) nodes.push_back(make_node(i));
   return nodes;
 }
 
-/// One centroid node (paper Algorithm 2) per input.
-[[nodiscard]] inline std::vector<CentroidNode> make_centroid_nodes(
-    const std::vector<linalg::Vector>& inputs, const NetworkConfig& config) {
+/// One GM node per input.
+[[nodiscard]] inline std::vector<GmNode> make_gm_nodes(
+    const std::vector<linalg::Vector>& inputs, const sim::EngineConfig& config,
+    const em::ReductionOptions& reduction = {}) {
   DDC_EXPECTS(!inputs.empty());
-  std::vector<CentroidNode> nodes;
-  nodes.reserve(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    nodes.emplace_back(
-        inputs[i],
-        partition::GreedyDistancePartition<summaries::CentroidPolicy>{},
-        node_options(config, i, inputs.size()));
-  }
-  return nodes;
+  const auto all = std::views::iota(sim::NodeId{0}, inputs.size());
+  return make_nodes(all, [&](sim::NodeId i) {
+    return make_gm_node(inputs, i, config, reduction);
+  });
+}
+
+/// One centroid node per input.
+[[nodiscard]] inline std::vector<CentroidNode> make_centroid_nodes(
+    const std::vector<linalg::Vector>& inputs,
+    const sim::EngineConfig& config) {
+  DDC_EXPECTS(!inputs.empty());
+  const auto all = std::views::iota(sim::NodeId{0}, inputs.size());
+  return make_nodes(all, [&](sim::NodeId i) {
+    return make_centroid_node(inputs, i, config);
+  });
 }
 
 /// One push-sum node (regular average aggregation baseline) per input.

@@ -6,10 +6,10 @@
 // doubles, how that protocol receives (on the packed rows for centroids,
 // through a rehydrated scratch classifier for GM), and how per-node
 // policy state (the GM EM restart stream) persists across rounds — plus
-// the factories that assemble a ready-to-run engine:
+// the factories that assemble a ready-to-run engine from an EngineConfig:
 //
 //   auto engine = ddc::gossip::make_centroid_scale_engine(
-//       ddc::sim::Topology::grid(1000, 1000, false), inputs, net, options);
+//       ddc::sim::Topology::grid(1000, 1000, false), inputs, config);
 //
 // Packing is EXACT (doubles are copied bit-for-bit), which is what lets
 // the golden equivalence suite demand bit-identical classifications
@@ -28,6 +28,7 @@
 #include <ddc/linalg/kernels.hpp>
 #include <ddc/linalg/matrix.hpp>
 #include <ddc/linalg/vector.hpp>
+#include <ddc/sim/engine_config.hpp>
 #include <ddc/sim/scale_engine.hpp>
 #include <ddc/stats/gaussian.hpp>
 #include <ddc/stats/rng.hpp>
@@ -61,7 +62,7 @@ class CentroidScaleProtocol {
     core::ClassifierStats stats;
   };
 
-  CentroidScaleProtocol(std::size_t dim, const NetworkConfig& config)
+  CentroidScaleProtocol(std::size_t dim, const sim::EngineConfig& config)
       : dim_(dim), config_(config) {
     DDC_EXPECTS(dim_ >= 1);
   }
@@ -142,7 +143,7 @@ class CentroidScaleProtocol {
 
  private:
   std::size_t dim_;
-  NetworkConfig config_;
+  sim::EngineConfig config_;
 };
 
 /// SoA embedding of the GM protocol (Section 5): a summary is ⟨µ, Σ⟩,
@@ -160,7 +161,7 @@ class GmScaleProtocol {
   static constexpr bool has_node_rng = true;
 
   GmScaleProtocol(std::size_t dim, std::size_t num_nodes,
-                  const NetworkConfig& config,
+                  const sim::EngineConfig& config,
                   const em::ReductionOptions& reduction = {})
       : dim_(dim),
         num_nodes_(num_nodes),
@@ -185,10 +186,10 @@ class GmScaleProtocol {
                       node_options(config_, 0, num_nodes_));
   }
 
-  /// Per-node restart stream — same derivation as make_gm_nodes, so the
+  /// Per-node restart stream — same derivation as make_gm_node, so the
   /// engines are interchangeable on a given seed.
   [[nodiscard]] stats::Rng initial_rng(sim::NodeId i) const {
-    return stats::Rng::derive(config_.seed, i);
+    return stats::Rng::derive(config_.protocol_seed, i);
   }
 
   [[nodiscard]] static stats::Rng& node_rng(Classifier& classifier) {
@@ -218,7 +219,7 @@ class GmScaleProtocol {
  private:
   std::size_t dim_;
   std::size_t num_nodes_;
-  NetworkConfig config_;
+  sim::EngineConfig config_;
   em::ReductionOptions reduction_;
 };
 
@@ -227,13 +228,12 @@ class GmScaleProtocol {
 [[nodiscard]] inline sim::SoaRoundEngine<CentroidScaleProtocol>
 make_centroid_scale_engine(sim::Topology topology,
                            const std::vector<linalg::Vector>& inputs,
-                           const NetworkConfig& net = {},
-                           const sim::RoundRunnerOptions& options = {}) {
+                           const sim::EngineConfig& config = {}) {
   DDC_EXPECTS(!inputs.empty());
-  DDC_EXPECTS(!net.track_aux);
-  CentroidScaleProtocol protocol(inputs.front().dim(), net);
+  DDC_EXPECTS(!config.track_aux);
+  CentroidScaleProtocol protocol(inputs.front().dim(), config);
   return sim::SoaRoundEngine<CentroidScaleProtocol>(
-      std::move(topology), std::move(protocol), options,
+      std::move(topology), std::move(protocol), config.round_options(),
       [&inputs](sim::NodeId i) {
         return summaries::CentroidPolicy::val_to_summary(inputs[i]);
       });
@@ -243,24 +243,17 @@ make_centroid_scale_engine(sim::Topology topology,
 [[nodiscard]] inline sim::SoaRoundEngine<GmScaleProtocol>
 make_gm_scale_engine(sim::Topology topology,
                      const std::vector<linalg::Vector>& inputs,
-                     const NetworkConfig& net = {},
-                     const sim::RoundRunnerOptions& options = {},
+                     const sim::EngineConfig& config = {},
                      const em::ReductionOptions& reduction = {}) {
   DDC_EXPECTS(!inputs.empty());
-  DDC_EXPECTS(!net.track_aux);
-  GmScaleProtocol protocol(inputs.front().dim(), inputs.size(), net,
+  DDC_EXPECTS(!config.track_aux);
+  GmScaleProtocol protocol(inputs.front().dim(), inputs.size(), config,
                            reduction);
   return sim::SoaRoundEngine<GmScaleProtocol>(
-      std::move(topology), std::move(protocol), options,
+      std::move(topology), std::move(protocol), config.round_options(),
       [&inputs](sim::NodeId i) {
         return summaries::GaussianPolicy::val_to_summary(inputs[i]);
       });
 }
 
 }  // namespace ddc::gossip
-
-namespace ddc::sim {
-// Re-exports, matching the runner factories' convention (runners.hpp).
-using gossip::make_centroid_scale_engine;
-using gossip::make_gm_scale_engine;
-}  // namespace ddc::sim

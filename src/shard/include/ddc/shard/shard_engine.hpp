@@ -33,7 +33,7 @@
 //    RoundRunner's draws. The alive vector evolves as a pure function of
 //    the seed, so replicas never diverge.
 //  * Node-local randomness derives from the protocol seed by GLOBAL
-//    node id (gossip::make_*_nodes discipline), so a node's stream does
+//    node id (gossip::make_*_node discipline), so a node's stream does
 //    not depend on which shard hosts it.
 //  * Channel loss is RoundPlan's stateless verdict, hashed from (seed,
 //    round, leg, initiator): the sending shard and the receiving shard

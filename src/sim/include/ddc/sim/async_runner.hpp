@@ -22,10 +22,6 @@
 
 namespace ddc::sim {
 
-/// Deprecated alias from before the pattern enum was unified across
-/// engines (it now lives in gossip_node.hpp); prefer GossipPattern.
-using AsyncGossipPattern = GossipPattern;
-
 /// Configuration of an asynchronous run. Selection, pattern and seed come
 /// from the shared options layer (CommonRunnerOptions).
 struct AsyncRunnerOptions : CommonRunnerOptions {

@@ -1,20 +1,21 @@
 // EngineConfig — the one configuration object behind every simulation.
 //
-// Before this existed each tool, bench and test assembled a run from four
-// loose pieces: a hand-built Topology, a RoundRunnerOptions or
-// AsyncRunnerOptions struct, a gossip::NetworkConfig, and ad-hoc flag
-// parsing to fill them. EngineConfig subsumes all of it — the shared
-// gossip options (it extends CommonRunnerOptions), a declarative topology
-// spec, the fault model, parallelism, and the engine/backend choice — so
-// every consumer migrates through one seam:
+// It carries every setting of a run exactly once: the round engines'
+// options (it extends RoundRunnerOptions, so selection, pattern,
+// environment seed, crash and loss probabilities and parallelism are its
+// own fields), a declarative topology spec, the async timing, the
+// engine/backend choice, and the protocol parameters of Algorithm 1 (k,
+// the weight quantum, the protocol seed). Each engine has one factory,
+// which takes it:
 //
 //   sim::EngineConfig config;
 //   config.topology = {sim::TopologyFamily::geometric, 100'000};
-//   config.backend = sim::EngineBackend::soa;
-//   auto engine = gossip::make_centroid_scale_engine(config, inputs);
+//   auto engine = gossip::make_centroid_scale_engine(
+//       config.build_topology(rng), inputs, config);
 //
-// The runner factories in gossip/runners.hpp are re-expressed on top of
-// this type; cli::parse_engine_config builds one from command-line flags.
+// The factories live in gossip/runners.hpp, gossip/scale.hpp and
+// shard/factories.hpp; cli::parse_engine_config builds one from
+// command-line flags.
 #pragma once
 
 #include <cstddef>
@@ -74,18 +75,6 @@ struct TopologySpec {
   [[nodiscard]] double resolved_edge_probability() const;
 };
 
-/// Fault injection, shared by the round and scale engines. The async
-/// engine models the paper's reliable crash-free channels and ignores it.
-struct FaultModel {
-  /// Per-node probability of crashing at the end of each round (Fig. 4
-  /// uses 0.05; 0 disables crashes).
-  double crash_probability = 0.0;
-  CrashSendPolicy crash_send_policy = CrashSendPolicy::avoid_crashed;
-  /// Per-message silent loss probability (0 preserves the paper's
-  /// reliable-link assumption; see RoundRunnerOptions for the caveats).
-  double message_loss_probability = 0.0;
-};
-
 /// Which driver executes the run.
 enum class EngineMode {
   round,  ///< synchronous rounds (the paper's measurement methodology)
@@ -115,23 +104,22 @@ struct AsyncTiming {
 };
 
 /// One configuration object for a whole simulation. Extends
-/// CommonRunnerOptions, so the shared gossip knobs (selection, pattern,
-/// environment seed) are this object's own fields.
-struct EngineConfig : CommonRunnerOptions {
+/// RoundRunnerOptions, so the gossip knobs (selection, pattern,
+/// environment seed), the fault model (crash and loss probabilities,
+/// crash send policy) and parallelism are this object's own fields. The
+/// async engine models the paper's reliable crash-free channels and
+/// ignores the fault fields.
+struct EngineConfig : RoundRunnerOptions {
   TopologySpec topology;
-  FaultModel faults;
   /// Math-kernel dispatch policy (linalg/simd.hpp): auto keeps the
   /// bit-exact tiers, avx2 additionally opts into the fast-math tier.
   /// Applied process-wide by the tools via linalg::simd::configure.
   linalg::simd::Mode simd = linalg::simd::Mode::auto_detect;
-  /// Worker threads for the parallel phases: 1 = fully sequential, 0 =
-  /// one per hardware thread. Results are identical at any setting.
-  std::size_t parallelism = 1;
   EngineMode mode = EngineMode::round;
   EngineBackend backend = EngineBackend::soa;
   AsyncTiming async;
 
-  // Protocol-layer parameters (the classifier nodes' NetworkConfig).
+  // Protocol-layer parameters (gossip::node_options reads them).
   /// Max collections per node (the paper's k).
   std::size_t k = 2;
   /// Weight quanta per unit weight (the paper's 1/q).
@@ -141,9 +129,16 @@ struct EngineConfig : CommonRunnerOptions {
   /// never interfere — ddcsim historically sets protocol_seed = --seed
   /// and seed = --seed + 1.
   std::uint64_t protocol_seed = 1;
+  /// Carry each collection's auxiliary mixture-space vector (the
+  /// dashed-frame code of Algorithm 1, O(n) per collection) so Lemma 1
+  /// can be checked at runtime. Object engines only: the SoA pools
+  /// cannot hold it, so the scale-engine factories reject it.
+  bool track_aux = false;
 
   /// Engine options sliced out for the classic runners.
-  [[nodiscard]] RoundRunnerOptions round_options() const;
+  [[nodiscard]] RoundRunnerOptions round_options() const {
+    return static_cast<const RoundRunnerOptions&>(*this);
+  }
   [[nodiscard]] AsyncRunnerOptions async_options() const;
 
   /// Builds the configured topology (see TopologySpec::build).

@@ -70,7 +70,7 @@ struct CommonRunnerOptions {
   GossipPattern pattern = GossipPattern::push;
   /// Seed for the engine's environment draws (neighbor selection, and —
   /// per engine — delays, crashes, losses). Node-local randomness (EM
-  /// restarts) derives from the network config instead, so environment
+  /// restarts) derives from EngineConfig::protocol_seed, so environment
   /// and protocol streams never interfere.
   std::uint64_t seed = 1;
 };

@@ -83,17 +83,6 @@ Topology TopologySpec::build(stats::Rng& rng) const {
   throw ConfigError("unhandled topology family");
 }
 
-RoundRunnerOptions EngineConfig::round_options() const {
-  RoundRunnerOptions options;
-  static_cast<CommonRunnerOptions&>(options) =
-      static_cast<const CommonRunnerOptions&>(*this);
-  options.crash_probability = faults.crash_probability;
-  options.crash_send_policy = faults.crash_send_policy;
-  options.message_loss_probability = faults.message_loss_probability;
-  options.parallelism = parallelism;
-  return options;
-}
-
 AsyncRunnerOptions EngineConfig::async_options() const {
   AsyncRunnerOptions options;
   static_cast<CommonRunnerOptions&>(options) =
@@ -118,12 +107,11 @@ void EngineConfig::validate() const {
   if (topology.edge_probability < 0.0 || topology.edge_probability > 1.0) {
     throw ConfigError("topology.edge_probability must be in [0, 1]");
   }
-  if (faults.crash_probability < 0.0 || faults.crash_probability > 1.0) {
-    throw ConfigError("faults.crash_probability must be in [0, 1]");
+  if (crash_probability < 0.0 || crash_probability > 1.0) {
+    throw ConfigError("crash_probability must be in [0, 1]");
   }
-  if (faults.message_loss_probability < 0.0 ||
-      faults.message_loss_probability > 1.0) {
-    throw ConfigError("faults.message_loss_probability must be in [0, 1]");
+  if (message_loss_probability < 0.0 || message_loss_probability > 1.0) {
+    throw ConfigError("message_loss_probability must be in [0, 1]");
   }
   if (simd == linalg::simd::Mode::avx2 &&
       !(linalg::simd::compiled_with_avx2() &&

@@ -47,8 +47,8 @@ TEST(EngineFlags, ParsesTheFullFlagSurface) {
   EXPECT_DOUBLE_EQ(config.topology.radius, 0.05);
   EXPECT_EQ(config.pattern, sim::GossipPattern::pull);
   EXPECT_EQ(config.selection, sim::NeighborSelection::round_robin);
-  EXPECT_DOUBLE_EQ(config.faults.crash_probability, 0.05);
-  EXPECT_DOUBLE_EQ(config.faults.message_loss_probability, 0.1);
+  EXPECT_DOUBLE_EQ(config.crash_probability, 0.05);
+  EXPECT_DOUBLE_EQ(config.message_loss_probability, 0.1);
   EXPECT_EQ(config.parallelism, 8U);
   EXPECT_EQ(config.k, 7U);
   EXPECT_EQ(config.quanta_per_unit, std::int64_t{1} << 16);
@@ -111,7 +111,7 @@ TEST(EngineFlags, DisabledGroupsKeepDefaultsAndStayUndeclared) {
   set.backend = false;
   set.timing = false;
   sim::EngineConfig defaults;
-  defaults.faults.crash_probability = 0.25;  // kept verbatim
+  defaults.crash_probability = 0.25;  // kept verbatim
   defaults.backend = sim::EngineBackend::object;
 
   Flags flags = make_flags(defaults, set);
@@ -120,7 +120,7 @@ TEST(EngineFlags, DisabledGroupsKeepDefaultsAndStayUndeclared) {
   Flags clean = make_flags(defaults, set);
   ASSERT_TRUE(clean.parse({"--nodes=64"}));
   const sim::EngineConfig config = parse_engine_config(clean, defaults, set);
-  EXPECT_DOUBLE_EQ(config.faults.crash_probability, 0.25);
+  EXPECT_DOUBLE_EQ(config.crash_probability, 0.25);
   EXPECT_EQ(config.backend, sim::EngineBackend::object);
   EXPECT_EQ(config.topology.nodes, 64U);
   EXPECT_FALSE(timing_requested(clean));

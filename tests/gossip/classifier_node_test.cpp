@@ -18,11 +18,11 @@ static_assert(sim::GossipNode<GmNearestMeansNode>);
 static_assert(sim::GossipNode<GmRunnallsNode>);
 static_assert(sim::GossipNode<PushSumNode>);
 
-NetworkConfig small_config(std::size_t k) {
-  NetworkConfig c;
+sim::EngineConfig small_config(std::size_t k) {
+  sim::EngineConfig c;
   c.k = k;
   c.quanta_per_unit = 1 << 10;
-  c.seed = 9;
+  c.protocol_seed = 9;
   return c;
 }
 
@@ -87,7 +87,7 @@ TEST(ClassifierNode, WeightConservedAcrossExchange) {
 }
 
 TEST(NetworkBuilder, AuxTrackingPropagates) {
-  NetworkConfig c = small_config(2);
+  sim::EngineConfig c = small_config(2);
   c.track_aux = true;
   const auto nodes = make_gm_nodes({Vector{0.0, 0.0}, Vector{1.0, 1.0}}, c);
   ASSERT_TRUE(nodes[1].classification()[0].aux.has_value());

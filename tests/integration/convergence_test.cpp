@@ -28,7 +28,6 @@ namespace {
 
 using gossip::CentroidNode;
 using gossip::GmNode;
-using gossip::NetworkConfig;
 using linalg::Vector;
 using sim::RoundRunner;
 using sim::Topology;
@@ -49,13 +48,13 @@ std::vector<Vector> two_cluster_inputs(std::size_t n, stats::Rng& rng) {
   return inputs;
 }
 
-NetworkConfig config_with(std::size_t k, bool track_aux = false,
-                          std::uint64_t seed = 17) {
-  NetworkConfig c;
+sim::EngineConfig config_with(std::size_t k, bool track_aux = false,
+                              std::uint64_t seed = 17) {
+  sim::EngineConfig c;
   c.k = k;
   c.quanta_per_unit = std::int64_t{1} << 20;
   c.track_aux = track_aux;
-  c.seed = seed;
+  c.protocol_seed = seed;
   return c;
 }
 
@@ -143,7 +142,7 @@ TEST_P(TopologyConvergenceTest, CentroidNodesConvergeEverywhere) {
   // every deg(center) rounds, shrinking it ~2¹⁵× between refills; the
   // quantum must be fine enough that such a collection still holds many
   // quanta (the paper's q ≪ 1/n assumption, taken seriously).
-  NetworkConfig config = config_with(2);
+  sim::EngineConfig config = config_with(2);
   config.quanta_per_unit = std::int64_t{1} << 40;
   RoundRunner<CentroidNode> runner(
       std::move(topology), gossip::make_centroid_nodes(inputs, config),
@@ -175,7 +174,7 @@ TEST(Conservation, QuantaExactlyConservedForManyRounds) {
   stats::Rng rng(404);
   const std::size_t n = 24;
   const auto inputs = two_cluster_inputs(n, rng);
-  const NetworkConfig config = config_with(3);
+  const sim::EngineConfig config = config_with(3);
   RoundRunner<CentroidNode> runner(
       Topology::erdos_renyi(n, 0.3, rng),
       gossip::make_centroid_nodes(inputs, config));
@@ -193,7 +192,7 @@ TEST(Conservation, HoldsAtMinimalQuantization) {
   // violated); the protocol must still conserve weight and keep running —
   // only the paper's quality guarantees are off the table.
   stats::Rng rng(405);
-  NetworkConfig config = config_with(2);
+  sim::EngineConfig config = config_with(2);
   config.quanta_per_unit = 4;
   const auto inputs = two_cluster_inputs(8, rng);
   RoundRunner<CentroidNode> runner(Topology::complete(8),

@@ -116,11 +116,11 @@ TEST_P(ScheduleFuzz, CentroidInvariantsHoldUnderArbitrarySchedules) {
   for (std::size_t i = 0; i < n; ++i) {
     inputs.push_back(Vector{rng.normal(i % 2 == 0 ? 0.0 : 50.0, 1.0)});
   }
-  gossip::NetworkConfig config;
+  sim::EngineConfig config;
   config.k = 2;
   config.quanta_per_unit = 1 << 10;  // coarse on purpose: stress rounding
   config.track_aux = true;
-  config.seed = GetParam();
+  config.protocol_seed = GetParam();
   FuzzHarness<summaries::CentroidPolicy, gossip::CentroidNode> harness(
       gossip::make_centroid_nodes(inputs, config), inputs,
       config.quanta_per_unit, GetParam() + 1);
@@ -135,11 +135,11 @@ TEST_P(ScheduleFuzz, GaussianInvariantsHoldUnderArbitrarySchedules) {
     inputs.push_back(Vector{rng.normal(i % 2 == 0 ? 0.0 : 20.0, 1.0),
                             rng.normal()});
   }
-  gossip::NetworkConfig config;
+  sim::EngineConfig config;
   config.k = 3;
   config.quanta_per_unit = 1 << 12;
   config.track_aux = true;
-  config.seed = GetParam();
+  config.protocol_seed = GetParam();
   FuzzHarness<summaries::GaussianPolicy, gossip::GmNode> harness(
       gossip::make_gm_nodes(inputs, config), inputs, config.quanta_per_unit,
       GetParam() + 7);

@@ -24,10 +24,10 @@ TEST(FaultInvariants, Lemma1HoldsPerCollectionDespiteMessageLoss) {
   for (std::size_t i = 0; i < n; ++i) {
     inputs.push_back(Vector{rng.normal(i % 2 == 0 ? 0.0 : 30.0, 1.0)});
   }
-  gossip::NetworkConfig config;
+  sim::EngineConfig config;
   config.k = 2;
   config.track_aux = true;
-  config.seed = 901;
+  config.protocol_seed = 901;
   sim::RoundRunnerOptions options;
   options.message_loss_probability = 0.2;
   options.seed = 902;
@@ -60,9 +60,9 @@ TEST(FaultInvariants, GmWithKOneDegeneratesToAverageAggregation) {
     inputs.push_back(Vector{rng.uniform(-5.0, 5.0), rng.uniform(0.0, 9.0)});
     truth += inputs.back() / static_cast<double>(n);
   }
-  gossip::NetworkConfig config;
+  sim::EngineConfig config;
   config.k = 1;
-  config.seed = 903;
+  config.protocol_seed = 903;
   sim::RoundRunner<gossip::GmNode> runner(
       sim::Topology::complete(n), gossip::make_gm_nodes(inputs, config));
   runner.run_rounds(60);

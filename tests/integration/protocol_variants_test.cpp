@@ -62,9 +62,9 @@ TEST(PushPullPattern, ClassifierConservesWeightExactly) {
   for (std::size_t i = 0; i < n; ++i) {
     inputs.push_back(Vector{rng.normal(i % 2 == 0 ? 0.0 : 60.0, 1.0)});
   }
-  gossip::NetworkConfig config;
+  sim::EngineConfig config;
   config.k = 2;
-  config.seed = 702;
+  config.protocol_seed = 702;
   sim::RoundRunnerOptions options;
   options.pattern = sim::GossipPattern::push_pull;
   options.seed = 703;
@@ -89,9 +89,9 @@ TEST(DropAtCrashedPolicy, SurvivorsLoseWeightButKeepValidState) {
   for (std::size_t i = 0; i < n; ++i) {
     inputs.push_back(Vector{rng.normal(i % 2 == 0 ? 0.0 : 60.0, 1.0)});
   }
-  gossip::NetworkConfig config;
+  sim::EngineConfig config;
   config.k = 2;
-  config.seed = 704;
+  config.protocol_seed = 704;
   sim::RoundRunnerOptions options;
   options.crash_probability = 0.05;
   options.crash_send_policy = sim::CrashSendPolicy::drop_at_crashed;
@@ -115,7 +115,7 @@ TEST(DropAtCrashedPolicy, SurvivorsLoseWeightButKeepValidState) {
 }
 
 TEST(NetworkBuilder, NodeOptionsPropagateAllFields) {
-  gossip::NetworkConfig config;
+  sim::EngineConfig config;
   config.k = 5;
   config.quanta_per_unit = 4096;
   config.track_aux = true;

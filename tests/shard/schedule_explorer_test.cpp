@@ -166,7 +166,7 @@ sim::EngineConfig cell_config(const Cell& cell) {
   config.k = 2;
   config.protocol_seed = cell.seed + 100;
   config.seed = cell.seed + 200;
-  config.faults.message_loss_probability = cell.loss;
+  config.message_loss_probability = cell.loss;
   return config;
 }
 

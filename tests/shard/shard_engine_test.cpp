@@ -15,15 +15,20 @@
 //      stateless hash of (seed, round, leg, initiator), so the shards,
 //      the object engine and the SoA engine reach the same verdict for
 //      every message. A push-pull + crash + loss cell also pins
-//      RoundRunner ≡ SoaRoundEngine ≡ ShardCluster(4). See DESIGN.md
+//      RoundRunner ≡ SoaRoundEngine ≡ ShardCluster(4), and a GM cell
+//      with degenerate (all-zero) covariances pins the same three-way
+//      identity plus exact weight conservation. See DESIGN.md
 //      "Sharded cluster engine".
 //
 // A 2-shard × 512-node smoke keeps the batching claim honest (mean
 // messages per frame > 1) and doubles as the CI multi-shard gate.
 #include <ddc/shard/factories.hpp>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -109,7 +114,7 @@ TEST(ShardEquivalence, CentroidMatrix) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     for (const double loss : {0.0, 0.1}) {
       sim::EngineConfig config = base_config(kCentroidNodes, seed);
-      config.faults.message_loss_probability = loss;
+      config.message_loss_probability = loss;
       const auto inputs = bimodal_inputs(kCentroidNodes, seed);
       const auto topology = sim::Topology::complete(kCentroidNodes);
 
@@ -145,7 +150,7 @@ TEST(ShardEquivalence, GmMatrix) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     for (const double loss : {0.0, 0.1}) {
       sim::EngineConfig config = base_config(kGmNodes, seed);
-      config.faults.message_loss_probability = loss;
+      config.message_loss_probability = loss;
       const auto inputs = bimodal_inputs(kGmNodes, seed);
       const auto topology = sim::Topology::complete(kGmNodes);
 
@@ -179,15 +184,14 @@ TEST(ShardEquivalence, LossyPushPullWithCrashesMatchesEveryEngine) {
   // every reply and every crash draw.
   sim::EngineConfig config = base_config(kCentroidNodes, 4);
   config.pattern = sim::GossipPattern::push_pull;
-  config.faults.crash_probability = 0.05;
-  config.faults.message_loss_probability = 0.1;
+  config.crash_probability = 0.05;
+  config.message_loss_probability = 0.1;
   const auto inputs = bimodal_inputs(kCentroidNodes, 4);
   const auto topology = sim::Topology::complete(kCentroidNodes);
 
   auto runner = gossip::make_centroid_round_runner(topology, inputs, config);
   runner.run_rounds(kRounds);
-  auto soa = gossip::make_centroid_scale_engine(
-      topology, inputs, gossip::network_config(config), config.round_options());
+  auto soa = gossip::make_centroid_scale_engine(topology, inputs, config);
   soa.run_rounds(kRounds);
   auto cluster = make_centroid_shard_cluster(topology, inputs, config, 4);
   cluster.run_rounds(kRounds);
@@ -200,6 +204,82 @@ TEST(ShardEquivalence, LossyPushPullWithCrashesMatchesEveryEngine) {
   EXPECT_EQ(soa_digest.hex(), reference);
   EXPECT_EQ(digest_cluster(cluster), reference);
   EXPECT_LT(runner.alive_count(), kCentroidNodes);  // crashes did fire
+}
+
+// Degenerate covariance, a failure path of the GM instantiation: when
+// every collection holds copies of one point, every summary's covariance
+// is exactly zero. EM, the partition and the merge must still agree
+// across the three round engines bit for bit, conserve weight, and keep
+// every mean on an input point.
+TEST(ShardEquivalence, GmDegenerateCovarianceMatchesEveryEngine) {
+  constexpr std::size_t kNodes = 64;
+  constexpr std::size_t kDegenerateRounds = 30;
+  const auto topology = sim::Topology::complete(kNodes);
+  for (const std::size_t d : {1, 2}) {
+    linalg::Vector a(d);
+    linalg::Vector b(d);
+    for (std::size_t c = 0; c < d; ++c) {
+      a[c] = 1.5 + static_cast<double>(c);
+      b[c] = -7.25 * static_cast<double>(c + 1);
+    }
+    for (const bool alternating : {false, true}) {
+      for (const double loss : {0.0, 0.1}) {
+        std::vector<linalg::Vector> points = {a};
+        if (alternating) points.push_back(b);
+        std::vector<linalg::Vector> inputs;
+        for (std::size_t i = 0; i < kNodes; ++i) {
+          inputs.push_back(points[i % points.size()]);
+        }
+        sim::EngineConfig config = base_config(kNodes, 9);
+        config.pattern = sim::GossipPattern::push_pull;
+        config.message_loss_probability = loss;
+        std::ostringstream label;
+        label << "d=" << d << " points=" << points.size() << " loss=" << loss;
+
+        auto runner = gossip::make_gm_round_runner(topology, inputs, config);
+        runner.run_rounds(kDegenerateRounds);
+        auto soa = gossip::make_gm_scale_engine(topology, inputs, config);
+        soa.run_rounds(kDegenerateRounds);
+        auto cluster = make_gm_shard_cluster(topology, inputs, config, 2);
+        cluster.run_rounds(kDegenerateRounds);
+
+        std::vector<std::vector<std::byte>> soa_bytes;
+        soa.for_each_classification([&](sim::NodeId, const auto& c) {
+          soa_bytes.push_back(wire::encode_classification(c));
+        });
+        std::int64_t quanta = 0;
+        double deviation = 0.0;
+        for (sim::NodeId i = 0; i < kNodes; ++i) {
+          const auto& reference = runner.nodes()[i].classification();
+          const auto bytes = wire::encode_classification(reference);
+          const auto& sharded = cluster.node(i).classification();
+          EXPECT_EQ(soa_bytes[i], bytes) << label.str() << ", node " << i;
+          EXPECT_EQ(wire::encode_classification(sharded), bytes)
+              << label.str() << ", node " << i;
+          quanta += reference.total_weight().quanta();
+          for (const auto& collection : reference) {
+            const stats::Gaussian& g = collection.summary;
+            double to_input = std::numeric_limits<double>::infinity();
+            for (const linalg::Vector& p : points) {
+              to_input = std::min(to_input, linalg::norm_inf(g.mean() - p));
+            }
+            deviation = std::max(deviation, to_input);
+            for (std::size_t r = 0; r < d; ++r) {
+              for (std::size_t c = 0; c < d; ++c) {
+                deviation = std::max(deviation, std::abs(g.cov()(r, c)));
+              }
+            }
+          }
+        }
+        const std::int64_t total =
+            static_cast<std::int64_t>(kNodes) * config.quanta_per_unit;
+        if (loss == 0.0) {
+          EXPECT_EQ(quanta, total) << label.str();
+        }
+        EXPECT_LE(deviation, 1e-12) << label.str();
+      }
+    }
+  }
 }
 
 TEST(ShardEquivalence, PatternsSelectionCrashesAndSparseTopologies) {
@@ -226,8 +306,8 @@ TEST(ShardEquivalence, PatternsSelectionCrashesAndSparseTopologies) {
       sim::EngineConfig config = base_config(120, 7);
       config.pattern = c.pattern;
       config.selection = c.selection;
-      config.faults.crash_probability = c.crash;
-      config.faults.crash_send_policy = c.policy;
+      config.crash_probability = c.crash;
+      config.crash_send_policy = c.policy;
       const auto inputs = bimodal_inputs(120, 7);
 
       auto mono = make_centroid_shard_cluster(topology, inputs, config, 1);
@@ -332,19 +412,15 @@ TEST(ShardFaults, SilentPeerTimesOutAndLaggardRejoins) {
   sim::EngineConfig config = base_config(kNodes, 5);
   const auto inputs = bimodal_inputs(kNodes, 5);
   const auto topology = sim::Topology::complete(kNodes);
-  const ShardMap map(kNodes, 2);
-  const auto net_config = gossip::network_config(config);
 
   net::LoopbackNetwork fabric(2);
-  ShardEngineOptions options = shard_options(config);
-  options.resend_interval_polls = 8;
-  options.max_exchange_polls = 64;
-  CentroidShardEngine e0(topology, map, 0,
-                         make_centroid_shard_nodes(inputs, net_config, map, 0),
-                         &fabric.endpoint(0), options);
-  CentroidShardEngine e1(topology, map, 1,
-                         make_centroid_shard_nodes(inputs, net_config, map, 1),
-                         &fabric.endpoint(1), options);
+  ShardEngineOptions exchange;
+  exchange.resend_interval_polls = 8;
+  exchange.max_exchange_polls = 64;
+  auto e0 = make_centroid_shard_engine(topology, inputs, config, 0, 2,
+                                       &fabric.endpoint(0), exchange);
+  auto e1 = make_centroid_shard_engine(topology, inputs, config, 1, 2,
+                                       &fabric.endpoint(1), exchange);
 
   // Round 0: healthy lockstep.
   const auto drive_both = [&] {

@@ -32,9 +32,9 @@ double run_and_measure(GossipPattern pattern, std::uint64_t seed,
   stats::Rng rng(seed);
   const std::size_t n = 16;
   const auto inputs = bimodal(n, rng);
-  gossip::NetworkConfig config;
+  sim::EngineConfig config;
   config.k = 2;
-  config.seed = seed;
+  config.protocol_seed = seed;
   AsyncRunner<gossip::CentroidNode> runner(
       Topology::ring(n), gossip::make_centroid_nodes(inputs, config),
       options_with(pattern, seed));
@@ -54,7 +54,7 @@ TEST(AsyncPatterns, PushPullConverges) {
 TEST(AsyncPatterns, PullRequestsAreCountedOnlyForPullModes) {
   stats::Rng rng(23);
   const auto inputs = bimodal(8, rng);
-  gossip::NetworkConfig config;
+  sim::EngineConfig config;
   config.k = 2;
 
   AsyncRunner<gossip::CentroidNode> push(
@@ -76,7 +76,7 @@ TEST(AsyncPatterns, PullRequestsAreCountedOnlyForPullModes) {
 TEST(AsyncPatterns, PushPullMovesMoreDataPerTick) {
   stats::Rng rng(24);
   const auto inputs = bimodal(8, rng);
-  gossip::NetworkConfig config;
+  sim::EngineConfig config;
   config.k = 2;
 
   AsyncRunner<gossip::CentroidNode> push(
@@ -94,7 +94,7 @@ TEST(AsyncPatterns, WeightConservedUnderPullOnceQuiescent) {
   stats::Rng rng(25);
   const std::size_t n = 10;
   const auto inputs = bimodal(n, rng);
-  gossip::NetworkConfig config;
+  sim::EngineConfig config;
   config.k = 2;
   AsyncRunnerOptions options = options_with(GossipPattern::pull, 25);
   options.max_delay = 0.1;  // short delays so quiescence is quick

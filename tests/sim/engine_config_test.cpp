@@ -64,9 +64,9 @@ TEST(EngineConfig, RoundOptionsSliceCarriesEverything) {
   config.selection = NeighborSelection::round_robin;
   config.pattern = GossipPattern::push_pull;
   config.seed = 99;
-  config.faults.crash_probability = 0.05;
-  config.faults.crash_send_policy = CrashSendPolicy::drop_at_crashed;
-  config.faults.message_loss_probability = 0.1;
+  config.crash_probability = 0.05;
+  config.crash_send_policy = CrashSendPolicy::drop_at_crashed;
+  config.message_loss_probability = 0.1;
   config.parallelism = 4;
 
   const RoundRunnerOptions round = config.round_options();
@@ -110,11 +110,11 @@ TEST(EngineConfig, ValidateRejectsBadValues) {
   EXPECT_THROW(bad.validate(), ConfigError);
 
   bad = config;
-  bad.faults.crash_probability = 1.5;
+  bad.crash_probability = 1.5;
   EXPECT_THROW(bad.validate(), ConfigError);
 
   bad = config;
-  bad.faults.message_loss_probability = -0.1;
+  bad.message_loss_probability = -0.1;
   EXPECT_THROW(bad.validate(), ConfigError);
 
   bad = config;

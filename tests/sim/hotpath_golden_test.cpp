@@ -78,39 +78,37 @@ constexpr double kAsyncHorizon = 20.0;
 std::string round_digest(const std::string& protocol, std::uint64_t seed,
                          double loss) {
   const auto inputs = bimodal_inputs(kNodes, seed);
-  gossip::NetworkConfig net;
-  net.k = 2;
-  net.seed = seed + 100;
-  RoundRunnerOptions options;
-  options.seed = seed + 200;
-  options.message_loss_probability = loss;
+  EngineConfig config;
+  config.k = 2;
+  config.protocol_seed = seed + 100;
+  config.seed = seed + 200;
+  config.message_loss_probability = loss;
   if (protocol == "gm") {
-    auto runner = make_gm_round_runner(Topology::complete(kNodes), inputs, net,
-                                       options);
+    auto runner = gossip::make_gm_round_runner(Topology::complete(kNodes),
+                                               inputs, config);
     runner.run_rounds(kRounds);
     return digest_nodes(runner);
   }
-  auto runner = make_centroid_round_runner(Topology::complete(kNodes), inputs,
-                                           net, options);
+  auto runner = gossip::make_centroid_round_runner(Topology::complete(kNodes),
+                                                   inputs, config);
   runner.run_rounds(kRounds);
   return digest_nodes(runner);
 }
 
 std::string async_digest(const std::string& protocol, std::uint64_t seed) {
   const auto inputs = bimodal_inputs(kNodes, seed);
-  gossip::NetworkConfig net;
-  net.k = 2;
-  net.seed = seed + 100;
-  AsyncRunnerOptions options;
-  options.seed = seed + 200;
+  EngineConfig config;
+  config.k = 2;
+  config.protocol_seed = seed + 100;
+  config.seed = seed + 200;
   if (protocol == "gm") {
-    auto runner = make_gm_async_runner(Topology::complete(kNodes), inputs, net,
-                                       options);
+    auto runner = gossip::make_gm_async_runner(Topology::complete(kNodes),
+                                               inputs, config);
     runner.run_until(kAsyncHorizon);
     return digest_nodes(runner);
   }
-  auto runner = make_centroid_async_runner(Topology::complete(kNodes), inputs,
-                                           net, options);
+  auto runner = gossip::make_centroid_async_runner(Topology::complete(kNodes),
+                                                   inputs, config);
   runner.run_until(kAsyncHorizon);
   return digest_nodes(runner);
 }

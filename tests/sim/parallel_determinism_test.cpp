@@ -57,19 +57,18 @@ RunResult run_gm(const FaultConfig& config, std::size_t parallelism) {
         i % 2 == 0 ? rng.normal(0.0, 1.0) : rng.normal(30.0, 2.0),
         rng.normal(0.0, 1.0)});
   }
-  gossip::NetworkConfig net;
-  net.k = 2;
-  net.seed = 8;
-  RoundRunnerOptions options;
-  options.pattern = config.pattern;
-  options.selection = config.selection;
-  options.crash_probability = config.crash_probability;
-  options.message_loss_probability = config.loss_probability;
-  options.seed = 9;
-  options.parallelism = parallelism;
+  EngineConfig engine;
+  engine.k = 2;
+  engine.protocol_seed = 8;
+  engine.pattern = config.pattern;
+  engine.selection = config.selection;
+  engine.crash_probability = config.crash_probability;
+  engine.message_loss_probability = config.loss_probability;
+  engine.seed = 9;
+  engine.parallelism = parallelism;
 
-  auto runner = make_gm_round_runner(Topology::complete(n), inputs, net,
-                                     options);
+  auto runner =
+      gossip::make_gm_round_runner(Topology::complete(n), inputs, engine);
   TraceRecorder trace;
   runner.set_trace(&trace);
   runner.run_rounds(25);

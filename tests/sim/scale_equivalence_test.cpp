@@ -11,9 +11,10 @@
 //      struct-of-arrays pools, message arena, pool split and receive and
 //      scratch-classifier rehydration must not change a single mantissa
 //      bit relative to one-object-per-node execution.
-//   2. EngineConfig-built classic runners ≡ hand-assembled classic
-//      runners, for both {round, async} modes — the unified config
-//      object is a pure re-expression, not a new code path.
+//   2. Each factory's classic runner ≡ the same engine constructed
+//      directly (RoundRunner / AsyncRunner over gossip::make_*_nodes,
+//      runner options spelled out field by field), for both {round,
+//      async} modes — a factory is pure assembly, not a new code path.
 //   3. The streaming metrics equal their materializing counterparts.
 //
 // A 100k-node smoke test keeps the scale path honest under the normal
@@ -99,39 +100,39 @@ EngineConfig base_config(std::size_t nodes, std::uint64_t seed) {
   return config;
 }
 
-/// Classic runner assembled the historical way (NetworkConfig + options
-/// structs) — the reference the facade and the scale engine must match.
-template <typename Factory>
-std::string classic_round_digest(Factory&& factory, std::size_t nodes,
-                                 const EngineConfig& config) {
-  const auto inputs = bimodal_inputs(nodes, config.protocol_seed - 100);
-  gossip::NetworkConfig net;
-  net.k = config.k;
-  net.quanta_per_unit = config.quanta_per_unit;
-  net.seed = config.protocol_seed;
-  auto runner =
-      factory(Topology::complete(nodes), inputs, net, config.round_options());
+/// RoundRunner constructed directly over `nodes` on the complete graph,
+/// its options copied field by field from `config` — the reference the
+/// factories and the scale engine must match.
+template <typename Node>
+std::string direct_round_digest(std::vector<Node> nodes,
+                                const EngineConfig& config) {
+  RoundRunnerOptions options;
+  options.selection = config.selection;
+  options.pattern = config.pattern;
+  options.seed = config.seed;
+  options.crash_probability = config.crash_probability;
+  options.crash_send_policy = config.crash_send_policy;
+  options.message_loss_probability = config.message_loss_probability;
+  options.parallelism = config.parallelism;
+  Topology topology = Topology::complete(nodes.size());
+  RoundRunner<Node> runner(std::move(topology), std::move(nodes), options);
   runner.run_rounds(kRounds);
   return digest_nodes(runner);
 }
 
 // ---------------------------------------------------------------------------
-// Contract 1+2 (round mode): classic hand-built ≡ classic via
-// EngineConfig ≡ SoaRoundEngine, 3 seeds × {lossless, loss 0.1}.
+// Contract 1+2 (round mode): directly constructed ≡ factory-built
+// RoundRunner ≡ SoaRoundEngine, 3 seeds × {lossless, loss 0.1}.
 // ---------------------------------------------------------------------------
 
 TEST(ScaleEquivalence, CentroidRoundBitIdentical) {
   for (const std::uint64_t seed : {1, 2, 3}) {
     for (const double loss : {0.0, 0.1}) {
       EngineConfig config = base_config(kCentroidNodes, seed);
-      config.faults.message_loss_probability = loss;
+      config.message_loss_probability = loss;
       const auto inputs = bimodal_inputs(kCentroidNodes, seed);
-      const std::string classic = classic_round_digest(
-          [](Topology t, const auto& in, const auto& net, const auto& opt) {
-            return gossip::make_centroid_round_runner(std::move(t), in, net,
-                                                      opt);
-          },
-          kCentroidNodes, config);
+      auto nodes = gossip::make_centroid_nodes(inputs, config);
+      const std::string classic = direct_round_digest(std::move(nodes), config);
 
       auto via_config = gossip::make_centroid_round_runner(
           Topology::complete(kCentroidNodes), inputs, config);
@@ -153,13 +154,10 @@ TEST(ScaleEquivalence, GmRoundBitIdentical) {
   for (const std::uint64_t seed : {1, 2, 3}) {
     for (const double loss : {0.0, 0.1}) {
       EngineConfig config = base_config(kGmNodes, seed);
-      config.faults.message_loss_probability = loss;
+      config.message_loss_probability = loss;
       const auto inputs = bimodal_inputs(kGmNodes, seed);
-      const std::string classic = classic_round_digest(
-          [](Topology t, const auto& in, const auto& net, const auto& opt) {
-            return gossip::make_gm_round_runner(std::move(t), in, net, opt);
-          },
-          kGmNodes, config);
+      auto nodes = gossip::make_gm_nodes(inputs, config);
+      const std::string classic = direct_round_digest(std::move(nodes), config);
 
       auto via_config = gossip::make_gm_round_runner(
           Topology::complete(kGmNodes), inputs, config);
@@ -178,7 +176,8 @@ TEST(ScaleEquivalence, GmRoundBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Contract 2 (async mode): EngineConfig facade ≡ hand-built AsyncRunner.
+// Contract 2 (async mode): factory-built ≡ directly constructed
+// AsyncRunner.
 // ---------------------------------------------------------------------------
 
 TEST(ScaleEquivalence, AsyncFacadeBitIdentical) {
@@ -188,16 +187,15 @@ TEST(ScaleEquivalence, AsyncFacadeBitIdentical) {
     config.mode = EngineMode::async;
     const auto inputs = bimodal_inputs(kGmNodes, seed);
 
-    gossip::NetworkConfig net;
-    net.k = config.k;
-    net.seed = config.protocol_seed;
     AsyncRunnerOptions options;
-    static_cast<CommonRunnerOptions&>(options) =
-        static_cast<const CommonRunnerOptions&>(config);
+    options.selection = config.selection;
+    options.pattern = config.pattern;
+    options.seed = config.seed;
 
     {
-      auto classic = gossip::make_gm_async_runner(Topology::complete(kGmNodes),
-                                                  inputs, net, options);
+      AsyncRunner<gossip::GmNode> classic(Topology::complete(kGmNodes),
+                                          gossip::make_gm_nodes(inputs, config),
+                                          options);
       classic.run_until(kHorizon);
       auto facade = gossip::make_gm_async_runner(Topology::complete(kGmNodes),
                                                  inputs, config);
@@ -205,8 +203,9 @@ TEST(ScaleEquivalence, AsyncFacadeBitIdentical) {
       EXPECT_EQ(digest_nodes(classic), digest_nodes(facade)) << "gm " << seed;
     }
     {
-      auto classic = gossip::make_centroid_async_runner(
-          Topology::complete(kGmNodes), inputs, net, options);
+      AsyncRunner<gossip::CentroidNode> classic(
+          Topology::complete(kGmNodes),
+          gossip::make_centroid_nodes(inputs, config), options);
       classic.run_until(kHorizon);
       auto facade = gossip::make_centroid_async_runner(
           Topology::complete(kGmNodes), inputs, config);
@@ -291,8 +290,8 @@ TEST(ScaleEquivalence, CrashModels) {
   for (const CrashSendPolicy policy :
        {CrashSendPolicy::avoid_crashed, CrashSendPolicy::drop_at_crashed}) {
     EngineConfig config = base_config(kCentroidNodes, 5);
-    config.faults.crash_probability = 0.05;
-    config.faults.crash_send_policy = policy;
+    config.crash_probability = 0.05;
+    config.crash_send_policy = policy;
     config.pattern = GossipPattern::push_pull;
     expect_round_equivalence(Topology::complete(kCentroidNodes), inputs,
                              config,

@@ -58,10 +58,10 @@ struct Counts {
 void check_case(stats::Rng& rng, std::size_t d, std::size_t k,
                 Protocol::PoolScratch& scratch, Counts& counts,
                 const std::string& label) {
-  NetworkConfig net;
-  net.k = k;
-  net.quanta_per_unit = kQuanta;
-  const Protocol protocol(d, net);
+  sim::EngineConfig config;
+  config.k = k;
+  config.quanta_per_unit = kQuanta;
+  const Protocol protocol(d, config);
 
   core::ClassifierOptions options;
   options.k = k;
@@ -145,10 +145,10 @@ TEST(SoaPoolReceive, MatchesGenericClassifierBitForBit) {
 /// re-home and merge counters must agree with the classifier's.
 TEST(SoaPoolReceive, CountsMatchGenericClassifier) {
   for (std::size_t k = 1; k <= 3; ++k) {
-    NetworkConfig net;
-    net.k = k;
-    net.quanta_per_unit = kQuanta;
-    const Protocol protocol(2, net);
+    sim::EngineConfig config;
+    config.k = k;
+    config.quanta_per_unit = kQuanta;
+    const Protocol protocol(2, config);
     core::ClassifierOptions options;
     options.k = k;
     options.quanta_per_unit = kQuanta;

@@ -311,7 +311,8 @@ int main(int argc, char** argv) {
       }
       return run_classifier<ddc::summaries::GaussianPolicy>(
           tool,
-          ddc::sim::make_gm_round_runner(std::move(topology), inputs, config),
+          ddc::gossip::make_gm_round_runner(std::move(topology), inputs,
+                                            config),
           print, mean);
     }
     if (tool.protocol == "centroid") {
@@ -326,13 +327,13 @@ int main(int argc, char** argv) {
       }
       return run_classifier<ddc::summaries::CentroidPolicy>(
           tool,
-          ddc::sim::make_centroid_round_runner(std::move(topology), inputs,
-                                               config),
+          ddc::gossip::make_centroid_round_runner(std::move(topology), inputs,
+                                                  config),
           print, mean);
     }
     if (tool.protocol == "pushsum") {
       return run_push_sum(tool,
-                          ddc::sim::make_push_sum_round_runner(
+                          ddc::gossip::make_push_sum_round_runner(
                               std::move(topology), inputs, config),
                           inputs);
     }
