@@ -34,10 +34,9 @@
 #                  (cluster_multishard_smoke drives sanitized ddcnode
 #                  shard processes).
 #   8. SIMD tiers  a dedicated -mavx2 build runs the kernel-equivalence
-#                  and batched-scorer suites (the lanewise AVX2 kernel
-#                  must be bit-identical to the scalar reference; the
-#                  fast-math tier must sit inside its documented error
-#                  bound), then the same binaries rerun with
+#                  and batched-scorer suites (the lanewise AVX2 kernels
+#                  must be bit-identical to the scalar reference), then
+#                  the same binaries rerun with
 #                  DDC_SIMD=scalar — including the sim golden digests —
 #                  and a ddcsim cross-mode run asserts --simd=auto and
 #                  --simd=scalar produce byte-identical RESULT lines.
@@ -144,8 +143,8 @@ cmake --build "$SIMD_DIR" --target linalg_tests stats_tests sim_tests ddcsim \
   -j "$(nproc)"
 
 # AVX2 leg: kernel equivalence + batched scorer suites with the AVX2 TU
-# guaranteed in the binary. The lanewise-vs-scalar bit-identity and
-# fast-math error-bound tests skip themselves on non-AVX2 CPUs.
+# guaranteed in the binary. The lanewise-vs-scalar bit-identity tests
+# skip themselves on non-AVX2 CPUs.
 "$SIMD_DIR"/tests/linalg_tests
 "$SIMD_DIR"/tests/stats_tests
 

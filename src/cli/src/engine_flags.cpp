@@ -92,9 +92,7 @@ void declare_engine_flags(Flags& flags, const sim::EngineConfig& defaults,
   if (set.simd) {
     flags.declare("simd",
                   "math-kernel dispatch: auto (bit-exact SIMD when the CPU "
-                  "supports it) | scalar (reference kernels) | avx2 (require "
-                  "AVX2 and enable the fast-math scoring tier — results may "
-                  "differ in the last ulps)",
+                  "supports it) | scalar (reference kernels)",
                   linalg::simd::mode_name(defaults.simd));
   }
   if (set.timing) {
@@ -154,7 +152,7 @@ sim::EngineConfig parse_engine_config(const Flags& flags,
     const auto mode = linalg::simd::parse_mode(name);
     if (!mode) {
       throw ConfigError("unknown simd mode '" + name +
-                        "' (auto | scalar | avx2)");
+                        "' (auto | scalar)");
     }
     config.simd = *mode;
   }

@@ -223,9 +223,9 @@ class GenericClassifier {
   }
 
   /// Mutable access to the classification, for LOADING externally held
-  /// state (the scale engine keeps node state in struct-of-arrays pools
-  /// and rehydrates a scratch classifier per node). The caller owns the
-  /// invariants while mutating: positive weights, size within [1, k].
+  /// state (the differential tests seed a node's collections directly).
+  /// The caller owns the invariants while mutating: positive weights,
+  /// size within [1, k].
   [[nodiscard]] Classification<Summary>& mutable_classification() noexcept {
     return classification_;
   }
@@ -240,10 +240,6 @@ class GenericClassifier {
   [[nodiscard]] const PP& partition_policy() const noexcept {
     return partition_policy_;
   }
-
-  /// Mutable policy access, for swapping per-node policy state (e.g. the
-  /// EM policy's RNG) in and out of a scratch classifier.
-  [[nodiscard]] PP& partition_policy() noexcept { return partition_policy_; }
 
  private:
   /// Runs the policy and enforces the structural constraints of

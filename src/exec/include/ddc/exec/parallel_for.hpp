@@ -55,7 +55,7 @@ namespace ddc::exec {
 /// rethrown); additionally each chunk index is used by exactly one call,
 /// so per-chunk scratch state (indexed by `chunk`) needs no
 /// synchronization. The scale engine uses this to give each chunk its own
-/// scratch classifier.
+/// receive scratch.
 template <typename ChunkBody>
 void parallel_for_chunks(ThreadPool* pool, std::size_t count,
                          ChunkBody&& body) {

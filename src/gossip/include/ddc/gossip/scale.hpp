@@ -3,10 +3,9 @@
 // SoaRoundEngine (src/sim) is protocol-agnostic: it stores node state in
 // flat pools and splits on them directly. This header supplies what it
 // cannot know — how one protocol's summary embeds into a fixed number of
-// doubles, how that protocol receives (on the packed rows for centroids,
-// through a rehydrated scratch classifier for GM), and how per-node
-// policy state (the GM EM restart stream) persists across rounds — plus
-// the factories that assemble a ready-to-run engine from an EngineConfig:
+// doubles, and how that protocol receives on the packed rows the engine
+// gathers (receive_rows: Algorithm 1's receive, bit for bit) — plus the
+// factories that assemble a ready-to-run engine from an EngineConfig:
 //
 //   auto engine = ddc::gossip::make_centroid_scale_engine(
 //       ddc::sim::Topology::grid(1000, 1000, false), inputs, config);
@@ -22,7 +21,9 @@
 #include <vector>
 
 #include <ddc/common/assert.hpp>
+#include <ddc/common/timing.hpp>
 #include <ddc/core/classifier.hpp>
+#include <ddc/em/mixture_reduction.hpp>
 #include <ddc/gossip/classifier_node.hpp>
 #include <ddc/gossip/network.hpp>
 #include <ddc/linalg/kernels.hpp>
@@ -31,23 +32,21 @@
 #include <ddc/sim/engine_config.hpp>
 #include <ddc/sim/scale_engine.hpp>
 #include <ddc/stats/gaussian.hpp>
+#include <ddc/stats/mixture.hpp>
 #include <ddc/stats/rng.hpp>
 
 namespace ddc::gossip {
 
 /// SoA embedding of the centroid protocol (Algorithm 2): a summary is its
-/// centroid, packed as d doubles. Because that row is a plain Euclidean
-/// point, the whole receive runs on the engine's packed rows
-/// (receive_rows) — no classifier is rehydrated, and a chunk's scratch
-/// stops allocating once it has seen its largest inbox. The greedy
-/// partition policy is stateless, so no per-node RNG pool is kept.
+/// centroid, packed as d doubles. That row is a plain Euclidean point, so
+/// the partition itself runs on the packed rows too, and a chunk's
+/// scratch stops allocating once it has seen its largest inbox.
 class CentroidScaleProtocol {
  public:
   using SummaryPolicy = summaries::CentroidPolicy;
   using Partition = partition::GreedyDistancePartition<SummaryPolicy>;
   using Classifier = core::GenericClassifier<SummaryPolicy, Partition>;
   using Summary = linalg::Vector;
-  static constexpr bool has_node_rng = false;
 
   /// One parallel chunk's scratch for receive_rows. The engine gathers a
   /// receiver's collections into `rows` / `quanta`; everything else is
@@ -147,26 +146,41 @@ class CentroidScaleProtocol {
 };
 
 /// SoA embedding of the GM protocol (Section 5): a summary is ⟨µ, Σ⟩,
-/// packed as d + d² doubles (mean, then covariance row-major). The EM
-/// partition policy carries each node's restart RNG, persisted in the
-/// engine's per-node stream pool and swapped into the scratch classifier
-/// around every receive — so node i's EM draws follow the same stream
-/// the object engine's dedicated EmPartition instance would consume.
+/// packed as d + d² doubles (mean, then covariance row-major). The
+/// receive runs on the engine's gathered rows like the centroid
+/// binding's: the rows are unpacked into Gaussians once, reduced with the
+/// same em::reduce_em call EmPartition::partition makes, and the ≤ k
+/// merged results are packed straight back into the pools.
 class GmScaleProtocol {
  public:
   using SummaryPolicy = summaries::GaussianPolicy;
   using Partition = partition::EmPartition;
   using Classifier = core::GenericClassifier<SummaryPolicy, Partition>;
   using Summary = stats::Gaussian;
-  static constexpr bool has_node_rng = true;
 
-  GmScaleProtocol(std::size_t dim, std::size_t num_nodes,
-                  const sim::EngineConfig& config,
-                  const em::ReductionOptions& reduction = {})
-      : dim_(dim),
-        num_nodes_(num_nodes),
-        config_(config),
-        reduction_(reduction) {
+  /// The EM options of every receive — make_gm_node's default. A single
+  /// restart is seeded by the maximin traversal and never draws from the
+  /// RNG, which is why one scratch stream can stand in for the object
+  /// engine's per-node streams.
+  static constexpr em::ReductionOptions kReduction{};
+  static_assert(kReduction.restarts == 1,
+                "extra EM restarts draw from a per-node stream");
+
+  /// One parallel chunk's scratch for receive_rows (see
+  /// CentroidScaleProtocol::PoolScratch). `rng` is handed to reduce_em
+  /// but never drawn from (kReduction).
+  struct alignas(64) PoolScratch {
+    std::vector<double> rows;          // m × (d + d²) gathered summaries
+    std::vector<std::int64_t> quanta;  // their weights
+    std::vector<core::WeightedSummary<Summary>> parts;  // one group's merge
+    std::vector<bool> seen;  // is_valid_grouping's marks
+    stats::Rng rng{0};
+    core::ClassifierStats stats;
+    double em_seconds = 0.0;  // EmPartition::em_seconds' counterpart
+  };
+
+  GmScaleProtocol(std::size_t dim, const sim::EngineConfig& config)
+      : dim_(dim), config_(config) {
     DDC_EXPECTS(dim_ >= 1);
   }
 
@@ -176,24 +190,6 @@ class GmScaleProtocol {
   }
   [[nodiscard]] std::size_t summary_doubles() const noexcept {
     return dim_ + dim_ * dim_;
-  }
-
-  [[nodiscard]] Classifier make_scratch() const {
-    // Seed value is irrelevant: the engine swaps the per-node stream in
-    // before any draw happens.
-    return Classifier(linalg::Vector(dim_),
-                      partition::EmPartition(stats::Rng(0), reduction_),
-                      node_options(config_, 0, num_nodes_));
-  }
-
-  /// Per-node restart stream — same derivation as make_gm_node, so the
-  /// engines are interchangeable on a given seed.
-  [[nodiscard]] stats::Rng initial_rng(sim::NodeId i) const {
-    return stats::Rng::derive(config_.protocol_seed, i);
-  }
-
-  [[nodiscard]] static stats::Rng& node_rng(Classifier& classifier) {
-    return classifier.partition_policy().rng();
   }
 
   void pack(const Summary& summary, double* out) const {
@@ -216,11 +212,70 @@ class GmScaleProtocol {
     return stats::Gaussian(std::move(mean), std::move(cov));
   }
 
+  /// GenericClassifier<GaussianPolicy, EmPartition>::receive on packed
+  /// rows, bit for bit: the m collections in s.rows / s.quanta (receive's
+  /// union order) become the input mixture of reduce_em, the grouping is
+  /// checked and repaired by core::group_collections (re-home distance:
+  /// GaussianPolicy::distance, i.e. distance2 on the mean part of the
+  /// rows), singleton groups keep their rows verbatim and the rest merge
+  /// with GaussianPolicy::merge_set. Writes the ≤ k results to out_rows /
+  /// out_quanta, which must not alias s, and returns their count.
+  [[nodiscard]] std::size_t receive_rows(PoolScratch& s, std::size_t m,
+                                         double* out_rows,
+                                         std::int64_t* out_quanta) const {
+    const std::size_t d = dim_;
+    const std::size_t sd = summary_doubles();
+    const double* const rows = s.rows.data();
+    const std::int64_t* const quanta = s.quanta.data();
+    const auto row = [rows, sd](std::size_t j) { return rows + j * sd; };
+    ++s.stats.receives;
+
+    core::Grouping groups;
+    stats::GaussianMixture mixture;
+    const std::size_t count = core::group_collections(
+        groups, m, config_.k, s.seen, s.stats,
+        [&] {
+          for (std::size_t j = 0; j < m; ++j) {
+            mixture.add({static_cast<double>(quanta[j]), unpack(row(j))});
+          }
+          timed_phase(s.em_seconds, [&] {
+            groups = em::reduce_em(mixture, config_.k, s.rng, kReduction)
+                         .groups;
+          });
+          return groups.size();
+        },
+        [quanta](std::size_t j) { return quanta[j] == 1; },
+        [&](std::size_t a, std::size_t b) {
+          return linalg::kernels::dispatch_dim(d, [&](auto dd) {
+            return linalg::kernels::distance2<dd()>(row(a), row(b), d);
+          });
+        });
+
+    // Algorithm 1, line 11, as GenericClassifier::merge_groups does it.
+    for (std::size_t g = 0; g < count; ++g) {
+      const std::vector<std::size_t>& group = groups[g];
+      double* const out = out_rows + g * sd;
+      if (group.size() == 1) {
+        std::copy_n(row(group.front()), sd, out);
+        out_quanta[g] = quanta[group.front()];
+        continue;
+      }
+      std::int64_t total = 0;
+      s.parts.clear();
+      for (const std::size_t j : group) {
+        total += quanta[j];
+        s.parts.push_back({mixture[j].gaussian, mixture[j].weight});
+      }
+      pack(SummaryPolicy::merge_set(s.parts), out);
+      out_quanta[g] = total;
+      s.stats.collections_merged += group.size();
+    }
+    return count;
+  }
+
  private:
   std::size_t dim_;
-  std::size_t num_nodes_;
   sim::EngineConfig config_;
-  em::ReductionOptions reduction_;
 };
 
 /// Centroid network on the SoA scale engine (the 10⁵–10⁶ node backend).
@@ -243,12 +298,10 @@ make_centroid_scale_engine(sim::Topology topology,
 [[nodiscard]] inline sim::SoaRoundEngine<GmScaleProtocol>
 make_gm_scale_engine(sim::Topology topology,
                      const std::vector<linalg::Vector>& inputs,
-                     const sim::EngineConfig& config = {},
-                     const em::ReductionOptions& reduction = {}) {
+                     const sim::EngineConfig& config = {}) {
   DDC_EXPECTS(!inputs.empty());
   DDC_EXPECTS(!config.track_aux);
-  GmScaleProtocol protocol(inputs.front().dim(), inputs.size(), config,
-                           reduction);
+  GmScaleProtocol protocol(inputs.front().dim(), config);
   return sim::SoaRoundEngine<GmScaleProtocol>(
       std::move(topology), std::move(protocol), config.round_options(),
       [&inputs](sim::NodeId i) {

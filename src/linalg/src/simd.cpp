@@ -5,8 +5,6 @@
 #include <mutex>
 #include <string>
 
-#include <ddc/common/error.hpp>
-
 #include "simd_kernels.hpp"
 
 namespace ddc::linalg::simd {
@@ -31,7 +29,6 @@ void distance_batch_scalar(const double* a, const double* bs,
 }
 
 std::atomic<Tier> g_tier{Tier::scalar};
-std::atomic<bool> g_fast_math{false};
 std::once_flag g_env_default_once;
 
 bool avx2_available() noexcept {
@@ -40,33 +37,17 @@ bool avx2_available() noexcept {
 
 /// Applies a mode that is already known to be satisfiable.
 void apply(Mode mode) noexcept {
-  switch (mode) {
-    case Mode::scalar:
-      g_tier.store(Tier::scalar, std::memory_order_relaxed);
-      g_fast_math.store(false, std::memory_order_relaxed);
-      break;
-    case Mode::avx2:
-      g_tier.store(Tier::avx2, std::memory_order_relaxed);
-      g_fast_math.store(true, std::memory_order_relaxed);
-      break;
-    case Mode::auto_detect:
-      g_tier.store(avx2_available() ? Tier::avx2 : Tier::scalar,
-                   std::memory_order_relaxed);
-      g_fast_math.store(false, std::memory_order_relaxed);
-      break;
-  }
+  const bool avx2 = mode == Mode::auto_detect && avx2_available();
+  g_tier.store(avx2 ? Tier::avx2 : Tier::scalar, std::memory_order_relaxed);
 }
 
 /// The DDC_SIMD environment variable is a soft default: read once,
-/// unrecognized values mean auto, and an avx2 request on a host without
-/// AVX2 degrades to auto instead of erroring (only configure(), i.e.
-/// the --simd flag, is strict).
+/// unrecognized values mean auto.
 void apply_env_default() noexcept {
   Mode mode = Mode::auto_detect;
   if (const char* env = std::getenv("DDC_SIMD")) {
     if (const auto parsed = parse_mode(env)) mode = *parsed;
   }
-  if (mode == Mode::avx2 && !avx2_available()) mode = Mode::auto_detect;
   apply(mode);
 }
 
@@ -94,14 +75,6 @@ bool compiled_with_avx2() noexcept {
 
 void configure(Mode mode) {
   ensure_default();
-  if (mode == Mode::avx2 && !avx2_available()) {
-    throw ConfigError(compiled_with_avx2()
-                          ? "simd: avx2 requested but this CPU does not "
-                            "report AVX2 (use --simd=auto or --simd=scalar)"
-                          : "simd: avx2 requested but this binary was built "
-                            "without the AVX2 kernels (use --simd=auto or "
-                            "--simd=scalar)");
-  }
   apply(mode);
 }
 
@@ -110,15 +83,9 @@ Tier dispatch() noexcept {
   return g_tier.load(std::memory_order_relaxed);
 }
 
-bool fast_math_enabled() noexcept {
-  ensure_default();
-  return g_fast_math.load(std::memory_order_relaxed);
-}
-
 std::optional<Mode> parse_mode(std::string_view text) noexcept {
   if (text == "auto") return Mode::auto_detect;
   if (text == "scalar") return Mode::scalar;
-  if (text == "avx2") return Mode::avx2;
   return std::nullopt;
 }
 
@@ -128,8 +95,6 @@ const char* mode_name(Mode mode) noexcept {
       return "auto";
     case Mode::scalar:
       return "scalar";
-    case Mode::avx2:
-      return "avx2";
   }
   return "auto";
 }
@@ -141,9 +106,6 @@ const char* tier_name(Tier tier) noexcept {
 ScoreBatchFn batch_score_kernel() noexcept {
   if (dispatch() == Tier::avx2) {
 #if defined(DDC_LINALG_HAVE_AVX2_TU)
-    if (g_fast_math.load(std::memory_order_relaxed)) {
-      return &detail::score_batch_avx2_fastmath;  // ddcverify: allow(float-reorder) explicit fast-math tier selection; only reachable via Mode::avx2 opt-in
-    }
     return &detail::score_batch_avx2_lanewise;
 #endif
   }
@@ -160,19 +122,9 @@ ScoreBatchFn avx2_lanewise_score_kernel() noexcept {
 #endif
 }
 
-ScoreBatchFn fast_math_score_kernel() noexcept {
-#if defined(DDC_LINALG_HAVE_AVX2_TU)
-  return &detail::score_batch_avx2_fastmath;  // ddcverify: allow(float-reorder) accessor for the error-bound tests; off the default path
-#else
-  return nullptr;
-#endif
-}
-
 DistanceBatchFn batch_distance_kernel() noexcept {
   if (dispatch() == Tier::avx2) {
 #if defined(DDC_LINALG_HAVE_AVX2_TU)
-    // No fast-math variant: distances feed the centroid goldens, so the
-    // lanewise (bit-exact) kernel is the only vector tier.
     return &detail::distance_batch_avx2_lanewise;
 #endif
   }

@@ -4,7 +4,7 @@
 // baseline ISA, and runtime dispatch (simd.cpp) never routes here
 // unless the CPU reports AVX2.
 //
-// Three kernels live here:
+// Two kernels live here:
 //
 //   score_batch_avx2_lanewise — BIT-EXACT. Scores 4 inputs per pass
 //   with one input per SIMD lane. Every lane executes the exact scalar
@@ -22,14 +22,7 @@
 //   lane running kernels::distance2's exact subtract/multiply/
 //   accumulate order; vsqrtpd is correctly rounded per lane like
 //   std::sqrt. Backs the greedy centroid partition's distance-matrix
-//   fill, so it feeds golden digests and has no fast-math variant.
-//
-//   score_batch_avx2_fastmath — NOT bit-exact (fast-math tier). The
-//   trace term re-associates the d² elementwise products into 4-lane
-//   partial sums (both matrices are symmetric, so trace(A·B) equals the
-//   full elementwise dot of their row-major storage) and drops the
-//   zero-coefficient skip. Differs from scalar in the last few ulps;
-//   bounded by tests/stats/score_batch_test.cpp, never in goldens.
+//   fill, so it feeds golden digests.
 #if defined(DDC_LINALG_HAVE_AVX2_TU)
 
 #include <immintrin.h>
@@ -116,45 +109,6 @@ void batch_lanewise(const kernels::ScorerData& s, const double* means,
   }
 }
 
-/// Fast-math trace term: Σₑ inv[e]·cov[e] over the d² row-major
-/// entries, accumulated as 4-lane partial sums and folded with a
-/// horizontal add. Valid because both matrices are symmetric; NOT
-/// bit-identical to the scalar trace (different association, no
-/// zero-skip).
-template <std::size_t D>
-double trace_reassoc(const double* inv, const double* cov,
-                     std::size_t rd) {
-  const std::size_t n = kernels::dim_of<D>(rd);
-  const std::size_t n2 = n * n;
-  const std::size_t vec_end = n2 - n2 % 4;
-  __m256d acc = _mm256_setzero_pd();
-  for (std::size_t e = 0; e < vec_end; e += 4) {
-    acc = _mm256_add_pd(
-        acc, _mm256_mul_pd(_mm256_loadu_pd(inv + e), _mm256_loadu_pd(cov + e)));
-  }
-  const __m256d folded = _mm256_hadd_pd(acc, acc);  // ddcverify: allow(float-reorder) cross-lane reduction is the fast-math tier's documented re-association; error-bounded in tests/stats/score_batch_test.cpp
-  double tr = _mm_cvtsd_f64(_mm_add_sd(_mm256_castpd256_pd128(folded),
-                                       _mm256_extractf128_pd(folded, 1)));
-  for (std::size_t e = vec_end; e < n2; ++e) tr += inv[e] * cov[e];
-  return tr;
-}
-
-template <std::size_t D>
-void batch_reassoc(const kernels::ScorerData& s, const double* means,
-                   const double* covs, std::size_t count, double* out,
-                   double* scratch) {
-  const std::size_t n = kernels::dim_of<D>(s.d);
-  double* diff = scratch;
-  double* y = scratch + n;
-  for (std::size_t i = 0; i < count; ++i) {
-    const double* mean = means + i * n;
-    const double tr = trace_reassoc<D>(s.inv, covs + i * n * n, n);
-    for (std::size_t c = 0; c < n; ++c) diff[c] = mean[c] - s.mean[c];
-    const double maha = kernels::mahalanobis_squared<D>(s.l, diff, y, n);
-    out[i] = -0.5 * (s.base + tr + maha);
-  }
-}
-
 /// Distances from `a` to packed points [base, base+4) lanewise — the
 /// exact scalar sequence of kernels::distance2 per lane: diff = a[i] −
 /// b[i], acc += diff·diff in ascending i, then one correctly-rounded
@@ -198,14 +152,6 @@ void score_batch_avx2_lanewise(const kernels::ScorerData& s,
                                double* scratch) {
   kernels::dispatch_dim(s.d, [&](auto d) {
     batch_lanewise<d()>(s, means, covs, count, out, scratch);
-  });
-}
-
-void score_batch_avx2_fastmath(  // ddcverify: allow(float-reorder) fast-math tier definition; opt-in via --simd=avx2 only, never on the golden path
-    const kernels::ScorerData& s, const double* means, const double* covs,
-    std::size_t count, double* out, double* scratch) {
-  kernels::dispatch_dim(s.d, [&](auto d) {
-    batch_reassoc<d()>(s, means, covs, count, out, scratch);
   });
 }
 

@@ -18,12 +18,6 @@ void score_batch_avx2_lanewise(const kernels::ScorerData& s,
                                std::size_t count, double* out,
                                double* scratch);
 
-/// Re-associated trace-term batch scorer. NOT bit-identical to scalar —
-/// fast-math tier only, error-bound tested, never in golden tests.
-void score_batch_avx2_fastmath(  // ddcverify: allow(float-reorder) fast-math tier entry point; re-association is its documented contract (tests/stats/score_batch_test.cpp bounds the error)
-    const kernels::ScorerData& s, const double* means, const double* covs,
-    std::size_t count, double* out, double* scratch);
-
 /// Lanewise 4-wide batched centroid distance: bit-identical to
 /// kernels::distance2_batch (each lane runs the exact scalar subtract/
 /// multiply/accumulate sequence; vsqrtpd is correctly rounded like

@@ -35,12 +35,6 @@ class EmPartition {
     return options_;
   }
 
-  /// The restart-seeding RNG. Mutable so the scale engine can swap each
-  /// node's persistent stream in and out of a scratch policy instance —
-  /// a node's draws must follow its own stream regardless of which
-  /// scratch classifier happens to run it.
-  [[nodiscard]] stats::Rng& rng() noexcept { return rng_; }
-
   /// Wall-clock spent inside reduce_em, accumulated across partitions
   /// (two clock reads per call). Feeds `ddcsim --timing`.
   [[nodiscard]] double em_seconds() const noexcept { return em_seconds_; }

@@ -111,9 +111,9 @@ struct AsyncTiming {
 /// ignores the fault fields.
 struct EngineConfig : RoundRunnerOptions {
   TopologySpec topology;
-  /// Math-kernel dispatch policy (linalg/simd.hpp): auto keeps the
-  /// bit-exact tiers, avx2 additionally opts into the fast-math tier.
-  /// Applied process-wide by the tools via linalg::simd::configure.
+  /// Math-kernel dispatch policy (linalg/simd.hpp): auto or scalar, both
+  /// bit-exact. Applied process-wide by the tools via
+  /// linalg::simd::configure.
   linalg::simd::Mode simd = linalg::simd::Mode::auto_detect;
   EngineMode mode = EngineMode::round;
   EngineBackend backend = EngineBackend::soa;

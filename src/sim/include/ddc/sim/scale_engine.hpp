@@ -27,23 +27,22 @@
 //   4. absorb   (parallel)    per receiver: union inbox slots, one receive
 //   5. crash    (sequential)  RoundPlan::end_round
 //
-// Both parallel phases work on the pools. Prepare halves weights in place
-// (core::Weight's half / remainder, 1-quantum collections stay home) and
-// copies summary doubles straight into the slot arena, for every
-// protocol. Absorb depends on the protocol binding, chosen at compile
-// time: a protocol with a PoolScratch (centroids, whose summary is a
-// packed Euclidean row) receives on rows gathered into a per-chunk
-// scratch — the packed greedy partition, the shared grouping step
-// (core::group_collections) and CentroidPolicy::merge_rows, the same
-// functions GenericClassifier runs — and writes the result straight back.
-// Any other protocol (GM) rehydrates a per-chunk scratch classifier,
-// runs GenericClassifier::receive and stores the state back.
+// Both parallel phases work on the pools, for every protocol. Prepare
+// halves weights in place (core::Weight's half / remainder, 1-quantum
+// collections stay home) and copies summary doubles straight into the
+// slot arena. Absorb gathers a receiver's rows, then its inbox slots'
+// rows, into a per-chunk scratch and hands them to the protocol's
+// receive_rows, which runs Algorithm 1's receive — the protocol's
+// partition, the shared grouping step (core::group_collections) and its
+// merge, the same functions GenericClassifier runs — and writes the
+// result straight back into the pools.
 // Bit-identity with RoundRunner is pinned by tests, not assumed:
-// tests/sim/soa_pool_receive_test.cpp compares receive_rows with
-// GenericClassifier::receive on randomized inputs (coarse quanta, exact
-// ties), and tests/sim/scale_equivalence_test.cpp compares whole runs by
-// digest against the object engine, including a coarse-quanta cell in
-// which one-quantum re-homes fire.
+// tests/sim/soa_pool_receive_test.cpp compares each binding's
+// receive_rows with GenericClassifier::receive on randomized inputs
+// (coarse quanta, exact ties), and tests/sim/scale_equivalence_test.cpp
+// compares whole runs by digest against the object engine for both
+// protocols, including coarse-quanta cells in which one-quantum re-homes
+// fire.
 //
 // Deliberate non-features: no TraceRecorder (a per-event log defeats the
 // point at 10⁶ nodes — use RoundRunner to trace) and no aux-vector
@@ -54,28 +53,19 @@
 // into the pools (see ddc/gossip/scale.hpp for the centroid and GM
 // bindings):
 //
-//   using Classifier = ...;            // the protocol's node type
-//   using Summary    = ...;            // its summary type
-//   static constexpr bool has_node_rng;// per-node persistent RNG stream?
+//   using Summary = ...;               // the protocol's summary type
 //   std::size_t k();                   // max collections per node
 //   std::int64_t quanta_per_unit();
 //   std::size_t summary_doubles();     // sd: packed doubles per summary
 //   void pack(const Summary&, double* out);
 //   Summary unpack(const double* in);  // exact round-trip with pack
-//   stats::Rng initial_rng(NodeId);            // iff has_node_rng
-//   static stats::Rng& node_rng(Classifier&);  // iff has_node_rng
-//
-// and either receives on the pools —
-//
 //   struct PoolScratch { std::vector<double> rows;             // m × sd
 //                        std::vector<std::int64_t> quanta;     // m
-//                        core::ClassifierStats stats; ... };
+//                        core::ClassifierStats stats;
+//                        double em_seconds;  // optional
+//                        ... };
 //   std::size_t receive_rows(PoolScratch&, std::size_t m,
 //                            double* out_rows, std::int64_t* out_quanta);
-//
-// — or through a scratch classifier:
-//
-//   Classifier make_scratch();         // state is overwritten before use
 #pragma once
 
 #include <algorithm>
@@ -91,33 +81,14 @@
 #include <ddc/sim/gossip_node.hpp>
 #include <ddc/sim/round_plan.hpp>
 #include <ddc/sim/topology.hpp>
-#include <ddc/stats/rng.hpp>
 
 namespace ddc::sim {
-
-namespace detail {
-/// Protocol::PoolScratch when the protocol receives on the pools, else an
-/// empty placeholder.
-template <typename Protocol>
-struct PoolScratchOf {
-  struct type {};
-};
-template <typename Protocol>
-  requires requires { typename Protocol::PoolScratch; }
-struct PoolScratchOf<Protocol> {
-  using type = typename Protocol::PoolScratch;
-};
-}  // namespace detail
 
 template <typename Protocol>
 class SoaRoundEngine {
  public:
-  using Classifier = typename Protocol::Classifier;
   using Summary = typename Protocol::Summary;
   using Message = core::Classification<Summary>;
-  /// True when the protocol's receive runs on the pools (receive_rows).
-  static constexpr bool kPoolReceive =
-      requires { typename Protocol::PoolScratch; };
 
   /// Builds the engine over `topology` with node i's initial state being
   /// one full-weight collection of summary `initial_summary(i)`.
@@ -146,20 +117,8 @@ class SoaRoundEngine {
       weights_[i * k_] = protocol_.quanta_per_unit();
       protocol_.pack(initial_summary(i), &summaries_[i * k_ * sd_]);
     }
-    if constexpr (Protocol::has_node_rng) {
-      rngs_.reserve(n_);
-      for (NodeId i = 0; i < n_; ++i) rngs_.push_back(protocol_.initial_rng(i));
-    }
     pool_ = exec::ThreadPool::for_parallelism(options.parallelism);
-    const std::size_t chunks = exec::parallel_chunk_count(pool_.get(), n_);
-    if constexpr (kPoolReceive) {
-      pool_scratch_.resize(chunks);
-    } else {
-      scratch_.reserve(chunks);
-      for (std::size_t c = 0; c < chunks; ++c) {
-        scratch_.push_back(protocol_.make_scratch());
-      }
-    }
+    pool_scratch_.resize(exec::parallel_chunk_count(pool_.get(), n_));
     deliveries_.reserve(2 * n_);
   }
 
@@ -228,28 +187,22 @@ class SoaRoundEngine {
   /// reports, since every receive runs on exactly one chunk's scratch).
   [[nodiscard]] double partition_seconds() const noexcept {
     double acc = 0.0;
-    if constexpr (kPoolReceive) {
-      for (const auto& s : pool_scratch_) acc += s.stats.partition_seconds;
-    } else {
-      for (const Classifier& s : scratch_) acc += s.stats().partition_seconds;
-    }
+    for (const PoolScratch& s : pool_scratch_) acc += s.stats.partition_seconds;
     return acc;
   }
 
-  /// Wall-clock inside EM, when the protocol's policy exposes it; 0.0 for
-  /// policies without an EM stage.
+  /// Wall-clock inside EM, summed over chunks; 0.0 for protocols without
+  /// an EM stage (whose PoolScratch has no em_seconds).
   [[nodiscard]] double em_seconds() const noexcept {
     double acc = 0.0;
-    for (const Classifier& s : scratch_) {
-      if constexpr (requires { s.partition_policy().em_seconds(); }) {
-        acc += s.partition_policy().em_seconds();
-      }
+    for (const PoolScratch& s : pool_scratch_) {
+      if constexpr (requires { s.em_seconds; }) acc += s.em_seconds;
     }
     return acc;
   }
 
  private:
-  using PoolScratch = typename detail::PoolScratchOf<Protocol>::type;
+  using PoolScratch = typename Protocol::PoolScratch;
 
   /// Phase 2 — parallel splits on the pools into the slot arena, each
   /// node in the plan's pinned split order; every message has its own
@@ -300,11 +253,7 @@ class SoaRoundEngine {
             const std::size_t ib = inbox_offsets_[i];
             const std::size_t ie = inbox_offsets_[i + 1];
             if (!plan_.alive(i) || ib == ie) continue;
-            if constexpr (kPoolReceive) {
-              receive_on_pools(pool_scratch_[chunk], i, ib, ie);
-            } else {
-              receive_on_scratch(scratch_[chunk], i, ib, ie);
-            }
+            receive_on_pools(pool_scratch_[chunk], i, ib, ie);
           }
         });
   }
@@ -342,50 +291,6 @@ class SoaRoundEngine {
     return at + count;
   }
 
-  /// Rehydrates node i into the chunk's scratch classifier, runs one
-  /// GenericClassifier::receive on the inbox union and stores it back.
-  void receive_on_scratch(Classifier& scratch, NodeId i, std::size_t ib,
-                          std::size_t ie) {
-    load_state(i, scratch);
-    if constexpr (Protocol::has_node_rng) {
-      Protocol::node_rng(scratch) = rngs_[i];
-    }
-    Message combined;
-    for (std::size_t e = ib; e < ie; ++e) {
-      unpack_slot(inbox_slots_[e], combined);
-    }
-    scratch.receive(std::move(combined));
-    store_state(i, scratch);
-    if constexpr (Protocol::has_node_rng) {
-      rngs_[i] = Protocol::node_rng(scratch);
-    }
-  }
-
-  /// Rehydrates node i's classification into the scratch classifier.
-  void load_state(NodeId i, Classifier& scratch) const {
-    auto& collections = scratch.mutable_classification().collections();
-    collections.clear();
-    for (std::size_t c = 0; c < counts_[i]; ++c) {
-      collections.push_back(core::Collection<Summary>{
-          protocol_.unpack(&summaries_[(i * k_ + c) * sd_]),
-          core::Weight::from_quanta(weights_[i * k_ + c]),
-          {}});
-    }
-  }
-
-  /// Writes the scratch classifier's classification back into the pools.
-  void store_state(NodeId i, const Classifier& scratch) {
-    const auto& classification = scratch.classification();
-    const std::size_t count = classification.size();
-    DDC_ASSERT(count >= 1 && count <= k_);
-    counts_[i] = static_cast<std::uint32_t>(count);
-    for (std::size_t c = 0; c < count; ++c) {
-      weights_[i * k_ + c] = classification[c].weight.quanta();
-      protocol_.pack(classification[c].summary,
-                     &summaries_[(i * k_ + c) * sd_]);
-    }
-  }
-
   /// GenericClassifier::split on the pools: halves each of node j's
   /// collections in place and writes the sent halves (summary doubles
   /// copied verbatim) into arena slot `slot`. A 1-quantum collection
@@ -406,16 +311,6 @@ class SoaRoundEngine {
       ++sent_count;
     }
     slot_counts_[slot] = sent_count;
-  }
-
-  /// Appends a slot's collections onto `message` in slot order.
-  void unpack_slot(std::size_t slot, Message& message) const {
-    for (std::size_t c = 0; c < slot_counts_[slot]; ++c) {
-      message.add(core::Collection<Summary>{
-          protocol_.unpack(&slot_summaries_[(slot * k_ + c) * sd_]),
-          core::Weight::from_quanta(slot_weights_[slot * k_ + c]),
-          {}});
-    }
   }
 
   /// Rebuilds node i's classification into `out` (clearing it first).
@@ -440,7 +335,6 @@ class SoaRoundEngine {
   std::vector<std::uint32_t> counts_;
   std::vector<std::int64_t> weights_;
   std::vector<double> summaries_;
-  std::vector<stats::Rng> rngs_;  // engaged iff Protocol::has_node_rng
 
   // Message slot arena: slot i = node i's outgoing gossip, slot n+i =
   // the reply addressed to node i. Parallel writes hit disjoint slots.
@@ -454,11 +348,9 @@ class SoaRoundEngine {
   std::vector<std::size_t> inbox_offsets_;
   std::vector<std::size_t> inbox_slots_;
 
-  // Per parallel chunk: the pool receive's scratch (pool protocols) or a
-  // scratch classifier (the rest). Their stats accumulate the work of
-  // every node they served (see partition_seconds()).
+  // Per parallel chunk: the pool receive's scratch. Its stats accumulate
+  // the work of every node it served (see partition_seconds()).
   std::vector<PoolScratch> pool_scratch_;
-  std::vector<Classifier> scratch_;
 
   std::unique_ptr<exec::ThreadPool> pool_;
   RoundPhaseTimings timings_;

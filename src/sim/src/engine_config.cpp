@@ -113,13 +113,6 @@ void EngineConfig::validate() const {
   if (message_loss_probability < 0.0 || message_loss_probability > 1.0) {
     throw ConfigError("message_loss_probability must be in [0, 1]");
   }
-  if (simd == linalg::simd::Mode::avx2 &&
-      !(linalg::simd::compiled_with_avx2() &&
-        linalg::simd::cpu_supports_avx2())) {
-    throw ConfigError(
-        "simd = avx2 requires an AVX2-capable CPU and an AVX2-enabled "
-        "build (use auto or scalar)");
-  }
   if (k == 0) throw ConfigError("k must be ≥ 1");
   if (quanta_per_unit < 1) throw ConfigError("quanta_per_unit must be ≥ 1");
   if (async.mean_tick_interval <= 0.0) {

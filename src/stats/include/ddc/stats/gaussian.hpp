@@ -108,8 +108,7 @@ class ExpectedLogPdfScorer {
   /// Scores every component of `batch` against the model, writing
   /// `out[0..batch.size())`. One pass per model through the SoA inputs,
   /// dispatched to the simd-selected batch kernel; `out[i]` is
-  /// bit-identical to `score(batch component i)` on every default-path
-  /// tier (only the opt-in fast-math tier relaxes this). Requires
+  /// bit-identical to `score(batch component i)` on every tier. Requires
   /// `batch.dim() == model.dim()` when the batch is nonempty.
   void score_batch(const GaussianBatch& batch, double* out) const;
 

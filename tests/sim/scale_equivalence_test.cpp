@@ -4,13 +4,12 @@
 // Three bit-identity contracts are pinned here, all by comparing FNV-1a
 // digests of every node's wire-encoded final classification:
 //
-//   1. SoaRoundEngine ≡ RoundRunner for the supported protocols, across
-//      3 seeds × {centroid, gm} × {lossless, loss 0.1}, plus crash
-//      models, gossip patterns, selection policies, thread counts,
-//      topology families and coarse quanta (one-quantum re-homes) — the
-//      struct-of-arrays pools, message arena, pool split and receive and
-//      scratch-classifier rehydration must not change a single mantissa
-//      bit relative to one-object-per-node execution.
+//   1. SoaRoundEngine ≡ RoundRunner for both protocols, across 3 seeds ×
+//      {lossless, loss 0.1}, plus crash models, gossip patterns,
+//      selection policies, thread counts, topology families and coarse
+//      quanta (one-quantum re-homes) — the struct-of-arrays pools,
+//      message arena, pool split and pool receive must not change a
+//      single mantissa bit relative to one-object-per-node execution.
 //   2. Each factory's classic runner ≡ the same engine constructed
 //      directly (RoundRunner / AsyncRunner over gossip::make_*_nodes,
 //      runner options spelled out field by field), for both {round,
@@ -220,38 +219,86 @@ TEST(ScaleEquivalence, AsyncFacadeBitIdentical) {
 // Contract 1, stressed along every remaining axis.
 // ---------------------------------------------------------------------------
 
+/// One protocol's factories and cell size, so every stress cell below
+/// runs both protocols. GM cells are smaller: an EM receive costs far
+/// more than a greedy one.
+struct CentroidProtocol {
+  static constexpr const char* kName = "centroid";
+  static constexpr std::size_t kNodes = kCentroidNodes;
+  static constexpr std::size_t kGridRows = 10;
+  static auto round_runner(const Topology& topology,
+                           const std::vector<linalg::Vector>& inputs,
+                           const EngineConfig& config) {
+    return gossip::make_centroid_round_runner(topology, inputs, config);
+  }
+  static auto scale_engine(const Topology& topology,
+                           const std::vector<linalg::Vector>& inputs,
+                           const EngineConfig& config) {
+    return gossip::make_centroid_scale_engine(topology, inputs, config);
+  }
+};
+
+struct GmProtocol {
+  static constexpr const char* kName = "gm";
+  static constexpr std::size_t kNodes = kGmNodes;
+  static constexpr std::size_t kGridRows = 6;
+  static auto round_runner(const Topology& topology,
+                           const std::vector<linalg::Vector>& inputs,
+                           const EngineConfig& config) {
+    return gossip::make_gm_round_runner(topology, inputs, config);
+  }
+  static auto scale_engine(const Topology& topology,
+                           const std::vector<linalg::Vector>& inputs,
+                           const EngineConfig& config) {
+    return gossip::make_gm_scale_engine(topology, inputs, config);
+  }
+};
+
+/// Calls `cell(protocol)` with a CentroidProtocol, then a GmProtocol.
+template <typename Cell>
+void for_each_protocol(Cell&& cell) {
+  cell(CentroidProtocol{});
+  cell(GmProtocol{});
+}
+
 /// Runs classic and scale side by side on the same topology/config and
 /// expects identical digests (and, with crashes, identical alive sets).
-void expect_round_equivalence(const Topology& topology,
+template <typename Protocol>
+void expect_round_equivalence(Protocol, const Topology& topology,
                               const std::vector<linalg::Vector>& inputs,
                               const EngineConfig& config,
                               const std::string& label) {
-  auto classic =
-      gossip::make_centroid_round_runner(topology, inputs, config);
+  auto classic = Protocol::round_runner(topology, inputs, config);
   classic.run_rounds(kRounds);
-  auto scale = gossip::make_centroid_scale_engine(topology, inputs, config);
+  auto scale = Protocol::scale_engine(topology, inputs, config);
   scale.run_rounds(kRounds);
-  EXPECT_EQ(digest_nodes(classic), digest_engine(scale)) << label;
+  EXPECT_EQ(digest_nodes(classic), digest_engine(scale))
+      << Protocol::kName << " " << label;
   for (NodeId i = 0; i < topology.num_nodes(); ++i) {
-    ASSERT_EQ(classic.alive(i), scale.alive(i)) << label << " node " << i;
+    ASSERT_EQ(classic.alive(i), scale.alive(i))
+        << Protocol::kName << " " << label << " node " << i;
   }
 }
 
 TEST(ScaleEquivalence, PatternsAndSelection) {
-  const auto inputs = bimodal_inputs(kCentroidNodes, 7);
-  for (const GossipPattern pattern :
-       {GossipPattern::push, GossipPattern::pull, GossipPattern::push_pull}) {
-    for (const NeighborSelection selection :
-         {NeighborSelection::uniform_random, NeighborSelection::round_robin}) {
-      EngineConfig config = base_config(kCentroidNodes, 7);
-      config.pattern = pattern;
-      config.selection = selection;
-      expect_round_equivalence(
-          Topology::complete(kCentroidNodes), inputs, config,
-          "pattern " + std::to_string(static_cast<int>(pattern)) +
-              " selection " + std::to_string(static_cast<int>(selection)));
+  for_each_protocol([](auto protocol) {
+    constexpr std::size_t n = decltype(protocol)::kNodes;
+    const auto inputs = bimodal_inputs(n, 7);
+    for (const GossipPattern pattern :
+         {GossipPattern::push, GossipPattern::pull, GossipPattern::push_pull}) {
+      for (const NeighborSelection selection :
+           {NeighborSelection::uniform_random,
+            NeighborSelection::round_robin}) {
+        EngineConfig config = base_config(n, 7);
+        config.pattern = pattern;
+        config.selection = selection;
+        expect_round_equivalence(
+            protocol, Topology::complete(n), inputs, config,
+            "pattern " + std::to_string(static_cast<int>(pattern)) +
+                " selection " + std::to_string(static_cast<int>(selection)));
+      }
     }
-  }
+  });
 }
 
 // Every other cell runs at 2²⁰ quanta per unit, where a one-quantum
@@ -260,61 +307,72 @@ TEST(ScaleEquivalence, PatternsAndSelection) {
 // receive's one-quantum re-home fires — on the object engine through
 // GenericClassifier, on the scale engine through the pool receive.
 TEST(ScaleEquivalence, CoarseQuantaRehomes) {
-  const auto inputs = bimodal_inputs(kCentroidNodes, 23);
-  for (const GossipPattern pattern :
-       {GossipPattern::push, GossipPattern::pull, GossipPattern::push_pull}) {
-    EngineConfig config = base_config(kCentroidNodes, 23);
-    config.quanta_per_unit = 16;
-    config.pattern = pattern;
-    const std::string label =
-        "coarse quanta, pattern " + std::to_string(static_cast<int>(pattern));
-    auto classic = gossip::make_centroid_round_runner(
-        Topology::complete(kCentroidNodes), inputs, config);
-    classic.run_rounds(kRounds);
-    std::uint64_t rehomes = 0;
-    for (const auto& node : classic.nodes()) {
-      rehomes += node.classifier().stats().singleton_rehomes;
+  for_each_protocol([](auto protocol) {
+    using Protocol = decltype(protocol);
+    constexpr std::size_t n = Protocol::kNodes;
+    const auto inputs = bimodal_inputs(n, 23);
+    for (const GossipPattern pattern :
+         {GossipPattern::push, GossipPattern::pull, GossipPattern::push_pull}) {
+      EngineConfig config = base_config(n, 23);
+      config.quanta_per_unit = 16;
+      config.pattern = pattern;
+      const std::string label = std::string(Protocol::kName) +
+                                " coarse quanta, pattern " +
+                                std::to_string(static_cast<int>(pattern));
+      auto classic = Protocol::round_runner(Topology::complete(n), inputs,
+                                            config);
+      classic.run_rounds(kRounds);
+      std::uint64_t rehomes = 0;
+      for (const auto& node : classic.nodes()) {
+        rehomes += node.classifier().stats().singleton_rehomes;
+      }
+      EXPECT_GT(rehomes, 0U) << label;
+      auto scale = Protocol::scale_engine(Topology::complete(n), inputs,
+                                          config);
+      scale.run_rounds(kRounds);
+      EXPECT_EQ(digest_nodes(classic), digest_engine(scale)) << label;
+      EXPECT_EQ(metrics::total_quanta(classic.nodes()), scale.total_quanta())
+          << label;
     }
-    EXPECT_GT(rehomes, 0U) << label;
-    auto scale = gossip::make_centroid_scale_engine(
-        Topology::complete(kCentroidNodes), inputs, config);
-    scale.run_rounds(kRounds);
-    EXPECT_EQ(digest_nodes(classic), digest_engine(scale)) << label;
-    EXPECT_EQ(metrics::total_quanta(classic.nodes()), scale.total_quanta())
-        << label;
-  }
+  });
 }
 
 TEST(ScaleEquivalence, CrashModels) {
-  const auto inputs = bimodal_inputs(kCentroidNodes, 5);
-  for (const CrashSendPolicy policy :
-       {CrashSendPolicy::avoid_crashed, CrashSendPolicy::drop_at_crashed}) {
-    EngineConfig config = base_config(kCentroidNodes, 5);
-    config.crash_probability = 0.05;
-    config.crash_send_policy = policy;
-    config.pattern = GossipPattern::push_pull;
-    expect_round_equivalence(Topology::complete(kCentroidNodes), inputs,
-                             config,
-                             policy == CrashSendPolicy::avoid_crashed
-                                 ? "avoid_crashed"
-                                 : "drop_at_crashed");
-  }
+  for_each_protocol([](auto protocol) {
+    constexpr std::size_t n = decltype(protocol)::kNodes;
+    const auto inputs = bimodal_inputs(n, 5);
+    for (const CrashSendPolicy policy :
+         {CrashSendPolicy::avoid_crashed, CrashSendPolicy::drop_at_crashed}) {
+      EngineConfig config = base_config(n, 5);
+      config.crash_probability = 0.05;
+      config.crash_send_policy = policy;
+      config.pattern = GossipPattern::push_pull;
+      expect_round_equivalence(protocol, Topology::complete(n), inputs, config,
+                               policy == CrashSendPolicy::avoid_crashed
+                                   ? "avoid_crashed"
+                                   : "drop_at_crashed");
+    }
+  });
 }
 
 TEST(ScaleEquivalence, SparseTopologies) {
-  const auto inputs = bimodal_inputs(kCentroidNodes, 11);
-  EngineConfig config = base_config(kCentroidNodes, 11);
-  stats::Rng topo_rng(42);
-  const Topology topologies[] = {
-      Topology::ring(kCentroidNodes),
-      Topology::grid(10, 20, true),
-      Topology::random_geometric(kCentroidNodes, 0.2, topo_rng),
-      Topology::erdos_renyi(kCentroidNodes, 0.08, topo_rng),
-  };
-  for (std::size_t t = 0; t < std::size(topologies); ++t) {
-    expect_round_equivalence(topologies[t], inputs, config,
-                             "topology " + std::to_string(t));
-  }
+  for_each_protocol([](auto protocol) {
+    using Protocol = decltype(protocol);
+    constexpr std::size_t n = Protocol::kNodes;
+    const auto inputs = bimodal_inputs(n, 11);
+    const EngineConfig config = base_config(n, 11);
+    stats::Rng topo_rng(42);
+    const Topology topologies[] = {
+        Topology::ring(n),
+        Topology::grid(Protocol::kGridRows, n / Protocol::kGridRows, true),
+        Topology::random_geometric(n, 0.2, topo_rng),
+        Topology::erdos_renyi(n, 0.08, topo_rng),
+    };
+    for (std::size_t t = 0; t < std::size(topologies); ++t) {
+      expect_round_equivalence(protocol, topologies[t], inputs, config,
+                               "topology " + std::to_string(t));
+    }
+  });
 }
 
 TEST(ScaleEquivalence, ParallelismInvariant) {

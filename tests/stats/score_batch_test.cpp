@@ -1,25 +1,15 @@
-// Batched scoring: equivalence matrix + fast-math error bounds.
+// Batched scoring: equivalence matrix.
 //
 // ExpectedLogPdfScorer::score_batch must be bit-identical to score()
-// per input on every default-path tier: the scalar reference kernel by
-// construction, and the lanewise AVX2 kernel because each SIMD lane
-// executes the exact scalar operation sequence (simd_avx2.cpp). The
-// fast-math kernel re-associates the trace term by design, so it gets
-// an explicit error bound instead: the trace is a sum of d² products
-// re-grouped into 4 partial sums, so the defect is bounded by
-// 64·ε·Σ|Σb⁻¹ ∘ Σa| (a standard reassociation bound with a wide safety
-// margin), and the score defect by half that. Fast-math never runs in
-// golden/digest tests — it is only reachable through an explicit
-// --simd=avx2 / Mode::avx2 opt-in.
-#include <cfloat>
+// per input on every tier: the scalar reference kernel by construction,
+// and the lanewise AVX2 kernel because each SIMD lane executes the exact
+// scalar operation sequence (simd_avx2.cpp).
 #include <cmath>
 #include <cstddef>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include <ddc/common/error.hpp>
-#include <ddc/linalg/cholesky.hpp>
 #include <ddc/linalg/simd.hpp>
 #include <ddc/stats/gaussian.hpp>
 #include <ddc/stats/gaussian_batch.hpp>
@@ -141,101 +131,35 @@ TEST_P(ScoreBatch, ScalarAndLanewiseKernelsBitIdentical) {
   }
 }
 
-TEST_P(ScoreBatch, FastMathWithinDocumentedErrorBound) {
-  // Error-bound contract for the fast-math tier: the only deviation is
-  // the re-associated trace term, so per input
-  //   |fast − scalar| ≤ ½ · 64 · ε · Σₑ |Σb⁻¹[e] · Σa[e]|.
-  // The 64·ε factor is deliberately generous (the true reassociation
-  // constant for ≤16 terms in 4 partial sums is a few ε); a kernel bug
-  // (wrong element, dropped term) lands orders of magnitude outside it.
-  const simd::ScoreBatchFn fast = simd::fast_math_score_kernel();
-  if (fast == nullptr || !simd::cpu_supports_avx2()) {
-    GTEST_SKIP() << "no AVX2 kernels in this binary/CPU";
-  }
-  const std::size_t d = GetParam();
-  ddc::stats::Rng rng(700 + d);
-  for (int rep = 0; rep < 20; ++rep) {
-    const GaussianMixture inputs = adversarial_inputs(d, rng);
-    GaussianBatch batch;
-    batch.assign(inputs);
-    std::vector<double> scalar_out(batch.size());
-    std::vector<double> fast_out(batch.size());
-    std::vector<double> scratch(8 * d);
-    for (const Gaussian& model : test_models(d, rng)) {
-      const ddc::stats::ExpectedLogPdfScorer scorer(model);
-      scorer.score_batch(batch, scalar_out.data());  // ambient: bit-exact
-      // Drive the fast-math kernel directly through the seam's accessor
-      // (the golden-path scorer never selects it without Mode::avx2).
-      const Matrix inverse =
-          ddc::linalg::regularized_cholesky(model.cov()).inverse();
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const Matrix& cov = inputs[i].gaussian.cov();
-        double abs_sum = 0.0;
-        for (std::size_t r = 0; r < d; ++r) {
-          for (std::size_t c = 0; c < d; ++c) {
-            abs_sum += std::abs(inverse(r, c) * cov(r, c));
-          }
-        }
-        const double bound = 0.5 * 64.0 * DBL_EPSILON * abs_sum;
-        // Score the whole batch once per model, then check input i.
-        if (i == 0) {
-          ddc::stats::ExpectedLogPdfScorer probe(model);
-          // Reach the raw kernel with the probe's packed view via the
-          // public batch API under an explicit fast-math opt-in.
-          ModeGuard guard;
-          simd::configure(simd::Mode::avx2);
-          ASSERT_EQ(simd::batch_score_kernel(), fast);
-          ASSERT_TRUE(simd::fast_math_enabled());
-          probe.score_batch(batch, fast_out.data());
-        }
-        EXPECT_NEAR(fast_out[i], scalar_out[i], bound)
-            << "d=" << d << " input=" << i;
-      }
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(AllDims, ScoreBatch,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
 TEST(SimdSeam, ParseAndNames) {
   EXPECT_EQ(simd::parse_mode("auto"), simd::Mode::auto_detect);
   EXPECT_EQ(simd::parse_mode("scalar"), simd::Mode::scalar);
-  EXPECT_EQ(simd::parse_mode("avx2"), simd::Mode::avx2);
+  EXPECT_FALSE(simd::parse_mode("avx2").has_value());
   EXPECT_FALSE(simd::parse_mode("fast").has_value());
   EXPECT_STREQ(simd::mode_name(simd::Mode::auto_detect), "auto");
   EXPECT_STREQ(simd::mode_name(simd::Mode::scalar), "scalar");
-  EXPECT_STREQ(simd::mode_name(simd::Mode::avx2), "avx2");
 }
 
 TEST(SimdSeam, ScalarModeForcesCleanFallback) {
   ModeGuard guard;
   simd::configure(simd::Mode::scalar);
   EXPECT_EQ(simd::dispatch(), simd::Tier::scalar);
-  EXPECT_FALSE(simd::fast_math_enabled());
   EXPECT_EQ(simd::batch_score_kernel(), simd::scalar_score_kernel());
 }
 
+// Auto selects a bit-exact kernel: the lanewise AVX2 one where the CPU
+// and the build allow it, the scalar reference otherwise.
 TEST(SimdSeam, AutoNeverEnablesFastMath) {
   ModeGuard guard;
   simd::configure(simd::Mode::auto_detect);
-  EXPECT_FALSE(simd::fast_math_enabled());
   if (simd::compiled_with_avx2() && simd::cpu_supports_avx2()) {
     EXPECT_EQ(simd::dispatch(), simd::Tier::avx2);
     EXPECT_EQ(simd::batch_score_kernel(), simd::avx2_lanewise_score_kernel());
   } else {
     EXPECT_EQ(simd::dispatch(), simd::Tier::scalar);
-  }
-}
-
-TEST(SimdSeam, Avx2ModeStrictWhenUnavailable) {
-  ModeGuard guard;
-  if (simd::compiled_with_avx2() && simd::cpu_supports_avx2()) {
-    simd::configure(simd::Mode::avx2);
-    EXPECT_EQ(simd::dispatch(), simd::Tier::avx2);
-    EXPECT_TRUE(simd::fast_math_enabled());
-  } else {
-    EXPECT_THROW(simd::configure(simd::Mode::avx2), ddc::ConfigError);
   }
 }
 

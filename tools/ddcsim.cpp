@@ -191,8 +191,8 @@ int run_scale(const ToolConfig& tool, Engine engine,
                         mean_of);
   if (tool.timing) {
     // Same TIMING contract as the object engine: partition_s/em_s are
-    // sums over the engine's scratch classifiers, which accumulate
-    // exactly one receive per node per delivery.
+    // sums over the engine's per-chunk receive scratches, which together
+    // run exactly the receives the object engine's nodes run.
     const auto& t = engine.timings();
     report_timing(t.prepare_seconds, t.absorb_seconds,
                   engine.partition_seconds(), engine.em_seconds());
