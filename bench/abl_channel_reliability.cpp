@@ -10,9 +10,9 @@
 // collections alive.
 #include <iostream>
 
-#include <ddc/gossip/runners.hpp>
 #include <ddc/io/table.hpp>
 #include <ddc/metrics/classification_metrics.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/summaries/centroid.hpp>
 
 #include "bench_util.hpp"
@@ -54,7 +54,7 @@ int main() {
     config.protocol_seed = 151;
     config.message_loss_probability = loss;
     config.seed = 152;
-    auto runner = ddc::gossip::make_centroid_round_runner(
+    auto runner = ddc::shard::make_centroid_round_runner(
         ddc::sim::Topology::complete(n), inputs, config);
     runner.run_rounds(rounds);
 

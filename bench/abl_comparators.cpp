@@ -10,8 +10,8 @@
 // within 0.5 of the true cluster means.
 #include <iostream>
 
-#include <ddc/gossip/runners.hpp>
 #include <ddc/io/table.hpp>
+#include <ddc/shard/factories.hpp>
 
 #include "bench_util.hpp"
 
@@ -61,7 +61,7 @@ int main() {
     ddc::sim::EngineConfig config;
     config.k = 3;
     config.protocol_seed = 131;
-    auto runner = ddc::gossip::make_centroid_round_runner(
+    auto runner = ddc::shard::make_centroid_round_runner(
         ddc::sim::Topology::complete(n), inputs, config);
     std::size_t rounds = 0;
     while (rounds < 5000) {
@@ -91,7 +91,7 @@ int main() {
         // Lloyd needs several assignment/update iterations to untangle them
         // (a bad-enough init stalls Lloyd permanently — centralized or
         // distributed — so we pick one that is recoverable but slow).
-        auto runner = ddc::gossip::make_dkmeans_round_runner(
+        auto runner = ddc::shard::make_dkmeans_round_runner(
             ddc::sim::Topology::complete(n), inputs,
             {Vector{1.0}, Vector{2.0}, Vector{9.0}}, rpi, config);
         std::size_t rounds = 0;

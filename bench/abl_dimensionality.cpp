@@ -8,8 +8,8 @@
 // is the only thing that grows.
 #include <iostream>
 
-#include <ddc/gossip/runners.hpp>
 #include <ddc/io/table.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/summaries/gaussian_summary.hpp>
 #include <ddc/wire/serialize.hpp>
 
@@ -41,7 +41,7 @@ int main() {
     ddc::sim::EngineConfig config;
     config.k = 2;
     config.protocol_seed = 161;
-    auto runner = ddc::gossip::make_gm_round_runner(
+    auto runner = ddc::shard::make_gm_round_runner(
         ddc::sim::Topology::complete(n), inputs, config);
     DimRow row;
     row.d = d;

@@ -8,9 +8,9 @@
 // several independent runs, for 1 / 2 / 4 restarts.
 #include <iostream>
 
-#include <ddc/gossip/runners.hpp>
 #include <ddc/io/table.hpp>
 #include <ddc/metrics/outlier_metrics.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/workload/scenarios.hpp>
 
 #include "bench_util.hpp"
@@ -41,7 +41,7 @@ int main() {
         config.protocol_seed = 950 + run;
         ddc::em::ReductionOptions reduction;
         reduction.restarts = restarts;
-        auto runner = ddc::gossip::make_gm_round_runner(
+        auto runner = ddc::shard::make_gm_round_runner(
             ddc::sim::Topology::complete(scenario.inputs.size()),
             scenario.inputs, config, reduction);
         runner.run_rounds(40);

@@ -6,8 +6,8 @@
 // round, so compare message counts, not just rounds).
 #include <iostream>
 
-#include <ddc/gossip/runners.hpp>
 #include <ddc/io/table.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/summaries/centroid.hpp>
 
 #include "bench_util.hpp"
@@ -51,7 +51,7 @@ int main() {
         config.selection = combo.selection;
         config.pattern = combo.pattern;
         config.seed = 92;
-        auto runner = ddc::gossip::make_centroid_round_runner(
+        auto runner = ddc::shard::make_centroid_round_runner(
             ddc::sim::Topology::grid(8, 8, /*torus=*/true), inputs, config);
         return ddc::bench::run_until_agreement<ddc::summaries::CentroidPolicy>(
             runner, 1e-3, 5, 10000);

@@ -13,9 +13,9 @@
 // (b) wire bytes per message.
 #include <iostream>
 
-#include <ddc/gossip/runners.hpp>
 #include <ddc/io/table.hpp>
 #include <ddc/partition/greedy.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/summaries/histogram_summary.hpp>
 #include <ddc/wire/serialize.hpp>
 
@@ -61,8 +61,8 @@ int main() {
     ddc::sim::EngineConfig config;
     config.k = 2;
     config.protocol_seed = 141;
-    auto gm = ddc::gossip::make_gm_round_runner(ddc::sim::Topology::complete(n),
-                                                vectors, config);
+    auto gm = ddc::shard::make_gm_round_runner(ddc::sim::Topology::complete(n),
+                                               vectors, config);
     gm.run_rounds(40);
     // The far collection is the lighter of the two.
     const auto& classification = gm.nodes()[0].classification();
@@ -84,7 +84,7 @@ int main() {
           scalars[i], ddc::partition::GreedyDistancePartition<HistogramPolicy>{},
           options);
     }
-    ddc::sim::RoundRunner<HistogramNode> hist(
+    ddc::shard::ShardEngine<HistogramNode> hist(
         ddc::sim::Topology::complete(n), std::move(hist_nodes));
     hist.run_rounds(40);
     // Far-cluster estimate from the histogram: mass-weighted mean of bins

@@ -7,9 +7,9 @@
 // sample under node 0's converged mixture.
 #include <iostream>
 
-#include <ddc/gossip/runners.hpp>
 #include <ddc/io/table.hpp>
 #include <ddc/metrics/gaussian_metrics.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/stats/mixture_distance.hpp>
 #include <ddc/summaries/gaussian_summary.hpp>
 #include <ddc/workload/scenarios.hpp>
@@ -39,7 +39,7 @@ int main() {
     ddc::sim::EngineConfig config;
     config.k = row.k;
     config.protocol_seed = 71;
-    auto runner = ddc::gossip::make_gm_round_runner(
+    auto runner = ddc::shard::make_gm_round_runner(
         ddc::sim::Topology::complete(n), inputs, config);
     row.rounds =
         ddc::bench::run_until_agreement<ddc::summaries::GaussianPolicy>(

@@ -10,8 +10,8 @@
 #include <array>
 #include <iostream>
 
-#include <ddc/gossip/runners.hpp>
 #include <ddc/io/table.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/wire/serialize.hpp>
 
 #include "bench_util.hpp"
@@ -36,9 +36,9 @@ int main() {
         config.k = k;
         config.protocol_seed = 111;
 
-        auto gm = ddc::gossip::make_gm_round_runner(
+        auto gm = ddc::shard::make_gm_round_runner(
             ddc::sim::Topology::complete(n), inputs, config);
-        auto cent = ddc::gossip::make_centroid_round_runner(
+        auto cent = ddc::shard::make_centroid_round_runner(
             ddc::sim::Topology::complete(n), inputs, config);
         gm.run_rounds(15);  // let classifications fill to k collections
         cent.run_rounds(15);

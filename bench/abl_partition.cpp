@@ -11,8 +11,8 @@
 #include <ddc/gossip/network.hpp>
 #include <ddc/io/table.hpp>
 #include <ddc/metrics/gaussian_metrics.hpp>
+#include <ddc/shard/shard_engine.hpp>
 #include <ddc/stats/mixture_distance.hpp>
-#include <ddc/sim/round_runner.hpp>
 #include <ddc/summaries/gaussian_summary.hpp>
 #include <ddc/workload/scenarios.hpp>
 
@@ -38,7 +38,7 @@ void bench_policy(ddc::io::Table& table, const char* name, const Truth& truth,
     options.quanta_per_unit = std::int64_t{1} << 20;
     nodes.emplace_back(inputs[i], make_policy(i), options);
   }
-  ddc::sim::RoundRunner<Node> runner(
+  ddc::shard::ShardEngine<Node> runner(
       ddc::sim::Topology::complete(inputs.size()), std::move(nodes));
 
   const auto start = std::chrono::steady_clock::now();

@@ -9,9 +9,9 @@
 // degrades precision, never conservation.
 #include <iostream>
 
-#include <ddc/gossip/runners.hpp>
 #include <ddc/io/table.hpp>
 #include <ddc/metrics/classification_metrics.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/summaries/centroid.hpp>
 
 #include "bench_util.hpp"
@@ -52,7 +52,7 @@ int main() {
     config.protocol_seed = 81;
     config.selection = ddc::sim::NeighborSelection::round_robin;
     config.seed = 82;
-    auto runner = ddc::gossip::make_centroid_round_runner(
+    auto runner = ddc::shard::make_centroid_round_runner(
         ddc::sim::Topology::ring(n), inputs, config);
     runner.run_rounds(rounds);
 

@@ -16,8 +16,8 @@
 #include <chrono>
 #include <iostream>
 
-#include <ddc/gossip/runners.hpp>
 #include <ddc/io/table.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/summaries/gaussian_summary.hpp>
 #include <ddc/wire/serialize.hpp>
 
@@ -47,7 +47,7 @@ ScaleRow measure_n(std::size_t n) {
   ddc::sim::EngineConfig config;
   config.k = 2;
   config.protocol_seed = 101;
-  auto runner = ddc::gossip::make_gm_round_runner(
+  auto runner = ddc::shard::make_gm_round_runner(
       ddc::sim::Topology::complete(n), inputs, config);
   ScaleRow row;
   row.n = n;
@@ -72,7 +72,7 @@ std::pair<double, std::vector<std::byte>> time_threads(
   config.protocol_seed = 101;
   config.seed = 103;
   config.parallelism = threads;
-  auto runner = ddc::gossip::make_gm_round_runner(
+  auto runner = ddc::shard::make_gm_round_runner(
       ddc::sim::Topology::complete(inputs.size()), inputs, config);
 
   const auto start = std::chrono::steady_clock::now();

@@ -9,8 +9,8 @@
 // ring/line/star pay a diffusion penalty roughly quadratic in diameter.
 #include <iostream>
 
-#include <ddc/gossip/runners.hpp>
 #include <ddc/io/table.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/summaries/centroid.hpp>
 
 #include "bench_util.hpp"
@@ -77,7 +77,7 @@ int main() {
     Row row;
     row.diameter = entry.topology.diameter();
     row.edges = entry.topology.num_edges();
-    auto runner = ddc::gossip::make_centroid_round_runner(
+    auto runner = ddc::shard::make_centroid_round_runner(
         std::move(entry.topology), inputs, config);
     row.rounds =
         ddc::bench::run_until_agreement<ddc::summaries::CentroidPolicy>(

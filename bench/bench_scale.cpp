@@ -24,10 +24,11 @@
 #include <cstdio>
 #include <iostream>
 
-#include <ddc/linalg/simd.hpp>
 #include <ddc/cli/engine_flags.hpp>
-#include <ddc/gossip/runners.hpp>
+#include <ddc/gossip/scale.hpp>
+#include <ddc/linalg/simd.hpp>
 #include <ddc/metrics/streaming.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/workload/scenarios.hpp>
 
 namespace {
@@ -123,14 +124,14 @@ int main(int argc, char** argv) {
       engine_name = "object";
       if (protocol == "centroid") {
         auto engine = [&] {
-          return ddc::gossip::make_centroid_round_runner(std::move(topology),
-                                                         inputs, config);
+          return ddc::shard::make_centroid_round_runner(std::move(topology),
+                                                        inputs, config);
         };
         m = measure(rounds, engine);
       } else if (protocol == "gm") {
         auto engine = [&] {
-          return ddc::gossip::make_gm_round_runner(std::move(topology), inputs,
-                                                   config);
+          return ddc::shard::make_gm_round_runner(std::move(topology), inputs,
+                                                  config);
         };
         m = measure(rounds, engine);
       } else {

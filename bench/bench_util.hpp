@@ -9,7 +9,6 @@
 #include <ddc/exec/parallel_for.hpp>
 #include <ddc/exec/thread_pool.hpp>
 #include <ddc/metrics/classification_metrics.hpp>
-#include <ddc/sim/round_runner.hpp>
 
 namespace ddc::bench {
 
@@ -17,9 +16,9 @@ namespace ddc::bench {
 /// to within `threshold` (checked every `check_every` rounds), or until
 /// `max_rounds`. Returns the number of rounds executed — the
 /// "rounds to convergence" statistic the paper reports.
-template <typename SummaryPolicy, typename Node>
-std::size_t run_until_agreement(sim::RoundRunner<Node>& runner,
-                                double threshold, std::size_t check_every,
+template <typename SummaryPolicy, typename Runner>
+std::size_t run_until_agreement(Runner& runner, double threshold,
+                                std::size_t check_every,
                                 std::size_t max_rounds) {
   std::size_t rounds = 0;
   while (rounds < max_rounds) {

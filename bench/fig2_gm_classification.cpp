@@ -12,10 +12,10 @@
 // the rounds it took for all nodes to agree.
 #include <iostream>
 
-#include <ddc/gossip/runners.hpp>
 #include <ddc/io/ascii_canvas.hpp>
 #include <ddc/io/table.hpp>
 #include <ddc/metrics/gaussian_metrics.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/stats/mixture_distance.hpp>
 #include <ddc/summaries/gaussian_summary.hpp>
 #include <ddc/workload/scenarios.hpp>
@@ -39,7 +39,7 @@ int main() {
   config.k = k;
   config.protocol_seed = 2;
   config.parallelism = ddc::bench::bench_threads();
-  auto runner = ddc::gossip::make_gm_round_runner(
+  auto runner = ddc::shard::make_gm_round_runner(
       ddc::sim::Topology::complete(n), inputs, config);
 
   const std::size_t rounds =

@@ -17,9 +17,9 @@
 // effect the paper discusses.
 #include <iostream>
 
-#include <ddc/gossip/runners.hpp>
 #include <ddc/io/table.hpp>
 #include <ddc/metrics/outlier_metrics.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/workload/scenarios.hpp>
 
 #include "bench_util.hpp"
@@ -52,10 +52,10 @@ DeltaRow measure_delta(int delta_int, std::size_t rounds) {
   // local optimum early can decide a whole run).
   ddc::em::ReductionOptions reduction;
   reduction.restarts = 3;
-  auto runner = ddc::gossip::make_gm_round_runner(
+  auto runner = ddc::shard::make_gm_round_runner(
       ddc::sim::Topology::complete(n), scenario.inputs, config, reduction);
 
-  auto baseline = ddc::gossip::make_push_sum_round_runner(
+  auto baseline = ddc::shard::make_push_sum_round_runner(
       ddc::sim::Topology::complete(n), scenario.inputs);
 
   runner.run_rounds(rounds);

@@ -11,9 +11,9 @@
 // converges about as fast as plain average aggregation.
 #include <iostream>
 
-#include <ddc/gossip/runners.hpp>
 #include <ddc/io/table.hpp>
 #include <ddc/metrics/outlier_metrics.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/workload/scenarios.hpp>
 
 #include "bench_util.hpp"
@@ -37,7 +37,7 @@ Series run_robust(const ddc::workload::OutlierScenario& scenario,
   config.protocol_seed = 44;
   config.crash_probability = crash_probability;
   config.seed = 45;
-  auto runner = ddc::gossip::make_gm_round_runner(
+  auto runner = ddc::shard::make_gm_round_runner(
       ddc::sim::Topology::complete(n), scenario.inputs, config);
 
   Series series;
@@ -63,7 +63,7 @@ Series run_regular(const ddc::workload::OutlierScenario& scenario,
   ddc::sim::EngineConfig config;
   config.crash_probability = crash_probability;
   config.seed = 45;  // same crash schedule as the robust run
-  auto runner = ddc::gossip::make_push_sum_round_runner(
+  auto runner = ddc::shard::make_push_sum_round_runner(
       ddc::sim::Topology::complete(n), scenario.inputs, config);
 
   Series series;

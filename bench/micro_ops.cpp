@@ -9,13 +9,12 @@
 #include <ddc/core/classifier.hpp>
 #include <ddc/em/mixture_reduction.hpp>
 #include <ddc/gossip/network.hpp>
-#include <ddc/gossip/runners.hpp>
 #include <ddc/linalg/cholesky.hpp>
 #include <ddc/linalg/eigen_sym.hpp>
 #include <ddc/linalg/simd.hpp>
 #include <ddc/partition/greedy.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/sim/event_queue.hpp>
-#include <ddc/sim/round_runner.hpp>
 #include <ddc/stats/gaussian.hpp>
 #include <ddc/stats/gaussian_batch.hpp>
 #include <ddc/summaries/centroid.hpp>
@@ -347,7 +346,7 @@ void BM_PushSumRound(benchmark::State& state) {
   ddc::stats::Rng rng(10);
   std::vector<Vector> inputs;
   for (std::size_t i = 0; i < n; ++i) inputs.push_back(Vector{rng.normal()});
-  auto runner = ddc::gossip::make_push_sum_round_runner(
+  auto runner = ddc::shard::make_push_sum_round_runner(
       ddc::sim::Topology::complete(n), inputs);
   for (auto _ : state) {
     runner.run_round();
@@ -366,7 +365,7 @@ void BM_GmNetworkRound(benchmark::State& state) {
   ddc::sim::EngineConfig config;
   config.k = 2;
   config.parallelism = static_cast<std::size_t>(state.range(1));
-  auto runner = ddc::gossip::make_gm_round_runner(
+  auto runner = ddc::shard::make_gm_round_runner(
       ddc::sim::Topology::complete(n), inputs, config);
   for (auto _ : state) {
     runner.run_round();

@@ -13,7 +13,7 @@
 #include <cmath>
 #include <iostream>
 
-#include <ddc/gossip/runners.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/workload/scenarios.hpp>
 
 namespace {
@@ -30,7 +30,7 @@ void classify_probe(double probe_load, double low_center, double high_center) {
   ddc::sim::EngineConfig config;
   config.k = 2;
   config.protocol_seed = 13;
-  auto runner = ddc::gossip::make_centroid_round_runner(
+  auto runner = ddc::shard::make_centroid_round_runner(
       ddc::sim::Topology::erdos_renyi(n, 0.1, rng), loads, config);
   runner.run_rounds(150);
 

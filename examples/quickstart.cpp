@@ -7,7 +7,7 @@
 //   $ ./quickstart
 #include <iostream>
 
-#include <ddc/gossip/runners.hpp>
+#include <ddc/shard/factories.hpp>
 
 int main() {
   using ddc::linalg::Vector;
@@ -23,7 +23,7 @@ int main() {
   config.protocol_seed = 42;
 
   // A ring of 8 nodes running the centroids instantiation (Algorithm 2).
-  auto runner = ddc::gossip::make_centroid_round_runner(
+  auto runner = ddc::shard::make_centroid_round_runner(
       ddc::sim::Topology::ring(inputs.size()), inputs, config);
 
   runner.run_rounds(200);

@@ -8,8 +8,8 @@
 #include <cstdlib>
 #include <iostream>
 
-#include <ddc/gossip/runners.hpp>
 #include <ddc/metrics/outlier_metrics.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/workload/scenarios.hpp>
 
 int main(int argc, char** argv) {
@@ -27,11 +27,11 @@ int main(int argc, char** argv) {
   config.k = 2;
   config.track_aux = true;
   config.protocol_seed = 3;
-  auto runner = ddc::gossip::make_gm_round_runner(
+  auto runner = ddc::shard::make_gm_round_runner(
       ddc::sim::Topology::complete(n), scenario.inputs, config);
 
   // Baseline: plain push-sum average aggregation on the same inputs.
-  auto baseline = ddc::gossip::make_push_sum_round_runner(
+  auto baseline = ddc::shard::make_push_sum_round_runner(
       ddc::sim::Topology::complete(n), scenario.inputs);
 
   runner.run_rounds(rounds);

@@ -10,8 +10,8 @@
 #include <iostream>
 
 #include <ddc/em/em_points.hpp>
-#include <ddc/gossip/runners.hpp>
 #include <ddc/io/table.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/summaries/gaussian_summary.hpp>
 #include <ddc/workload/scenarios.hpp>
 
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   config.protocol_seed = 7;
 
   // Sensors communicate by radio range: a random geometric graph.
-  auto runner = ddc::gossip::make_gm_round_runner(
+  auto runner = ddc::shard::make_gm_round_runner(
       ddc::sim::Topology::random_geometric(n, 0.15, rng), inputs, config);
   runner.run_rounds(rounds);
 

@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include <ddc/audit/auditors.hpp>
-#include <ddc/gossip/runners.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/summaries/gaussian_summary.hpp>
 
 int main() {
@@ -31,8 +31,8 @@ int main() {
   config.track_aux = true;  // auditors need the mixture-space vectors
   config.protocol_seed = 33;
 
-  auto runner = ddc::gossip::make_gm_round_runner(ddc::sim::Topology::ring(n),
-                                                  inputs, config);
+  auto runner = ddc::shard::make_gm_round_runner(ddc::sim::Topology::ring(n),
+                                                 inputs, config);
 
   ddc::audit::ReferenceAngleMonitor angles(n);
   const std::int64_t expected_quanta =

@@ -23,9 +23,11 @@
 #   5. perfbench   builds the benchmark driver (perfbench/), the main
 #                  consumer of the engine factories, which no ctest
 #                  compiles.
-#   6. TSan        exec/sim/gossip suites under ThreadSanitizer — the
-#                  parallel engine's determinism tests drive the pool
-#                  at several thread counts, which is where races live.
+#   6. TSan        exec/sim/gossip/shard suites under ThreadSanitizer —
+#                  the round engines' determinism tests drive the pool
+#                  at several thread counts, which is where races live;
+#                  the shard suite covers ShardEngine, the object engine
+#                  included, with 4 shards at 4 threads each.
 #   7. ASan+UBSan  the FULL ctest suite under AddressSanitizer +
 #                  UndefinedBehaviorSanitizer. Not just wire/net/io:
 #                  the partition/EM hot paths rewritten in PR 3 run
@@ -103,18 +105,20 @@ cmake --build build-perfbench --target ddc_perfbench -j "$(nproc)"
 echo "perfbench driver builds against the current factories."
 
 echo
-echo "=== gate 6/10: ThreadSanitizer (exec, sim, gossip) ==="
+echo "=== gate 6/10: ThreadSanitizer (exec, sim, gossip, shard) ==="
 cmake -B "$TSAN_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-cmake --build "$TSAN_DIR" --target exec_tests sim_tests gossip_tests -j "$(nproc)"
+cmake --build "$TSAN_DIR" --target exec_tests sim_tests gossip_tests \
+  shard_tests -j "$(nproc)"
 
 "$TSAN_DIR"/tests/exec_tests
 "$TSAN_DIR"/tests/sim_tests
 "$TSAN_DIR"/tests/gossip_tests
+"$TSAN_DIR"/tests/shard_tests
 
-echo "TSan-clean: exec, sim and gossip test suites."
+echo "TSan-clean: exec, sim, gossip and shard test suites."
 
 echo
 echo "=== gate 7/10: ASan+UBSan, full test suite ==="

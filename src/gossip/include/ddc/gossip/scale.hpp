@@ -12,7 +12,7 @@
 //
 // Packing is EXACT (doubles are copied bit-for-bit), which is what lets
 // the golden equivalence suite demand bit-identical classifications
-// between this engine and RoundRunner.
+// between this engine and the object engine (shard/factories.hpp).
 #pragma once
 
 #include <algorithm>

@@ -1,5 +1,6 @@
-// Factories for sharded runs, one per engine shape, each taking the one
-// sim::EngineConfig (mirroring gossip/runners.hpp).
+// Factories for ShardEngine runs, each taking the one sim::EngineConfig:
+// one shard of a cluster, a whole in-process cluster, or the object
+// engine (make_*_round_runner: the whole network in one shard).
 //
 // The node-construction discipline is the load-bearing part: a shard
 // builds ONLY its owned ids, with the monolithic engines' per-node
@@ -15,7 +16,9 @@
 
 #include <ddc/common/assert.hpp>
 #include <ddc/gossip/classifier_node.hpp>
+#include <ddc/gossip/dkmeans.hpp>
 #include <ddc/gossip/network.hpp>
+#include <ddc/gossip/push_sum.hpp>
 #include <ddc/linalg/vector.hpp>
 #include <ddc/net/transport.hpp>
 #include <ddc/shard/cluster.hpp>
@@ -89,6 +92,53 @@ using CentroidShardCluster = ShardCluster<gossip::CentroidNode, CentroidCodec>;
   return CentroidShardEngine(std::move(topology), map, shard_id,
                              std::move(nodes), transport,
                              shard_options(config, std::move(exchange)));
+}
+
+/// The object engine for GM (the paper's Section 5 instantiation): one
+/// node per input, EM partitioning with per-node derived RNG streams.
+[[nodiscard]] inline GmShardEngine make_gm_round_runner(
+    sim::Topology topology, const std::vector<linalg::Vector>& inputs,
+    const sim::EngineConfig& config = {},
+    const em::ReductionOptions& reduction = {}) {
+  return make_gm_shard_engine(std::move(topology), inputs, config, 0, 1,
+                              nullptr, {}, reduction);
+}
+
+/// The object engine for centroids (the paper's Algorithm 2).
+[[nodiscard]] inline CentroidShardEngine make_centroid_round_runner(
+    sim::Topology topology, const std::vector<linalg::Vector>& inputs,
+    const sim::EngineConfig& config = {}) {
+  return make_centroid_shard_engine(std::move(topology), inputs, config, 0, 1,
+                                    nullptr);
+}
+
+/// The object engine for push-sum (the plain average-aggregation
+/// baseline). Reads only the round options of `config`.
+[[nodiscard]] inline ShardEngine<gossip::PushSumNode>
+make_push_sum_round_runner(sim::Topology topology,
+                           const std::vector<linalg::Vector>& inputs,
+                           const sim::EngineConfig& config = {}) {
+  return ShardEngine<gossip::PushSumNode>(std::move(topology),
+                                          gossip::make_push_sum_nodes(inputs),
+                                          config.round_options());
+}
+
+/// The object engine for distributed k-means (the Section 2 comparator).
+/// All nodes share `initial_centroids`, as the algorithm requires. Reads
+/// only the round options of `config`.
+[[nodiscard]] inline ShardEngine<gossip::DistributedKMeansNode>
+make_dkmeans_round_runner(sim::Topology topology,
+                          const std::vector<linalg::Vector>& inputs,
+                          const std::vector<linalg::Vector>& initial_centroids,
+                          std::size_t rounds_per_iteration,
+                          const sim::EngineConfig& config = {}) {
+  std::vector<gossip::DistributedKMeansNode> nodes;
+  nodes.reserve(inputs.size());
+  for (const linalg::Vector& input : inputs) {
+    nodes.emplace_back(input, initial_centroids, rounds_per_iteration);
+  }
+  return ShardEngine<gossip::DistributedKMeansNode>(
+      std::move(topology), std::move(nodes), config.round_options());
 }
 
 /// A whole in-process GM cluster over a loopback fabric.

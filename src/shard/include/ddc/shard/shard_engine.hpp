@@ -1,5 +1,5 @@
 // Sharded cluster engine: thousands of nodes per process, batched
-// cross-shard gossip over Transport.
+// cross-shard gossip over Transport; over one shard, the object engine.
 //
 // A ShardEngine is one process's slice of a round-based simulation. The
 // global Topology is split by a ShardMap (contiguous ranges or the
@@ -11,6 +11,10 @@
 // wire::FrameKind::batch frame (encode_batch), acknowledged and
 // retransmitted until delivered, with one batch per peer per round
 // acting as the round barrier (an empty batch is the barrier token).
+//
+// The object engine is the one-shard case: no transport, each round
+// complete in its first poll. Only it takes node types with no wire
+// format (Codec = void) and event traces (set_trace).
 //
 // Compute/communication overlap: begin_round() splits the owned nodes
 // into BOUNDARY (this round's plan moves one of their messages across a
@@ -30,22 +34,22 @@
 //    replayed IDENTICALLY on every shard: each engine carries a full
 //    global RoundPlan — alive vector, selector state, reply requests —
 //    and walks all n nodes in the plan/crash phases, consuming exactly
-//    RoundRunner's draws. The alive vector evolves as a pure function of
-//    the seed, so replicas never diverge.
+//    the one-shard engine's draws. The alive vector evolves as a pure
+//    function of the seed, so replicas never diverge.
 //  * Node-local randomness derives from the protocol seed by GLOBAL
 //    node id (gossip::make_*_node discipline), so a node's stream does
 //    not depend on which shard hosts it.
 //  * Channel loss is RoundPlan's stateless verdict, hashed from (seed,
 //    round, leg, initiator): the sending shard and the receiving shard
-//    reach the same verdict without exchanging it, and so does
-//    RoundRunner. Lossy runs, like lossless ones, match RoundRunner bit
-//    for bit.
+//    reach the same verdict without exchanging it, so lossy runs, like
+//    lossless ones, match the one-shard engine bit for bit.
 //
 // The engine is stepped — begin_round() sends, try_complete_round()
 // polls — so a single thread can drive S in-process engines (see
 // ShardCluster); run_round() wraps the two for one-engine-per-process
-// drivers like ddcnode. All exchange pacing is poll-counted, never
-// wall-clock, to keep the deterministic core clock-free.
+// drivers like ddcnode and for the one-shard engine. All exchange pacing
+// is poll-counted, never wall-clock, to keep the deterministic core
+// clock-free; timings() only reports.
 #pragma once
 
 #include <algorithm>
@@ -55,10 +59,12 @@
 #include <optional>
 #include <span>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include <ddc/common/assert.hpp>
+#include <ddc/common/timing.hpp>
 #include <ddc/exec/parallel_for.hpp>
 #include <ddc/exec/thread_pool.hpp>
 #include <ddc/net/transport.hpp>
@@ -66,6 +72,7 @@
 #include <ddc/sim/gossip_node.hpp>
 #include <ddc/sim/round_plan.hpp>
 #include <ddc/sim/topology.hpp>
+#include <ddc/sim/trace.hpp>
 #include <ddc/wire/framing.hpp>
 
 namespace ddc::shard {
@@ -90,7 +97,7 @@ struct ShardEngineOptions : sim::RoundRunnerOptions {
   std::size_t overlap_chunk = 512;
   /// Called by run_round() between unsuccessful polls — the driver's
   /// pump (LoopbackNetwork::advance, UdpTransport::maintain + sleep).
-  std::function<void()> idle;
+  std::function<void()> idle = nullptr;
   /// TESTING ONLY — re-enables a historic bug class for the schedule
   /// explorer's planted-bug self-test: when set, empty batches (bare
   /// barrier tokens) are never retransmitted, so a dropped barrier
@@ -122,8 +129,9 @@ struct ShardEngineStats {
 
 /// One process's shard of a round-based gossip simulation. `Codec`
 /// encodes Node::Message payloads for the wire: static encode(Message)
-/// and decode(bytes), as ClassificationCodec in factories.hpp.
-template <sim::GossipNode Node, typename Codec>
+/// and decode(bytes), as ClassificationCodec in factories.hpp; `void`
+/// (no wire format) is allowed on one-shard maps only.
+template <sim::GossipNode Node, typename Codec = void>
 class ShardEngine {
  public:
   using Message = typename Node::Message;
@@ -148,6 +156,7 @@ class ShardEngine {
         inbox_(nodes_.size()),
         peers_(map_.num_shards()),
         pool_(exec::ThreadPool::for_parallelism(options_.parallelism)) {
+    DDC_EXPECTS(kHasCodec || map_.num_shards() == 1);
     DDC_EXPECTS(shard_ < map_.num_shards());
     DDC_EXPECTS(topology_.num_nodes() == map_.num_nodes());
     DDC_EXPECTS(nodes_.size() == map_.size(shard_));
@@ -158,6 +167,13 @@ class ShardEngine {
     stats_.cut_edges = map_.cut_edges(topology_, shard_);
   }
 
+  /// The one-shard engine (the object engine): takes ownership of
+  /// `nodes`, one per topology vertex, with no transport.
+  ShardEngine(sim::Topology topology, std::vector<Node> nodes,
+              const sim::RoundRunnerOptions& options = {})
+      : ShardEngine(ShardMap(topology.num_nodes(), 1), std::move(topology),
+                    std::move(nodes), options) {}
+
   /// Plans the round (global replay), prepares the owned boundary nodes,
   /// ships this round's batch to every peer, then prepares the interior
   /// with transport polls interleaved. Follow with try_complete_round().
@@ -166,23 +182,26 @@ class ShardEngine {
     DDC_EXPECTS(!round_open_);
     plan_.plan(topology_);
     classify_boundary();
-    const std::size_t n = map_.num_nodes();
-    for (sim::NodeId i = 0; i < n; ++i) replies_[i].reset();
-    for (std::size_t j = 0; j < nodes_.size(); ++j) outbox_[j].reset();
-    prepare_nodes(boundary_js_);
-    send_batches();  // only reads boundary nodes' outbox_/replies_ slots
-    const bool overlap = map_.num_shards() > 1 && options_.overlap_chunk > 0;
-    const std::size_t chunk =
-        overlap ? options_.overlap_chunk : interior_js_.size();
-    const std::span<const std::size_t> interior(interior_js_);
-    for (std::size_t off = 0; off < interior.size(); off += chunk) {
-      const std::size_t len = std::min(chunk, interior.size() - off);
-      prepare_nodes(interior.subspan(off, len));
-      if (overlap && off + len < interior.size()) {
-        pump_transport();
-        ++stats_.polls_during_compute;
+    // Multi-shard, the timed prepare includes the sends and polls.
+    timed_phase(timings_.prepare_seconds, [&] {
+      for (std::optional<Message>& reply : replies_) reply.reset();
+      for (std::optional<Message>& out : outbox_) out.reset();
+      prepare_nodes(boundary_js_);
+      send_batches();  // only reads boundary nodes' outbox_/replies_ slots
+      const bool overlap =
+          map_.num_shards() > 1 && options_.overlap_chunk > 0;
+      const std::size_t chunk =
+          overlap ? options_.overlap_chunk : interior_js_.size();
+      const std::span<const std::size_t> interior(interior_js_);
+      for (std::size_t off = 0; off < interior.size(); off += chunk) {
+        const std::size_t len = std::min(chunk, interior.size() - off);
+        prepare_nodes(interior.subspan(off, len));
+        if (overlap && off + len < interior.size()) {
+          pump_transport();
+          ++stats_.polls_during_compute;
+        }
       }
-    }
+    });
     polls_this_round_ = 0;
     round_open_ = true;
   }
@@ -203,7 +222,7 @@ class ShardEngine {
       }
     }
     deliver_messages();
-    absorb_inboxes();
+    timed_phase(timings_.absorb_seconds, [&] { absorb_inboxes(); });
     // Retire this round's exchange state BEFORE advancing the round
     // counter, so batches for the next round arriving early (via
     // service() between rounds, or the next round's polls) land in a
@@ -213,7 +232,11 @@ class ShardEngine {
       peer.got_batch = false;
       peer.acked = false;
     }
-    plan_.end_round();
+    plan_.end_round([&](sim::NodeId i) {
+      if (trace_ != nullptr) {
+        trace_->record({plan_.round(), sim::TraceEventType::crash, i, i, 0});
+      }
+    });
     round_open_ = false;
     return true;
   }
@@ -254,6 +277,16 @@ class ShardEngine {
   [[nodiscard]] const ShardEngineStats& stats() const noexcept {
     return stats_;
   }
+  [[nodiscard]] const sim::RoundPhaseTimings& timings() const noexcept {
+    return timings_;
+  }
+
+  /// Attaches (or detaches, with nullptr) an execution trace recorder,
+  /// borrowed: it must outlive the rounds it observes. One-shard only.
+  void set_trace(sim::TraceRecorder* recorder) {
+    DDC_EXPECTS(map_.num_shards() == 1);
+    trace_ = recorder;
+  }
 
   [[nodiscard]] bool alive(sim::NodeId i) const { return plan_.alive(i); }
   [[nodiscard]] std::size_t alive_count() const noexcept {
@@ -266,6 +299,15 @@ class ShardEngine {
   }
 
  private:
+  static constexpr bool kHasCodec = !std::is_void_v<Codec>;
+
+  // Binds `topology` by reference so that the one-shard constructor's
+  // map is built before anything is moved from.
+  ShardEngine(ShardMap map, sim::Topology&& topology, std::vector<Node>&& nodes,
+              const sim::RoundRunnerOptions& options)
+      : ShardEngine(std::move(topology), std::move(map), 0, std::move(nodes),
+                    nullptr, ShardEngineOptions{options}) {}
+
   /// One logical message captured off the wire, owning its payload.
   struct StoredRecord {
     sim::NodeId src = 0;
@@ -377,12 +419,14 @@ class ShardEngine {
           return owns(hop.from) && !owns(hop.to) && sent_locally(hop);
         },
         [&](const sim::Hop& hop, sim::Fate fate) {
-          if (fate != sim::Fate::delivered) return;
-          encoded.push_back(Codec::encode(*message(hop)));
-          outgoing[map_.shard_of(hop.to)].push_back(
-              {static_cast<std::uint32_t>(hop.from),
-               static_cast<std::uint32_t>(hop.to), batch_tag(hop.leg),
-               encoded.back()});
+          if constexpr (kHasCodec) {
+            if (fate != sim::Fate::delivered) return;
+            encoded.push_back(Codec::encode(*message(hop)));
+            outgoing[map_.shard_of(hop.to)].push_back(
+                {static_cast<std::uint32_t>(hop.from),
+                 static_cast<std::uint32_t>(hop.to), batch_tag(hop.leg),
+                 encoded.back()});
+          }
         });
     for (ShardId s = 0; s < map_.num_shards(); ++s) {
       if (s == shard_) continue;
@@ -601,6 +645,7 @@ class ShardEngine {
           return owns(hop.from) ? sent_locally(hop) : remote(hop) != nullptr;
         },
         [&](const sim::Hop& hop, sim::Fate fate) {
+          if (trace_ != nullptr) trace_hop(hop, fate);
           if (fate != sim::Fate::delivered) return;
           if (owns(hop.from)) {
             inbox_[local(hop.to)].push_back(std::move(*message(hop)));
@@ -649,11 +694,35 @@ class ShardEngine {
 
   void deliver_record(StoredRecord& rec) {
     rec.consumed = true;
-    try {
-      inbox_[local(rec.dst)].push_back(Codec::decode(rec.payload));
-    } catch (const wire::DecodeError&) {
-      ++stats_.decode_errors;
+    if constexpr (kHasCodec) {
+      try {
+        inbox_[local(rec.dst)].push_back(Codec::decode(rec.payload));
+      } catch (const wire::DecodeError&) {
+        ++stats_.decode_errors;
+      }
     }
+  }
+
+  /// Records one step of the delivery walk (one shard, so every message
+  /// is local): a missing target, or a send and what became of it.
+  void trace_hop(const sim::Hop& hop, sim::Fate fate) {
+    using Event = sim::TraceEventType;
+    const auto record = [&](Event type, std::size_t payload) {
+      trace_->record({plan_.round(), type, hop.from, hop.to, payload});
+    };
+    if (fate == sim::Fate::no_target) {
+      record(Event::no_live_neighbor, 0);
+      return;
+    }
+    std::size_t payload = 1;  // scalar messages (push-sum) count one unit
+    if constexpr (requires(const Message& m) { m.size(); }) {
+      payload = message(hop)->size();  // collections
+    }
+    record(Event::send, payload);
+    const Event outcome = fate == sim::Fate::dead_target ? Event::dead_target
+                          : fate == sim::Fate::lost      ? Event::loss
+                                                         : Event::deliver;
+    record(outcome, payload);
   }
 
   /// Phase 4 — batch absorption over the owned nodes.
@@ -692,6 +761,8 @@ class ShardEngine {
   std::size_t polls_this_round_ = 0;
   bool round_open_ = false;
   ShardEngineStats stats_;
+  sim::RoundPhaseTimings timings_;
+  sim::TraceRecorder* trace_ = nullptr;
 };
 
 }  // namespace ddc::shard

@@ -13,9 +13,9 @@
 //   auto engine = gossip::make_centroid_scale_engine(
 //       config.build_topology(rng), inputs, config);
 //
-// The factories live in gossip/runners.hpp, gossip/scale.hpp and
-// shard/factories.hpp; cli::parse_engine_config builds one from
-// command-line flags.
+// The factories live in shard/factories.hpp (the object engine and the
+// sharded cluster), gossip/scale.hpp (SoA) and gossip/runners.hpp
+// (async); cli::parse_engine_config builds one from command-line flags.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +25,7 @@
 #include <ddc/linalg/simd.hpp>
 #include <ddc/sim/async_runner.hpp>
 #include <ddc/sim/gossip_node.hpp>
-#include <ddc/sim/round_runner.hpp>
+#include <ddc/sim/round_plan.hpp>
 #include <ddc/sim/topology.hpp>
 #include <ddc/stats/rng.hpp>
 
@@ -84,8 +84,9 @@ enum class EngineMode {
 /// Which node-state representation backs a round-mode run. Async mode
 /// has only the object engine and ignores this choice.
 enum class EngineBackend {
-  /// One heap-allocated protocol object per node (RoundRunner). Serves
-  /// protocols without scale-engine traits (push-sum) and event traces.
+  /// One heap-allocated protocol object per node: shard::ShardEngine
+  /// over a one-shard map (shard/factories.hpp). Serves protocols
+  /// without scale-engine traits (push-sum) and event traces.
   object,
   /// Struct-of-arrays pools + message arenas (SoaRoundEngine). Bit-
   /// identical to `object` for the centroid and GM protocols, and faster
@@ -148,7 +149,7 @@ struct EngineConfig : RoundRunnerOptions {
   [[nodiscard]] bool use_soa() const noexcept;
 
   /// Throws ddc::ConfigError on out-of-range values (probabilities,
-  /// nodes < 2, k = 0, an AVX2 request the host cannot serve).
+  /// nodes < 2, k = 0, quanta_per_unit < 1, bad async timing).
   void validate() const;
 };
 

@@ -3,11 +3,11 @@
 // The paper measures progress in rounds (Section 5.3): in each round every
 // live node sends to one neighbor, and each receiver merges everything it
 // got in one batch; after the round every live node crashes independently
-// with fixed probability (Fig. 4). The three round engines — RoundRunner
-// (one object per node), SoaRoundEngine (struct-of-arrays pools) and
-// shard::ShardEngine (one shard's nodes plus a batch exchange) — differ
-// only in where node state and messages live. The schedule is written
-// once, here, and every engine calls it:
+// with fixed probability (Fig. 4). The two round engines —
+// SoaRoundEngine (struct-of-arrays pools) and shard::ShardEngine (one
+// shard's node objects plus a batch exchange; over a one-shard map, the
+// object engine) — differ only in where node state and messages live.
+// The schedule is written once, here, and both engines call it:
 //
 //   plan()            phase 1: selection draws in node order, then the
 //                     reply-request CSR (who owes whom a reply);

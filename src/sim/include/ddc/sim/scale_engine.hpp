@@ -1,10 +1,10 @@
 // Struct-of-arrays round engine — the 10⁵–10⁶ node simulation backend.
 //
-// RoundRunner keeps one protocol object per node: a Classification with
-// heap-allocated summaries, per-node inbox vectors, per-node option
-// structs. At a million nodes that representation is dominated by pointer
-// chasing and allocator metadata. SoaRoundEngine stores the SAME state in
-// flat pools —
+// The object engine (one-shard shard::ShardEngine) keeps one protocol
+// object per node: a Classification with heap-allocated summaries,
+// per-node inboxes and option structs. At a million nodes that is
+// dominated by pointer chasing and allocator metadata. SoaRoundEngine
+// stores the SAME state in flat pools —
 //
 //   * node state: a weight-quanta array (n × k int64), a packed-summary
 //     array (n × k × sd doubles, sd = doubles per summary) and a
@@ -18,8 +18,8 @@
 //
 // The round schedule — selection, reply requests, per-node split order,
 // the delivery walk with its loss verdicts, crash draws — is the shared
-// sim::RoundPlan that RoundRunner runs too (round_plan.hpp); this engine
-// keeps only the pools:
+// sim::RoundPlan that the object engine runs too (round_plan.hpp); this
+// engine keeps only the pools:
 //
 //   1. plan     (sequential)  RoundPlan::plan
 //   2. prepare  (parallel)    splits on the pools into the slot arena
@@ -36,7 +36,7 @@
 // partition, the shared grouping step (core::group_collections) and its
 // merge, the same functions GenericClassifier runs — and writes the
 // result straight back into the pools.
-// Bit-identity with RoundRunner is pinned by tests, not assumed:
+// Bit-identity with the object engine is pinned by tests, not assumed:
 // tests/sim/soa_pool_receive_test.cpp compares each binding's
 // receive_rows with GenericClassifier::receive on randomized inputs
 // (coarse quanta, exact ties), and tests/sim/scale_equivalence_test.cpp
@@ -45,7 +45,7 @@
 // fire.
 //
 // Deliberate non-features: no TraceRecorder (a per-event log defeats the
-// point at 10⁶ nodes — use RoundRunner to trace) and no aux-vector
+// point at 10⁶ nodes — use the object engine to trace) and no aux-vector
 // tracking (O(n) per collection). Round mode only; the async engine's
 // event heap is inherently per-node and stays on AsyncRunner.
 //
@@ -123,7 +123,7 @@ class SoaRoundEngine {
   }
 
   /// Executes one round — the same RoundPlan schedule as
-  /// RoundRunner<Node>::run_round.
+  /// shard::ShardEngine::run_round.
   // ddcverify: hotpath
   void run_round() {
     plan_.plan(topology_);
@@ -220,7 +220,7 @@ class SoaRoundEngine {
 
   /// Phase 3 — the plan's delivery walk over the non-empty slots, then
   /// the inbox CSR via stable counting sort: per receiver, slots appear
-  /// in delivery order, exactly like RoundRunner's inbox push_backs.
+  /// in delivery order, like the object engine's inbox push_backs.
   void deliver_messages() {
     deliveries_.clear();
     plan_.for_each_hop(

@@ -1,6 +1,7 @@
 // Execution tracing for round-based simulations.
 //
-// A TraceRecorder attached to a RoundRunner logs every protocol-relevant
+// A TraceRecorder attached to the object engine (the one-shard
+// shard::ShardEngine) logs every protocol-relevant
 // event — sends, deliveries, channel losses, packets to dead nodes,
 // crashes — with round numbers and endpoints. Experiments use it to
 // account for message complexity; the CSV export feeds external analysis.
@@ -40,7 +41,7 @@ struct TraceEvent {
   friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
-/// Accumulates trace events; attach via RoundRunner::set_trace.
+/// Accumulates trace events; attach via shard::ShardEngine::set_trace.
 class TraceRecorder {
  public:
   void record(TraceEvent event) { events_.push_back(event); }

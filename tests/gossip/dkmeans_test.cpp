@@ -4,7 +4,7 @@
 
 #include <ddc/common/error.hpp>
 #include <ddc/sim/gossip_node.hpp>
-#include <ddc/sim/round_runner.hpp>
+#include <ddc/shard/shard_engine.hpp>
 #include <ddc/stats/rng.hpp>
 
 namespace ddc::gossip {
@@ -41,7 +41,7 @@ TEST(DistributedKMeans, OwnClusterPicksNearestCentroid) {
 
 TEST(DistributedKMeans, IterationAdvancesEveryRoundsPerIteration) {
   std::vector<Vector> inputs = {Vector{0.0}, Vector{1.0}};
-  sim::RoundRunner<DistributedKMeansNode> runner(
+  shard::ShardEngine<DistributedKMeansNode> runner(
       sim::Topology::complete(2),
       make_network(inputs, {Vector{0.0}, Vector{1.0}}, 4));
   runner.run_rounds(4);
@@ -61,7 +61,7 @@ TEST(DistributedKMeans, RecoversTwoClusters) {
                                        : rng.normal(30.0, 1.0)});
   }
   // Deliberately poor (but shared) initial centroids.
-  sim::RoundRunner<DistributedKMeansNode> runner(
+  shard::ShardEngine<DistributedKMeansNode> runner(
       sim::Topology::complete(n),
       make_network(inputs, {Vector{10.0}, Vector{12.0}}, 25));
   runner.run_rounds(25 * 8 + 1);  // 8 Lloyd iterations
@@ -80,7 +80,7 @@ TEST(DistributedKMeans, AllNodesShareCentroidsAtBoundaries) {
   for (std::size_t i = 0; i < 16; ++i) {
     inputs.push_back(Vector{rng.uniform(0.0, 10.0)});
   }
-  sim::RoundRunner<DistributedKMeansNode> runner(
+  shard::ShardEngine<DistributedKMeansNode> runner(
       sim::Topology::complete(16),
       make_network(inputs, {Vector{2.0}, Vector{8.0}}, 30));
   runner.run_rounds(30 * 4 + 1);

@@ -4,7 +4,7 @@
 
 #include <ddc/common/error.hpp>
 #include <ddc/gossip/network.hpp>
-#include <ddc/sim/round_runner.hpp>
+#include <ddc/shard/shard_engine.hpp>
 #include <ddc/stats/rng.hpp>
 
 namespace ddc::gossip {
@@ -57,8 +57,8 @@ TEST(PushSum, ConvergesToGlobalAverageOnCompleteGraph) {
     inputs.push_back(Vector{rng.normal(5.0, 3.0), rng.normal(-2.0, 1.0)});
     truth += inputs.back() / static_cast<double>(n);
   }
-  sim::RoundRunner<PushSumNode> runner(sim::Topology::complete(n),
-                                       make_push_sum_nodes(inputs));
+  shard::ShardEngine<PushSumNode> runner(sim::Topology::complete(n),
+                                         make_push_sum_nodes(inputs));
   runner.run_rounds(60);
   for (const auto& node : runner.nodes()) {
     EXPECT_LT(linalg::distance2(node.estimate(), truth), 1e-6);
@@ -74,8 +74,8 @@ TEST(PushSum, ConvergesOnRingToo) {
     inputs.push_back(Vector{rng.uniform(0.0, 10.0)});
     truth += inputs.back()[0] / static_cast<double>(n);
   }
-  sim::RoundRunner<PushSumNode> runner(sim::Topology::ring(n),
-                                       make_push_sum_nodes(inputs));
+  shard::ShardEngine<PushSumNode> runner(sim::Topology::ring(n),
+                                         make_push_sum_nodes(inputs));
   runner.run_rounds(300);
   for (const auto& node : runner.nodes()) {
     EXPECT_NEAR(node.estimate()[0], truth, 1e-4);
@@ -86,8 +86,8 @@ TEST(PushSum, MassConservationAcrossRounds) {
   stats::Rng rng(203);
   std::vector<Vector> inputs;
   for (int i = 0; i < 10; ++i) inputs.push_back(Vector{rng.normal()});
-  sim::RoundRunner<PushSumNode> runner(sim::Topology::complete(10),
-                                       make_push_sum_nodes(inputs));
+  shard::ShardEngine<PushSumNode> runner(sim::Topology::complete(10),
+                                         make_push_sum_nodes(inputs));
   for (int r = 0; r < 20; ++r) {
     runner.run_round();
     double weight = 0.0;

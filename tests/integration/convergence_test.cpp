@@ -18,7 +18,7 @@
 #include <ddc/metrics/classification_metrics.hpp>
 #include <ddc/metrics/gaussian_metrics.hpp>
 #include <ddc/sim/async_runner.hpp>
-#include <ddc/sim/round_runner.hpp>
+#include <ddc/shard/shard_engine.hpp>
 #include <ddc/stats/rng.hpp>
 #include <ddc/summaries/centroid.hpp>
 #include <ddc/summaries/gaussian_summary.hpp>
@@ -29,7 +29,7 @@ namespace {
 using gossip::CentroidNode;
 using gossip::GmNode;
 using linalg::Vector;
-using sim::RoundRunner;
+using shard::ShardEngine;
 using sim::Topology;
 using summaries::CentroidPolicy;
 using summaries::GaussianPolicy;
@@ -62,7 +62,7 @@ TEST(Convergence, CentroidNodesAgreeOnCompleteGraph) {
   stats::Rng rng(401);
   const std::size_t n = 32;
   const auto inputs = two_cluster_inputs(n, rng);
-  RoundRunner<CentroidNode> runner(Topology::complete(n),
+  ShardEngine<CentroidNode> runner(Topology::complete(n),
                                    gossip::make_centroid_nodes(inputs,
                                                                config_with(2)));
   runner.run_rounds(120);
@@ -96,7 +96,7 @@ TEST(Convergence, GmNodesAgreeAndRecoverClusters) {
       inputs.push_back(Vector{rng.normal(20.0, 2.0), rng.normal(-5.0, 0.5)});
     }
   }
-  RoundRunner<GmNode> runner(Topology::complete(n),
+  ShardEngine<GmNode> runner(Topology::complete(n),
                              gossip::make_gm_nodes(inputs, config_with(2)));
   runner.run_rounds(120);
 
@@ -144,7 +144,7 @@ TEST_P(TopologyConvergenceTest, CentroidNodesConvergeEverywhere) {
   // quanta (the paper's q ≪ 1/n assumption, taken seriously).
   sim::EngineConfig config = config_with(2);
   config.quanta_per_unit = std::int64_t{1} << 40;
-  RoundRunner<CentroidNode> runner(
+  ShardEngine<CentroidNode> runner(
       std::move(topology), gossip::make_centroid_nodes(inputs, config),
       options);
   // Poorly-mixing topologies (line, star) equalize relative weights at a
@@ -175,7 +175,7 @@ TEST(Conservation, QuantaExactlyConservedForManyRounds) {
   const std::size_t n = 24;
   const auto inputs = two_cluster_inputs(n, rng);
   const sim::EngineConfig config = config_with(3);
-  RoundRunner<CentroidNode> runner(
+  ShardEngine<CentroidNode> runner(
       Topology::erdos_renyi(n, 0.3, rng),
       gossip::make_centroid_nodes(inputs, config));
   const std::int64_t expected =
@@ -195,7 +195,7 @@ TEST(Conservation, HoldsAtMinimalQuantization) {
   sim::EngineConfig config = config_with(2);
   config.quanta_per_unit = 4;
   const auto inputs = two_cluster_inputs(8, rng);
-  RoundRunner<CentroidNode> runner(Topology::complete(8),
+  ShardEngine<CentroidNode> runner(Topology::complete(8),
                                    gossip::make_centroid_nodes(inputs, config));
   for (int r = 0; r < 50; ++r) {
     runner.run_round();
@@ -231,7 +231,7 @@ TEST(AuxiliaryCorrectness, Lemma1HoldsThroughoutCentroidExecution) {
   stats::Rng rng(406);
   const std::size_t n = 16;
   const auto inputs = two_cluster_inputs(n, rng);
-  RoundRunner<CentroidNode> runner(
+  ShardEngine<CentroidNode> runner(
       Topology::complete(n),
       gossip::make_centroid_nodes(inputs, config_with(3, /*track_aux=*/true)));
   for (int r = 0; r < 40; ++r) {
@@ -249,7 +249,7 @@ TEST(AuxiliaryCorrectness, Lemma1HoldsThroughoutGmExecution) {
     inputs.push_back(Vector{rng.normal(i < n / 2 ? 0.0 : 10.0, 1.0),
                             rng.normal(0.0, 1.0)});
   }
-  RoundRunner<GmNode> runner(
+  ShardEngine<GmNode> runner(
       Topology::complete(n),
       gossip::make_gm_nodes(inputs, config_with(2, /*track_aux=*/true)));
   for (int r = 0; r < 30; ++r) {
@@ -263,7 +263,7 @@ TEST(ReferenceAngles, Lemma2MaxAngleMonotonicallyDecreases) {
   stats::Rng rng(408);
   const std::size_t n = 10;
   const auto inputs = two_cluster_inputs(n, rng);
-  RoundRunner<CentroidNode> runner(
+  ShardEngine<CentroidNode> runner(
       Topology::complete(n),
       gossip::make_centroid_nodes(inputs, config_with(2, /*track_aux=*/true)));
 
@@ -314,7 +314,7 @@ TEST(CrashRobustness, ProtocolSurvivesHeavyCrashes) {
   sim::RoundRunnerOptions options;
   options.crash_probability = 0.05;  // the Fig. 4 rate
   options.seed = 11;
-  RoundRunner<CentroidNode> runner(Topology::complete(n),
+  ShardEngine<CentroidNode> runner(Topology::complete(n),
                                    gossip::make_centroid_nodes(inputs,
                                                                config_with(2)),
                                    options);
@@ -370,7 +370,7 @@ TEST(KOneSpecialCase, ClassifierDegeneratesToAverageAggregation) {
     inputs.push_back(Vector{rng.uniform(-5.0, 5.0)});
     truth += inputs.back() / static_cast<double>(n);
   }
-  RoundRunner<CentroidNode> runner(Topology::complete(n),
+  ShardEngine<CentroidNode> runner(Topology::complete(n),
                                    gossip::make_centroid_nodes(inputs,
                                                                config_with(1)));
   runner.run_rounds(60);

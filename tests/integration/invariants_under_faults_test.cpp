@@ -9,7 +9,7 @@
 #include <ddc/audit/auditors.hpp>
 #include <ddc/gossip/network.hpp>
 #include <ddc/metrics/classification_metrics.hpp>
-#include <ddc/sim/round_runner.hpp>
+#include <ddc/shard/shard_engine.hpp>
 #include <ddc/summaries/gaussian_summary.hpp>
 
 namespace ddc {
@@ -31,7 +31,7 @@ TEST(FaultInvariants, Lemma1HoldsPerCollectionDespiteMessageLoss) {
   sim::RoundRunnerOptions options;
   options.message_loss_probability = 0.2;
   options.seed = 902;
-  sim::RoundRunner<gossip::GmNode> runner(
+  shard::ShardEngine<gossip::GmNode> runner(
       sim::Topology::complete(n), gossip::make_gm_nodes(inputs, config),
       options);
 
@@ -63,7 +63,7 @@ TEST(FaultInvariants, GmWithKOneDegeneratesToAverageAggregation) {
   sim::EngineConfig config;
   config.k = 1;
   config.protocol_seed = 903;
-  sim::RoundRunner<gossip::GmNode> runner(
+  shard::ShardEngine<gossip::GmNode> runner(
       sim::Topology::complete(n), gossip::make_gm_nodes(inputs, config));
   runner.run_rounds(60);
   for (const auto& node : runner.nodes()) {

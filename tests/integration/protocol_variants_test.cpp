@@ -7,7 +7,7 @@
 #include <ddc/gossip/network.hpp>
 #include <ddc/metrics/classification_metrics.hpp>
 #include <ddc/partition/greedy.hpp>
-#include <ddc/sim/round_runner.hpp>
+#include <ddc/shard/shard_engine.hpp>
 #include <ddc/summaries/centroid.hpp>
 #include <ddc/summaries/histogram_summary.hpp>
 
@@ -40,8 +40,8 @@ TEST(HistogramProtocol, AllNodesConvergeToTheGlobalHistogram) {
                        partition::GreedyDistancePartition<HistogramPolicy>{},
                        options);
   }
-  sim::RoundRunner<HistogramNode> runner(sim::Topology::complete(n),
-                                         std::move(nodes));
+  shard::ShardEngine<HistogramNode> runner(sim::Topology::complete(n),
+                                           std::move(nodes));
   runner.run_rounds(80);
 
   for (const auto& node : runner.nodes()) {
@@ -68,7 +68,7 @@ TEST(PushPullPattern, ClassifierConservesWeightExactly) {
   sim::RoundRunnerOptions options;
   options.pattern = sim::GossipPattern::push_pull;
   options.seed = 703;
-  sim::RoundRunner<gossip::CentroidNode> runner(
+  shard::ShardEngine<gossip::CentroidNode> runner(
       sim::Topology::erdos_renyi(n, 0.3, rng),
       gossip::make_centroid_nodes(inputs, config), options);
   const std::int64_t expected =
@@ -96,7 +96,7 @@ TEST(DropAtCrashedPolicy, SurvivorsLoseWeightButKeepValidState) {
   options.crash_probability = 0.05;
   options.crash_send_policy = sim::CrashSendPolicy::drop_at_crashed;
   options.seed = 705;
-  sim::RoundRunner<gossip::CentroidNode> runner(
+  shard::ShardEngine<gossip::CentroidNode> runner(
       sim::Topology::complete(n), gossip::make_centroid_nodes(inputs, config),
       options);
   runner.run_rounds(25);

@@ -7,7 +7,7 @@
 
 #include <ddc/gossip/network.hpp>
 #include <ddc/metrics/classification_metrics.hpp>
-#include <ddc/sim/round_runner.hpp>
+#include <ddc/shard/shard_engine.hpp>
 #include <ddc/summaries/gaussian_summary.hpp>
 #include <ddc/wire/serialize.hpp>
 
@@ -75,8 +75,8 @@ TEST(WireProtocol, ConvergesOverSerializedChannel) {
                        partition::EmPartition(stats::Rng::derive(602, i)),
                        options);
   }
-  sim::RoundRunner<WireGmNode> runner(sim::Topology::complete(n),
-                                      std::move(nodes));
+  shard::ShardEngine<WireGmNode> runner(sim::Topology::complete(n),
+                                        std::move(nodes));
   runner.run_rounds(60);
 
   // Convergence: all nodes agree, clusters recovered.

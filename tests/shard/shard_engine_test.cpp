@@ -1,6 +1,6 @@
 // Shard-count invariance suite: the sharded cluster engine against the
-// monolithic RoundRunner, by FNV-1a digest of every node's wire-encoded
-// final classification.
+// object engine (the one-shard ShardEngine) and the SoA engine, by FNV-1a
+// digest of every node's wire-encoded final classification.
 //
 // Two bit-identity contracts:
 //
@@ -10,14 +10,17 @@
 //      policies, crash models, sparse topologies and injected link loss
 //      (the batch retransmit layer must absorb dropped frames without
 //      changing a bit).
-//   2. ShardCluster(S) ≡ RoundRunner on every cell, lossy ones included:
-//      all round engines run one sim::RoundPlan, whose loss verdict is a
+//   2. ShardCluster(S) ≡ the object engine (make_*_round_runner: one
+//      shard, no transport) on every cell, lossy ones included: both
+//      round engines run one sim::RoundPlan, whose loss verdict is a
 //      stateless hash of (seed, round, leg, initiator), so the shards,
 //      the object engine and the SoA engine reach the same verdict for
 //      every message. A push-pull + crash + loss cell also pins
-//      RoundRunner ≡ SoaRoundEngine ≡ ShardCluster(4), and a GM cell
-//      with degenerate (all-zero) covariances pins the same three-way
-//      identity plus exact weight conservation. See DESIGN.md
+//      object ≡ SoaRoundEngine ≡ ShardCluster(4), and a GM cell with
+//      degenerate (all-zero) covariances pins the same three-way
+//      identity plus exact weight conservation. A 4-shard cell at
+//      parallelism 4 pins thread-count invariance of the split prepare
+//      (boundary, then interior chunks between polls). See DESIGN.md
 //      "Sharded cluster engine".
 //
 // A 2-shard × 512-node smoke keeps the batching claim honest (mean
@@ -35,7 +38,7 @@
 
 #include <gtest/gtest.h>
 
-#include <ddc/gossip/runners.hpp>
+#include <ddc/common/error.hpp>
 #include <ddc/gossip/scale.hpp>
 #include <ddc/wire/framing.hpp>
 #include <ddc/wire/serialize.hpp>
@@ -135,13 +138,12 @@ TEST(ShardEquivalence, CentroidMatrix) {
         }
       }
 
-      // The cluster is a pure re-execution of the monolithic
-      // RoundRunner, loss verdicts included.
-      auto runner =
-          gossip::make_centroid_round_runner(topology, inputs, config);
+      // The cluster is a pure re-execution of the object engine, loss
+      // verdicts included.
+      auto runner = make_centroid_round_runner(topology, inputs, config);
       runner.run_rounds(kRounds);
       EXPECT_EQ(reference, digest_runner(runner))
-          << "centroid vs RoundRunner seed=" << seed << " loss=" << loss;
+          << "centroid vs object engine seed=" << seed << " loss=" << loss;
     }
   }
 }
@@ -170,17 +172,17 @@ TEST(ShardEquivalence, GmMatrix) {
         }
       }
 
-      auto runner = gossip::make_gm_round_runner(topology, inputs, config);
+      auto runner = make_gm_round_runner(topology, inputs, config);
       runner.run_rounds(kRounds);
       EXPECT_EQ(reference, digest_runner(runner))
-          << "gm vs RoundRunner seed=" << seed << " loss=" << loss;
+          << "gm vs object engine seed=" << seed << " loss=" << loss;
     }
   }
 }
 
 TEST(ShardEquivalence, LossyPushPullWithCrashesMatchesEveryEngine) {
-  // One lossy cell through all three round engines: the object engine,
-  // the SoA pools and a 4-shard cluster must agree on every loss verdict,
+  // One lossy cell through every engine shape: the object engine, the
+  // SoA pools and a 4-shard cluster must agree on every loss verdict,
   // every reply and every crash draw.
   sim::EngineConfig config = base_config(kCentroidNodes, 4);
   config.pattern = sim::GossipPattern::push_pull;
@@ -189,7 +191,7 @@ TEST(ShardEquivalence, LossyPushPullWithCrashesMatchesEveryEngine) {
   const auto inputs = bimodal_inputs(kCentroidNodes, 4);
   const auto topology = sim::Topology::complete(kCentroidNodes);
 
-  auto runner = gossip::make_centroid_round_runner(topology, inputs, config);
+  auto runner = make_centroid_round_runner(topology, inputs, config);
   runner.run_rounds(kRounds);
   auto soa = gossip::make_centroid_scale_engine(topology, inputs, config);
   soa.run_rounds(kRounds);
@@ -209,8 +211,8 @@ TEST(ShardEquivalence, LossyPushPullWithCrashesMatchesEveryEngine) {
 // Degenerate covariance, a failure path of the GM instantiation: when
 // every collection holds copies of one point, every summary's covariance
 // is exactly zero. EM, the partition and the merge must still agree
-// across the three round engines bit for bit, conserve weight, and keep
-// every mean on an input point.
+// across the object engine, the SoA pools and a cluster bit for bit,
+// conserve weight, and keep every mean on an input point.
 TEST(ShardEquivalence, GmDegenerateCovarianceMatchesEveryEngine) {
   constexpr std::size_t kNodes = 64;
   constexpr std::size_t kDegenerateRounds = 30;
@@ -236,7 +238,7 @@ TEST(ShardEquivalence, GmDegenerateCovarianceMatchesEveryEngine) {
         std::ostringstream label;
         label << "d=" << d << " points=" << points.size() << " loss=" << loss;
 
-        auto runner = gossip::make_gm_round_runner(topology, inputs, config);
+        auto runner = make_gm_round_runner(topology, inputs, config);
         runner.run_rounds(kDegenerateRounds);
         auto soa = gossip::make_gm_scale_engine(topology, inputs, config);
         soa.run_rounds(kDegenerateRounds);
@@ -325,14 +327,107 @@ TEST(ShardEquivalence, PatternsSelectionCrashesAndSparseTopologies) {
             << " crash=" << c.crash << " map=" << partitioner_name(partitioner);
       }
 
-      // Lossless/crashy runs still match RoundRunner exactly (crash
-      // draws replay the same env stream).
-      auto runner =
-          gossip::make_centroid_round_runner(topology, inputs, config);
+      // Lossless/crashy runs still match the object engine exactly
+      // (crash draws replay the same env stream).
+      auto runner = make_centroid_round_runner(topology, inputs, config);
       runner.run_rounds(kRounds);
       EXPECT_EQ(reference, digest_runner(runner));
     }
   }
+}
+
+/// Runs a 4-shard cluster at `parallelism` threads per shard, the
+/// interior prepared in chunks of 4 between transport polls, and checks
+/// it against `reference` (the object engine's digest).
+template <typename Cluster, typename MakeNodes>
+void expect_parallel_cluster_matches(const std::string& reference,
+                                     const sim::Topology& topology,
+                                     sim::EngineConfig config,
+                                     MakeNodes make_nodes,
+                                     const std::string& label) {
+  for (const Partitioner partitioner :
+       {Partitioner::contiguous, Partitioner::edgecut}) {
+    for (const std::size_t parallelism : {1, 4}) {
+      config.parallelism = parallelism;
+      ShardEngineOptions options = shard_options(config);
+      options.partitioner = partitioner;
+      options.overlap_chunk = 4;
+      Cluster cluster(topology, make_nodes(config), 4, std::move(options));
+      cluster.run_rounds(kRounds);
+      EXPECT_EQ(digest_cluster(cluster), reference)
+          << label << " parallelism=" << parallelism
+          << " map=" << partitioner_name(partitioner);
+      std::uint64_t interior_polls = 0;
+      for (ShardId s = 0; s < 4; ++s) {
+        interior_polls += cluster.engine(s).stats().polls_during_compute;
+      }
+      EXPECT_GT(interior_polls, 0UL) << label;  // interior chunks did run
+    }
+  }
+}
+
+TEST(ShardEquivalence, ParallelShardsMatchSequentialAndObjectEngine) {
+  // Prepare runs under parallel_for twice per round on a multi-shard map
+  // (boundary, then interior chunks), absorb once: 4 shards at 4 threads
+  // ≡ 4 shards at 1 thread ≡ the object engine, on a grid whose shards
+  // hold both boundary and interior nodes.
+  const auto lossy_crashy = [](std::size_t nodes) {
+    sim::EngineConfig config = base_config(nodes, 12);
+    config.pattern = sim::GossipPattern::push_pull;
+    config.message_loss_probability = 0.1;
+    config.crash_probability = 0.05;
+    return config;
+  };
+  {
+    const sim::EngineConfig config = lossy_crashy(kCentroidNodes);
+    const auto inputs = bimodal_inputs(kCentroidNodes, 12);
+    const auto topology = sim::Topology::grid(25, 8, false);
+    auto runner = make_centroid_round_runner(topology, inputs, config);
+    runner.run_rounds(kRounds);
+    EXPECT_LT(runner.alive_count(), kCentroidNodes);  // crashes did fire
+    expect_parallel_cluster_matches<CentroidShardCluster>(
+        digest_runner(runner), topology, config,
+        [&](const sim::EngineConfig& c) {
+          return gossip::make_centroid_nodes(inputs, c);
+        },
+        "centroid");
+  }
+  {
+    const sim::EngineConfig config = lossy_crashy(kGmNodes);
+    const auto inputs = bimodal_inputs(kGmNodes, 12);
+    const auto topology = sim::Topology::grid(6, 8, false);
+    auto runner = make_gm_round_runner(topology, inputs, config);
+    runner.run_rounds(kRounds);
+    expect_parallel_cluster_matches<GmShardCluster>(
+        digest_runner(runner), topology, config,
+        [&](const sim::EngineConfig& c) {
+          return gossip::make_gm_nodes(inputs, c);
+        },
+        "gm");
+  }
+}
+
+TEST(ShardContracts, OneShardFeaturesRejectMultiShardMaps) {
+  constexpr std::size_t kNodes = 8;
+  const auto topology = sim::Topology::complete(kNodes);
+  const auto inputs = bimodal_inputs(kNodes, 13);
+  const ShardMap map(kNodes, 2);
+  net::LoopbackNetwork fabric(2);
+
+  // A node type with no wire format cannot send across a shard edge.
+  const std::vector<linalg::Vector> owned(inputs.begin(),
+                                          inputs.begin() + map.size(0));
+  EXPECT_THROW((ShardEngine<gossip::PushSumNode>(
+                   topology, map, 0, gossip::make_push_sum_nodes(owned),
+                   &fabric.endpoint(0))),
+               ContractViolation);
+
+  // Tracing records a round's events in one place: one shard only.
+  auto engine =
+      make_centroid_shard_engine(topology, inputs, base_config(kNodes, 13), 0,
+                                 2, &fabric.endpoint(0));
+  sim::TraceRecorder trace;
+  EXPECT_THROW(engine.set_trace(&trace), ContractViolation);
 }
 
 TEST(ShardEquivalence, InjectedLinkLossIsAbsorbedByRetransmits) {

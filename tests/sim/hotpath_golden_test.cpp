@@ -4,8 +4,9 @@
 // promise BIT-IDENTICAL results to the pre-optimization code. This test
 // pins that promise to golden hashes generated from the unoptimized
 // kernels: for 3 seeds × {centroid, GM} × {lossless, loss 0.1} it runs a
-// full RoundRunner simulation (and, lossless only — the async engine has
-// reliable channels by construction — an AsyncRunner one), wire-encodes
+// full object-engine simulation (the one-shard shard::ShardEngine; and,
+// lossless only — the async engine has reliable channels by
+// construction — an AsyncRunner one), wire-encodes
 // every node's final classification, and compares an FNV-1a digest of all
 // the bytes against the recorded golden. A single flipped mantissa bit
 // anywhere in any node's summary changes the digest.
@@ -16,6 +17,7 @@
 //       --gtest_filter='HotpathGolden.*' 2>&1 | grep GOLDEN
 // (one command line; wrapped here for width)
 #include <ddc/gossip/runners.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/wire/serialize.hpp>
 
 #include <cstdint>
@@ -84,13 +86,13 @@ std::string round_digest(const std::string& protocol, std::uint64_t seed,
   config.seed = seed + 200;
   config.message_loss_probability = loss;
   if (protocol == "gm") {
-    auto runner = gossip::make_gm_round_runner(Topology::complete(kNodes),
-                                               inputs, config);
+    auto runner = shard::make_gm_round_runner(Topology::complete(kNodes),
+                                              inputs, config);
     runner.run_rounds(kRounds);
     return digest_nodes(runner);
   }
-  auto runner = gossip::make_centroid_round_runner(Topology::complete(kNodes),
-                                                   inputs, config);
+  auto runner = shard::make_centroid_round_runner(Topology::complete(kNodes),
+                                                  inputs, config);
   runner.run_rounds(kRounds);
   return digest_nodes(runner);
 }

@@ -4,7 +4,7 @@
 // sequence, and its crash pattern — across gossip patterns and failure
 // configurations. Any divergence means an environment draw leaked into a
 // parallel phase or two nodes raced on shared state.
-#include <ddc/gossip/runners.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/sim/trace.hpp>
 #include <ddc/wire/serialize.hpp>
 
@@ -68,7 +68,7 @@ RunResult run_gm(const FaultConfig& config, std::size_t parallelism) {
   engine.parallelism = parallelism;
 
   auto runner =
-      gossip::make_gm_round_runner(Topology::complete(n), inputs, engine);
+      shard::make_gm_round_runner(Topology::complete(n), inputs, engine);
   TraceRecorder trace;
   runner.set_trace(&trace);
   runner.run_rounds(25);

@@ -1,17 +1,18 @@
 // Golden equivalence suite: the scale engine and the EngineConfig facade
-// against the classic runners.
+// against the object engine (the one-shard shard::ShardEngine) and the
+// async runner.
 //
 // Three bit-identity contracts are pinned here, all by comparing FNV-1a
 // digests of every node's wire-encoded final classification:
 //
-//   1. SoaRoundEngine ≡ RoundRunner for both protocols, across 3 seeds ×
+//   1. SoaRoundEngine ≡ object engine for both protocols, 3 seeds ×
 //      {lossless, loss 0.1}, plus crash models, gossip patterns,
 //      selection policies, thread counts, topology families and coarse
 //      quanta (one-quantum re-homes) — the struct-of-arrays pools,
 //      message arena, pool split and pool receive must not change a
 //      single mantissa bit relative to one-object-per-node execution.
-//   2. Each factory's classic runner ≡ the same engine constructed
-//      directly (RoundRunner / AsyncRunner over gossip::make_*_nodes,
+//   2. Each factory's object or async engine ≡ the same engine built
+//      directly (ShardEngine / AsyncRunner over gossip::make_*_nodes,
 //      runner options spelled out field by field), for both {round,
 //      async} modes — a factory is pure assembly, not a new code path.
 //   3. The streaming metrics equal their materializing counterparts.
@@ -19,8 +20,10 @@
 // A 100k-node smoke test keeps the scale path honest under the normal
 // ctest timeout (the full 10⁶ benchmark lives in bench/bench_scale).
 #include <ddc/gossip/runners.hpp>
+#include <ddc/gossip/scale.hpp>
 #include <ddc/metrics/classification_metrics.hpp>
 #include <ddc/metrics/streaming.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/wire/serialize.hpp>
 
 #include <cstdint>
@@ -99,9 +102,9 @@ EngineConfig base_config(std::size_t nodes, std::uint64_t seed) {
   return config;
 }
 
-/// RoundRunner constructed directly over `nodes` on the complete graph,
-/// its options copied field by field from `config` — the reference the
-/// factories and the scale engine must match.
+/// The object engine constructed directly over `nodes` on the complete
+/// graph, its options copied field by field from `config` — the
+/// reference the factories and the scale engine must match.
 template <typename Node>
 std::string direct_round_digest(std::vector<Node> nodes,
                                 const EngineConfig& config) {
@@ -114,14 +117,15 @@ std::string direct_round_digest(std::vector<Node> nodes,
   options.message_loss_probability = config.message_loss_probability;
   options.parallelism = config.parallelism;
   Topology topology = Topology::complete(nodes.size());
-  RoundRunner<Node> runner(std::move(topology), std::move(nodes), options);
+  shard::ShardEngine<Node> runner(std::move(topology), std::move(nodes),
+                                  options);
   runner.run_rounds(kRounds);
   return digest_nodes(runner);
 }
 
 // ---------------------------------------------------------------------------
 // Contract 1+2 (round mode): directly constructed ≡ factory-built
-// RoundRunner ≡ SoaRoundEngine, 3 seeds × {lossless, loss 0.1}.
+// object engine ≡ SoaRoundEngine, 3 seeds × {lossless, loss 0.1}.
 // ---------------------------------------------------------------------------
 
 TEST(ScaleEquivalence, CentroidRoundBitIdentical) {
@@ -133,7 +137,7 @@ TEST(ScaleEquivalence, CentroidRoundBitIdentical) {
       auto nodes = gossip::make_centroid_nodes(inputs, config);
       const std::string classic = direct_round_digest(std::move(nodes), config);
 
-      auto via_config = gossip::make_centroid_round_runner(
+      auto via_config = shard::make_centroid_round_runner(
           Topology::complete(kCentroidNodes), inputs, config);
       via_config.run_rounds(kRounds);
 
@@ -158,7 +162,7 @@ TEST(ScaleEquivalence, GmRoundBitIdentical) {
       auto nodes = gossip::make_gm_nodes(inputs, config);
       const std::string classic = direct_round_digest(std::move(nodes), config);
 
-      auto via_config = gossip::make_gm_round_runner(
+      auto via_config = shard::make_gm_round_runner(
           Topology::complete(kGmNodes), inputs, config);
       via_config.run_rounds(kRounds);
 
@@ -229,7 +233,7 @@ struct CentroidProtocol {
   static auto round_runner(const Topology& topology,
                            const std::vector<linalg::Vector>& inputs,
                            const EngineConfig& config) {
-    return gossip::make_centroid_round_runner(topology, inputs, config);
+    return shard::make_centroid_round_runner(topology, inputs, config);
   }
   static auto scale_engine(const Topology& topology,
                            const std::vector<linalg::Vector>& inputs,
@@ -245,7 +249,7 @@ struct GmProtocol {
   static auto round_runner(const Topology& topology,
                            const std::vector<linalg::Vector>& inputs,
                            const EngineConfig& config) {
-    return gossip::make_gm_round_runner(topology, inputs, config);
+    return shard::make_gm_round_runner(topology, inputs, config);
   }
   static auto scale_engine(const Topology& topology,
                            const std::vector<linalg::Vector>& inputs,
@@ -391,7 +395,7 @@ TEST(ScaleEquivalence, ParallelismInvariant) {
   EXPECT_EQ(digest_engine(engine_seq), digest_engine(engine_par));
 
   // And against the threaded classic runner.
-  auto classic = gossip::make_centroid_round_runner(
+  auto classic = shard::make_centroid_round_runner(
       Topology::complete(kCentroidNodes), inputs, threaded);
   classic.run_rounds(kRounds);
   EXPECT_EQ(digest_nodes(classic), digest_engine(engine_par));
@@ -419,7 +423,7 @@ TEST(ScaleEquivalence, GmParallelismInvariant) {
 TEST(ScaleEquivalence, StreamingMetricsMatch) {
   const auto inputs = bimodal_inputs(kCentroidNodes, 19);
   const EngineConfig config = base_config(kCentroidNodes, 19);
-  auto classic = gossip::make_centroid_round_runner(
+  auto classic = shard::make_centroid_round_runner(
       Topology::complete(kCentroidNodes), inputs, config);
   classic.run_rounds(kRounds);
   auto scale = gossip::make_centroid_scale_engine(

@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
-#include <ddc/sim/round_runner.hpp>
+#include <ddc/shard/shard_engine.hpp>
 
 namespace ddc::sim {
 namespace {
+
+using shard::ShardEngine;
 
 struct TokenNode {
   using Message = struct M {
@@ -28,7 +30,7 @@ TEST(TraceGolden, CsvExportIsPinned) {
   TraceRecorder rec;
   RoundRunnerOptions options;
   options.selection = NeighborSelection::round_robin;
-  RoundRunner<TokenNode> runner(Topology::complete(3),
+  ShardEngine<TokenNode> runner(Topology::complete(3),
                                 std::vector<TokenNode>(3), options);
   runner.set_trace(&rec);
   runner.run_rounds(2);

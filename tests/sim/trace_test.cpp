@@ -1,13 +1,17 @@
+// Event traces of the object engine (the one-shard shard::ShardEngine;
+// the suite keeps its historical name, RoundRunnerTrace).
 #include <ddc/sim/trace.hpp>
 
 #include <sstream>
 
 #include <gtest/gtest.h>
 
-#include <ddc/sim/round_runner.hpp>
+#include <ddc/shard/shard_engine.hpp>
 
 namespace ddc::sim {
 namespace {
+
+using shard::ShardEngine;
 
 /// Same counting node as runner_test, local copy to keep the suites
 /// independent.
@@ -56,7 +60,7 @@ TEST(TraceRecorder, EventTypeNames) {
 
 TEST(RoundRunnerTrace, RecordsOneSendAndDeliverPerNodePerRound) {
   TraceRecorder rec;
-  RoundRunner<ProbeNode> runner(Topology::complete(4),
+  ShardEngine<ProbeNode> runner(Topology::complete(4),
                                 std::vector<ProbeNode>(4));
   runner.set_trace(&rec);
   runner.run_rounds(3);
@@ -71,7 +75,7 @@ TEST(RoundRunnerTrace, LossEventsMatchProbability) {
   RoundRunnerOptions options;
   options.message_loss_probability = 0.5;
   options.seed = 9;
-  RoundRunner<ProbeNode> runner(Topology::complete(10),
+  ShardEngine<ProbeNode> runner(Topology::complete(10),
                                 std::vector<ProbeNode>(10), options);
   runner.set_trace(&rec);
   runner.run_rounds(100);
@@ -89,7 +93,7 @@ TEST(RoundRunnerTrace, CrashEventsRecordedOnce) {
   RoundRunnerOptions options;
   options.crash_probability = 0.2;
   options.seed = 10;
-  RoundRunner<ProbeNode> runner(Topology::complete(12),
+  ShardEngine<ProbeNode> runner(Topology::complete(12),
                                 std::vector<ProbeNode>(12), options);
   runner.set_trace(&rec);
   runner.run_rounds(30);
@@ -104,7 +108,7 @@ TEST(RoundRunnerTrace, DeadTargetOnlyUnderDropPolicy) {
     options.crash_probability = 0.3;
     options.crash_send_policy = policy;
     options.seed = 11;
-    RoundRunner<ProbeNode> runner(Topology::complete(10),
+    ShardEngine<ProbeNode> runner(Topology::complete(10),
                                   std::vector<ProbeNode>(10), options);
     runner.set_trace(&rec);
     runner.run_rounds(20);
@@ -120,7 +124,7 @@ TEST(RoundRunnerTrace, PushPullDoublesTraffic) {
   TraceRecorder rec;
   RoundRunnerOptions options;
   options.pattern = GossipPattern::push_pull;
-  RoundRunner<ProbeNode> runner(Topology::complete(6),
+  ShardEngine<ProbeNode> runner(Topology::complete(6),
                                 std::vector<ProbeNode>(6), options);
   runner.set_trace(&rec);
   runner.run_rounds(5);

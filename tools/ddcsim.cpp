@@ -11,7 +11,8 @@
 //   ddcsim --trace events.csv                      # per-event trace CSV
 //
 // gm and centroid run on the SoA engine by default; push-sum and --trace
-// runs use the object engine, which the SoA engine matches bit for bit.
+// runs use the object engine (the one-shard shard::ShardEngine), which
+// the SoA engine matches bit for bit.
 //
 // The engine flags (--topology/--nodes/--pattern/--threads/--engine/...)
 // are the shared cli::declare_engine_flags surface; only the
@@ -24,11 +25,11 @@
 #include <ddc/linalg/simd.hpp>
 #include <ddc/cli/engine_flags.hpp>
 #include <ddc/gossip/network.hpp>
-#include <ddc/gossip/runners.hpp>
+#include <ddc/gossip/scale.hpp>
 #include <ddc/io/table.hpp>
 #include <ddc/metrics/classification_metrics.hpp>
 #include <ddc/metrics/streaming.hpp>
-#include <ddc/sim/round_runner.hpp>
+#include <ddc/shard/factories.hpp>
 #include <ddc/sim/trace.hpp>
 #include <ddc/summaries/centroid.hpp>
 #include <ddc/summaries/gaussian_summary.hpp>
@@ -124,9 +125,9 @@ void report_timing(double prepare_s, double absorb_s, double partition_s,
             << " partition_s=" << partition_s << " em_s=" << em_s << '\n';
 }
 
-template <typename Policy, typename Node, typename SummaryPrinter,
+template <typename Policy, typename Runner, typename SummaryPrinter,
           typename MeanFn>
-int run_classifier(const ToolConfig& tool, ddc::sim::RoundRunner<Node> runner,
+int run_classifier(const ToolConfig& tool, Runner runner,
                    SummaryPrinter print_summary, MeanFn mean_of) {
   ddc::sim::TraceRecorder trace;
   if (!tool.trace_path.empty()) runner.set_trace(&trace);
@@ -201,7 +202,7 @@ int run_scale(const ToolConfig& tool, Engine engine,
 }
 
 int run_push_sum(const ToolConfig& tool,
-                 ddc::sim::RoundRunner<ddc::gossip::PushSumNode> runner,
+                 ddc::shard::ShardEngine<ddc::gossip::PushSumNode> runner,
                  const std::vector<Vector>& inputs) {
   ddc::sim::TraceRecorder trace;
   if (!tool.trace_path.empty()) runner.set_trace(&trace);
@@ -311,8 +312,8 @@ int main(int argc, char** argv) {
       }
       return run_classifier<ddc::summaries::GaussianPolicy>(
           tool,
-          ddc::gossip::make_gm_round_runner(std::move(topology), inputs,
-                                            config),
+          ddc::shard::make_gm_round_runner(std::move(topology), inputs,
+                                           config),
           print, mean);
     }
     if (tool.protocol == "centroid") {
@@ -327,13 +328,13 @@ int main(int argc, char** argv) {
       }
       return run_classifier<ddc::summaries::CentroidPolicy>(
           tool,
-          ddc::gossip::make_centroid_round_runner(std::move(topology), inputs,
-                                                  config),
+          ddc::shard::make_centroid_round_runner(std::move(topology), inputs,
+                                                 config),
           print, mean);
     }
     if (tool.protocol == "pushsum") {
       return run_push_sum(tool,
-                          ddc::gossip::make_push_sum_round_runner(
+                          ddc::shard::make_push_sum_round_runner(
                               std::move(topology), inputs, config),
                           inputs);
     }
