@@ -16,7 +16,6 @@
 #include <ddc/shard/factories.hpp>
 #include <ddc/sim/event_queue.hpp>
 #include <ddc/stats/gaussian.hpp>
-#include <ddc/stats/gaussian_batch.hpp>
 #include <ddc/summaries/centroid.hpp>
 
 namespace {
@@ -90,15 +89,21 @@ void BM_MomentMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_MomentMatch)->Arg(2)->Arg(8)->Arg(14);
 
-void BM_ReduceEm(benchmark::State& state) {
+GaussianMixture reduce_em_input(std::size_t l) {
   ddc::stats::Rng rng(6);
   GaussianMixture input;
-  for (int i = 0; i < state.range(0); ++i) {
-    const double cx = (i % 3) * 10.0;
+  for (std::size_t i = 0; i < l; ++i) {
+    const double cx = static_cast<double>(i % 3) * 10.0;
     input.add({rng.uniform(0.5, 2.0),
                Gaussian(Vector{rng.normal(cx, 1.0), rng.normal()},
                         random_spd(2, rng))});
   }
+  return input;
+}
+
+void BM_ReduceEm(benchmark::State& state) {
+  const GaussianMixture input =
+      reduce_em_input(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     ddc::stats::Rng em_rng(7);
     benchmark::DoNotOptimize(
@@ -106,6 +111,29 @@ void BM_ReduceEm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReduceEm)->Arg(6)->Arg(14);
+
+void BM_ReduceEmRows(benchmark::State& state) {
+  // BM_ReduceEm's inputs packed once (mean, then covariance: the pool
+  // layout), reduced in a warm workspace — the GM pool receive's EM.
+  const GaussianMixture input =
+      reduce_em_input(static_cast<std::size_t>(state.range(0)));
+  std::vector<double> rows;
+  std::vector<double> weights;
+  for (const auto& part : input.components()) {
+    const auto& mean = part.gaussian.mean().data();
+    const auto& cov = part.gaussian.cov().data();
+    rows.insert(rows.end(), mean.begin(), mean.end());
+    rows.insert(rows.end(), cov.begin(), cov.end());
+    weights.push_back(part.weight);
+  }
+  ddc::em::EmWorkspace ws;
+  ddc::core::Grouping groups;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ddc::em::reduce_em_rows(
+        rows.data(), weights.data(), input.size(), 2, 3, ws, groups, nullptr));
+  }
+}
+BENCHMARK(BM_ReduceEmRows)->Arg(6)->Arg(14);
 
 void BM_ReduceRunnalls(benchmark::State& state) {
   ddc::stats::Rng rng(8);
@@ -184,6 +212,22 @@ void BM_GreedyPartitionNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyPartitionNaive)->Arg(16)->Arg(64)->Arg(256);
 
+/// A mixture's components packed structure-of-arrays (means count×d,
+/// covariances count×d²): the batch scoring kernel's input.
+struct SoaBatch {
+  explicit SoaBatch(const GaussianMixture& mixture) : count(mixture.size()) {
+    for (const auto& part : mixture.components()) {
+      const auto& mean = part.gaussian.mean().data();
+      const auto& cov = part.gaussian.cov().data();
+      means.insert(means.end(), mean.begin(), mean.end());
+      covs.insert(covs.end(), cov.begin(), cov.end());
+    }
+  }
+  std::size_t count;
+  std::vector<double> means;
+  std::vector<double> covs;
+};
+
 GaussianMixture estep_mixture(std::size_t m, std::uint64_t seed) {
   ddc::stats::Rng rng(seed);
   GaussianMixture out;
@@ -197,8 +241,9 @@ GaussianMixture estep_mixture(std::size_t m, std::uint64_t seed) {
 }
 
 void BM_EmEStepHoisted(benchmark::State& state) {
-  // One EM E step's scoring work as run_em now does it: factorize each
-  // model component once, then score every (input, model) pair.
+  // One EM E step's scoring work through the object-level scorer:
+  // factorize each model component once, then score every (input, model)
+  // pair.
   const GaussianMixture inputs = estep_mixture(14, 13);
   const GaussianMixture models = estep_mixture(7, 14);
   for (auto _ : state) {
@@ -217,13 +262,14 @@ void BM_EmEStepHoisted(benchmark::State& state) {
 BENCHMARK(BM_EmEStepHoisted);
 
 void BM_EmEStepBatched(benchmark::State& state) {
-  // The same 14x7 workload through the E step's current entry point:
-  // pack the inputs once (as run_em does per optimization run), then one
-  // score_batch pass per model per "iteration".
+  // The same 14x7 workload through the batched entry point: inputs
+  // packed once, then one batch-kernel pass per model per "iteration".
   const GaussianMixture inputs = estep_mixture(14, 13);
   const GaussianMixture models = estep_mixture(7, 14);
-  ddc::stats::GaussianBatch batch;
-  batch.assign(inputs);
+  const SoaBatch batch(inputs);
+  const ddc::linalg::simd::ScoreBatchFn kernel =
+      ddc::linalg::simd::batch_score_kernel();
+  std::vector<double> scratch(8 * 2);
   std::vector<double> scores(models.size() * inputs.size());
   for (auto _ : state) {
     std::vector<ddc::stats::ExpectedLogPdfScorer> scorers;
@@ -232,7 +278,8 @@ void BM_EmEStepBatched(benchmark::State& state) {
       scorers.emplace_back(models[j].gaussian);
     }
     for (std::size_t j = 0; j < scorers.size(); ++j) {
-      scorers[j].score_batch(batch, scores.data() + j * inputs.size());
+      kernel(scorers[j].view(), batch.means.data(), batch.covs.data(),
+             batch.count, scores.data() + j * batch.count, scratch.data());
     }
     benchmark::DoNotOptimize(scores.data());
   }
@@ -241,7 +288,7 @@ BENCHMARK(BM_EmEStepBatched);
 
 void BM_ScoreBatch(benchmark::State& state) {
   // Pure batched-scoring throughput at the paper's dimensions: 32 inputs
-  // x 4 models, scorers and SoA batch prebuilt so only score_batch runs.
+  // x 4 models, scorers and SoA batch prebuilt so only the kernel runs.
   const auto d = static_cast<std::size_t>(state.range(0));
   ddc::stats::Rng rng(21);
   GaussianMixture inputs;
@@ -256,12 +303,15 @@ void BM_ScoreBatch(benchmark::State& state) {
     for (std::size_t c = 0; c < d; ++c) mean[c] = rng.normal();
     scorers.emplace_back(Gaussian(mean, random_spd(d, rng)));
   }
-  ddc::stats::GaussianBatch batch;
-  batch.assign(inputs);
-  std::vector<double> scores(scorers.size() * batch.size());
+  const SoaBatch batch(inputs);
+  const ddc::linalg::simd::ScoreBatchFn kernel =
+      ddc::linalg::simd::batch_score_kernel();
+  std::vector<double> scratch(8 * d);
+  std::vector<double> scores(scorers.size() * batch.count);
   for (auto _ : state) {
     for (std::size_t j = 0; j < scorers.size(); ++j) {
-      scorers[j].score_batch(batch, scores.data() + j * batch.size());
+      kernel(scorers[j].view(), batch.means.data(), batch.covs.data(),
+             batch.count, scores.data() + j * batch.count, scratch.data());
     }
     benchmark::DoNotOptimize(scores.data());
   }

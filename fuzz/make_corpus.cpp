@@ -15,7 +15,11 @@
 //                       resolution) followed by deterministic op
 //                       streams, including all-splits pile-ups and
 //                       coarse-quanta shapes that exercise the
-//                       one-quantum re-homing rule.
+//                       one-quantum re-homing rule;
+//   <root>/pool_receive/ receive scripts for fuzz_pool_receive: centroid
+//                       and GM, d = 1..5, exact ties, one-quantum
+//                       collections, zero, near-singular and
+//                       extreme-magnitude summaries.
 //
 // File names encode intent; regeneration is byte-stable (no clocks, no
 // RNG seeds outside the file contents), so `git diff` after a rerun
@@ -219,6 +223,79 @@ void make_classifier(const std::filesystem::path& dir) {
   }
 }
 
+/// Appends one collection of a fuzz_pool_receive script (see
+/// fuzz_pool_receive.cpp): quanta, mean mode and its values, then for GM
+/// the covariance mode and its values.
+void pool_collection(std::vector<std::uint8_t>& s, bool gm, std::size_t d,
+                     std::uint8_t mean_mode, std::uint8_t cov_mode,
+                     std::uint8_t salt) {
+  s.push_back(salt % 7);  // quanta − 1 (mod the cap)
+  s.push_back(mean_mode);
+  if (mean_mode != 3) {
+    for (std::size_t c = 0; c < d; ++c) {
+      s.push_back(static_cast<std::uint8_t>(salt + 37 * c));
+    }
+  }
+  if (!gm) return;
+  s.push_back(cov_mode);
+  if (cov_mode == 1 || cov_mode == 2 || cov_mode == 4) {
+    for (std::size_t t = 0; t < d * d; ++t) {
+      s.push_back(static_cast<std::uint8_t>(3 * salt + 29 * t + 101));
+    }
+  }
+  if (cov_mode == 4) s.push_back(static_cast<std::uint8_t>(salt + 5));
+}
+
+/// One receive: `own` collections, then `messages` messages of `size`
+/// collections each, all with the given modes.
+struct PoolReceive {
+  std::uint8_t own, messages, size, mean_mode, cov_mode;
+};
+
+void make_pool_receive(const std::filesystem::path& dir) {
+  std::filesystem::create_directories(dir);
+  // Script header: protocol (1 = GM), d − 1, k − 1, log2 of the quanta
+  // cap; then the receives.
+  const auto script = [&dir](const char* name, bool gm, std::size_t d,
+                             std::size_t k, std::uint8_t log2_cap,
+                             std::initializer_list<PoolReceive> receives) {
+    std::vector<std::uint8_t> s = {static_cast<std::uint8_t>(gm ? 1 : 0),
+                                   static_cast<std::uint8_t>(d - 1),
+                                   static_cast<std::uint8_t>(k - 1), log2_cap};
+    std::uint8_t salt = 0;
+    for (const PoolReceive& r : receives) {
+      s.push_back(static_cast<std::uint8_t>(r.own - 1));
+      for (int c = 0; c < r.own; ++c) {
+        pool_collection(s, gm, d, r.mean_mode, r.cov_mode, salt++);
+      }
+      s.push_back(static_cast<std::uint8_t>(r.messages - 1));
+      for (int msg = 0; msg < r.messages; ++msg) {
+        s.push_back(static_cast<std::uint8_t>(r.size - 1));
+        for (int c = 0; c < r.size; ++c) {
+          pool_collection(s, gm, d, r.mean_mode, r.cov_mode, salt++);
+        }
+      }
+    }
+    write_file(dir / name, s);
+  };
+  // Mean modes: 0 grid, 1 small, 2 extreme, 3 copy. Covariance modes:
+  // 0 zero, 1 SPD, 2 rank one + 1e-13·I, 3 copy, 4 SPD at an extreme scale.
+  script("gm_point_masses.bin", true, 2, 2, 4,
+         {{2, 3, 2, 0, 0}, {1, 2, 2, 0, 0}, {2, 1, 2, 3, 0}});
+  script("gm_one_quantum.bin", true, 1, 3, 0,
+         {{3, 3, 3, 0, 0}, {2, 2, 3, 0, 1}});
+  script("gm_near_singular.bin", true, 3, 3, 4,
+         {{3, 2, 3, 0, 2}, {2, 3, 2, 1, 1}, {1, 2, 3, 3, 3}});
+  script("gm_extreme.bin", true, 2, 2, 4,
+         {{2, 2, 2, 2, 4}, {2, 3, 2, 2, 0}, {1, 2, 2, 0, 4}});
+  script("gm_dynamic_dim.bin", true, 5, 2, 3,
+         {{2, 2, 2, 1, 1}, {1, 3, 2, 0, 0}});
+  script("centroid_ties.bin", false, 2, 2, 4,
+         {{2, 3, 2, 0, 0}, {2, 2, 2, 3, 0}});
+  script("centroid_extreme.bin", false, 4, 3, 2,
+         {{3, 3, 3, 2, 0}, {2, 2, 3, 1, 0}});
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -229,6 +306,7 @@ int main(int argc, char** argv) {
   const std::filesystem::path root(argv[1]);
   make_framing(root / "framing");
   make_classifier(root / "classifier");
+  make_pool_receive(root / "pool_receive");
   std::printf("make_corpus: wrote seed corpus under %s\n",
               root.string().c_str());
   return 0;

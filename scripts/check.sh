@@ -52,9 +52,11 @@
 #                  scripts/bench_gate.sh --scale-full); then the
 #                  sharded-cluster tier against BENCH_cluster.json
 #                  (loopback throughput, RSS, records per batch frame).
-#  10. fuzz smoke  both fuzz harnesses (wire framing decode, classifier
-#                  invariants via the ddc::audit pool auditors) replay
-#                  the committed corpus plus DDC_FUZZ_RUNS fresh
+#  10. fuzz smoke  the three fuzz harnesses (wire framing decode,
+#                  classifier invariants via the ddc::audit pool
+#                  auditors, and the SoA pool receive against
+#                  GenericClassifier::receive bit for bit) replay the
+#                  committed corpus plus DDC_FUZZ_RUNS fresh
 #                  deterministic iterations under ASan+UBSan.
 #
 # Environment:
@@ -130,7 +132,7 @@ cmake --build "$ASAN_DIR" -j "$(nproc)" --target \
   linalg_tests stats_tests core_tests summaries_tests em_tests \
   partition_tests exec_tests sim_tests gossip_tests wire_tests net_tests \
   shard_tests schedule_tests audit_tests metrics_tests workload_tests \
-  io_tests cli_tests integration_tests ddcsim ddcnode
+  io_tests cli_tests integration_tests em_alloc_tests ddcsim ddcnode
 
 # halt_on_error so UBSan findings fail the gate instead of scrolling by.
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
@@ -201,10 +203,12 @@ cmake -B "$FUZZ_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDDC_FUZZ=ON \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-cmake --build "$FUZZ_DIR" --target fuzz_framing fuzz_classifier -j "$(nproc)"
+cmake --build "$FUZZ_DIR" --target fuzz_framing fuzz_classifier \
+  fuzz_pool_receive -j "$(nproc)"
 
-"$FUZZ_DIR"/fuzz/fuzz_framing    -runs="$DDC_FUZZ_RUNS" -seed=1 fuzz/corpus/framing
-"$FUZZ_DIR"/fuzz/fuzz_classifier -runs="$DDC_FUZZ_RUNS" -seed=1 fuzz/corpus/classifier
+"$FUZZ_DIR"/fuzz/fuzz_framing      -runs="$DDC_FUZZ_RUNS" -seed=1 fuzz/corpus/framing
+"$FUZZ_DIR"/fuzz/fuzz_classifier   -runs="$DDC_FUZZ_RUNS" -seed=1 fuzz/corpus/classifier
+"$FUZZ_DIR"/fuzz/fuzz_pool_receive -runs="$DDC_FUZZ_RUNS" -seed=1 fuzz/corpus/pool_receive
 
 echo "Fuzz smoke passed: corpus + ${DDC_FUZZ_RUNS} iterations per harness."
 

@@ -3,16 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numbers>
 #include <numeric>
 
 #include <ddc/common/agglomerate.hpp>
 #include <ddc/common/assert.hpp>
+#include <ddc/common/error.hpp>
 #include <ddc/linalg/cholesky.hpp>
-#include <ddc/stats/gaussian_batch.hpp>
+#include <ddc/linalg/kernels.hpp>
+#include <ddc/linalg/simd.hpp>
 
 namespace ddc::em {
 
-using linalg::Vector;
 using stats::Gaussian;
 using stats::GaussianMixture;
 using stats::WeightedGaussian;
@@ -29,256 +31,234 @@ ReductionResult identity_result(const GaussianMixture& input) {
   return out;
 }
 
-/// Moment-matched merge of the input components listed in `group`.
-WeightedGaussian merge_group(const GaussianMixture& input,
-                             const std::vector<std::size_t>& group) {
-  DDC_ASSERT(!group.empty());
-  std::vector<WeightedGaussian> parts;
-  parts.reserve(group.size());
-  double weight = 0.0;
-  for (const std::size_t i : group) {
-    parts.push_back(input[i]);
-    weight += input[i].weight;
-  }
-  if (parts.size() == 1) return parts.front();
-  return {weight, stats::moment_match(parts)};
-}
+/// One reduce_em_rows call at the fixed dimension D (kernels::kDynamic
+/// beyond 4): the GaussianMixture EM's arithmetic in its order, each
+/// Gaussian construction replaced by its effect (symmetrize_checked).
+template <std::size_t D>
+class PackedEm {
+ public:
+  PackedEm(EmWorkspace& ws, const double* weights, std::size_t l,
+           std::size_t d, std::size_t k)
+      : ws_(ws), w_(weights), l_(l), d_(d), dd_(d * d) {
+    ws_.model_weights.resize(k);
+    ws_.model_means.resize(k * d);
+    ws_.model_covs.resize(k * dd_);
+    ws_.log_priors.resize(k);
+    ws_.scores.resize(k * l);
+    ws_.resp.resize(l * k);
+    ws_.assignment.resize(l);
+    ws_.best_assignment.resize(l);
+    for (std::size_t i = 0; i < l; ++i) total_ += w_[i];
 
-/// Deterministic seeds for EM restart 0: start from the heaviest
-/// component, then repeatedly add the component whose mean is farthest
-/// from every already-chosen seed (maximin / farthest-point traversal).
-/// Weight-greedy seeding alone can drop all seeds into one cluster and
-/// strand EM in a collapsed local optimum; maximin spreads them.
-std::vector<std::size_t> maximin_seeds(const GaussianMixture& input,
-                                       std::size_t k) {
-  std::vector<std::size_t> chosen;
-  chosen.reserve(k);
-  std::size_t heaviest = 0;
-  for (std::size_t i = 1; i < input.size(); ++i) {
-    if (input[i].weight > input[heaviest].weight) heaviest = i;
+    // The E step's covariance floor: 1% of the overall variance of the
+    // inputs' moment-matched collapse, at least 1e-12. It must be a
+    // visible fraction of the spread: scoring a broad input against a
+    // floored point-mass model costs ≈ Σ_input/floor, and a floor far
+    // below the spread lets far broad models beat near sharp ones.
+    double* const collapse_mean = ws_.scratch.data() + 8 * d_;
+    double* const collapse_cov = collapse_mean + d_;
+    for (std::size_t i = 0; i < l; ++i) ws_.parts[i] = {w_[i], mean(i), cov(i)};
+    stats::moment_match_rows({ws_.parts.data(), l_}, collapse_mean,
+                             collapse_cov, ws_.scratch.data(), d_);
+    stats::symmetrize_checked(collapse_cov, d_);
+    double trace = 0.0;
+    for (std::size_t i = 0; i < d_; ++i) trace += collapse_cov[i * d_ + i];
+    floor_ = std::max(1e-2 * (trace / static_cast<double>(d_)), 1e-12);
   }
-  chosen.push_back(heaviest);
-  while (chosen.size() < std::min<std::size_t>(k, input.size())) {
-    std::size_t best = input.size();
-    double best_dist = -1.0;
-    for (std::size_t i = 0; i < input.size(); ++i) {
-      double nearest = std::numeric_limits<double>::infinity();
-      for (const std::size_t c : chosen) {
-        if (c == i) {
-          nearest = 0.0;
-          break;
+
+  /// Deterministic seeds for restart 0: start from the heaviest input,
+  /// then repeatedly add the input whose mean is farthest from every
+  /// chosen seed (maximin), ties going to the heavier input. Weight-greedy
+  /// seeding alone can drop every seed into one cluster.
+  void maximin_seeds(std::size_t k) {
+    std::vector<std::size_t>& chosen = ws_.seeds;
+    std::size_t heaviest = 0;
+    for (std::size_t i = 1; i < l_; ++i) {
+      if (w_[i] > w_[heaviest]) heaviest = i;
+    }
+    chosen.assign(1, heaviest);
+    while (chosen.size() < std::min(k, l_)) {
+      std::size_t best = l_;
+      double best_dist = -1.0;
+      for (std::size_t i = 0; i < l_; ++i) {
+        double nearest = std::numeric_limits<double>::infinity();
+        for (const std::size_t c : chosen) {
+          if (c == i) {
+            nearest = 0.0;
+            break;
+          }
+          nearest = std::min(
+              nearest, linalg::kernels::distance2<D>(mean(i), mean(c), d_));
         }
-        nearest = std::min(nearest,
-                           linalg::distance2(input[i].gaussian.mean(),
-                                             input[c].gaussian.mean()));
+        if (nearest > best_dist ||
+            (nearest == best_dist && best < l_ && w_[i] > w_[best])) {
+          best_dist = nearest;
+          best = i;
+        }
       }
-      // Tie-break toward heavier components for determinism with meaning.
-      if (nearest > best_dist ||
-          (nearest == best_dist && best < input.size() &&
-           input[i].weight > input[best].weight)) {
-        best_dist = nearest;
-        best = i;
-      }
+      DDC_ASSERT(best < l_);
+      chosen.push_back(best);
     }
-    DDC_ASSERT(best < input.size());
-    chosen.push_back(best);
   }
-  return chosen;
-}
 
-std::vector<std::size_t> random_k(const GaussianMixture& input, std::size_t k,
-                                  stats::Rng& rng) {
-  std::vector<std::size_t> order(input.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  // Weighted sampling without replacement via repeated discrete draws.
-  std::vector<double> weights;
-  weights.reserve(input.size());
-  for (std::size_t i = 0; i < input.size(); ++i) weights.push_back(input[i].weight);
-  std::vector<std::size_t> chosen;
-  chosen.reserve(k);
-  for (std::size_t draw = 0; draw < k; ++draw) {
-    const std::size_t pick = rng.discrete(weights);
-    chosen.push_back(pick);
-    weights[pick] = 0.0;
-    if (std::accumulate(weights.begin(), weights.end(), 0.0) <= 0.0) break;
+  /// Later restarts' seeds: weighted sampling without replacement.
+  void random_seeds(std::size_t k, stats::Rng& rng) {
+    std::vector<double>& weights = ws_.draw_weights;
+    weights.assign(w_, w_ + l_);
+    ws_.seeds.clear();
+    for (std::size_t draw = 0; draw < k; ++draw) {
+      const std::size_t pick = rng.discrete(weights);
+      ws_.seeds.push_back(pick);
+      weights[pick] = 0.0;
+      if (std::accumulate(weights.begin(), weights.end(), 0.0) <= 0.0) break;
+    }
   }
-  return chosen;
-}
 
-struct EmRun {
-  GaussianMixture model;
-  std::vector<std::size_t> assignment;
-  /// Per-input log-score toward its assigned component (final E pass).
-  std::vector<double> assignment_score;
-  double objective = -std::numeric_limits<double>::infinity();
-  std::size_t iterations = 0;
-};
-
-/// Covariance floor for E-step *scoring* (the stored model is never
-/// floored). Without it a point-mass model component repels even its own
-/// cluster's broad collections — tr(Σ_model⁻¹ Σ_input) explodes — and EM
-/// falls into cross-cluster local optima. The floor blends the average
-/// *within-component* variance (the natural local scale) with a small
-/// fraction of the overall spread (a fallback when all inputs are point
-/// masses), the standard covariance-regularization device in EM practice.
-double scoring_floor(const GaussianMixture& input) {
-  // The floor must be commensurate with the OVERALL spread, not the
-  // within-component scale: scoring a broad input against a (regularized)
-  // point-mass model produces tr(Σ_model⁻¹ Σ_input) ≈ Σ_input/floor, and
-  // unless the floor is a visible fraction of the spread this term
-  // overwhelms the mean-distance term, making far broad models beat near
-  // sharp ones — the cross-cluster pathology.
-  const double overall =
-      linalg::trace(input.collapse().cov()) / static_cast<double>(input.dim());
-  return std::max(1e-2 * overall, 1e-12);
-}
-
-/// The model component as used for scoring: covariance floored at εI.
-Gaussian floored(const Gaussian& g, double eps) {
-  linalg::Matrix cov = g.cov();
-  for (std::size_t i = 0; i < cov.rows(); ++i) cov(i, i) += eps;
-  return Gaussian(g.mean(), std::move(cov));
-}
-
-/// One model component prepared for an E step / assignment pass: the
-/// floored covariance factorized once (E steps score every input against
-/// every model component — factorizing per pair was the dominant cost),
-/// plus the component's log-prior, which is likewise input-independent.
-struct ScoringComponent {
-  stats::ExpectedLogPdfScorer scorer;
-  double log_prior;
-};
-
-/// Build the per-component scoring invariants for the current model.
-/// `out` is a reusable buffer; cleared and refilled.
-void build_scoring(const GaussianMixture& model, double floor_eps,
-                   std::vector<ScoringComponent>& out) {
-  const double model_total = model.total_weight();
-  out.clear();
-  out.reserve(model.size());
-  for (std::size_t j = 0; j < model.size(); ++j) {
-    out.push_back(
-        {stats::ExpectedLogPdfScorer(floored(model[j].gaussian, floor_eps)),
-         std::log(model[j].weight / model_total)});
-  }
-}
-
-/// One full EM optimization from the given seed components.
-EmRun run_em(const GaussianMixture& input, const std::vector<std::size_t>& seeds,
-             std::size_t k, const ReductionOptions& options) {
-  const std::size_t l = input.size();
-  const double total = input.total_weight();
-  const double floor_eps = scoring_floor(input);
-
-  // Initial model: the seed components, with priors proportional to the
-  // seed weights (floored at the uniform share so a light seed is not
-  // strangled in the very first E step).
-  std::vector<WeightedGaussian> init;
-  init.reserve(seeds.size());
-  for (const std::size_t s : seeds) {
-    init.push_back({std::max(input[s].weight, total / static_cast<double>(l)),
-                    input[s].gaussian});
-  }
-  EmRun run;
-  run.model = GaussianMixture(std::move(init));
-
-  // Scratch reused across iterations: responsibilities, the factorized
-  // scoring components, the SoA-packed inputs (constant across
-  // iterations — packed once), the m×l score table, and the M-step part
-  // list.
-  std::vector<std::vector<double>> resp(l);
-  std::vector<ScoringComponent> scoring;
-  std::vector<double> logs;
-  std::vector<WeightedGaussian> parts;
-  stats::GaussianBatch batch;
-  batch.assign(input);
-  std::vector<double> scores;
-  double prev_objective = -std::numeric_limits<double>::infinity();
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    run.iterations = iter + 1;
-    const std::size_t m = run.model.size();
-
-    // E step: rᵢⱼ ∝ πⱼ exp(E_{Nᵢ}[log Nⱼ]) with the log-sum-exp trick;
-    // accumulate the surrogate objective. Model covariances are floored
-    // for scoring only, each component is factorized once per iteration
-    // (not per pair) via ScoringComponent, and every component scores
-    // the whole SoA input batch in one score_batch pass — the E step's
-    // only scoring entry point.
-    build_scoring(run.model, floor_eps, scoring);
-    scores.resize(m * l);
+  /// One EM optimization from ws.seeds. Leaves the hard assignment in
+  /// ws.assignment and returns the model size, iterations and objective.
+  RowsReduction run(const ReductionOptions& options) {
+    // Initial model: the seeds, priors floored at the uniform share so a
+    // light seed is not strangled in the first E step.
+    std::size_t m = ws_.seeds.size();
     for (std::size_t j = 0; j < m; ++j) {
-      scoring[j].scorer.score_batch(batch, scores.data() + j * l);
+      const std::size_t s = ws_.seeds[j];
+      ws_.model_weights[j] =
+          std::max(w_[s], total_ / static_cast<double>(l_));
+      std::copy_n(mean(s), d_, model_mean(j));
+      std::copy_n(cov(s), dd_, model_cov(j));
     }
-    logs.resize(m);
-    double objective = 0.0;
-    for (std::size_t i = 0; i < l; ++i) {
-      double max_log = -std::numeric_limits<double>::infinity();
+    RowsReduction run;
+    double prev_objective = -std::numeric_limits<double>::infinity();
+    for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+      run.iterations = iter + 1;
+
+      // E step: rᵢⱼ ∝ πⱼ exp(E_{Nᵢ}[log Nⱼ]) with the log-sum-exp trick,
+      // accumulating the surrogate objective.
+      score(m);
+      double objective = 0.0;
+      for (std::size_t i = 0; i < l_; ++i) {
+        double* const r = ws_.resp.data() + i * m;  // log scores, then rᵢ
+        double max_log = -std::numeric_limits<double>::infinity();
+        for (std::size_t j = 0; j < m; ++j) {
+          r[j] = ws_.log_priors[j] + ws_.scores[j * l_ + i];
+          max_log = std::max(max_log, r[j]);
+        }
+        double denom = 0.0;
+        for (std::size_t j = 0; j < m; ++j) {
+          r[j] = std::exp(r[j] - max_log);
+          denom += r[j];
+        }
+        for (std::size_t j = 0; j < m; ++j) r[j] /= denom;
+        objective += w_[i] * (max_log + std::log(denom));
+      }
+      objective /= total_;
+      run.objective = objective;
+
+      // M step: moment-match each model component to its responsibility-
+      // weighted inputs; components left without mass are dropped.
+      std::size_t next = 0;
       for (std::size_t j = 0; j < m; ++j) {
-        logs[j] = scoring[j].log_prior + scores[j * l + i];
-        max_log = std::max(max_log, logs[j]);
+        std::size_t parts = 0;
+        double mass = 0.0;
+        for (std::size_t i = 0; i < l_; ++i) {
+          const double w = w_[i] * ws_.resp[i * m + j];
+          if (w <= 0.0) continue;
+          ws_.parts[parts++] = {w, mean(i), cov(i)};
+          mass += w;
+        }
+        if (parts == 0) continue;
+        stats::moment_match_rows({ws_.parts.data(), parts}, model_mean(next),
+                                 model_cov(next), ws_.scratch.data(), d_);
+        stats::symmetrize_checked(model_cov(next), d_);
+        ws_.model_weights[next++] = mass;
       }
-      resp[i].assign(m, 0.0);
-      double denom = 0.0;
+      DDC_ASSERT(next > 0);
+      m = next;
+
+      if (std::isfinite(prev_objective) &&
+          objective - prev_objective < options.tol) {
+        break;
+      }
+      prev_objective = objective;
+    }
+
+    // Hard assignment against the final model, with the E step's floored
+    // scoring.
+    score(m);
+    std::fill_n(ws_.assignment.data(), l_, std::size_t{0});
+    for (std::size_t i = 0; i < l_; ++i) {
+      double best = -std::numeric_limits<double>::infinity();
       for (std::size_t j = 0; j < m; ++j) {
-        resp[i][j] = std::exp(logs[j] - max_log);
-        denom += resp[i][j];
+        const double s = ws_.log_priors[j] + ws_.scores[j * l_ + i];
+        if (s > best) {
+          best = s;
+          ws_.assignment[i] = j;
+        }
       }
-      for (double& r : resp[i]) r /= denom;
-      objective += input[i].weight * (max_log + std::log(denom));
     }
-    objective /= total;
-    run.objective = objective;
+    run.groups = m;
+    return run;
+  }
 
-    // M step: moment-match each model component to its responsibility-
-    // weighted inputs.
-    std::vector<WeightedGaussian> next;
-    next.reserve(m);
+ private:
+  const double* mean(std::size_t i) const {
+    return ws_.means.data() + i * d_;
+  }
+  const double* cov(std::size_t i) const { return ws_.covs.data() + i * dd_; }
+  double* model_mean(std::size_t j) { return ws_.model_means.data() + j * d_; }
+  double* model_cov(std::size_t j) { return ws_.model_covs.data() + j * dd_; }
+
+  /// regularized_cholesky's tries into a zeroed `l`: `a`, then a + εI for
+  /// ε = 1e-9, 1e-8, … ≤ 1e3. Throws NumericalError when all fail.
+  void factor(const double* a, double* l) {
+    double* const jittered = ws_.scratch.data() + 8 * d_ + dd_;
+    std::fill_n(l, dd_, 0.0);
+    if (linalg::kernels::cholesky_factor<D>(a, l, d_)) return;
+    for (double eps = 1e-9; eps <= 1e3; eps *= 10.0) {
+      std::copy_n(a, dd_, jittered);
+      for (std::size_t i = 0; i < d_; ++i) jittered[i * d_ + i] += eps;
+      std::fill_n(l, dd_, 0.0);
+      if (linalg::kernels::cholesky_factor<D>(jittered, l, d_)) return;
+    }
+    throw_numerical_error(
+        "regularized_cholesky: matrix not positive definite even after "
+        "maximal jitter");
+  }
+
+  /// Fills ws.scores (m × l) and ws.log_priors: each component's floored
+  /// covariance is factorized once, then one kernel pass scores all inputs.
+  void score(std::size_t m) {
+    double model_total = 0.0;
+    for (std::size_t j = 0; j < m; ++j) model_total += ws_.model_weights[j];
+    double* const floored = ws_.scratch.data() + 8 * d_;
+    double* const l = floored + 2 * dd_;
+    double* const inv = l + dd_;
+    const linalg::simd::ScoreBatchFn kernel =
+        linalg::simd::batch_score_kernel();
     for (std::size_t j = 0; j < m; ++j) {
-      parts.clear();
-      double mass = 0.0;
-      for (std::size_t i = 0; i < l; ++i) {
-        const double w = input[i].weight * resp[i][j];
-        if (w <= 0.0) continue;
-        parts.push_back({w, input[i].gaussian});
-        mass += w;
-      }
-      if (parts.empty()) continue;
-      next.push_back({mass, stats::moment_match(parts)});
+      std::copy_n(model_cov(j), dd_, floored);
+      for (std::size_t i = 0; i < d_; ++i) floored[i * d_ + i] += floor_;
+      stats::symmetrize_checked(floored, d_);
+      factor(floored, l);
+      linalg::kernels::inverse_from_factor<D>(l, inv, ws_.scratch.data(), d_);
+      const double base =
+          static_cast<double>(d_) * std::log(2.0 * std::numbers::pi) +
+          linalg::kernels::log_det_from_factor<D>(l, d_);
+      ws_.log_priors[j] = std::log(ws_.model_weights[j] / model_total);
+      kernel({d_, model_mean(j), l, inv, base}, ws_.means.data(),
+             ws_.covs.data(), l_, ws_.scores.data() + j * l_,
+             ws_.scratch.data());
     }
-    DDC_ASSERT(!next.empty());
-    run.model = GaussianMixture(std::move(next));
-
-    if (std::isfinite(prev_objective) &&
-        objective - prev_objective < options.tol) {
-      break;
-    }
-    prev_objective = objective;
   }
 
-  // Hard assignment by final responsibilities against the final model
-  // (same floored scoring as the E step, for consistency).
-  const std::size_t m = run.model.size();
-  build_scoring(run.model, floor_eps, scoring);
-  scores.resize(m * l);
-  for (std::size_t j = 0; j < m; ++j) {
-    scoring[j].scorer.score_batch(batch, scores.data() + j * l);
-  }
-  run.assignment.assign(l, 0);
-  run.assignment_score.assign(l, 0.0);
-  for (std::size_t i = 0; i < l; ++i) {
-    double best = -std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < m; ++j) {
-      const double score = scoring[j].log_prior + scores[j * l + i];
-      if (score > best) {
-        best = score;
-        run.assignment[i] = j;
-      }
-    }
-    run.assignment_score[i] = best;
-  }
-  (void)k;
-  return run;
-}
+  EmWorkspace& ws_;
+  const double* w_;
+  std::size_t l_;
+  std::size_t d_;
+  std::size_t dd_;
+  double total_ = 0.0;  // Σ weights in input order
+  double floor_ = 0.0;
+};
 
 /// Shared scaffolding for the greedy pairwise reducers: repeatedly merge
 /// the best pair according to `cost` until at most k groups remain, via
@@ -315,42 +295,101 @@ ReductionResult reduce_greedy(const GaussianMixture& input, std::size_t k,
 
 }  // namespace
 
+// ddcverify: hotpath
+RowsReduction reduce_em_rows(const double* rows, const double* weights,
+                             std::size_t l, std::size_t d, std::size_t k,
+                             EmWorkspace& ws, core::Grouping& groups,
+                             stats::Rng* rng, const ReductionOptions& options) {
+  DDC_EXPECTS(k >= 1);
+  DDC_EXPECTS(d >= 1);
+  DDC_EXPECTS(options.restarts >= 1);
+  DDC_EXPECTS(options.restarts == 1 || rng != nullptr);
+  const std::size_t sd = d + d * d;
+  ws.means.resize(l * d);
+  ws.covs.resize(l * d * d);
+  ws.parts.resize(l);
+  ws.scratch.resize(8 * d + 4 * d * d);
+  for (std::size_t i = 0; i < l; ++i) {
+    DDC_EXPECTS(weights[i] > 0.0);
+    double* const cov = ws.covs.data() + i * d * d;
+    std::copy_n(rows + i * sd, d, ws.means.data() + i * d);
+    std::copy_n(rows + i * sd + d, d * d, cov);
+    stats::symmetrize_checked(cov, d);
+  }
+  // Every entry can take all l inputs, so neither the grouping below nor
+  // a caller's re-homing reallocates once warm.
+  const std::size_t entries = std::max(l, k);
+  if (groups.size() < entries) groups.resize(entries);
+  for (std::size_t g = 0; g < entries; ++g) groups[g].reserve(l);
+  if (l <= k) {
+    for (std::size_t i = 0; i < l; ++i) groups[i].assign(1, i);
+    return {l, 0, std::numeric_limits<double>::quiet_NaN()};
+  }
+
+  RowsReduction best;
+  linalg::kernels::dispatch_dim(d, [&](auto fd) {
+    PackedEm<fd()> em(ws, weights, l, d, k);
+    for (std::size_t r = 0; r < options.restarts; ++r) {
+      r == 0 ? em.maximin_seeds(k) : em.random_seeds(k, *rng);
+      const RowsReduction run = em.run(options);
+      if (r == 0 || run.objective > best.objective) {
+        best = run;
+        std::swap(ws.assignment, ws.best_assignment);
+      }
+    }
+  });
+
+  // Group by the hard assignment in model order, dropping empty groups:
+  // EM decides how many of the k collections it uses (Section 4.1).
+  for (std::size_t g = 0; g < best.groups; ++g) groups[g].clear();
+  for (std::size_t i = 0; i < l; ++i) {
+    groups[ws.best_assignment[i]].push_back(i);
+  }
+  std::size_t count = 0;
+  for (std::size_t g = 0; g < best.groups; ++g) {
+    if (groups[g].empty()) continue;
+    if (g != count) std::swap(groups[count], groups[g]);
+    ++count;
+  }
+  DDC_ENSURES(count <= k);
+  best.groups = count;
+  return best;
+}
+
 ReductionResult reduce_em(const GaussianMixture& input, std::size_t k,
                           stats::Rng& rng, const ReductionOptions& options) {
   DDC_EXPECTS(k >= 1);
   DDC_EXPECTS(options.restarts >= 1);
   if (input.size() <= k) return identity_result(input);
-
-  EmRun best;
-  bool have_best = false;
-  for (std::size_t r = 0; r < options.restarts; ++r) {
-    const std::vector<std::size_t> seeds =
-        r == 0 ? maximin_seeds(input, k) : random_k(input, k, rng);
-    EmRun run = run_em(input, seeds, k, options);
-    if (!have_best || run.objective > best.objective) {
-      best = std::move(run);
-      have_best = true;
-    }
+  const std::size_t l = input.size();
+  const std::size_t d = input.dim();
+  const std::size_t sd = d + d * d;
+  std::vector<double> rows(l * sd);
+  std::vector<double> weights(l);
+  for (std::size_t i = 0; i < l; ++i) {
+    const Gaussian& g = input[i].gaussian;
+    std::copy_n(g.mean().data().data(), d, rows.data() + i * sd);
+    std::copy_n(g.cov().data().data(), d * d, rows.data() + i * sd + d);
+    weights[i] = input[i].weight;
   }
-
-  // Group by the hard assignment. EM decides how many of the k available
-  // collections it actually uses (adaptive compression, Section 4.1): with
-  // l ≤ k the identity path above keeps everything; with l > k the local
-  // optimum typically lands on the data's natural component count.
-  std::vector<std::vector<std::size_t>> groups(best.model.size());
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    groups[best.assignment[i]].push_back(i);
-  }
-  std::erase_if(groups, [](const auto& g) { return g.empty(); });
-
+  EmWorkspace ws;
   ReductionResult out;
-  for (auto& group : groups) {
-    out.mixture.add(merge_group(input, group));
-    out.groups.push_back(std::move(group));
+  const RowsReduction r = reduce_em_rows(rows.data(), weights.data(), l, d, k,
+                                         ws, out.groups, &rng, options);
+  out.groups.resize(r.groups);
+  for (const auto& group : out.groups) {
+    std::vector<WeightedGaussian> parts;
+    double weight = 0.0;
+    for (const std::size_t i : group) {
+      parts.push_back(input[i]);
+      weight += input[i].weight;
+    }
+    out.mixture.add(parts.size() == 1
+                        ? parts.front()
+                        : WeightedGaussian{weight, stats::moment_match(parts)});
   }
-  out.iterations = best.iterations;
-  out.objective = best.objective;
-  DDC_ENSURES(out.mixture.size() <= k);
+  out.iterations = r.iterations;
+  out.objective = r.objective;
   return out;
 }
 

@@ -10,9 +10,12 @@
 //   auto engine = ddc::gossip::make_centroid_scale_engine(
 //       ddc::sim::Topology::grid(1000, 1000, false), inputs, config);
 //
-// Packing is EXACT (doubles are copied bit-for-bit), which is what lets
-// the golden equivalence suite demand bit-identical classifications
-// between this engine and the object engine (shard/factories.hpp).
+// Packing is EXACT (doubles are copied bit-for-bit), and the receives
+// run the object engine's own packed pieces (the centroid partition and
+// merge rows, em::reduce_em_rows and stats::moment_match_rows for GM),
+// which is what lets the golden equivalence suite demand bit-identical
+// classifications between this engine and the object engine
+// (shard/factories.hpp).
 #pragma once
 
 #include <algorithm>
@@ -32,8 +35,6 @@
 #include <ddc/sim/engine_config.hpp>
 #include <ddc/sim/scale_engine.hpp>
 #include <ddc/stats/gaussian.hpp>
-#include <ddc/stats/mixture.hpp>
-#include <ddc/stats/rng.hpp>
 
 namespace ddc::gossip {
 
@@ -148,9 +149,9 @@ class CentroidScaleProtocol {
 /// SoA embedding of the GM protocol (Section 5): a summary is ⟨µ, Σ⟩,
 /// packed as d + d² doubles (mean, then covariance row-major). The
 /// receive runs on the engine's gathered rows like the centroid
-/// binding's: the rows are unpacked into Gaussians once, reduced with the
-/// same em::reduce_em call EmPartition::partition makes, and the ≤ k
-/// merged results are packed straight back into the pools.
+/// binding's: em::reduce_em_rows (the EM EmPartition::partition runs)
+/// reduces them in a workspace the chunk reuses, and each group is
+/// moment-matched straight into the pools. No Gaussian is built.
 class GmScaleProtocol {
  public:
   using SummaryPolicy = summaries::GaussianPolicy;
@@ -159,22 +160,21 @@ class GmScaleProtocol {
   using Summary = stats::Gaussian;
 
   /// The EM options of every receive — make_gm_node's default. A single
-  /// restart is seeded by the maximin traversal and never draws from the
-  /// RNG, which is why one scratch stream can stand in for the object
-  /// engine's per-node streams.
+  /// restart is seeded by the maximin traversal and draws no random
+  /// numbers, so the pool receive passes no RNG.
   static constexpr em::ReductionOptions kReduction{};
   static_assert(kReduction.restarts == 1,
                 "extra EM restarts draw from a per-node stream");
 
   /// One parallel chunk's scratch for receive_rows (see
-  /// CentroidScaleProtocol::PoolScratch). `rng` is handed to reduce_em
-  /// but never drawn from (kReduction).
+  /// CentroidScaleProtocol::PoolScratch).
   struct alignas(64) PoolScratch {
     std::vector<double> rows;          // m × (d + d²) gathered summaries
     std::vector<std::int64_t> quanta;  // their weights
-    std::vector<core::WeightedSummary<Summary>> parts;  // one group's merge
+    std::vector<double> weights;       // the quanta as EM weights
+    em::EmWorkspace em;
+    core::Grouping groups;
     std::vector<bool> seen;  // is_valid_grouping's marks
-    stats::Rng rng{0};
     core::ClassifierStats stats;
     double em_seconds = 0.0;  // EmPartition::em_seconds' counterpart
   };
@@ -214,12 +214,12 @@ class GmScaleProtocol {
 
   /// GenericClassifier<GaussianPolicy, EmPartition>::receive on packed
   /// rows, bit for bit: the m collections in s.rows / s.quanta (receive's
-  /// union order) become the input mixture of reduce_em, the grouping is
-  /// checked and repaired by core::group_collections (re-home distance:
-  /// GaussianPolicy::distance, i.e. distance2 on the mean part of the
-  /// rows), singleton groups keep their rows verbatim and the rest merge
-  /// with GaussianPolicy::merge_set. Writes the ≤ k results to out_rows /
+  /// union order) go through em::reduce_em_rows and core::group_collections
+  /// (re-home distance: distance2 on the rows' mean part); singleton
+  /// groups keep their rows verbatim and the rest are moment-matched as
+  /// GaussianPolicy::merge_set does. Writes the ≤ k results to out_rows /
   /// out_quanta, which must not alias s, and returns their count.
+  // ddcverify: hotpath
   [[nodiscard]] std::size_t receive_rows(PoolScratch& s, std::size_t m,
                                          double* out_rows,
                                          std::int64_t* out_quanta) const {
@@ -230,19 +230,18 @@ class GmScaleProtocol {
     const auto row = [rows, sd](std::size_t j) { return rows + j * sd; };
     ++s.stats.receives;
 
-    core::Grouping groups;
-    stats::GaussianMixture mixture;
+    s.weights.assign(quanta, quanta + m);
     const std::size_t count = core::group_collections(
-        groups, m, config_.k, s.seen, s.stats,
+        s.groups, m, config_.k, s.seen, s.stats,
         [&] {
-          for (std::size_t j = 0; j < m; ++j) {
-            mixture.add({static_cast<double>(quanta[j]), unpack(row(j))});
-          }
+          std::size_t reduced = 0;
           timed_phase(s.em_seconds, [&] {
-            groups = em::reduce_em(mixture, config_.k, s.rng, kReduction)
-                         .groups;
+            reduced = em::reduce_em_rows(rows, s.weights.data(), m, d,
+                                         config_.k, s.em, s.groups, nullptr,
+                                         kReduction)
+                          .groups;
           });
-          return groups.size();
+          return reduced;
         },
         [quanta](std::size_t j) { return quanta[j] == 1; },
         [&](std::size_t a, std::size_t b) {
@@ -253,7 +252,7 @@ class GmScaleProtocol {
 
     // Algorithm 1, line 11, as GenericClassifier::merge_groups does it.
     for (std::size_t g = 0; g < count; ++g) {
-      const std::vector<std::size_t>& group = groups[g];
+      const std::vector<std::size_t>& group = s.groups[g];
       double* const out = out_rows + g * sd;
       if (group.size() == 1) {
         std::copy_n(row(group.front()), sd, out);
@@ -261,12 +260,15 @@ class GmScaleProtocol {
         continue;
       }
       std::int64_t total = 0;
-      s.parts.clear();
-      for (const std::size_t j : group) {
+      for (std::size_t t = 0; t < group.size(); ++t) {
+        const std::size_t j = group[t];
         total += quanta[j];
-        s.parts.push_back({mixture[j].gaussian, mixture[j].weight});
+        s.em.parts[t] = {s.weights[j], s.em.means.data() + j * d,
+                         s.em.covs.data() + j * d * d};
       }
-      pack(SummaryPolicy::merge_set(s.parts), out);
+      stats::moment_match_rows({s.em.parts.data(), group.size()}, out,
+                               out + d, s.em.scratch.data(), d);
+      stats::symmetrize_checked(out + d, d);
       out_quanta[g] = total;
       s.stats.collections_merged += group.size();
     }

@@ -114,9 +114,17 @@ class Matrix {
 /// magnitude of the entries involved).
 [[nodiscard]] bool is_symmetric(const Matrix& m, double tol = 1e-12) noexcept;
 
+/// is_symmetric on packed row-major n×n storage.
+[[nodiscard]] bool is_symmetric(const double* a, std::size_t n,
+                                double tol) noexcept;
+
 /// `(m + mᵀ) / 2` — removes rounding asymmetry from a nominally symmetric
 /// matrix. Requires a square matrix.
 [[nodiscard]] Matrix symmetrize(const Matrix& m);
+
+/// symmetrize in place on packed row-major n×n storage: every entry
+/// becomes 0.5·(aᵢⱼ + aⱼᵢ) of the original entries, bit for bit.
+void symmetrize(double* a, std::size_t n) noexcept;
 
 std::ostream& operator<<(std::ostream& os, const Matrix& m);
 

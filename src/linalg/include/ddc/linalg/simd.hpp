@@ -2,7 +2,7 @@
 //
 // The kernel layer (linalg/kernels.hpp) is scalar and bit-exact by
 // construction. This seam selects, once per process, which *batched*
-// implementation backs ExpectedLogPdfScorer::score_batch:
+// implementation scores the EM's E step (em::reduce_em_rows):
 //
 //   Tier::scalar — the kernels.hpp reference loop. Always available.
 //   Tier::avx2   — 4-inputs-at-a-time lanewise AVX2. Each SIMD lane

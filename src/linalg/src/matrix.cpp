@@ -152,12 +152,16 @@ double max_abs(const Matrix& m) noexcept {
 }
 
 bool is_symmetric(const Matrix& m, double tol) noexcept {
-  if (!m.square()) return false;
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (std::size_t j = i + 1; j < m.cols(); ++j) {
-      const double scale =
-          std::max({1.0, std::abs(m(i, j)), std::abs(m(j, i))});
-      if (std::abs(m(i, j) - m(j, i)) > tol * scale) return false;
+  return m.square() && is_symmetric(m.data().data(), m.rows(), tol);
+}
+
+bool is_symmetric(const double* a, std::size_t n, double tol) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double aij = a[i * n + j];
+      const double aji = a[j * n + i];
+      const double scale = std::max({1.0, std::abs(aij), std::abs(aji)});
+      if (std::abs(aij - aji) > tol * scale) return false;
     }
   }
   return true;
@@ -165,13 +169,21 @@ bool is_symmetric(const Matrix& m, double tol) noexcept {
 
 Matrix symmetrize(const Matrix& m) {
   DDC_EXPECTS(m.square());
-  Matrix out(m.rows(), m.cols());
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      out(i, j) = 0.5 * (m(i, j) + m(j, i));
+  Matrix out = m;
+  symmetrize(out.data().data(), out.rows());
+  return out;
+}
+
+void symmetrize(double* a, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i * n + i] = 0.5 * (a[i * n + i] + a[i * n + i]);
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double aij = a[i * n + j];
+      const double aji = a[j * n + i];
+      a[i * n + j] = 0.5 * (aij + aji);
+      a[j * n + i] = 0.5 * (aji + aij);
     }
   }
-  return out;
 }
 
 std::ostream& operator<<(std::ostream& os, const Matrix& m) {

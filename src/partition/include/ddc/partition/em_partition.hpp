@@ -18,10 +18,11 @@
 
 namespace ddc::partition {
 
-/// PartitionPolicy: EM-based mixture reduction (paper Section 5.2).
+/// PartitionPolicy: EM-based mixture reduction (paper Section 5.2): packs
+/// the collections once and runs em::reduce_em_rows, the SoA engine's EM.
 /// Stateful: owns the RNG used for restart seeding, so each node should
 /// carry its own instance (constructed from its seed) to keep runs
-/// deterministic.
+/// deterministic, and scratch it reuses across calls.
 class EmPartition {
  public:
   explicit EmPartition(stats::Rng rng, em::ReductionOptions options = {})
@@ -35,14 +36,17 @@ class EmPartition {
     return options_;
   }
 
-  /// Wall-clock spent inside reduce_em, accumulated across partitions
-  /// (two clock reads per call). Feeds `ddcsim --timing`.
+  /// Wall-clock spent packing and inside reduce_em_rows, accumulated
+  /// across partitions (two clock reads per call). Feeds `ddcsim --timing`.
   [[nodiscard]] double em_seconds() const noexcept { return em_seconds_; }
 
  private:
   stats::Rng rng_;
   em::ReductionOptions options_;
   double em_seconds_ = 0.0;
+  std::vector<double> rows_;     // l × (d + d²) packed collections
+  std::vector<double> weights_;  // their weights
+  em::EmWorkspace workspace_;
 };
 
 /// PartitionPolicy: greedy Runnalls KL-bound pairwise merging.

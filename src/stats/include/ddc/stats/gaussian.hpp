@@ -6,6 +6,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include <ddc/linalg/cholesky.hpp>
@@ -84,18 +85,13 @@ class Gaussian {
 /// Gaussians (Section 5.2).
 [[nodiscard]] double expected_log_pdf(const Gaussian& a, const Gaussian& b);
 
-class GaussianBatch;
-
 /// Precomputed invariants of `expected_log_pdf(·, model)`: the Cholesky
 /// factor, inverse, and log-determinant of the model covariance depend
-/// only on the model, so the EM E step — which scores every input
-/// component against every model component — factorizes each model once
-/// per iteration through this scorer instead of once per (input, model)
-/// pair. `score(a)` is bit-identical to `expected_log_pdf(a, model)`
-/// (the free function is implemented through this class). The
-/// invariants are packed flat ([mean | L | Σ⁻¹], row-major) so the
-/// fixed-dimension kernels (linalg/kernels.hpp) and the SIMD batch
-/// kernels (linalg/simd.hpp) read them without indirection.
+/// only on the model, so scoring many inputs factorizes once. `score(a)`
+/// is bit-identical to `expected_log_pdf(a, model)` (the free function is
+/// implemented through this class). The invariants are packed flat
+/// ([mean | L | Σ⁻¹], row-major) for the fixed-dimension kernels
+/// (linalg/kernels.hpp) and the SIMD batch kernels (linalg/simd.hpp).
 class ExpectedLogPdfScorer {
  public:
   explicit ExpectedLogPdfScorer(const Gaussian& model);
@@ -105,15 +101,12 @@ class ExpectedLogPdfScorer {
   /// E_{x~a}[log model(x)]. Requires `a.dim() == model.dim()`.
   [[nodiscard]] double score(const Gaussian& a) const;
 
-  /// Scores every component of `batch` against the model, writing
-  /// `out[0..batch.size())`. One pass per model through the SoA inputs,
-  /// dispatched to the simd-selected batch kernel; `out[i]` is
-  /// bit-identical to `score(batch component i)` on every tier. Requires
-  /// `batch.dim() == model.dim()` when the batch is nonempty.
-  void score_batch(const GaussianBatch& batch, double* out) const;
+  /// The invariants as the batch kernels read them (simd::ScoreBatchFn):
+  /// a kernel's out[i] is bit-identical to `score(input i)` on every tier.
+  /// Valid while the scorer lives.
+  [[nodiscard]] linalg::kernels::ScorerData view() const noexcept;
 
  private:
-  [[nodiscard]] linalg::kernels::ScorerData view() const noexcept;
 
   std::size_t d_ = 0;
   double base_ = 0.0;  // d·log 2π + log|Σ_model|, input-independent
@@ -132,5 +125,30 @@ struct WeightedGaussian {
   Gaussian gaussian;
 };
 [[nodiscard]] Gaussian moment_match(const std::vector<WeightedGaussian>& parts);
+
+/// A weighted Gaussian on packed storage: mean (d), covariance (d²,
+/// row-major) — the layout of the SoA pools and of the EM workspace.
+struct PackedGaussian {
+  double weight;
+  const double* mean;
+  const double* cov;
+};
+
+/// Moment matching on packed storage, behind moment_match, merge_set, the
+/// EM and the GM pool merge: mean = Σ sₜµₜ, then Σ = Σ sₜ(Σₜ + δₜδₜᵀ)
+/// (sₜ = wₜ/W, δₜ = µₜ − mean), then one symmetrize pass; follow with a
+/// Gaussian construction or symmetrize_checked. `scratch` holds d
+/// doubles. Requires at least one part and every weight > 0.
+void moment_match_rows(std::span<const PackedGaussian> parts, double* mean,
+                       double* cov, double* scratch, std::size_t d);
+
+/// moment_match_rows into a Gaussian of dimension d.
+[[nodiscard]] Gaussian moment_match(std::span<const PackedGaussian> parts,
+                                    std::size_t d);
+
+/// The Gaussian constructor's covariance step, in place on packed d×d
+/// storage (symmetry to 1e-9·scale required, then one symmetrize pass):
+/// packed code calls it where the object path constructs a Gaussian.
+void symmetrize_checked(double* cov, std::size_t d);
 
 }  // namespace ddc::stats

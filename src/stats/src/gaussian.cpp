@@ -6,9 +6,6 @@
 #include <algorithm>
 
 #include <ddc/common/error.hpp>
-#include <ddc/linalg/moments.hpp>
-#include <ddc/linalg/simd.hpp>
-#include <ddc/stats/gaussian_batch.hpp>
 
 namespace ddc::stats {
 
@@ -23,8 +20,7 @@ Gaussian::Gaussian(Vector mean, Matrix cov)
     : mean_(std::move(mean)), cov_(std::move(cov)) {
   DDC_EXPECTS(cov_.square());
   DDC_EXPECTS(cov_.rows() == mean_.dim());
-  DDC_EXPECTS(linalg::is_symmetric(cov_, 1e-9));
-  cov_ = linalg::symmetrize(cov_);
+  symmetrize_checked(cov_.data().data(), cov_.rows());
 }
 
 Gaussian Gaussian::point_mass(Vector mean) {
@@ -96,7 +92,7 @@ double expected_log_pdf(const Gaussian& a, const Gaussian& b) {
   // kernel implementation instead of duplicating the Cholesky/inverse
   // transcription inline (scorer_test checks the exact equivalence to
   // the textbook formula). Callers scoring many inputs against one
-  // model should hold a scorer — or a GaussianBatch — instead.
+  // model should hold a scorer instead.
   DDC_EXPECTS(a.dim() == b.dim());
   return ExpectedLogPdfScorer(b).score(a);
 }
@@ -134,36 +130,55 @@ double ExpectedLogPdfScorer::score(const Gaussian& a) const {
   });
 }
 
-// ddcverify: hotpath
-void ExpectedLogPdfScorer::score_batch(const GaussianBatch& batch,
-                                       double* out) const {
-  DDC_EXPECTS(batch.empty() || batch.dim() == d_);
-  linalg::simd::batch_score_kernel()(view(), batch.means(), batch.covs(),
-                                     batch.size(), out, scratch_.data());
+void moment_match_rows(std::span<const PackedGaussian> parts, double* mean,
+                       double* cov, double* scratch, std::size_t d) {
+  DDC_EXPECTS(!parts.empty());
+  double total = 0.0;
+  for (const PackedGaussian& p : parts) {
+    DDC_EXPECTS(p.weight > 0.0);
+    total += p.weight;
+  }
+  DDC_EXPECTS(total > 0.0);
+  std::fill_n(mean, d, 0.0);
+  std::fill_n(cov, d * d, 0.0);
+  linalg::kernels::dispatch_dim(d, [&](auto fd) {
+    for (const PackedGaussian& p : parts) {
+      linalg::kernels::add_scaled<fd()>(mean, p.weight / total, p.mean, d);
+    }
+    for (const PackedGaussian& p : parts) {
+      for (std::size_t i = 0; i < d; ++i) scratch[i] = p.mean[i] - mean[i];
+      linalg::kernels::add_scaled_spread<fd()>(cov, p.weight / total, p.cov,
+                                               scratch, d);
+    }
+  });
+  linalg::symmetrize(cov, d);
+}
+
+Gaussian moment_match(std::span<const PackedGaussian> parts, std::size_t d) {
+  Vector mean(d);
+  Matrix cov(d, d);
+  std::vector<double> scratch(d);
+  moment_match_rows(parts, mean.data().data(), cov.data().data(),
+                    scratch.data(), d);
+  return Gaussian(std::move(mean), std::move(cov));
+}
+
+void symmetrize_checked(double* cov, std::size_t d) {
+  DDC_EXPECTS(linalg::is_symmetric(cov, d, 1e-9));
+  linalg::symmetrize(cov, d);
 }
 
 Gaussian moment_match(const std::vector<WeightedGaussian>& parts) {
   DDC_EXPECTS(!parts.empty());
   const std::size_t d = parts.front().gaussian.dim();
-  double total = 0.0;
+  std::vector<PackedGaussian> packed;
+  packed.reserve(parts.size());
   for (const auto& p : parts) {
-    DDC_EXPECTS(p.weight > 0.0);
     DDC_EXPECTS(p.gaussian.dim() == d);
-    total += p.weight;
+    packed.push_back({p.weight, p.gaussian.mean().data().data(),
+                      p.gaussian.cov().data().data()});
   }
-  DDC_EXPECTS(total > 0.0);
-
-  // Law of total covariance: Σ = Σᵢ wᵢ (Σᵢ + (µᵢ−µ)(µᵢ−µ)ᵀ) / W, built
-  // in place (no per-part temporaries; same arithmetic bit for bit).
-  linalg::WeightedMomentAccumulator acc(d);
-  for (const auto& p : parts) {
-    acc.accumulate_mean(p.weight / total, p.gaussian.mean());
-  }
-  for (const auto& p : parts) {
-    acc.accumulate_spread(p.weight / total, p.gaussian.cov(),
-                          p.gaussian.mean());
-  }
-  return Gaussian(acc.take_mean(), linalg::symmetrize(acc.take_cov()));
+  return moment_match(packed, d);
 }
 
 }  // namespace ddc::stats

@@ -28,6 +28,9 @@ struct GaussianPolicy {
 
   /// Section 5.1 mergeSet: moment-matched merge (law of total
   /// mean/covariance). Scale-invariant in weights (R3) and exact (R4).
+  /// Runs stats::moment_match_rows on the parts in place — the packed
+  /// moment match the SoA engine's GM pool merge and the EM M step run,
+  /// so the engines' merges agree bit for bit.
   [[nodiscard]] static Summary merge_set(
       const std::vector<core::WeightedSummary<Summary>>& parts);
 

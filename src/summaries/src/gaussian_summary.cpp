@@ -12,26 +12,16 @@ using stats::Gaussian;
 GaussianPolicy::Summary GaussianPolicy::merge_set(
     const std::vector<core::WeightedSummary<Summary>>& parts) {
   DDC_EXPECTS(!parts.empty());
-  // Same accumulation as stats::moment_match (same values, same order —
-  // the determinism goldens require it), but straight off the parts: the
-  // old path copied every mean and covariance into a WeightedGaussian
-  // vector first, an allocation per part on the merge hot path.
+  // stats::moment_match straight off the parts (no WeightedGaussian copy).
   const std::size_t d = parts.front().summary.dim();
-  double total = 0.0;
+  std::vector<stats::PackedGaussian> packed;
+  packed.reserve(parts.size());
   for (const auto& p : parts) {
-    DDC_EXPECTS(p.weight > 0.0);
     DDC_EXPECTS(p.summary.dim() == d);
-    total += p.weight;
+    packed.push_back({p.weight, p.summary.mean().data().data(),
+                      p.summary.cov().data().data()});
   }
-  DDC_EXPECTS(total > 0.0);
-  linalg::WeightedMomentAccumulator acc(d);
-  for (const auto& p : parts) {
-    acc.accumulate_mean(p.weight / total, p.summary.mean());
-  }
-  for (const auto& p : parts) {
-    acc.accumulate_spread(p.weight / total, p.summary.cov(), p.summary.mean());
-  }
-  return Gaussian(acc.take_mean(), linalg::symmetrize(acc.take_cov()));
+  return stats::moment_match(packed, d);
 }
 
 GaussianPolicy::Summary GaussianPolicy::summarize_mixture(

@@ -1,9 +1,9 @@
 // Batched scoring: equivalence matrix.
 //
-// ExpectedLogPdfScorer::score_batch must be bit-identical to score()
-// per input on every tier: the scalar reference kernel by construction,
-// and the lanewise AVX2 kernel because each SIMD lane executes the exact
-// scalar operation sequence (simd_avx2.cpp).
+// The batch kernel over an ExpectedLogPdfScorer's invariants must be
+// bit-identical to score() per input on every tier: the scalar reference
+// kernel by construction, and the lanewise AVX2 kernel because each SIMD
+// lane executes the exact scalar operation sequence (simd_avx2.cpp).
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -12,7 +12,6 @@
 
 #include <ddc/linalg/simd.hpp>
 #include <ddc/stats/gaussian.hpp>
-#include <ddc/stats/gaussian_batch.hpp>
 #include <ddc/stats/mixture.hpp>
 #include <ddc/stats/rng.hpp>
 
@@ -21,7 +20,6 @@ namespace {
 using ddc::linalg::Matrix;
 using ddc::linalg::Vector;
 using ddc::stats::Gaussian;
-using ddc::stats::GaussianBatch;
 using ddc::stats::GaussianMixture;
 namespace simd = ddc::linalg::simd;
 
@@ -75,21 +73,42 @@ std::vector<Gaussian> test_models(std::size_t d, ddc::stats::Rng& rng) {
   return models;
 }
 
+/// The inputs packed structure-of-arrays: means count×d, covariances
+/// count×d² — the batch kernel's input layout.
+struct Batch {
+  explicit Batch(const GaussianMixture& mixture) : count(mixture.size()) {
+    for (const auto& part : mixture.components()) {
+      const auto& mean = part.gaussian.mean().data();
+      const auto& cov = part.gaussian.cov().data();
+      means.insert(means.end(), mean.begin(), mean.end());
+      covs.insert(covs.end(), cov.begin(), cov.end());
+    }
+  }
+  void score(const ddc::stats::ExpectedLogPdfScorer& scorer,
+             double* out) const {
+    std::vector<double> scratch(8 * scorer.dim());
+    simd::batch_score_kernel()(scorer.view(), means.data(), covs.data(), count,
+                               out, scratch.data());
+  }
+  std::size_t count;
+  std::vector<double> means;
+  std::vector<double> covs;
+};
+
 class ScoreBatch : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ScoreBatch, MatchesScoreExactlyOnDefaultPath) {
   // Whatever the ambient tier is (scalar everywhere, lanewise AVX2 on
-  // capable hosts), score_batch must equal score() bit for bit.
+  // capable hosts), the batch kernel must equal score() bit for bit.
   const std::size_t d = GetParam();
   ddc::stats::Rng rng(500 + d);
   for (int rep = 0; rep < 20; ++rep) {
     const GaussianMixture inputs = adversarial_inputs(d, rng);
-    GaussianBatch batch;
-    batch.assign(inputs);
-    std::vector<double> out(batch.size());
+    const Batch batch(inputs);
+    std::vector<double> out(batch.count);
     for (const Gaussian& model : test_models(d, rng)) {
       const ddc::stats::ExpectedLogPdfScorer scorer(model);
-      scorer.score_batch(batch, out.data());
+      batch.score(scorer, out.data());
       for (std::size_t i = 0; i < inputs.size(); ++i) {
         EXPECT_EQ(out[i], scorer.score(inputs[i].gaussian))
             << "d=" << d << " input=" << i;
@@ -112,19 +131,18 @@ TEST_P(ScoreBatch, ScalarAndLanewiseKernelsBitIdentical) {
   ModeGuard guard;
   for (int rep = 0; rep < 20; ++rep) {
     const GaussianMixture inputs = adversarial_inputs(d, rng);
-    GaussianBatch batch;
-    batch.assign(inputs);
-    std::vector<double> scalar_out(batch.size());
-    std::vector<double> lane_out(batch.size());
+    const Batch batch(inputs);
+    std::vector<double> scalar_out(batch.count);
+    std::vector<double> lane_out(batch.count);
     for (const Gaussian& model : test_models(d, rng)) {
       const ddc::stats::ExpectedLogPdfScorer scorer(model);
       simd::configure(simd::Mode::scalar);
       ASSERT_EQ(simd::batch_score_kernel(), scalar);
-      scorer.score_batch(batch, scalar_out.data());
+      batch.score(scorer, scalar_out.data());
       simd::configure(simd::Mode::auto_detect);
       ASSERT_EQ(simd::batch_score_kernel(), lanewise);
-      scorer.score_batch(batch, lane_out.data());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
+      batch.score(scorer, lane_out.data());
+      for (std::size_t i = 0; i < batch.count; ++i) {
         EXPECT_EQ(lane_out[i], scalar_out[i]) << "d=" << d << " input=" << i;
       }
     }
