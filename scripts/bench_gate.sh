@@ -73,10 +73,9 @@ if [[ "$MODE" == cluster* ]]; then
   BASELINE=${BASELINE:-BENCH_cluster.json}
   TOLERANCE=${DDC_BENCH_TOLERANCE:-0.5}
 
-  if [[ ! -x "$BUILD_DIR/bench/bench_cluster" ]]; then
-    cmake -B "$BUILD_DIR" -S . >/dev/null
-    cmake --build "$BUILD_DIR" --target bench_cluster -j "$(nproc)"
-  fi
+  # Always rebuild: a stale binary would benchmark old code.
+  cmake -B "$BUILD_DIR" -S . >/dev/null
+  cmake --build "$BUILD_DIR" --target bench_cluster -j "$(nproc)"
 
   # name|bench_cluster arguments. Keep in sync with BENCH_cluster.json.
   # The geometric/ER pairs run once per partitioner: contiguous is
@@ -195,10 +194,9 @@ if [[ "$MODE" == scale* ]]; then
   BASELINE=${BASELINE:-BENCH_scale.json}
   TOLERANCE=${DDC_BENCH_TOLERANCE:-0.5}
 
-  if [[ ! -x "$BUILD_DIR/bench/bench_scale" ]]; then
-    cmake -B "$BUILD_DIR" -S . >/dev/null
-    cmake --build "$BUILD_DIR" --target bench_scale -j "$(nproc)"
-  fi
+  # Always rebuild: a stale binary would benchmark old code.
+  cmake -B "$BUILD_DIR" -S . >/dev/null
+  cmake --build "$BUILD_DIR" --target bench_scale -j "$(nproc)"
 
   # name|bench_scale arguments. Keep in sync with BENCH_scale.json.
   # Every entry pins its thread count (the /tN key suffix and the
@@ -328,10 +326,9 @@ if [[ "$MODE" == smoke ]]; then
   TOLERANCE=${DDC_BENCH_TOLERANCE:-2.0}
 fi
 
-if [[ ! -x "$BUILD_DIR/bench/micro_ops" ]]; then
-  cmake -B "$BUILD_DIR" -S . >/dev/null
-  cmake --build "$BUILD_DIR" --target micro_ops -j "$(nproc)"
-fi
+# Always rebuild: a stale binary would benchmark old code.
+cmake -B "$BUILD_DIR" -S . >/dev/null
+cmake --build "$BUILD_DIR" --target micro_ops -j "$(nproc)"
 
 # The gated kernel set IS the set of keys in the baseline's "gate"
 # block: the --benchmark_filter is derived from those keys (exact,

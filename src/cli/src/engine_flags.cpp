@@ -73,8 +73,9 @@ void declare_engine_flags(Flags& flags, const sim::EngineConfig& defaults,
   }
   if (set.parallelism) {
     flags.declare("threads",
-                  "worker threads for the prepare/absorb phases (0 = one per "
-                  "hardware thread); results are identical at any setting",
+                  "worker threads for the plan/prepare/absorb phases (0 = "
+                  "one per hardware thread); results are identical at any "
+                  "setting",
                   std::to_string(defaults.parallelism));
   }
   if (set.protocol) {
@@ -97,8 +98,9 @@ void declare_engine_flags(Flags& flags, const sim::EngineConfig& defaults,
   }
   if (set.timing) {
     flags.declare_bool("timing",
-                       "print accumulated per-phase wall-clock (prepare / "
-                       "absorb / partition / em) after the run (gm/centroid)");
+                       "print accumulated per-phase wall-clock (plan / "
+                       "prepare / deliver / absorb / partition / em) after "
+                       "the run (gm/centroid)");
   }
   flags.declare("seed", "RNG seed", std::to_string(defaults.protocol_seed));
 }

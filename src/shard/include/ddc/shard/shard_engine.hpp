@@ -78,9 +78,10 @@
 namespace ddc::shard {
 
 /// Configuration of a shard engine: the simulation fields are
-/// RoundRunnerOptions' (parallelism applies to the owned nodes' prepare
-/// and absorb); the exchange fields pace the batch protocol in transport
-/// polls (poll = one try_complete_round() that did not finish the round).
+/// RoundRunnerOptions' (parallelism applies to the plan's per-node passes
+/// and to the owned nodes' prepare and absorb); the exchange fields pace
+/// the batch protocol in transport polls (poll = one try_complete_round()
+/// that did not finish the round).
 struct ShardEngineOptions : sim::RoundRunnerOptions {
   /// Unacked batches are retransmitted every this many polls.
   std::size_t resend_interval_polls = 64;
@@ -180,7 +181,8 @@ class ShardEngine {
   // ddcverify: hotpath
   void begin_round() {
     DDC_EXPECTS(!round_open_);
-    plan_.plan(topology_);
+    timed_phase(timings_.plan_seconds,
+                [&] { plan_.plan(topology_, pool_.get()); });
     classify_boundary();
     // Multi-shard, the timed prepare includes the sends and polls.
     timed_phase(timings_.prepare_seconds, [&] {
@@ -221,7 +223,7 @@ class ShardEngine {
         if (!barrier_reached()) return false;
       }
     }
-    deliver_messages();
+    timed_phase(timings_.deliver_seconds, [&] { deliver_messages(); });
     timed_phase(timings_.absorb_seconds, [&] { absorb_inboxes(); });
     // Retire this round's exchange state BEFORE advancing the round
     // counter, so batches for the next round arriving early (via

@@ -5,7 +5,10 @@
 // neighbor chosen infinitely often): round-robin deterministically,
 // uniform-random with probability 1. The selector owns the per-node
 // round-robin cursors; random draws come from the caller's environment
-// RNG so the engine keeps control of its draw ordering.
+// RNG so the engine keeps control of its draw ordering. A uniform pick
+// is three steps — count the eligible neighbors, draw an index, map it to
+// a neighbor — exposed separately so RoundPlan can run the first and last
+// for all nodes in parallel and keep only the draws sequential.
 #pragma once
 
 #include <optional>
@@ -26,42 +29,74 @@ class NeighborSelector {
   NeighborSelector(NeighborSelection selection, std::size_t num_nodes)
       : selection_(selection), rr_position_(num_nodes, 0) {}
 
+  /// True when pick() draws from its RNG (uniform_random); round-robin
+  /// consumes no randomness.
+  [[nodiscard]] bool draws() const noexcept {
+    return selection_ == NeighborSelection::uniform_random;
+  }
+
   /// Picks node i's gossip target among its out-neighbors. When `avoid`
   /// is set, dead neighbors (per `alive`) are skipped; returns nullopt
-  /// when every eligible neighbor is dead. Draws from `rng` only for
-  /// uniform_random selection — round-robin consumes no randomness.
+  /// when every eligible neighbor is dead. Uniform selection is
+  /// eligible(), one draw of a uniform index below that count (no draw
+  /// when it is 0), then nth_eligible(); round-robin is next_in_turn().
   /// Runs for every live node in every round, so it never allocates.
   // ddcverify: hotpath
   [[nodiscard]] std::optional<NodeId> pick(const Topology& topology, NodeId i,
                                            const std::vector<bool>& alive,
                                            bool avoid, stats::Rng& rng) {
+    if (!draws()) return next_in_turn(topology, i, alive, avoid);
+    const std::size_t count = eligible(topology, i, alive, avoid);
+    if (count == 0) return std::nullopt;
+    return nth_eligible(topology, i, alive, avoid, rng.uniform_index(count));
+  }
+
+  /// How many of node i's neighbors a uniform pick chooses among: its
+  /// degree, or with `avoid` its live neighbors. O(1) without `avoid`.
+  // ddcverify: hotpath
+  [[nodiscard]] std::size_t eligible(const Topology& topology, NodeId i,
+                                     const std::vector<bool>& alive,
+                                     bool avoid) const {
     const std::span<const NodeId> nbrs = topology.neighbors(i);
     DDC_ASSERT(!nbrs.empty());
-    switch (selection_) {
-      case NeighborSelection::round_robin: {
-        // Advance past dead neighbors (at most one lap).
-        for (std::size_t step = 0; step < nbrs.size(); ++step) {
-          const NodeId target = nbrs[rr_position_[i] % nbrs.size()];
-          rr_position_[i] = (rr_position_[i] + 1) % nbrs.size();
-          if (!avoid || alive[target]) return target;
-        }
-        return std::nullopt;
-      }
-      case NeighborSelection::uniform_random: {
-        if (!avoid) return nbrs[rng.uniform_index(nbrs.size())];
-        // A uniform index into the live neighbors, walked to in place:
-        // the same draw and target as indexing a filtered copy.
-        std::size_t live = 0;
-        for (const NodeId t : nbrs) live += alive[t] ? 1 : 0;
-        if (live == 0) return std::nullopt;
-        std::size_t skip = rng.uniform_index(live);
-        for (const NodeId t : nbrs) {
-          if (alive[t] && skip-- == 0) return t;
-        }
-        break;
-      }
+    if (!avoid) return nbrs.size();
+    std::size_t live = 0;
+    for (const NodeId t : nbrs) live += alive[t] ? 1 : 0;
+    return live;
+  }
+
+  /// The nth (0-based) of node i's eligible neighbors, n < eligible():
+  /// an index into the neighbor list without `avoid`, else a walk over
+  /// the live neighbors in place — the same target as indexing a
+  /// filtered copy.
+  // ddcverify: hotpath
+  [[nodiscard]] NodeId nth_eligible(const Topology& topology, NodeId i,
+                                    const std::vector<bool>& alive, bool avoid,
+                                    std::size_t nth) const {
+    const std::span<const NodeId> nbrs = topology.neighbors(i);
+    DDC_ASSERT(nth < nbrs.size());
+    if (!avoid) return nbrs[nth];
+    for (const NodeId t : nbrs) {
+      if (alive[t] && nth-- == 0) return t;
     }
     DDC_ASSERT(false);
+    return nbrs.front();
+  }
+
+  /// Round-robin: node i's next neighbor in turn, advancing its cursor
+  /// past dead ones when `avoid` is set (at most one lap); nullopt when
+  /// the lap finds none. Touches only node i's cursor.
+  // ddcverify: hotpath
+  [[nodiscard]] std::optional<NodeId> next_in_turn(
+      const Topology& topology, NodeId i, const std::vector<bool>& alive,
+      bool avoid) {
+    const std::span<const NodeId> nbrs = topology.neighbors(i);
+    DDC_ASSERT(!nbrs.empty());
+    for (std::size_t step = 0; step < nbrs.size(); ++step) {
+      const NodeId target = nbrs[rr_position_[i] % nbrs.size()];
+      rr_position_[i] = (rr_position_[i] + 1) % nbrs.size();
+      if (!avoid || alive[target]) return target;
+    }
     return std::nullopt;
   }
 

@@ -9,7 +9,9 @@
 // object engine) — differ only in where node state and messages live.
 // The schedule is written once, here, and both engines call it:
 //
-//   plan()            phase 1: selection draws in node order, then the
+//   plan()            phase 1: every live node's target (eligible counts
+//                     and the draw-to-neighbor map in parallel, the
+//                     selection draws in node order), then the
 //                     reply-request CSR (who owes whom a reply);
 //   for_each_split()  phase 2: one node's split order — replies to
 //                     lower-indexed initiators, its own send, replies to
@@ -28,10 +30,14 @@
 // round, and slot() maps it into a flat 2n message arena.
 //
 // Determinism. Selection and crash draws come from one environment
-// stream consumed sequentially, in node order, on the sequential phases
-// only — so thread count never changes them, and every shard of a cluster
-// replays them identically over all n nodes. Loss is not drawn from a
-// stream: each verdict is a pure function of (seed, round, leg,
+// stream consumed sequentially, in node order — so thread count never
+// changes them, and every shard of a cluster replays them identically
+// over all n nodes. Only the draws themselves are sequential: plan()'s
+// draw pass and end_round()'s crash pass. Counting each node's eligible
+// neighbors before the draws, and mapping each drawn index to a neighbor
+// after them, read only the round's alive flags and write only node i's
+// own entries, so those passes run in parallel. Loss is not drawn from
+// a stream: each verdict is a pure function of (seed, round, leg,
 // initiator). It therefore does not depend on which messages turned out
 // empty, on delivery order, or on which shard evaluates it, and a lossy
 // object, SoA or cluster run of one configuration is the same run bit for
@@ -46,6 +52,8 @@
 
 #include <ddc/common/assert.hpp>
 #include <ddc/common/timing.hpp>
+#include <ddc/exec/parallel_for.hpp>
+#include <ddc/exec/thread_pool.hpp>
 #include <ddc/sim/gossip_node.hpp>
 #include <ddc/sim/neighbor_selection.hpp>
 #include <ddc/sim/topology.hpp>
@@ -69,17 +77,20 @@ struct RoundRunnerOptions : CommonRunnerOptions {
   /// draw, so turning losses on does not reshuffle anyone's neighbor
   /// choices.
   double message_loss_probability = 0.0;
-  /// Worker threads for the prepare/absorb phases: 1 runs fully
+  /// Worker threads for the plan's per-node passes and the
+  /// prepare/absorb phases: 1 runs fully
   /// sequentially (no pool is even created), 0 means one per hardware
   /// thread. Any value produces bit-identical results.
   std::size_t parallelism = 1;
 };
 
-/// Accumulated wall-clock of the two parallel phases, measured once per
-/// round around the whole phase (two clock reads each — negligible next
-/// to the phase bodies). Feeds `ddcsim --timing`.
+/// Accumulated wall-clock of the round phases, measured once per round
+/// around the whole phase (two clock reads each — negligible next to the
+/// phase bodies). Feeds `ddcsim --timing`.
 struct RoundPhaseTimings {
+  double plan_seconds = 0.0;
   double prepare_seconds = 0.0;
+  double deliver_seconds = 0.0;
   double absorb_seconds = 0.0;
 };
 
@@ -124,6 +135,7 @@ class RoundPlan {
         env_rng_(stats::Rng::derive(options.seed, 0x524e445255ULL)),
         loss_seed_(stats::derive_seed(options.seed, 0x4c4f5353ULL)),
         alive_(num_nodes, true),
+        alive_count_(num_nodes),
         selector_(options.selection, num_nodes),
         targets_(num_nodes, kNoTarget),
         req_offsets_(num_nodes + 1, 0),
@@ -138,18 +150,42 @@ class RoundPlan {
   /// target and, for patterns with a pull component, lowers who owes whom
   /// a reply into a CSR (initiators ascending per responder). Consumes
   /// exactly the selection draws, in node order, regardless of message
-  /// contents or thread count.
+  /// contents or thread count. Three passes over targets_, which holds
+  /// eligible counts, then drawn indices, then targets: the count and map
+  /// passes touch only node i's entry (and round-robin cursor), so they
+  /// fan out over `pool` (null runs them sequentially); only the draw
+  /// pass walks the nodes in order.
   // ddcverify: hotpath
-  void plan(const Topology& topology) {
+  void plan(const Topology& topology, exec::ThreadPool* pool) {
     DDC_EXPECTS(topology.num_nodes() == n_);
+    // While nobody has crashed, avoiding the crashed changes nothing, and
+    // a node's eligible neighbors are all of them: O(1) count and map.
     const bool avoid =
-        options_.crash_send_policy == CrashSendPolicy::avoid_crashed;
-    for (NodeId i = 0; i < n_; ++i) {
-      targets_[i] = kNoTarget;
-      if (!alive_[i]) continue;
-      const std::optional<NodeId> target =
-          selector_.pick(topology, i, alive_, avoid, env_rng_);
-      if (target) targets_[i] = *target;
+        options_.crash_send_policy == CrashSendPolicy::avoid_crashed &&
+        alive_count_ < n_;
+    if (!selector_.draws()) {
+      for_each_node(pool, [&](NodeId i) {
+        targets_[i] = kNoTarget;
+        if (alive_[i]) {
+          targets_[i] = selector_.next_in_turn(topology, i, alive_, avoid)
+                            .value_or(kNoTarget);
+        }
+      });
+    } else {
+      for_each_node(pool, [&](NodeId i) {
+        targets_[i] =
+            alive_[i] ? selector_.eligible(topology, i, alive_, avoid) : 0;
+      });
+      for (NodeId i = 0; i < n_; ++i) {
+        targets_[i] = targets_[i] == 0 ? kNoTarget
+                                       : env_rng_.uniform_index(targets_[i]);
+      }
+      for_each_node(pool, [&](NodeId i) {
+        if (targets_[i] != kNoTarget) {
+          targets_[i] =
+              selector_.nth_eligible(topology, i, alive_, avoid, targets_[i]);
+        }
+      });
     }
     if (!replies()) return;  // offsets stay all-zero: nobody owes a reply
     // Counting sort: req_offsets_[t] first counts t's requests, then
@@ -223,6 +259,7 @@ class RoundPlan {
       for (NodeId i = 0; i < n_; ++i) {
         if (alive_[i] && env_rng_.bernoulli(options_.crash_probability)) {
           alive_[i] = false;
+          --alive_count_;
           on_crash(i);
         }
       }
@@ -258,11 +295,25 @@ class RoundPlan {
     return alive_[i];
   }
   [[nodiscard]] std::size_t alive_count() const noexcept {
-    return static_cast<std::size_t>(
-        std::count(alive_.begin(), alive_.end(), true));
+    return alive_count_;
+  }
+  /// The environment stream (selection and crash draws) at its current
+  /// position.
+  [[nodiscard]] const stats::Rng& environment() const noexcept {
+    return env_rng_;
   }
 
  private:
+  /// Runs `body(i)` for every node, chunked over `pool`; a body touches
+  /// only node i's state.
+  template <typename Body>
+  void for_each_node(exec::ThreadPool* pool, Body&& body) const {
+    exec::parallel_for_chunks(
+        pool, n_, [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (NodeId i = begin; i < end; ++i) body(i);
+        });
+  }
+
   /// A live target owes its initiator a reply; a crashed contact cannot
   /// answer (reachable only under drop_at_crashed), so that request
   /// simply vanishes.
@@ -290,6 +341,7 @@ class RoundPlan {
   stats::Rng env_rng_;
   std::uint64_t loss_seed_;
   std::vector<bool> alive_;
+  std::size_t alive_count_;
   NeighborSelector selector_;
   std::vector<NodeId> targets_;
   // Reply-request CSR: responder j owes replies to

@@ -21,7 +21,7 @@
 // sim::RoundPlan that the object engine runs too (round_plan.hpp); this
 // engine keeps only the pools:
 //
-//   1. plan     (sequential)  RoundPlan::plan
+//   1. plan     (parallel)    RoundPlan::plan; only its draws are serial
 //   2. prepare  (parallel)    splits on the pools into the slot arena
 //   3. deliver  (sequential)  RoundPlan's walk, then the inbox CSR build
 //   4. absorb   (parallel)    per receiver: union inbox slots, one receive
@@ -126,9 +126,10 @@ class SoaRoundEngine {
   /// shard::ShardEngine::run_round.
   // ddcverify: hotpath
   void run_round() {
-    plan_.plan(topology_);
+    timed_phase(timings_.plan_seconds,
+                [&] { plan_.plan(topology_, pool_.get()); });
     timed_phase(timings_.prepare_seconds, [&] { prepare_messages(); });
-    deliver_messages();
+    timed_phase(timings_.deliver_seconds, [&] { deliver_messages(); });
     timed_phase(timings_.absorb_seconds, [&] { absorb_inboxes(); });
     plan_.end_round();
   }

@@ -176,9 +176,12 @@ TEST(WireRobustness, BatchCountCorruptionCannotOverallocate) {
 
 TEST(WireRobustness, BatchRecordLengthCorruptionCannotOverrun) {
   // Corrupt a record's payload-length varint to claim more bytes than
-  // the frame holds.
+  // the frame holds. The record's payload span borrows, so the encoded
+  // bytes need a name that outlives encode_batch.
+  const std::vector<std::byte> payload =
+      encode_classification(sample_centroid());
   const std::vector<BatchRecord> records = {
-      {1, 2, BatchTag::forward, encode_classification(sample_centroid())},
+      {1, 2, BatchTag::forward, payload},
   };
   auto bytes = encode_batch(0, 0, 2, records);
   // Header: round (8) + shard (1) + num_shards (1) + count (1); record:

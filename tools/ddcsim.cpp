@@ -30,6 +30,7 @@
 #include <ddc/metrics/classification_metrics.hpp>
 #include <ddc/metrics/streaming.hpp>
 #include <ddc/shard/factories.hpp>
+#include <ddc/sim/round_plan.hpp>
 #include <ddc/sim/trace.hpp>
 #include <ddc/summaries/centroid.hpp>
 #include <ddc/summaries/gaussian_summary.hpp>
@@ -119,9 +120,12 @@ void report_classification(const ToolConfig& tool,
   }
 }
 
-void report_timing(double prepare_s, double absorb_s, double partition_s,
+void report_timing(const ddc::sim::RoundPhaseTimings& t, double partition_s,
                    double em_s) {
-  std::cout << "\nTIMING prepare_s=" << prepare_s << " absorb_s=" << absorb_s
+  std::cout << "\nTIMING plan_s=" << t.plan_seconds
+            << " prepare_s=" << t.prepare_seconds
+            << " deliver_s=" << t.deliver_seconds
+            << " absorb_s=" << t.absorb_seconds
             << " partition_s=" << partition_s << " em_s=" << em_s << '\n';
 }
 
@@ -148,7 +152,7 @@ int run_classifier(const ToolConfig& tool, Runner runner,
                         print_summary, mean_of);
   if (tool.timing) {
     // Per-phase wall-clock, from the accumulating counters in the runner
-    // (prepare/absorb), the classifier engine (partition) and the EM
+    // (plan/prepare/deliver/absorb), the classifier engine (partition) and the EM
     // policy (em; 0 for policies without an EM stage). partition_s and
     // em_s are sums over nodes, so with --threads > 1 they can exceed
     // the enclosing absorb_s wall-clock.
@@ -162,8 +166,7 @@ int run_classifier(const ToolConfig& tool, Runner runner,
         em_s += node.classifier().partition_policy().em_seconds();
       }
     }
-    const auto& t = runner.timings();
-    report_timing(t.prepare_seconds, t.absorb_seconds, partition_s, em_s);
+    report_timing(runner.timings(), partition_s, em_s);
   }
   flush_trace(tool, trace);
   return 0;
@@ -194,9 +197,8 @@ int run_scale(const ToolConfig& tool, Engine engine,
     // Same TIMING contract as the object engine: partition_s/em_s are
     // sums over the engine's per-chunk receive scratches, which together
     // run exactly the receives the object engine's nodes run.
-    const auto& t = engine.timings();
-    report_timing(t.prepare_seconds, t.absorb_seconds,
-                  engine.partition_seconds(), engine.em_seconds());
+    report_timing(engine.timings(), engine.partition_seconds(),
+                  engine.em_seconds());
   }
   return 0;
 }
