@@ -1,5 +1,6 @@
-// bench_scale — throughput and memory benchmark for the SoA scale
-// engine (and, for comparison, the object engine) at 10k–1M nodes.
+// bench_scale — throughput and memory benchmark for the round engine's
+// pool storage (the SoA engine; --engine object for object storage, for
+// comparison) at 10k–1M nodes.
 //
 // One configuration per process invocation, so getrusage peak-RSS is a
 // clean per-configuration high-water mark. Prints exactly one JSON
@@ -27,7 +28,6 @@
 #include <ddc/cli/engine_flags.hpp>
 #include <ddc/gossip/scale.hpp>
 #include <ddc/linalg/simd.hpp>
-#include <ddc/metrics/streaming.hpp>
 #include <ddc/shard/factories.hpp>
 #include <ddc/workload/scenarios.hpp>
 
@@ -43,13 +43,9 @@ double peak_rss_mb() {
 }
 
 struct Measurement {
-  std::size_t nodes = 0;
-  std::size_t edges = 0;
-  std::size_t rounds = 0;
   std::size_t alive = 0;
   double build_s = 0.0;
   double run_s = 0.0;
-  double disagreement = 0.0;
 };
 
 template <typename MakeEngine>
@@ -61,7 +57,6 @@ Measurement measure(std::size_t rounds, MakeEngine make_engine) {
   const auto t1 = Clock::now();
   engine.run_rounds(rounds);
   const auto t2 = Clock::now();
-  m.rounds = rounds;
   m.build_s = std::chrono::duration<double>(t1 - t0).count();
   m.run_s = std::chrono::duration<double>(t2 - t1).count();
   m.alive = engine.alive_count();
@@ -101,45 +96,38 @@ int main(int argc, char** argv) {
     const std::vector<Vector> inputs =
         ddc::workload::two_clusters_inputs(n, rng);
 
+    // Pool storage (soa) or object storage: one engine either way, only
+    // the factory differs.
+    const bool pools = config.use_soa();
+    const auto run = [&](auto make_pools, auto make_objects) {
+      return pools ? measure(rounds, make_pools)
+                   : measure(rounds, make_objects);
+    };
     Measurement m;
-    std::string engine_name;
-    if (config.use_soa()) {
-      engine_name = "soa";
-      if (protocol == "centroid") {
-        auto engine = [&] {
-          return ddc::gossip::make_centroid_scale_engine(std::move(topology),
-                                                         inputs, config);
-        };
-        m = measure(rounds, engine);
-      } else if (protocol == "gm") {
-        auto engine = [&] {
-          return ddc::gossip::make_gm_scale_engine(std::move(topology), inputs,
-                                                   config);
-        };
-        m = measure(rounds, engine);
-      } else {
-        throw ddc::ConfigError("unknown protocol '" + protocol + "'");
-      }
+    if (protocol == "centroid") {
+      m = run(
+          [&] {
+            return ddc::gossip::make_centroid_scale_engine(
+                std::move(topology), inputs, config);
+          },
+          [&] {
+            return ddc::shard::make_centroid_round_runner(std::move(topology),
+                                                          inputs, config);
+          });
+    } else if (protocol == "gm") {
+      m = run(
+          [&] {
+            return ddc::gossip::make_gm_scale_engine(std::move(topology),
+                                                     inputs, config);
+          },
+          [&] {
+            return ddc::shard::make_gm_round_runner(std::move(topology),
+                                                    inputs, config);
+          });
     } else {
-      engine_name = "object";
-      if (protocol == "centroid") {
-        auto engine = [&] {
-          return ddc::shard::make_centroid_round_runner(std::move(topology),
-                                                        inputs, config);
-        };
-        m = measure(rounds, engine);
-      } else if (protocol == "gm") {
-        auto engine = [&] {
-          return ddc::shard::make_gm_round_runner(std::move(topology), inputs,
-                                                  config);
-        };
-        m = measure(rounds, engine);
-      } else {
-        throw ddc::ConfigError("unknown protocol '" + protocol + "'");
-      }
+      throw ddc::ConfigError("unknown protocol '" + protocol + "'");
     }
-    m.nodes = n;
-    m.edges = edges;
+    const std::string engine_name = pools ? "soa" : "object";
 
     std::string name = flags.get("name");
     if (name.empty()) {
@@ -153,9 +141,9 @@ int main(int argc, char** argv) {
         "{\"name\":\"%s\",\"engine\":\"%s\",\"nodes\":%zu,\"edges\":%zu,"
         "\"threads\":%zu,\"rounds\":%zu,\"alive\":%zu,\"build_s\":%.4f,"
         "\"run_s\":%.4f,\"rounds_per_s\":%.4f,\"peak_rss_mb\":%.1f}\n",
-        name.c_str(), engine_name.c_str(), m.nodes, m.edges,
-        config.parallelism, m.rounds, m.alive, m.build_s, m.run_s,
-        static_cast<double>(m.rounds) / m.run_s, peak_rss_mb());
+        name.c_str(), engine_name.c_str(), n, edges, config.parallelism,
+        rounds, m.alive, m.build_s, m.run_s,
+        static_cast<double>(rounds) / m.run_s, peak_rss_mb());
     return 0;
   } catch (const ddc::Error& e) {
     std::cerr << "bench_scale: " << e.what() << '\n';

@@ -2,8 +2,8 @@
 // (network.hpp), marry it with a topology in an AsyncRunner, and slice
 // the async options out of the one EngineConfig. They live in
 // ddc::gossip because they construct gossip protocol nodes. The round
-// engines' factories are in scale.hpp (SoA) and shard/factories.hpp (the
-// object engine and the cluster). `config.validate()` is the caller's
+// engine's factories are in scale.hpp (pool storage) and
+// shard/factories.hpp (object storage: one shard or a cluster). `config.validate()` is the caller's
 // responsibility (the CLI layer validates at parse time).
 #pragma once
 

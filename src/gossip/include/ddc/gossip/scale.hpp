@@ -1,21 +1,22 @@
-// Scale-engine bindings for the classifier protocols.
+// SoA (pool storage) bindings for the classifier protocols.
 //
-// SoaRoundEngine (src/sim) is protocol-agnostic: it stores node state in
-// flat pools and splits on them directly. This header supplies what it
-// cannot know — how one protocol's summary embeds into a fixed number of
-// doubles, and how that protocol receives on the packed rows the engine
-// gathers (receive_rows: Algorithm 1's receive, bit for bit) — plus the
-// factories that assemble a ready-to-run engine from an EngineConfig:
+// shard::ShardEngine's pool storage (shard/node_storage.hpp) is
+// protocol-agnostic: it stores node state in flat pools and splits on
+// them directly. This header supplies what it cannot know — how one
+// protocol's summary embeds into a fixed number of doubles, and how that
+// protocol receives on the packed rows the storage gathers
+// (receive_rows: Algorithm 1's receive, bit for bit) — plus the
+// factories that assemble a ready-to-run one-shard pool engine from an
+// EngineConfig:
 //
 //   auto engine = ddc::gossip::make_centroid_scale_engine(
 //       ddc::sim::Topology::grid(1000, 1000, false), inputs, config);
 //
 // Packing is EXACT (doubles are copied bit-for-bit), and the receives
-// run the object engine's own packed pieces (the centroid partition and
+// run the object storage's own packed pieces (the centroid partition and
 // merge rows, em::reduce_em_rows and stats::moment_match_rows for GM),
 // which is what lets the golden equivalence suite demand bit-identical
-// classifications between this engine and the object engine
-// (shard/factories.hpp).
+// classifications between pool and object storage (shard/factories.hpp).
 #pragma once
 
 #include <algorithm>
@@ -32,8 +33,9 @@
 #include <ddc/linalg/kernels.hpp>
 #include <ddc/linalg/matrix.hpp>
 #include <ddc/linalg/vector.hpp>
+#include <ddc/shard/shard_engine.hpp>
+#include <ddc/shard/shard_map.hpp>
 #include <ddc/sim/engine_config.hpp>
-#include <ddc/sim/scale_engine.hpp>
 #include <ddc/stats/gaussian.hpp>
 
 namespace ddc::gossip {
@@ -280,32 +282,34 @@ class GmScaleProtocol {
   sim::EngineConfig config_;
 };
 
-/// Centroid network on the SoA scale engine (the 10⁵–10⁶ node backend).
-/// Aux-vector tracking is not representable in the pools.
-[[nodiscard]] inline sim::SoaRoundEngine<CentroidScaleProtocol>
+/// Centroid network on the SoA engine: the one-shard ShardEngine over
+/// pool storage (the 10⁵–10⁶ node backend). Aux-vector tracking is not
+/// representable in the pools.
+[[nodiscard]] inline shard::ShardEngine<CentroidScaleProtocol>
 make_centroid_scale_engine(sim::Topology topology,
                            const std::vector<linalg::Vector>& inputs,
                            const sim::EngineConfig& config = {}) {
   DDC_EXPECTS(!inputs.empty());
   DDC_EXPECTS(!config.track_aux);
-  CentroidScaleProtocol protocol(inputs.front().dim(), config);
-  return sim::SoaRoundEngine<CentroidScaleProtocol>(
-      std::move(topology), std::move(protocol), config.round_options(),
-      [&inputs](sim::NodeId i) {
+  shard::ShardMap map(topology.num_nodes(), 1);
+  return shard::ShardEngine<CentroidScaleProtocol>(
+      std::move(topology), std::move(map),
+      CentroidScaleProtocol(inputs.front().dim(), config),
+      config.round_options(), [&inputs](sim::NodeId i) {
         return summaries::CentroidPolicy::val_to_summary(inputs[i]);
       });
 }
 
-/// GM network on the SoA scale engine (see make_centroid_scale_engine).
-[[nodiscard]] inline sim::SoaRoundEngine<GmScaleProtocol>
-make_gm_scale_engine(sim::Topology topology,
-                     const std::vector<linalg::Vector>& inputs,
-                     const sim::EngineConfig& config = {}) {
+/// GM network on the SoA engine (see make_centroid_scale_engine).
+[[nodiscard]] inline shard::ShardEngine<GmScaleProtocol> make_gm_scale_engine(
+    sim::Topology topology, const std::vector<linalg::Vector>& inputs,
+    const sim::EngineConfig& config = {}) {
   DDC_EXPECTS(!inputs.empty());
   DDC_EXPECTS(!config.track_aux);
-  GmScaleProtocol protocol(inputs.front().dim(), config);
-  return sim::SoaRoundEngine<GmScaleProtocol>(
-      std::move(topology), std::move(protocol), config.round_options(),
+  shard::ShardMap map(topology.num_nodes(), 1);
+  return shard::ShardEngine<GmScaleProtocol>(
+      std::move(topology), std::move(map),
+      GmScaleProtocol(inputs.front().dim(), config), config.round_options(),
       [&inputs](sim::NodeId i) {
         return summaries::GaussianPolicy::val_to_summary(inputs[i]);
       });

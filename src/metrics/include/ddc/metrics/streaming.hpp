@@ -1,10 +1,9 @@
 // Streaming metrics — convergence probes that hold O(k) state, never a
 // per-node history.
 //
-// The object-engine metrics (classification_metrics.hpp) take the
-// runner's node vector; at scale-engine sizes (10⁵–10⁶ nodes) even
-// copying every classification into a vector for a probe would dwarf the
-// round itself. These variants consume an engine's
+// The materializing metrics (classification_metrics.hpp) take a node
+// vector; at scale-engine sizes (10⁵–10⁶ nodes) even copying every
+// classification into a vector for a probe would dwarf the round itself. These variants consume an engine's
 // for_each_classification stream: one pass, one reference
 // classification, one running maximum.
 #pragma once
@@ -21,8 +20,8 @@ namespace ddc::metrics {
 
 /// Maximum disagreement against node 0 over a streaming engine — the
 /// scale-engine counterpart of max_disagreement_vs_first. `Engine` needs
-/// `for_each_classification(fn(i, classification))` in node order (the
-/// SoaRoundEngine contract). Holds one copied reference classification
+/// `for_each_classification(fn(i, classification))` in node order, as
+/// the one-shard shard::ShardEngine offers over either node storage. Holds one copied reference classification
 /// (O(k)) and a running maximum; no per-node history.
 template <core::SummaryPolicy SP, typename Engine>
 [[nodiscard]] double streaming_max_disagreement(const Engine& engine) {

@@ -1,30 +1,32 @@
-// Sharded cluster engine: thousands of nodes per process, batched
-// cross-shard gossip over Transport; over one shard, the object engine.
+// The round engine: batched cross-shard gossip over Transport for
+// thousands of nodes per process; over one shard, the whole simulation.
 //
 // A ShardEngine is one process's slice of a round-based simulation. The
 // global Topology is split by a ShardMap (contiguous ranges or the
 // edge-cut-aware BFS partitioner — see shard_map.hpp); this engine owns
-// the node objects of ONE shard, runs the shared sim::RoundPlan schedule
-// (round_plan.hpp) for them, and exchanges the messages that cross a
+// the node state of ONE shard, runs the shared sim::RoundPlan schedule
+// (round_plan.hpp) for it, and exchanges the messages that cross a
 // shard boundary through a net::Transport — all of one round's
 // cross-shard messages to a given peer packed into a single
 // wire::FrameKind::batch frame (encode_batch), acknowledged and
 // retransmitted until delivered, with one batch per peer per round
 // acting as the round barrier (an empty batch is the barrier token).
 //
-// The object engine is the one-shard case: no transport, each round
-// complete in its first poll. Only it takes node types with no wire
-// format (Codec = void) and event traces (set_trace).
+// Node state lives in a storage picked from the node type
+// (node_storage.hpp): object storage for a sim::GossipNode (the object
+// engine), pool storage for a pool protocol (gossip/scale.hpp, the SoA
+// engine). One shard needs no transport, completes each round in its
+// first poll and skips the boundary split and the record index. Only
+// one-shard engines take node types with no wire format (Codec = void,
+// which pool storage always is) and event traces (object storage).
 //
-// Compute/communication overlap: begin_round() splits the owned nodes
-// into BOUNDARY (this round's plan moves one of their messages across a
-// shard edge) and INTERIOR sets, prepares the boundary first, flushes
-// the batch frames immediately, then prepares the interior in chunks
-// with transport polls in between — peers' frames are on the wire (and
-// being serviced) while the bulk of prepare still runs, instead of the
-// exchange starting only after all compute. Per-node prepare draws are
-// node-local (the same reason prepare may run under parallel_for), so
-// the boundary-first order cannot perturb any stream.
+// Compute/communication overlap: with several shards, begin_round()
+// splits the owned nodes into BOUNDARY (this round's plan moves one of
+// their messages across a shard edge) and INTERIOR sets, prepares the
+// boundary first, flushes the batch frames immediately, then prepares
+// the interior in chunks with transport polls in between. Per-node
+// prepare draws are node-local (the same reason prepare may run under
+// parallel_for), so the boundary-first order cannot perturb any stream.
 //
 // Determinism: a 1-shard run, an S-shard loopback run and an S-process
 // UDP run of the same EngineConfig produce bit-identical node states.
@@ -68,6 +70,7 @@
 #include <ddc/exec/parallel_for.hpp>
 #include <ddc/exec/thread_pool.hpp>
 #include <ddc/net/transport.hpp>
+#include <ddc/shard/node_storage.hpp>
 #include <ddc/shard/shard_map.hpp>
 #include <ddc/sim/gossip_node.hpp>
 #include <ddc/sim/round_plan.hpp>
@@ -128,15 +131,20 @@ struct ShardEngineStats {
   std::uint64_t polls_during_compute = 0;
 };
 
-/// One process's shard of a round-based gossip simulation. `Codec`
-/// encodes Node::Message payloads for the wire: static encode(Message)
-/// and decode(bytes), as ClassificationCodec in factories.hpp; `void`
-/// (no wire format) is allowed on one-shard maps only.
-template <sim::GossipNode Node, typename Codec = void>
+/// One process's shard of a round-based gossip simulation over a
+/// sim::GossipNode or a pool protocol. `Codec` encodes Node::Message
+/// payloads for the wire: static encode(Message) and decode(bytes), as
+/// ClassificationCodec in factories.hpp; `void` (no wire format) is
+/// allowed on one-shard maps only.
+template <typename Node, typename Codec = void>
 class ShardEngine {
- public:
-  using Message = typename Node::Message;
+  static constexpr bool kPools = !sim::GossipNode<Node>;
+  static constexpr bool kHasCodec = !std::is_void_v<Codec>;
+  static_assert(!(kPools && kHasCodec), "pool storage has no row codec");
+  using Storage =
+      std::conditional_t<kPools, PoolStorage<Node>, ObjectStorage<Node>>;
 
+ public:
   /// Takes ownership of shard `shard_id`'s node objects (`owned_nodes`
   /// must hold map.size(shard_id) nodes in map.owned(shard_id) order —
   /// ascending global id). `transport` is borrowed, must outlive the
@@ -145,60 +153,64 @@ class ShardEngine {
   ShardEngine(sim::Topology topology, ShardMap map, ShardId shard_id,
               std::vector<Node> owned_nodes, net::Transport* transport,
               ShardEngineOptions options = {})
-      : topology_(std::move(topology)),
-        map_(map),
-        shard_(shard_id),
-        nodes_(std::move(owned_nodes)),
-        options_(std::move(options)),
-        transport_(transport),
-        plan_(options_, map_.num_nodes()),
-        replies_(map_.num_nodes()),
-        outbox_(nodes_.size()),
-        inbox_(nodes_.size()),
-        peers_(map_.num_shards()),
-        pool_(exec::ThreadPool::for_parallelism(options_.parallelism)) {
-    DDC_EXPECTS(kHasCodec || map_.num_shards() == 1);
-    DDC_EXPECTS(shard_ < map_.num_shards());
-    DDC_EXPECTS(topology_.num_nodes() == map_.num_nodes());
-    DDC_EXPECTS(nodes_.size() == map_.size(shard_));
-    DDC_EXPECTS(map_.num_shards() == 1 ||
-                (transport_ != nullptr &&
-                 transport_->num_peers() == map_.num_shards() &&
-                 transport_->self() == shard_));
-    stats_.cut_edges = map_.cut_edges(topology_, shard_);
-  }
+    requires(!kPools)
+      : ShardEngine(std::move(topology), std::move(map), shard_id,
+                    Storage(std::move(owned_nodes), map.num_nodes()),
+                    transport, std::move(options)) {}
 
-  /// The one-shard engine (the object engine): takes ownership of
-  /// `nodes`, one per topology vertex, with no transport.
+  /// The one-shard object engine: takes ownership of `nodes`, one per
+  /// topology vertex, with no transport.
   ShardEngine(sim::Topology topology, std::vector<Node> nodes,
               const sim::RoundRunnerOptions& options = {})
-      : ShardEngine(ShardMap(topology.num_nodes(), 1), std::move(topology),
-                    std::move(nodes), options) {}
+    requires(!kPools)
+      : ShardEngine(std::move(topology), ShardMap(topology.num_nodes(), 1), 0,
+                    Storage(std::move(nodes), topology.num_nodes()), nullptr,
+                    ShardEngineOptions{options}) {}
 
-  /// Plans the round (global replay), prepares the owned boundary nodes,
-  /// ships this round's batch to every peer, then prepares the interior
-  /// with transport polls interleaved. Follow with try_complete_round().
+  /// The pool engine over `map`, which must have one shard: node i
+  /// starts as one full-weight collection of summary
+  /// `initial_summary(i)`, consumed during construction.
+  template <typename InitSummary>
+  ShardEngine(sim::Topology topology, ShardMap map, Node protocol,
+              const sim::RoundRunnerOptions& options,
+              InitSummary&& initial_summary)
+    requires(kPools)
+      : ShardEngine(std::move(topology), std::move(map), 0,
+                    Storage(map.num_nodes(), std::move(protocol),
+                            initial_summary),
+                    nullptr, ShardEngineOptions{options}) {}
+
+  /// Plans the round (global replay) and prepares the owned nodes; with
+  /// several shards, the boundary first, then this round's batch to
+  /// every peer, then the interior with transport polls interleaved.
+  /// Follow with try_complete_round().
   // ddcverify: hotpath
   void begin_round() {
     DDC_EXPECTS(!round_open_);
     timed_phase(timings_.plan_seconds,
                 [&] { plan_.plan(topology_, pool_.get()); });
-    classify_boundary();
+    if (!one_shard()) classify_boundary();
     // Multi-shard, the timed prepare includes the sends and polls.
     timed_phase(timings_.prepare_seconds, [&] {
-      for (std::optional<Message>& reply : replies_) reply.reset();
-      for (std::optional<Message>& out : outbox_) out.reset();
+      storage_.clear_messages();
+      if (one_shard()) {
+        exec::parallel_for_chunks(
+            pool_.get(), storage_.size(),
+            [&](std::size_t, std::size_t begin, std::size_t end) {
+              for (std::size_t j = begin; j < end; ++j) prepare_node(j, j);
+            });
+        return;
+      }
       prepare_nodes(boundary_js_);
-      send_batches();  // only reads boundary nodes' outbox_/replies_ slots
-      const bool overlap =
-          map_.num_shards() > 1 && options_.overlap_chunk > 0;
-      const std::size_t chunk =
-          overlap ? options_.overlap_chunk : interior_js_.size();
+      send_batches();  // only reads boundary nodes' messages
+      const std::size_t chunk = options_.overlap_chunk > 0
+                                    ? options_.overlap_chunk
+                                    : interior_js_.size();
       const std::span<const std::size_t> interior(interior_js_);
       for (std::size_t off = 0; off < interior.size(); off += chunk) {
         const std::size_t len = std::min(chunk, interior.size() - off);
         prepare_nodes(interior.subspan(off, len));
-        if (overlap && off + len < interior.size()) {
+        if (off + len < interior.size()) {
           pump_transport();
           ++stats_.polls_during_compute;
         }
@@ -214,7 +226,7 @@ class ShardEngine {
   // ddcverify: hotpath
   [[nodiscard]] bool try_complete_round() {
     DDC_EXPECTS(round_open_);
-    if (map_.num_shards() > 1) {
+    if (!one_shard()) {
       pump_transport();
       if (!barrier_reached()) {
         ++polls_this_round_;
@@ -224,7 +236,9 @@ class ShardEngine {
       }
     }
     timed_phase(timings_.deliver_seconds, [&] { deliver_messages(); });
-    timed_phase(timings_.absorb_seconds, [&] { absorb_inboxes(); });
+    timed_phase(timings_.absorb_seconds, [&] {
+      storage_.absorb(plan_, map_.owned(shard_), pool_.get());
+    });
     // Retire this round's exchange state BEFORE advancing the round
     // counter, so batches for the next round arriving early (via
     // service() between rounds, or the next round's polls) land in a
@@ -271,11 +285,13 @@ class ShardEngine {
   [[nodiscard]] const sim::Topology& topology() const noexcept {
     return topology_;
   }
-  /// The owned node objects, local index = map().local_index(global id).
-  [[nodiscard]] const std::vector<Node>& nodes() const noexcept {
-    return nodes_;
+  [[nodiscard]] std::size_t num_nodes() const noexcept {
+    return map_.num_nodes();
   }
-  [[nodiscard]] std::vector<Node>& nodes() noexcept { return nodes_; }
+  /// The owned node objects (object storage), local index =
+  /// map().local_index(global id).
+  [[nodiscard]] const auto& nodes() const noexcept { return storage_.nodes(); }
+  [[nodiscard]] auto& nodes() noexcept { return storage_.nodes(); }
   [[nodiscard]] const ShardEngineStats& stats() const noexcept {
     return stats_;
   }
@@ -284,9 +300,12 @@ class ShardEngine {
   }
 
   /// Attaches (or detaches, with nullptr) an execution trace recorder,
-  /// borrowed: it must outlive the rounds it observes. One-shard only.
-  void set_trace(sim::TraceRecorder* recorder) {
-    DDC_EXPECTS(map_.num_shards() == 1);
+  /// borrowed: it must outlive the rounds it observes. One-shard object
+  /// storage only.
+  void set_trace(sim::TraceRecorder* recorder)
+    requires(!kPools)
+  {
+    DDC_EXPECTS(one_shard());
     trace_ = recorder;
   }
 
@@ -300,15 +319,60 @@ class ShardEngine {
     return !peers_[s].dead;
   }
 
- private:
-  static constexpr bool kHasCodec = !std::is_void_v<Codec>;
+  /// Streams every owned node's classification through
+  /// `fn(global id, classification)` in local order (node order on one
+  /// shard). Pool storage reuses one scratch classification, so the
+  /// reference is invalidated by the next call of `fn`.
+  template <typename Fn>
+  void for_each_classification(Fn&& fn) const {
+    const std::span<const sim::NodeId> owned = map_.owned(shard_);
+    storage_.for_each_classification(
+        [&](std::size_t j, const auto& c) { fn(owned[j], c); });
+  }
+  /// Owned node i's classification (pool storage returns a copy).
+  [[nodiscard]] decltype(auto) classification_of(sim::NodeId i) const {
+    DDC_EXPECTS(i < map_.num_nodes() && owns(i));
+    return storage_.classification_of(local(i));
+  }
+  /// Sum of weight quanta held by all nodes (pool storage).
+  [[nodiscard]] std::int64_t total_quanta() const noexcept {
+    return storage_.total_quanta();
+  }
+  /// Wall-clock in the owned nodes' partitions (with re-homes) and EM
+  /// runs (0.0 without EM), summed over nodes, so above one thread they
+  /// can exceed the absorb wall-clock.
+  [[nodiscard]] double partition_seconds() const {
+    return storage_.partition_seconds();
+  }
+  [[nodiscard]] double em_seconds() const { return storage_.em_seconds(); }
 
-  // Binds `topology` by reference so that the one-shard constructor's
-  // map is built before anything is moved from.
-  ShardEngine(ShardMap map, sim::Topology&& topology, std::vector<Node>&& nodes,
-              const sim::RoundRunnerOptions& options)
-      : ShardEngine(std::move(topology), std::move(map), 0, std::move(nodes),
-                    nullptr, ShardEngineOptions{options}) {}
+ private:
+  // The delegation target. Binds `topology` and `map` by reference so
+  // that the public constructors can size the storage from them before
+  // anything is moved from.
+  ShardEngine(sim::Topology&& topology, ShardMap&& map, ShardId shard_id,
+              Storage&& storage, net::Transport* transport,
+              ShardEngineOptions&& options)
+      : topology_(std::move(topology)),
+        map_(std::move(map)),
+        shard_(shard_id),
+        storage_(std::move(storage)),
+        options_(std::move(options)),
+        transport_(transport),
+        plan_(options_, map_.num_nodes()),
+        peers_(map_.num_shards()),
+        pool_(exec::ThreadPool::for_parallelism(options_.parallelism)) {
+    // Pool storage has no codec, so this also keeps it on one shard.
+    DDC_EXPECTS(kHasCodec || one_shard());
+    DDC_EXPECTS(shard_ < map_.num_shards());
+    DDC_EXPECTS(topology_.num_nodes() == map_.num_nodes());
+    DDC_EXPECTS(storage_.size() == map_.size(shard_));
+    DDC_EXPECTS(one_shard() ||
+                (transport_ != nullptr &&
+                 transport_->num_peers() == map_.num_shards() &&
+                 transport_->self() == shard_));
+    if (!one_shard()) stats_.cut_edges = map_.cut_edges(topology_, shard_);
+  }
 
   /// One logical message captured off the wire, owning its payload.
   struct StoredRecord {
@@ -335,23 +399,19 @@ class ShardEngine {
     bool dead = false;
   };
 
+  // On one shard every node is owned and local index = global id, which
+  // spares the hot loops the out-of-line map lookups.
+  [[nodiscard]] bool one_shard() const noexcept {
+    return map_.num_shards() == 1;
+  }
   [[nodiscard]] bool owns(sim::NodeId i) const {
-    return map_.shard_of(i) == shard_;
+    return one_shard() || map_.shard_of(i) == shard_;
   }
   [[nodiscard]] std::size_t local(sim::NodeId i) const {
-    return map_.local_index(i);
-  }
-
-  /// The local message of a hop whose sender this shard owns: a
-  /// forward sits in the sender's outbox slot, a reply in the slot of
-  /// the initiator it answers.
-  [[nodiscard]] std::optional<Message>& message(const sim::Hop& hop) {
-    return hop.leg == sim::Leg::forward ? outbox_[local(hop.initiator)]
-                                        : replies_[hop.initiator];
+    return one_shard() ? i : map_.local_index(i);
   }
   [[nodiscard]] bool sent_locally(const sim::Hop& hop) {
-    const std::optional<Message>& msg = message(hop);
-    return msg && !msg->empty();
+    return storage_.sent(local(hop.from), hop);
   }
 
   /// Splits the owned nodes into boundary (this round's plan moves one
@@ -362,43 +422,35 @@ class ShardEngine {
   void classify_boundary() {
     boundary_js_.clear();
     interior_js_.clear();
-    const bool multi = map_.num_shards() > 1;
     const std::span<const sim::NodeId> owned = map_.owned(shard_);
     for (std::size_t j = 0; j < owned.size(); ++j) {
       const sim::NodeId g = owned[j];
       const sim::NodeId target = plan_.target(g);
-      bool boundary = false;
-      if (multi) {
-        if (plan_.sends() && target != sim::kNoTarget && !owns(target)) {
-          boundary = true;
-        }
-        if (!boundary) {
-          for (const sim::NodeId r : plan_.requests(g)) {
-            if (!owns(r)) {
-              boundary = true;
-              break;
-            }
-          }
-        }
+      bool boundary =
+          plan_.sends() && target != sim::kNoTarget && !owns(target);
+      for (const sim::NodeId r : plan_.requests(g)) {
+        if (boundary) break;
+        boundary = !owns(r);
       }
       (boundary ? boundary_js_ : interior_js_).push_back(j);
     }
     stats_.boundary_nodes += boundary_js_.size();
   }
 
-  /// Phase 2 — the plan's per-node split order, restricted to the given
-  /// owned local indices. The plan is global, so an owned responder
-  /// interleaves its own send between lower- and higher-indexed
-  /// initiators exactly as the monolithic engine would, remote
-  /// initiators included. Per-node draws are node-local, so any split of
-  /// the owned set into prepare_nodes calls is bit-identical.
+  /// Phase 2 — the plan's split order for owned node g at local index
+  /// j. The plan is global, so an owned responder interleaves its own
+  /// send between lower- and higher-indexed initiators exactly as the
+  /// monolithic engine would, remote initiators included. Per-node draws
+  /// are node-local, so any split of the owned set across calls and
+  /// threads is bit-identical.
+  void prepare_node(std::size_t j, sim::NodeId g) {
+    plan_.for_each_split(
+        g, [&](const sim::Hop& hop) { storage_.prepare(j, hop); });
+  }
   void prepare_nodes(std::span<const std::size_t> js) {
     const std::span<const sim::NodeId> owned = map_.owned(shard_);
     exec::parallel_for(pool_.get(), js.size(), [&](std::size_t idx) {
-      const std::size_t j = js[idx];
-      plan_.for_each_split(owned[j], [&](const sim::Hop& hop) {
-        message(hop) = nodes_[j].prepare_message();
-      });
+      prepare_node(js[idx], owned[js[idx]]);
     });
   }
 
@@ -407,7 +459,6 @@ class ShardEngine {
   /// token). Loss and dead-target verdicts are applied HERE, sender-side
   /// — they are global functions, so the receiver would agree.
   void send_batches() {
-    if (map_.num_shards() == 1) return;
     // Reused member scratch (hot-path-alloc): the outer vectors keep
     // their capacity across rounds; `encoded` keeps payloads alive
     // until the per-peer frames are built below.
@@ -423,7 +474,8 @@ class ShardEngine {
         [&](const sim::Hop& hop, sim::Fate fate) {
           if constexpr (kHasCodec) {
             if (fate != sim::Fate::delivered) return;
-            encoded.push_back(Codec::encode(*message(hop)));
+            encoded.push_back(
+                Codec::encode(*storage_.message(local(hop.from), hop)));
             outgoing[map_.shard_of(hop.to)].push_back(
                 {static_cast<std::uint32_t>(hop.from),
                  static_cast<std::uint32_t>(hop.to), batch_tag(hop.leg),
@@ -619,16 +671,19 @@ class ShardEngine {
   }
 
   /// Phase 3 — the plan's delivery walk, over the hops this shard
-  /// receives. Local messages come from outbox_/replies_; remote ones
+  /// receives. Local messages come from the storage; remote ones
   /// from the peers' batches, slotted into their planned positions
   /// (forward keyed by initiator, reply keyed by the initiator it
   /// answers).
   void deliver_messages() {
-    for (std::size_t j = 0; j < nodes_.size(); ++j) inbox_[j].clear();
-    // Planned-position index over the stored records of every peer.
+    storage_.clear_inboxes();
+    // Planned-position index over the stored records of every peer (one
+    // shard has no peers, so no index and no leftovers).
     const std::size_t n = map_.num_nodes();
-    fwd_index_.assign(n, nullptr);
-    reply_index_.assign(n, nullptr);
+    if (!one_shard()) {
+      fwd_index_.assign(n, nullptr);
+      reply_index_.assign(n, nullptr);
+    }
     for (ShardId s = 0; s < map_.num_shards(); ++s) {
       if (s == shard_) continue;
       for (StoredRecord& rec : peers_[s].records) {
@@ -650,7 +705,7 @@ class ShardEngine {
           if (trace_ != nullptr) trace_hop(hop, fate);
           if (fate != sim::Fate::delivered) return;
           if (owns(hop.from)) {
-            inbox_[local(hop.to)].push_back(std::move(*message(hop)));
+            storage_.deliver(local(hop.from), local(hop.to), hop);
           } else {
             deliver_record(*remote(hop));
           }
@@ -677,6 +732,7 @@ class ShardEngine {
       ++stats_.unplanned_records;
       deliver_record(*rec);
     }
+    storage_.seal_inboxes();
   }
 
   /// The peer record carrying a hop this shard receives, if it arrived.
@@ -698,7 +754,7 @@ class ShardEngine {
     rec.consumed = true;
     if constexpr (kHasCodec) {
       try {
-        inbox_[local(rec.dst)].push_back(Codec::decode(rec.payload));
+        storage_.deliver(local(rec.dst), Codec::decode(rec.payload));
       } catch (const wire::DecodeError&) {
         ++stats_.decode_errors;
       }
@@ -717,8 +773,8 @@ class ShardEngine {
       return;
     }
     std::size_t payload = 1;  // scalar messages (push-sum) count one unit
-    if constexpr (requires(const Message& m) { m.size(); }) {
-      payload = message(hop)->size();  // collections
+    if constexpr (requires { storage_.message(hop.from, hop)->size(); }) {
+      payload = storage_.message(hop.from, hop)->size();  // collections
     }
     record(Event::send, payload);
     const Event outcome = fate == sim::Fate::dead_target ? Event::dead_target
@@ -727,29 +783,15 @@ class ShardEngine {
     record(outcome, payload);
   }
 
-  /// Phase 4 — batch absorption over the owned nodes.
-  void absorb_inboxes() {
-    const std::span<const sim::NodeId> owned = map_.owned(shard_);
-    exec::parallel_for(pool_.get(), nodes_.size(), [&](std::size_t j) {
-      if (plan_.alive(owned[j]) && !inbox_[j].empty()) {
-        nodes_[j].absorb(std::move(inbox_[j]));
-      }
-    });
-  }
-
   sim::Topology topology_;
   ShardMap map_;
   ShardId shard_;
-  std::vector<Node> nodes_;
+  Storage storage_;
   ShardEngineOptions options_;
   net::Transport* transport_;
-  // Global per-round plan (replayed on every shard); replies_ is indexed
-  // by the initiator a reply answers, which may live on any shard.
+  // Global per-round plan, replayed on every shard.
   sim::RoundPlan plan_;
-  std::vector<std::optional<Message>> replies_;
-  // Owned-range scratch.
-  std::vector<std::optional<Message>> outbox_;
-  std::vector<std::vector<Message>> inbox_;
+  // Multi-shard scratch: the boundary split and the record index.
   std::vector<std::size_t> boundary_js_;
   std::vector<std::size_t> interior_js_;
   std::vector<StoredRecord*> fwd_index_;

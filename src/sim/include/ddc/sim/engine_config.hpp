@@ -13,9 +13,11 @@
 //   auto engine = gossip::make_centroid_scale_engine(
 //       config.build_topology(rng), inputs, config);
 //
-// The factories live in shard/factories.hpp (the object engine and the
-// sharded cluster), gossip/scale.hpp (SoA) and gossip/runners.hpp
-// (async); cli::parse_engine_config builds one from command-line flags.
+// The round engine is shard::ShardEngine; its factories live in
+// shard/factories.hpp (object storage: one shard or a sharded cluster)
+// and gossip/scale.hpp (pool storage, the SoA backend). The async
+// factories live in gossip/runners.hpp; cli::parse_engine_config builds
+// an EngineConfig from command-line flags.
 #pragma once
 
 #include <cstddef>
@@ -81,16 +83,17 @@ enum class EngineMode {
   async,  ///< event-driven, arbitrary delays (the convergence model)
 };
 
-/// Which node-state representation backs a round-mode run. Async mode
-/// has only the object engine and ignores this choice.
+/// Which node storage backs a round-mode run of the one-shard
+/// shard::ShardEngine. Async mode has only the object engine and ignores
+/// this choice.
 enum class EngineBackend {
-  /// One heap-allocated protocol object per node: shard::ShardEngine
-  /// over a one-shard map (shard/factories.hpp). Serves protocols
-  /// without scale-engine traits (push-sum) and event traces.
+  /// Object storage: one heap-allocated protocol object per node
+  /// (shard/factories.hpp). Serves protocols without a pool binding
+  /// (push-sum) and event traces.
   object,
-  /// Struct-of-arrays pools + message arenas (SoaRoundEngine). Bit-
-  /// identical to `object` for the centroid and GM protocols, and faster
-  /// and smaller at every measured size.
+  /// Pool storage: struct-of-arrays pools + a message arena
+  /// (gossip/scale.hpp). Bit-identical to `object` for the centroid and
+  /// GM protocols, and faster and smaller at every measured size.
   soa,
 };
 
@@ -132,8 +135,8 @@ struct EngineConfig : RoundRunnerOptions {
   std::uint64_t protocol_seed = 1;
   /// Carry each collection's auxiliary mixture-space vector (the
   /// dashed-frame code of Algorithm 1, O(n) per collection) so Lemma 1
-  /// can be checked at runtime. Object engines only: the SoA pools
-  /// cannot hold it, so the scale-engine factories reject it.
+  /// can be checked at runtime. Object storage only: the pools cannot
+  /// hold it, so the scale-engine factories reject it.
   bool track_aux = false;
 
   /// Engine options sliced out for the classic runners.

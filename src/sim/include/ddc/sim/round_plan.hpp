@@ -3,11 +3,10 @@
 // The paper measures progress in rounds (Section 5.3): in each round every
 // live node sends to one neighbor, and each receiver merges everything it
 // got in one batch; after the round every live node crashes independently
-// with fixed probability (Fig. 4). The two round engines —
-// SoaRoundEngine (struct-of-arrays pools) and shard::ShardEngine (one
-// shard's node objects plus a batch exchange; over a one-shard map, the
-// object engine) — differ only in where node state and messages live.
-// The schedule is written once, here, and both engines call it:
+// with fixed probability (Fig. 4). One engine runs the round,
+// shard::ShardEngine, over one shard's node objects or, on one shard,
+// over struct-of-arrays pools; its node storage decides only where node
+// state and messages live. The schedule is written once, here:
 //
 //   plan()            phase 1: every live node's target (eligible counts
 //                     and the draw-to-neighbor map in parallel, the
@@ -21,13 +20,13 @@
 //                     the dead-target rule and the loss verdict applied;
 //   end_round()       phase 5: crash draws, then the round counter.
 //
-// Phases 2 and 4 (prepare, absorb) are the engines' own; they touch only
+// Phases 2 and 4 (prepare, absorb) are the storage's own; they touch only
 // node-local state, so they may fan out across threads.
 //
 // A message is named by a Hop: its initiator and its leg (the initiator's
 // forward, or the reply its contact owes it). A live node initiates at
 // most one exchange per round, so (initiator, leg) is unique within a
-// round, and slot() maps it into a flat 2n message arena.
+// round, and pool storage maps it into a flat 2n message arena.
 //
 // Determinism. Selection and crash draws come from one environment
 // stream consumed sequentially, in node order — so thread count never
@@ -40,8 +39,8 @@
 // a stream: each verdict is a pure function of (seed, round, leg,
 // initiator). It therefore does not depend on which messages turned out
 // empty, on delivery order, or on which shard evaluates it, and a lossy
-// object, SoA or cluster run of one configuration is the same run bit for
-// bit. Lossless runs never evaluate it.
+// object, pool or cluster run of one configuration is the same run bit
+// for bit. Lossless runs never evaluate it.
 #pragma once
 
 #include <algorithm>
@@ -268,12 +267,6 @@ class RoundPlan {
   }
   void end_round() {
     end_round([](NodeId) {});
-  }
-
-  /// Index of a message in a flat 2n arena: slot i is initiator i's
-  /// forward, slot n+i the reply addressed to it.
-  [[nodiscard]] std::size_t slot(const Hop& hop) const noexcept {
-    return hop.leg == Leg::forward ? hop.initiator : n_ + hop.initiator;
   }
 
   [[nodiscard]] std::size_t round() const noexcept { return round_; }

@@ -1,6 +1,7 @@
 // Shard-count invariance suite: the sharded cluster engine against the
-// object engine (the one-shard ShardEngine) and the SoA engine, by FNV-1a
-// digest of every node's wire-encoded final classification.
+// one-shard ShardEngine with object storage (the object engine) and with
+// pool storage (the SoA engine), by FNV-1a digest of every node's
+// wire-encoded final classification.
 //
 // Two bit-identity contracts:
 //
@@ -11,14 +12,14 @@
 //      (the batch retransmit layer must absorb dropped frames without
 //      changing a bit).
 //   2. ShardCluster(S) ≡ the object engine (make_*_round_runner: one
-//      shard, no transport) on every cell, lossy ones included: both
-//      round engines run one sim::RoundPlan, whose loss verdict is a
-//      stateless hash of (seed, round, leg, initiator), so the shards,
-//      the object engine and the SoA engine reach the same verdict for
-//      every message. A push-pull + crash + loss cell also pins
-//      object ≡ SoaRoundEngine ≡ ShardCluster(4), and a GM cell with
-//      degenerate (all-zero) covariances pins the same three-way
-//      identity plus exact weight conservation. A 4-shard cell at
+//      shard, no transport) on every cell, lossy ones included: every
+//      engine runs one sim::RoundPlan, whose loss verdict is a stateless
+//      hash of (seed, round, leg, initiator), so the shards and both
+//      storages reach the same verdict for every message. A push-pull +
+//      crash + loss cell also pins object storage ≡ pool storage ≡
+//      ShardCluster(4), and a GM cell with degenerate (all-zero)
+//      covariances pins the same three-way identity plus exact weight
+//      conservation. A 4-shard cell at
 //      parallelism 4 pins thread-count invariance of the split prepare
 //      (boundary, then interior chunks between polls). See DESIGN.md
 //      "Sharded cluster engine".
@@ -428,6 +429,13 @@ TEST(ShardContracts, OneShardFeaturesRejectMultiShardMaps) {
                                  2, &fabric.endpoint(0));
   sim::TraceRecorder trace;
   EXPECT_THROW(engine.set_trace(&trace), ContractViolation);
+
+  // Pool storage has no row codec: one shard only.
+  EXPECT_THROW((ShardEngine<gossip::CentroidScaleProtocol>(
+                   topology, map,
+                   gossip::CentroidScaleProtocol(2, base_config(kNodes, 13)),
+                   {}, [&](sim::NodeId i) { return inputs[i]; })),
+               ContractViolation);
 }
 
 TEST(ShardEquivalence, InjectedLinkLossIsAbsorbedByRetransmits) {

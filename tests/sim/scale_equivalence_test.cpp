@@ -1,11 +1,11 @@
-// Golden equivalence suite: the scale engine and the EngineConfig facade
-// against the object engine (the one-shard shard::ShardEngine) and the
-// async runner.
+// Golden equivalence suite: the one round engine (shard::ShardEngine on
+// one shard) with pool storage against the same engine with object
+// storage, and the EngineConfig facade against the async runner.
 //
 // Three bit-identity contracts are pinned here, all by comparing FNV-1a
 // digests of every node's wire-encoded final classification:
 //
-//   1. SoaRoundEngine ≡ object engine for both protocols, 3 seeds ×
+//   1. pool storage ≡ object storage for both protocols, 3 seeds ×
 //      {lossless, loss 0.1}, plus crash models, gossip patterns,
 //      selection policies, thread counts, topology families and coarse
 //      quanta (one-quantum re-homes) — the struct-of-arrays pools,
@@ -125,7 +125,7 @@ std::string direct_round_digest(std::vector<Node> nodes,
 
 // ---------------------------------------------------------------------------
 // Contract 1+2 (round mode): directly constructed ≡ factory-built
-// object engine ≡ SoaRoundEngine, 3 seeds × {lossless, loss 0.1}.
+// object storage ≡ pool storage, 3 seeds × {lossless, loss 0.1}.
 // ---------------------------------------------------------------------------
 
 TEST(ScaleEquivalence, CentroidRoundBitIdentical) {

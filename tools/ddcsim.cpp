@@ -10,9 +10,10 @@
 //   ddcsim --nodes 100000 --topology ring --rounds 20
 //   ddcsim --trace events.csv                      # per-event trace CSV
 //
-// gm and centroid run on the SoA engine by default; push-sum and --trace
-// runs use the object engine (the one-shard shard::ShardEngine), which
-// the SoA engine matches bit for bit.
+// Every run is the one-shard shard::ShardEngine. gm and centroid use its
+// pool storage (the SoA engine) by default; push-sum and --trace runs use
+// object storage (the object engine), which pool storage matches bit for
+// bit.
 //
 // The engine flags (--topology/--nodes/--pattern/--threads/--engine/...)
 // are the shared cli::declare_engine_flags surface; only the
@@ -27,7 +28,6 @@
 #include <ddc/gossip/network.hpp>
 #include <ddc/gossip/scale.hpp>
 #include <ddc/io/table.hpp>
-#include <ddc/metrics/classification_metrics.hpp>
 #include <ddc/metrics/streaming.hpp>
 #include <ddc/shard/factories.hpp>
 #include <ddc/sim/round_plan.hpp>
@@ -99,8 +99,7 @@ void flush_trace(const ToolConfig& tool, const ddc::sim::TraceRecorder& trace) {
             << tool.trace_path << '\n';
 }
 
-/// Prints node 0's classification table and the optional RESULT line —
-/// shared tail of the object and scale classifier runs.
+/// Prints node 0's classification table and the optional RESULT line.
 template <typename Summary, typename SummaryPrinter, typename MeanFn>
 void report_classification(const ToolConfig& tool,
                            const ddc::core::Classification<Summary>& c,
@@ -129,56 +128,18 @@ void report_timing(const ddc::sim::RoundPhaseTimings& t, double partition_s,
             << " partition_s=" << partition_s << " em_s=" << em_s << '\n';
 }
 
-template <typename Policy, typename Runner, typename SummaryPrinter,
-          typename MeanFn>
-int run_classifier(const ToolConfig& tool, Runner runner,
-                   SummaryPrinter print_summary, MeanFn mean_of) {
-  ddc::sim::TraceRecorder trace;
-  if (!tool.trace_path.empty()) runner.set_trace(&trace);
-
-  ddc::io::Table progress({"round", "alive", "disagreement"}, 6);
-  for (std::size_t r = 0; r < tool.rounds; ++r) {
-    runner.run_round();
-    if ((r + 1) % tool.report_every == 0 || r + 1 == tool.rounds) {
-      progress.add_row(
-          {static_cast<long long>(r + 1),
-           static_cast<long long>(runner.alive_count()),
-           ddc::metrics::max_disagreement_vs_first<Policy>(runner.nodes())});
-    }
-  }
-  emit(tool, progress);
-
-  report_classification(tool, runner.nodes()[0].classification(),
-                        print_summary, mean_of);
-  if (tool.timing) {
-    // Per-phase wall-clock, from the accumulating counters in the runner
-    // (plan/prepare/deliver/absorb), the classifier engine (partition) and the EM
-    // policy (em; 0 for policies without an EM stage). partition_s and
-    // em_s are sums over nodes, so with --threads > 1 they can exceed
-    // the enclosing absorb_s wall-clock.
-    double partition_s = 0.0;
-    double em_s = 0.0;
-    for (const auto& node : runner.nodes()) {
-      partition_s += node.classifier().stats().partition_seconds;
-      if constexpr (requires {
-                      node.classifier().partition_policy().em_seconds();
-                    }) {
-        em_s += node.classifier().partition_policy().em_seconds();
-      }
-    }
-    report_timing(runner.timings(), partition_s, em_s);
-  }
-  flush_trace(tool, trace);
-  return 0;
-}
-
-/// The --engine soa path: same progress table, classification report and
-/// TIMING line as run_classifier, with the streaming metrics replacing
-/// the materializing ones (no per-node vector ever exists).
+/// The gm/centroid run on either storage: progress table, node 0's
+/// classification and the TIMING line, all through the read-outs both
+/// storages share (no per-node vector is ever materialized).
 template <typename Policy, typename Engine, typename SummaryPrinter,
           typename MeanFn>
-int run_scale(const ToolConfig& tool, Engine engine,
-              SummaryPrinter print_summary, MeanFn mean_of) {
+int run_classifier(const ToolConfig& tool, Engine engine,
+                   SummaryPrinter print_summary, MeanFn mean_of) {
+  ddc::sim::TraceRecorder trace;
+  if constexpr (requires { engine.set_trace(&trace); }) {
+    if (!tool.trace_path.empty()) engine.set_trace(&trace);
+  }
+
   ddc::io::Table progress({"round", "alive", "disagreement"}, 6);
   for (std::size_t r = 0; r < tool.rounds; ++r) {
     engine.run_round();
@@ -194,12 +155,14 @@ int run_scale(const ToolConfig& tool, Engine engine,
   report_classification(tool, engine.classification_of(0), print_summary,
                         mean_of);
   if (tool.timing) {
-    // Same TIMING contract as the object engine: partition_s/em_s are
-    // sums over the engine's per-chunk receive scratches, which together
-    // run exactly the receives the object engine's nodes run.
+    // Per-phase wall-clock from the engine (plan/prepare/deliver/absorb)
+    // and its storage (partition, and em: 0 without an EM stage).
+    // partition_s and em_s are sums over nodes, so with --threads > 1
+    // they can exceed the enclosing absorb_s wall-clock.
     report_timing(engine.timings(), engine.partition_seconds(),
                   engine.em_seconds());
   }
+  flush_trace(tool, trace);
   return 0;
 }
 
@@ -297,42 +260,39 @@ int main(int argc, char** argv) {
         make_inputs(tool, config.topology.nodes, rng);
     ddc::sim::Topology topology = config.build_topology(rng);
 
-    // The SoA engine keeps no per-event trace and has no push-sum
-    // binding; those runs take the object engine.
-    const bool scale = config.use_soa() && tool.trace_path.empty() &&
-                       (tool.protocol == "gm" || tool.protocol == "centroid");
+    // Pool storage keeps no per-event trace and has no push-sum binding;
+    // those runs take object storage.
+    const bool pools = config.use_soa() && tool.trace_path.empty();
 
     if (tool.protocol == "gm") {
+      using Policy = ddc::summaries::GaussianPolicy;
       auto print = [](const ddc::stats::Gaussian& g) { return describe(g); };
       auto mean = [](const ddc::stats::Gaussian& g) { return g.mean(); };
-      if (scale) {
-        return run_scale<ddc::summaries::GaussianPolicy>(
-            tool,
-            ddc::gossip::make_gm_scale_engine(std::move(topology), inputs,
-                                              config),
-            print, mean);
-      }
-      return run_classifier<ddc::summaries::GaussianPolicy>(
-          tool,
-          ddc::shard::make_gm_round_runner(std::move(topology), inputs,
-                                           config),
-          print, mean);
+      return pools ? run_classifier<Policy>(
+                         tool,
+                         ddc::gossip::make_gm_scale_engine(std::move(topology),
+                                                           inputs, config),
+                         print, mean)
+                   : run_classifier<Policy>(
+                         tool,
+                         ddc::shard::make_gm_round_runner(std::move(topology),
+                                                          inputs, config),
+                         print, mean);
     }
     if (tool.protocol == "centroid") {
+      using Policy = ddc::summaries::CentroidPolicy;
       auto print = [](const Vector& v) { return describe(v); };
       auto mean = [](const Vector& v) { return v; };
-      if (scale) {
-        return run_scale<ddc::summaries::CentroidPolicy>(
-            tool,
-            ddc::gossip::make_centroid_scale_engine(std::move(topology),
-                                                    inputs, config),
-            print, mean);
-      }
-      return run_classifier<ddc::summaries::CentroidPolicy>(
-          tool,
-          ddc::shard::make_centroid_round_runner(std::move(topology), inputs,
-                                                 config),
-          print, mean);
+      return pools ? run_classifier<Policy>(
+                         tool,
+                         ddc::gossip::make_centroid_scale_engine(
+                             std::move(topology), inputs, config),
+                         print, mean)
+                   : run_classifier<Policy>(
+                         tool,
+                         ddc::shard::make_centroid_round_runner(
+                             std::move(topology), inputs, config),
+                         print, mean);
     }
     if (tool.protocol == "pushsum") {
       return run_push_sum(tool,
