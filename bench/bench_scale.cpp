@@ -9,9 +9,10 @@
 //   {"name":"centroid/ring/10000","nodes":10000,...,"rounds_per_s":...,
 //    "peak_rss_mb":...}
 //
-// scripts/bench_scale.sh runs the tier list and assembles the numbers
-// that live in BENCH_scale.json; scripts/bench_gate.sh --scale compares
-// fresh runs against that baseline.
+// scripts/bench_gate.sh runs the tier list: --scale compares the
+// 10k-node tier's fresh runs against BENCH_scale.json, --scale-full adds
+// the 100k and 1M tiers, and --scale-update prints the numbers that live
+// in BENCH_scale.json.
 //
 // The flag surface is the shared engine surface (cli::engine_flags) —
 // the same --topology/--nodes/--radius/--er-prob/--threads/--engine

@@ -19,7 +19,12 @@
 //   <root>/pool_receive/ receive scripts for fuzz_pool_receive: centroid
 //                       and GM, d = 1..5, exact ties, one-quantum
 //                       collections, zero, near-singular and
-//                       extreme-magnitude summaries.
+//                       extreme-magnitude summaries;
+//   <root>/shard_batch/ tap scripts for fuzz_shard_batch: each gossip
+//                       pattern with clean traffic, then drops,
+//                       duplicates and replays, every batch-header and
+//                       record mutation, and envelope corruption and
+//                       truncation.
 //
 // File names encode intent; regeneration is byte-stable (no clocks, no
 // RNG seeds outside the file contents), so `git diff` after a rerun
@@ -296,6 +301,56 @@ void make_pool_receive(const std::filesystem::path& dir) {
          {{3, 3, 3, 2, 0}, {2, 2, 3, 1, 0}});
 }
 
+void make_shard_batch(const std::filesystem::path& dir) {
+  std::filesystem::create_directories(dir);
+  // Script header (see fuzz_shard_batch.cpp): pattern (push, pull,
+  // push-pull), selection, k − 1, seed − 1, nodes − 6, rounds − 1,
+  // topology (complete, ring); then one tap decision per frame shard 1
+  // sends shard 0: 0 pass, 1 drop, 2 twice, 3 stash, 4 replay + stash
+  // index, 5 batch mutation + its operands, 6 envelope mutation + its
+  // operands, 7 truncation + length. An exhausted script passes frames.
+  const auto script = [&](const char* name, std::uint8_t pattern,
+                          std::vector<std::uint8_t> tap) {
+    std::vector<std::uint8_t> s = {pattern, 0, 1, 0, 6, 5, 0};
+    s.insert(s.end(), tap.begin(), tap.end());
+    write_file(dir / name, s);
+  };
+  script("clean_push.bin", 0, {});
+  script("clean_pull.bin", 1, {});
+  script("clean_push_pull.bin", 2, {});
+  script("drop_everything.bin", 2, std::vector<std::uint8_t>(96, 1));
+  {
+    std::vector<std::uint8_t> tap;
+    for (std::uint8_t i = 0; i < 32; ++i) {
+      tap.push_back(static_cast<std::uint8_t>(2 + i % 3));  // 2, 3 or 4
+      if (i % 3 == 2) tap.push_back(i);  // the replay's stash index
+    }
+    script("replays_and_duplicates.bin", 2, tap);
+  }
+  {
+    // Every batch mutation (0 round, 1 shard, 2 cluster size, 3 drop a
+    // record, 4 duplicate one, 5–6 new src or dst, 7 tag, 8 payload),
+    // each with a few operand bytes.
+    std::vector<std::uint8_t> tap;
+    for (std::uint8_t m = 0; m < 9; ++m) {
+      for (std::uint8_t v = 0; v < 4; ++v) {
+        tap.insert(tap.end(), {5, m, v, static_cast<std::uint8_t>(v + 3),
+                               static_cast<std::uint8_t>(v * 5)});
+      }
+    }
+    script("batch_mutations.bin", 2, tap);
+  }
+  {
+    std::vector<std::uint8_t> tap;
+    for (std::uint8_t i = 0; i < 24; ++i) {
+      tap.insert(tap.end(), {6, static_cast<std::uint8_t>(i % 2),
+                             static_cast<std::uint8_t>(i * 3), 17});
+      tap.insert(tap.end(), {7, static_cast<std::uint8_t>(i * 11)});
+    }
+    script("envelope_and_truncation.bin", 0, tap);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -307,6 +362,7 @@ int main(int argc, char** argv) {
   make_framing(root / "framing");
   make_classifier(root / "classifier");
   make_pool_receive(root / "pool_receive");
+  make_shard_batch(root / "shard_batch");
   std::printf("make_corpus: wrote seed corpus under %s\n",
               root.string().c_str());
   return 0;

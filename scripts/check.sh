@@ -52,12 +52,14 @@
 #                  scripts/bench_gate.sh --scale-full); then the
 #                  sharded-cluster tier against BENCH_cluster.json
 #                  (loopback throughput, RSS, records per batch frame).
-#  10. fuzz smoke  the three fuzz harnesses (wire framing decode,
+#  10. fuzz smoke  the four fuzz harnesses (wire framing decode,
 #                  classifier invariants via the ddc::audit pool
-#                  auditors, and the SoA pool receive against
-#                  GenericClassifier::receive bit for bit) replay the
-#                  committed corpus plus DDC_FUZZ_RUNS fresh
-#                  deterministic iterations under ASan+UBSan.
+#                  auditors, the SoA pool receive against
+#                  GenericClassifier::receive bit for bit, and mutated
+#                  batch and ack frames into a 2-shard loopback
+#                  ShardEngine) replay the committed corpus plus
+#                  DDC_FUZZ_RUNS fresh deterministic iterations under
+#                  ASan+UBSan.
 #
 # Environment:
 #   DDC_FUZZ_RUNS   mutational iterations per fuzz harness (default
@@ -205,11 +207,12 @@ cmake -B "$FUZZ_DIR" \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "$FUZZ_DIR" --target fuzz_framing fuzz_classifier \
-  fuzz_pool_receive -j "$(nproc)"
+  fuzz_pool_receive fuzz_shard_batch -j "$(nproc)"
 
 "$FUZZ_DIR"/fuzz/fuzz_framing      -runs="$DDC_FUZZ_RUNS" -seed=1 fuzz/corpus/framing
 "$FUZZ_DIR"/fuzz/fuzz_classifier   -runs="$DDC_FUZZ_RUNS" -seed=1 fuzz/corpus/classifier
 "$FUZZ_DIR"/fuzz/fuzz_pool_receive -runs="$DDC_FUZZ_RUNS" -seed=1 fuzz/corpus/pool_receive
+"$FUZZ_DIR"/fuzz/fuzz_shard_batch  -runs="$DDC_FUZZ_RUNS" -seed=1 fuzz/corpus/shard_batch
 
 echo "Fuzz smoke passed: corpus + ${DDC_FUZZ_RUNS} iterations per harness."
 

@@ -8,7 +8,6 @@
 
 #include <ddc/common/agglomerate.hpp>
 #include <ddc/common/assert.hpp>
-#include <ddc/common/error.hpp>
 #include <ddc/linalg/cholesky.hpp>
 #include <ddc/linalg/kernels.hpp>
 #include <ddc/linalg/simd.hpp>
@@ -208,21 +207,14 @@ class PackedEm {
   double* model_mean(std::size_t j) { return ws_.model_means.data() + j * d_; }
   double* model_cov(std::size_t j) { return ws_.model_covs.data() + j * dd_; }
 
-  /// regularized_cholesky's tries into a zeroed `l`: `a`, then a + εI for
-  /// ε = 1e-9, 1e-8, … ≤ 1e3. Throws NumericalError when all fail.
+  /// regularized_cholesky's tries (the shared kernel) into `l`. Throws
+  /// NumericalError when all fail.
   void factor(const double* a, double* l) {
     double* const jittered = ws_.scratch.data() + 8 * d_ + dd_;
-    std::fill_n(l, dd_, 0.0);
-    if (linalg::kernels::cholesky_factor<D>(a, l, d_)) return;
-    for (double eps = 1e-9; eps <= 1e3; eps *= 10.0) {
-      std::copy_n(a, dd_, jittered);
-      for (std::size_t i = 0; i < d_; ++i) jittered[i * d_ + i] += eps;
-      std::fill_n(l, dd_, 0.0);
-      if (linalg::kernels::cholesky_factor<D>(jittered, l, d_)) return;
+    if (!linalg::kernels::regularized_cholesky_factor<D>(a, l, jittered,
+                                                         d_)) {
+      linalg::throw_jitter_exhausted();
     }
-    throw_numerical_error(
-        "regularized_cholesky: matrix not positive definite even after "
-        "maximal jitter");
   }
 
   /// Fills ws.scores (m × l) and ws.log_priors: each component's floored

@@ -36,8 +36,9 @@ class ClassifierNode {
   /// single quantum; the runners skip delivering those).
   [[nodiscard]] Message prepare_message() { return classifier_.split(); }
 
-  /// Receive step over a whole batch: one union, one partition.
-  void absorb(std::vector<Message> batch) {
+  /// Receive step over a whole batch: one union, one partition. The
+  /// messages are moved from; the vector stays the caller's to reuse.
+  void absorb(std::vector<Message>&& batch) {
     DDC_EXPECTS(!batch.empty());
     Message combined = std::move(batch.front());
     for (std::size_t m = 1; m < batch.size(); ++m) {

@@ -58,7 +58,7 @@ class DistributedKMeansNode {
   /// Receive step: accumulates same-iteration cluster sums (stale or
   /// futuristic messages are impossible in lockstep execution and are
   /// dropped defensively otherwise).
-  void absorb(std::vector<Message> batch);
+  void absorb(std::vector<Message>&& batch);
 
   /// The node's current centroid estimates.
   [[nodiscard]] const std::vector<linalg::Vector>& centroids() const noexcept {

@@ -35,7 +35,7 @@ class PushSumNode {
   [[nodiscard]] Message prepare_message();
 
   /// Receive step: add every message's (s, w) to the local pair.
-  void absorb(std::vector<Message> batch);
+  void absorb(std::vector<Message>&& batch);
 
   /// Current estimate of the global average (s/w). Requires weight() > 0.
   [[nodiscard]] linalg::Vector estimate() const;

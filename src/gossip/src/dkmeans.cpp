@@ -73,7 +73,7 @@ DkmMessage DistributedKMeansNode::prepare_message() {
   return out;
 }
 
-void DistributedKMeansNode::absorb(std::vector<DkmMessage> batch) {
+void DistributedKMeansNode::absorb(std::vector<DkmMessage>&& batch) {
   for (auto& msg : batch) {
     if (msg.iteration != iteration_ ||
         msg.clusters.size() != accumulators_.size()) {

@@ -14,7 +14,7 @@ PushSumMessage PushSumNode::prepare_message() {
   return out;
 }
 
-void PushSumNode::absorb(std::vector<PushSumMessage> batch) {
+void PushSumNode::absorb(std::vector<PushSumMessage>&& batch) {
   DDC_EXPECTS(!batch.empty());
   for (auto& m : batch) {
     DDC_EXPECTS(m.sum.dim() == sum_.dim());

@@ -5,6 +5,8 @@
 // Cholesky factorization plus triangular solves.
 #pragma once
 
+#include <utility>
+
 #include <ddc/linalg/matrix.hpp>
 #include <ddc/linalg/vector.hpp>
 
@@ -51,17 +53,25 @@ class Cholesky {
   [[nodiscard]] double mahalanobis_squared(const Vector& x) const;
 
  private:
+  friend Cholesky regularized_cholesky(const Matrix& a);
+  /// Adopts an already computed factor.
+  struct Adopt {};
+  Cholesky(Adopt, Matrix l) : l_(std::move(l)) {}
+
   Matrix l_;
 };
 
-/// Cholesky of `A + εI` where `ε ≥ min_jitter` is grown geometrically until
-/// the factorization succeeds (up to `max_jitter`). Handles the degenerate
-/// covariances that legitimately occur in the protocol: a fresh collection
-/// summarizing one input value has an exactly-zero covariance matrix.
-/// Throws ddc::NumericalError if even `A + max_jitter·I` fails.
-[[nodiscard]] Cholesky regularized_cholesky(const Matrix& a,
-                                            double min_jitter = 1e-9,
-                                            double max_jitter = 1e3);
+/// Cholesky of `A`, or else of `A + εI` for ε = 1e-9, 1e-8, … ≤ 1e3,
+/// the first that succeeds (kernels::regularized_cholesky_factor).
+/// Handles the degenerate covariances that legitimately occur in the
+/// protocol: a fresh collection summarizing one input value has an
+/// exactly-zero covariance matrix. Throws ddc::NumericalError
+/// (throw_jitter_exhausted) if even `A + 1e3·I` fails.
+[[nodiscard]] Cholesky regularized_cholesky(const Matrix& a);
+
+/// Throws the ddc::NumericalError of a matrix that stays indefinite
+/// through the whole jitter sequence.
+[[noreturn]] void throw_jitter_exhausted();
 
 /// Convenience: inverse of an SPD matrix via Cholesky.
 [[nodiscard]] Matrix spd_inverse(const Matrix& a);

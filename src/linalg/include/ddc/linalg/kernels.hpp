@@ -23,6 +23,7 @@
 // equivalence exhaustively (random + adversarial near-singular inputs).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <type_traits>
@@ -81,6 +82,28 @@ template <std::size_t D>
     }
   }
   return true;
+}
+
+/// The regularized factorization: the Cholesky factor of `a` into `l`,
+/// or else of a + εI for ε = 1e-9, 1e-8, … ≤ 1e3, the first that
+/// succeeds. `jittered` is d×d scratch; `l` is zeroed first, so its upper
+/// triangle ends zero. Returns false when every try fails. The one
+/// jitter sequence of linalg::regularized_cholesky and the packed EM.
+template <std::size_t D>
+[[nodiscard]] bool regularized_cholesky_factor(const double* a, double* l,
+                                               double* jittered,
+                                               std::size_t rd) noexcept {
+  constexpr double kMinJitter = 1e-9;
+  constexpr double kMaxJitter = 1e3;
+  const std::size_t n = dim_of<D>(rd);
+  std::fill_n(l, n * n, 0.0);
+  if (cholesky_factor<D>(a, l, rd)) return true;
+  for (double eps = kMinJitter; eps <= kMaxJitter; eps *= 10.0) {
+    std::copy_n(a, n * n, jittered);
+    for (std::size_t i = 0; i < n; ++i) jittered[i * n + i] += eps;
+    if (cholesky_factor<D>(jittered, l, rd)) return true;
+  }
+  return false;
 }
 
 /// Forward substitution `L y = b` with `l` the row-major factor.

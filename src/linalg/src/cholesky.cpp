@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <ddc/common/error.hpp>
@@ -106,25 +107,20 @@ double Cholesky::mahalanobis_squared(const Vector& x) const {
   });
 }
 
-Cholesky regularized_cholesky(const Matrix& a, double min_jitter,
-                              double max_jitter) {
+Cholesky regularized_cholesky(const Matrix& a) {
   DDC_EXPECTS(a.square());
-  DDC_EXPECTS(min_jitter > 0.0 && min_jitter <= max_jitter);
-  // Fast path: the matrix may already be comfortably positive definite.
-  try {
-    return Cholesky(a);
-  } catch (const NumericalError&) {
-    // fall through to jittered attempts
-  }
-  for (double eps = min_jitter; eps <= max_jitter; eps *= 10.0) {
-    Matrix jittered = a;
-    for (std::size_t i = 0; i < a.rows(); ++i) jittered(i, i) += eps;
-    try {
-      return Cholesky(jittered);
-    } catch (const NumericalError&) {
-      // keep growing the jitter
-    }
-  }
+  const std::size_t n = a.rows();
+  Matrix l(n, n);
+  Scratch jittered(n * n);
+  const bool ok = kernels::dispatch_dim(n, [&](auto d) {
+    return kernels::regularized_cholesky_factor<d()>(
+        a.data().data(), l.data().data(), jittered.ptr, n);
+  });
+  if (!ok) throw_jitter_exhausted();
+  return Cholesky(Cholesky::Adopt{}, std::move(l));
+}
+
+void throw_jitter_exhausted() {
   throw_numerical_error(
       "regularized_cholesky: matrix not positive definite even after "
       "maximal jitter");

@@ -2,11 +2,15 @@
 // and in-flight messages live. ShardEngine picks one from its node type;
 // both answer the same calls, addressed by a node's local index (its
 // global id on one shard) and the planned sim::Hop: clear_messages,
-// prepare, sent, clear_inboxes, deliver, seal_inboxes, absorb, and the
-// classification read-outs.
+// prepare, sent, absorb, and the classification read-outs.
 //
-//   * ObjectStorage: one sim::GossipNode object per owned node, with
-//     optional outbox and reply messages and one inbox vector per node.
+// Both keep 2n message slots, one per (leg, initiator). No inbox is
+// built: absorb reads each receiver's hops from the plan
+// (RoundPlan::for_each_receive) and gathers their slots; every slot has
+// one receiver, so the parallel absorb touches disjoint slots.
+//
+//   * ObjectStorage: one sim::GossipNode object per owned node; a
+//     message decoded off the wire lands in its hop's slot.
 //   * PoolStorage: the whole network in flat pools, for 10⁵–10⁶ nodes
 //     where per-node objects drown in pointer chasing and allocator
 //     metadata. One shard only: it has no row codec and no tracer.
@@ -33,8 +37,15 @@
 
 namespace ddc::shard {
 
-/// The owned nodes in local order; replies are indexed by the initiator
-/// they answer, which may be any of `num_nodes`.
+/// A hop's message slot among 2n: initiator i's forward is slot i, the
+/// reply addressed to it slot n+i.
+[[nodiscard]] inline std::size_t slot_of(const sim::Hop& hop,
+                                         std::size_t n) noexcept {
+  return hop.leg == sim::Leg::forward ? hop.initiator : n + hop.initiator;
+}
+
+/// The owned nodes in local order, and message slots over all
+/// `num_nodes` initiators.
 template <typename Node>
 class ObjectStorage {
  public:
@@ -42,9 +53,8 @@ class ObjectStorage {
 
   ObjectStorage(std::vector<Node> nodes, std::size_t num_nodes)
       : nodes_(std::move(nodes)),
-        replies_(num_nodes),
-        outbox_(nodes_.size()),
-        inbox_(nodes_.size()) {}
+        slots_(2 * num_nodes),
+        batches_(nodes_.size()) {}
 
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
   [[nodiscard]] const std::vector<Node>& nodes() const noexcept {
@@ -53,45 +63,49 @@ class ObjectStorage {
   [[nodiscard]] std::vector<Node>& nodes() noexcept { return nodes_; }
 
   void clear_messages() {
-    for (std::optional<Message>& reply : replies_) reply.reset();
-    for (std::optional<Message>& out : outbox_) out.reset();
+    for (std::optional<Message>& slot : slots_) slot.reset();
+    for (std::vector<Message>& batch : batches_) batch.clear();
   }
 
-  /// The message of a hop sent by local node j: a forward sits in j's
-  /// outbox slot, a reply in the slot of the initiator it answers.
-  [[nodiscard]] std::optional<Message>& message(std::size_t j,
-                                                const sim::Hop& hop) {
-    return hop.leg == sim::Leg::forward ? outbox_[j] : replies_[hop.initiator];
+  /// A hop's message, prepared here or decoded off the wire.
+  [[nodiscard]] std::optional<Message>& message(const sim::Hop& hop) {
+    return slots_[slot_of(hop, slots_.size() / 2)];
   }
+  /// Local node j splits for `hop`; an empty message is never sent.
   // ddcverify: hotpath
   void prepare(std::size_t j, const sim::Hop& hop) {
-    message(j, hop) = nodes_[j].prepare_message();
+    Message msg = nodes_[j].prepare_message();
+    if (!msg.empty()) message(hop) = std::move(msg);
   }
-  [[nodiscard]] bool sent(std::size_t j, const sim::Hop& hop) {
-    const std::optional<Message>& msg = message(j, hop);
-    return msg && !msg->empty();
+  [[nodiscard]] bool sent(const sim::Hop& hop) const {
+    return slots_[slot_of(hop, slots_.size() / 2)].has_value();
   }
 
-  void clear_inboxes() {
-    for (std::vector<Message>& inbox : inbox_) inbox.clear();
+  /// A message decoded off the wire that matched no planned hop; local
+  /// node j absorbs it after its planned ones, in the order added.
+  void add_unplanned(std::size_t j, Message&& msg) {
+    batches_[j].push_back(std::move(msg));
   }
-  // ddcverify: hotpath
-  void deliver(std::size_t from, std::size_t to, const sim::Hop& hop) {
-    inbox_[to].push_back(std::move(*message(from, hop)));
-  }
-  /// A message decoded off the wire.
-  void deliver(std::size_t to, Message&& msg) {
-    inbox_[to].push_back(std::move(msg));
-  }
-  void seal_inboxes() {}
 
+  /// Every live owned node moves its delivered messages out of their
+  /// slots, in plan order and ahead of any unplanned ones, and absorbs
+  /// them.
   // ddcverify: hotpath
   void absorb(const sim::RoundPlan& plan, std::span<const sim::NodeId> owned,
               exec::ThreadPool* pool) {
     exec::parallel_for(pool, nodes_.size(), [&](std::size_t j) {
-      if (plan.alive(owned[j]) && !inbox_[j].empty()) {
-        nodes_[j].absorb(std::move(inbox_[j]));
-      }
+      if (!plan.alive(owned[j])) return;
+      std::vector<Message>& batch = batches_[j];
+      const std::size_t unplanned = batch.size();
+      plan.for_each_receive(
+          owned[j], [&](const sim::Hop& hop) { return sent(hop); },
+          [&](const sim::Hop& hop, sim::Fate fate) {
+            if (fate == sim::Fate::delivered) {
+              batch.push_back(std::move(*message(hop)));
+            }
+          });
+      std::rotate(batch.begin(), batch.begin() + unplanned, batch.end());
+      if (!batch.empty()) nodes_[j].absorb(std::move(batch));
     });
   }
 
@@ -126,9 +140,10 @@ class ObjectStorage {
 
  private:
   std::vector<Node> nodes_;
-  std::vector<std::optional<Message>> replies_;
-  std::vector<std::optional<Message>> outbox_;
-  std::vector<std::vector<Message>> inbox_;
+  std::vector<std::optional<Message>> slots_;
+  // Per owned node: the batch absorb hands it, reused across rounds
+  // (nodes take it by rvalue reference and leave its buffer here).
+  std::vector<std::vector<Message>> batches_;
 };
 
 /// The whole network's state in flat pools:
@@ -137,9 +152,7 @@ class ObjectStorage {
 ///     array (n × k × sd doubles) and a collection-count array;
 ///   * messages: an arena of 2n slots (slot i holds node i's forward,
 ///     slot n+i the reply addressed to node i), so the parallel prepare
-///     writes disjoint slots with no allocation and no synchronization;
-///   * inboxes: a CSR index over delivered slots, built by a stable
-///     counting sort that keeps delivery order.
+///     writes disjoint slots with no allocation and no synchronization.
 ///
 /// `Protocol` (gossip/scale.hpp) says how one protocol embeds into the
 /// pools: k() collections per node, summary_doubles() = sd per packed
@@ -167,9 +180,7 @@ class PoolStorage {
         summaries_(n_ * k_ * sd_, 0.0),
         slot_counts_(2 * n_, 0),
         slot_weights_(2 * n_ * k_, 0),
-        slot_summaries_(2 * n_ * k_ * sd_, 0.0),
-        inbox_counts_(n_, 0),
-        inbox_offsets_(n_ + 1, 0) {
+        slot_summaries_(2 * n_ * k_ * sd_, 0.0) {
     DDC_EXPECTS(n_ >= 2);
     DDC_EXPECTS(k_ >= 1);
     DDC_EXPECTS(sd_ >= 1);
@@ -177,7 +188,6 @@ class PoolStorage {
       weights_[i * k_] = protocol_.quanta_per_unit();
       protocol_.pack(initial_summary(i), &summaries_[i * k_ * sd_]);
     }
-    deliveries_.reserve(2 * n_);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
@@ -192,7 +202,7 @@ class PoolStorage {
   /// j's prepare writes.
   // ddcverify: hotpath
   void prepare(std::size_t j, const sim::Hop& hop) {
-    const std::size_t slot = slot_of(hop);
+    const std::size_t slot = slot_of(hop, n_);
     std::uint32_t sent_count = 0;
     for (std::size_t c = 0; c < counts_[j]; ++c) {
       std::int64_t& quanta = weights_[j * k_ + c];
@@ -208,28 +218,8 @@ class PoolStorage {
     }
     slot_counts_[slot] = sent_count;
   }
-  [[nodiscard]] bool sent(std::size_t /*j*/, const sim::Hop& hop) const {
-    return slot_counts_[slot_of(hop)] > 0;
-  }
-
-  void clear_inboxes() { deliveries_.clear(); }
-  // ddcverify: hotpath
-  void deliver(std::size_t /*from*/, std::size_t to, const sim::Hop& hop) {
-    deliveries_.emplace_back(to, slot_of(hop));
-  }
-  /// The inbox CSR: per receiver, slots in delivery order.
-  void seal_inboxes() {
-    std::fill(inbox_counts_.begin(), inbox_counts_.end(), std::size_t{0});
-    for (const auto& [to, slot] : deliveries_) ++inbox_counts_[to];
-    inbox_offsets_[0] = 0;
-    for (sim::NodeId j = 0; j < n_; ++j) {
-      inbox_offsets_[j + 1] = inbox_offsets_[j] + inbox_counts_[j];
-    }
-    inbox_slots_.resize(deliveries_.size());
-    for (sim::NodeId j = 0; j < n_; ++j) inbox_counts_[j] = inbox_offsets_[j];
-    for (const auto& [to, slot] : deliveries_) {
-      inbox_slots_[inbox_counts_[to]++] = slot;
-    }
+  [[nodiscard]] bool sent(const sim::Hop& hop) const {
+    return slot_counts_[slot_of(hop, n_)] > 0;
   }
 
   // ddcverify: hotpath
@@ -241,10 +231,7 @@ class PoolStorage {
     exec::parallel_for_chunks(
         pool, n_, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           for (sim::NodeId i = begin; i < end; ++i) {
-            const std::size_t ib = inbox_offsets_[i];
-            const std::size_t ie = inbox_offsets_[i + 1];
-            if (!plan.alive(i) || ib == ie) continue;
-            receive_on_pools(scratch_[chunk], i, ib, ie);
+            if (plan.alive(i)) receive_on_pools(plan, scratch_[chunk], i);
           }
         });
   }
@@ -291,38 +278,39 @@ class PoolStorage {
  private:
   using PoolScratch = typename Protocol::PoolScratch;
 
-  [[nodiscard]] std::size_t slot_of(const sim::Hop& hop) const noexcept {
-    return hop.leg == sim::Leg::forward ? hop.initiator : n_ + hop.initiator;
-  }
-
-  /// Gathers node i's rows, then its inbox slots' rows (receive's union
-  /// order), into the chunk's scratch; the protocol receives on them
-  /// and writes the result straight into the pools.
-  void receive_on_pools(PoolScratch& s, sim::NodeId i, std::size_t ib,
-                        std::size_t ie) {
-    std::size_t m = counts_[i];
-    for (std::size_t e = ib; e < ie; ++e) m += slot_counts_[inbox_slots_[e]];
-    if (s.rows.size() < m * sd_) s.rows.resize(m * sd_);
-    if (s.quanta.size() < m) s.quanta.resize(m);
-    std::size_t filled = gather_rows(
-        &weights_[i * k_], &summaries_[i * k_ * sd_], counts_[i], s, 0);
-    for (std::size_t e = ib; e < ie; ++e) {
-      const std::size_t slot = inbox_slots_[e];
-      filled = gather_rows(&slot_weights_[slot * k_],
-                           &slot_summaries_[slot * k_ * sd_],
-                           slot_counts_[slot], s, filled);
-    }
+  /// Gathers node i's rows, then its delivered slots' rows in plan order
+  /// (receive's union order), into the chunk's scratch; the protocol
+  /// receives on them and writes the result straight into the pools.
+  void receive_on_pools(const sim::RoundPlan& plan, PoolScratch& s,
+                        sim::NodeId i) {
+    const std::size_t own = counts_[i];
+    std::size_t m = own;
+    plan.for_each_receive(
+        i, [&](const sim::Hop& hop) { return sent(hop); },
+        [&](const sim::Hop& hop, sim::Fate fate) {
+          if (fate != sim::Fate::delivered) return;
+          const std::size_t slot = slot_of(hop, n_);
+          m = gather_rows(&slot_weights_[slot * k_],
+                          &slot_summaries_[slot * k_ * sd_],
+                          slot_counts_[slot], s, m);
+        });
+    if (m == own) return;
+    gather_rows(&weights_[i * k_], &summaries_[i * k_ * sd_], own, s, 0);
     const std::size_t count = protocol_.receive_rows(
         s, m, &summaries_[i * k_ * sd_], &weights_[i * k_]);
     DDC_ASSERT(count >= 1 && count <= k_);
     counts_[i] = static_cast<std::uint32_t>(count);
   }
 
-  /// Appends `count` collections (quanta, then sd-wide summary rows) to
-  /// the scratch at position `at`; returns the new fill.
+  /// Writes `count` collections (quanta, then sd-wide summary rows) into
+  /// the scratch at position `at`, growing it; returns the new end.
   std::size_t gather_rows(const std::int64_t* quanta, const double* rows,
                           std::size_t count, PoolScratch& s,
                           std::size_t at) const {
+    if (s.quanta.size() < at + count) {
+      s.quanta.resize(at + count);
+      s.rows.resize((at + count) * sd_);
+    }
     std::copy_n(quanta, count, s.quanta.data() + at);
     std::copy_n(rows, count * sd_, s.rows.data() + at * sd_);
     return at + count;
@@ -353,12 +341,6 @@ class PoolStorage {
   std::vector<std::uint32_t> slot_counts_;
   std::vector<std::int64_t> slot_weights_;
   std::vector<double> slot_summaries_;
-
-  // Deliveries of a round and the CSR inbox built from them.
-  std::vector<std::pair<sim::NodeId, std::size_t>> deliveries_;
-  std::vector<std::size_t> inbox_counts_;
-  std::vector<std::size_t> inbox_offsets_;
-  std::vector<std::size_t> inbox_slots_;
 
   // Per parallel chunk: the pool receive's scratch, grown on first use.
   std::vector<PoolScratch> scratch_;

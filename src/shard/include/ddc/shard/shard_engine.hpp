@@ -15,10 +15,11 @@
 // Node state lives in a storage picked from the node type
 // (node_storage.hpp): object storage for a sim::GossipNode (the object
 // engine), pool storage for a pool protocol (gossip/scale.hpp, the SoA
-// engine). One shard needs no transport, completes each round in its
-// first poll and skips the boundary split and the record index. Only
-// one-shard engines take node types with no wire format (Codec = void,
-// which pool storage always is) and event traces (object storage).
+// engine), whose absorb reads each inbox straight from the plan. One
+// shard needs no transport, completes each round in its first poll and
+// skips the boundary split and the record decode. Only one-shard engines
+// take node types with no wire format (Codec = void, which pool storage
+// always is) and event traces (object storage).
 //
 // Compute/communication overlap: with several shards, begin_round()
 // splits the owned nodes into BOUNDARY (this round's plan moves one of
@@ -34,8 +35,8 @@
 //
 //  * Every environment draw (neighbor selection, crash bernoullis) is
 //    replayed IDENTICALLY on every shard: each engine carries a full
-//    global RoundPlan — alive vector, selector state, reply requests —
-//    and walks all n nodes in the plan/crash phases, consuming exactly
+//    global RoundPlan — alive vector, selector state, contacts — and
+//    walks all n nodes in the plan/crash phases, consuming exactly
 //    the one-shard engine's draws. The alive vector evolves as a pure
 //    function of the seed, so replicas never diverge.
 //  * Node-local randomness derives from the protocol seed by GLOBAL
@@ -235,7 +236,14 @@ class ShardEngine {
         if (!barrier_reached()) return false;
       }
     }
-    timed_phase(timings_.deliver_seconds, [&] { deliver_messages(); });
+    timed_phase(timings_.deliver_seconds, [&] {
+      if (!one_shard()) receive_records();
+      if (trace_ == nullptr) return;
+      // The trace, in walk order, before absorb moves the messages.
+      plan_.for_each_hop(
+          [&](const sim::Hop& hop) { return storage_.sent(hop); },
+          [&](const sim::Hop& hop, sim::Fate fate) { trace_hop(hop, fate); });
+    });
     timed_phase(timings_.absorb_seconds, [&] {
       storage_.absorb(plan_, map_.owned(shard_), pool_.get());
     });
@@ -410,28 +418,19 @@ class ShardEngine {
   [[nodiscard]] std::size_t local(sim::NodeId i) const {
     return one_shard() ? i : map_.local_index(i);
   }
-  [[nodiscard]] bool sent_locally(const sim::Hop& hop) {
-    return storage_.sent(local(hop.from), hop);
-  }
 
-  /// Splits the owned nodes into boundary (this round's plan moves one
-  /// of their messages across a shard edge: an outbound forward, or a
-  /// reply owed to a remote initiator) and interior. Boundary nodes are
-  /// prepared first so the batch frames can leave before interior
-  /// compute starts.
+  /// Splits the owned nodes into boundary (one of this round's splits
+  /// crosses a shard edge) and interior. Boundary nodes are prepared
+  /// first so the batch frames can leave before interior compute starts.
   void classify_boundary() {
     boundary_js_.clear();
     interior_js_.clear();
     const std::span<const sim::NodeId> owned = map_.owned(shard_);
     for (std::size_t j = 0; j < owned.size(); ++j) {
-      const sim::NodeId g = owned[j];
-      const sim::NodeId target = plan_.target(g);
-      bool boundary =
-          plan_.sends() && target != sim::kNoTarget && !owns(target);
-      for (const sim::NodeId r : plan_.requests(g)) {
-        if (boundary) break;
-        boundary = !owns(r);
-      }
+      bool boundary = false;
+      plan_.for_each_split(owned[j], [&](const sim::Hop& hop) {
+        boundary = boundary || !owns(hop.to);
+      });
       (boundary ? boundary_js_ : interior_js_).push_back(j);
     }
     stats_.boundary_nodes += boundary_js_.size();
@@ -469,13 +468,13 @@ class ShardEngine {
     for (std::vector<wire::BatchRecord>& records : outgoing) records.clear();
     plan_.for_each_hop(
         [&](const sim::Hop& hop) {
-          return owns(hop.from) && !owns(hop.to) && sent_locally(hop);
+          return owns(hop.from) && !owns(hop.to) && storage_.sent(hop);
         },
         [&](const sim::Hop& hop, sim::Fate fate) {
           if constexpr (kHasCodec) {
             if (fate != sim::Fate::delivered) return;
             encoded.push_back(
-                Codec::encode(*storage_.message(local(hop.from), hop)));
+                Codec::encode(*storage_.message(hop)));
             outgoing[map_.shard_of(hop.to)].push_back(
                 {static_cast<std::uint32_t>(hop.from),
                  static_cast<std::uint32_t>(hop.to), batch_tag(hop.leg),
@@ -670,79 +669,77 @@ class ShardEngine {
     }
   }
 
-  /// Phase 3 — the plan's delivery walk, over the hops this shard
-  /// receives. Local messages come from the storage; remote ones
-  /// from the peers' batches, slotted into their planned positions
-  /// (forward keyed by initiator, reply keyed by the initiator it
-  /// answers).
-  void deliver_messages() {
-    storage_.clear_inboxes();
-    // Planned-position index over the stored records of every peer (one
-    // shard has no peers, so no index and no leftovers).
-    const std::size_t n = map_.num_nodes();
-    if (!one_shard()) {
-      fwd_index_.assign(n, nullptr);
-      reply_index_.assign(n, nullptr);
-    }
-    for (ShardId s = 0; s < map_.num_shards(); ++s) {
-      if (s == shard_) continue;
-      for (StoredRecord& rec : peers_[s].records) {
-        rec.consumed = false;
-        if (rec.src >= n || rec.dst >= n || !owns(rec.dst)) continue;
-        if (rec.tag == wire::BatchTag::forward) {
-          fwd_index_[rec.src] = &rec;
-        } else {
-          reply_index_[rec.dst] = &rec;
-        }
-      }
-    }
-    plan_.for_each_hop(
-        [&](const sim::Hop& hop) {
-          if (!owns(hop.to)) return false;
-          return owns(hop.from) ? sent_locally(hop) : remote(hop) != nullptr;
-        },
-        [&](const sim::Hop& hop, sim::Fate fate) {
-          if (trace_ != nullptr) trace_hop(hop, fate);
-          if (fate != sim::Fate::delivered) return;
-          if (owns(hop.from)) {
-            storage_.deliver(local(hop.from), local(hop.to), hop);
-          } else {
-            deliver_record(*remote(hop));
+  /// Phase 3, several shards: a peer record carrying its planned hop
+  /// from a remote sender, with a delivered fate, is decoded into the
+  /// hop's slot (of several records for one slot, only the last received
+  /// may match). Other records for live owned nodes — only possible after
+  /// a peer restarted with a diverged plan — are absorbed after the
+  /// planned ones in (dst, tag, src) order, so healthy shards agree.
+  void receive_records() {
+    if constexpr (kHasCodec) {
+      const std::size_t n = map_.num_nodes();
+      const auto for_each_record_here = [&](auto&& fn) {
+        for (ShardId s = 0; s < map_.num_shards(); ++s) {
+          if (s == shard_) continue;
+          for (StoredRecord& rec : peers_[s].records) {
+            if (rec.dst < n && owns(rec.dst)) fn(rec);
           }
-        });
-    // Records that matched no planned slot — only possible after a peer
-    // restarted with a diverged plan. Deliver them in a deterministic
-    // order so the healthy shards at least agree with each other.
-    leftovers_.clear();
-    for (ShardId s = 0; s < map_.num_shards(); ++s) {
-      if (s == shard_) continue;
-      for (StoredRecord& rec : peers_[s].records) {
-        if (!rec.consumed && rec.dst < n && owns(rec.dst) &&
-            plan_.alive(rec.dst)) {
-          leftovers_.push_back(&rec);
+        }
+      };
+      candidates_.clear();
+      for_each_record_here([&](StoredRecord& rec) {
+        if (rec.src < n) {
+          candidates_.emplace_back(slot_of(hop_of(rec), n), candidates_.size(),
+                                   &rec);
+        }
+      });
+      std::sort(candidates_.begin(), candidates_.end());  // arrivals unique
+      for (std::size_t c = 0; c < candidates_.size(); ++c) {
+        const std::size_t slot = std::get<0>(candidates_[c]);
+        StoredRecord& rec = *std::get<2>(candidates_[c]);
+        const sim::Hop hop = hop_of(rec);
+        const bool last = c + 1 == candidates_.size() ||
+                          std::get<0>(candidates_[c + 1]) != slot;
+        bool delivered = false;  // the plan delivers `hop` to its receiver
+        plan_.for_each_receive(
+            hop.to, [&](const sim::Hop& planned) { return planned == hop; },
+            [&](const sim::Hop&, sim::Fate fate) {
+              delivered = fate == sim::Fate::delivered;
+            });
+        if (last && !owns(hop.from) && delivered) {
+          rec.consumed = true;
+          try {
+            storage_.message(hop) = Codec::decode(rec.payload);
+          } catch (const wire::DecodeError&) {
+            ++stats_.decode_errors;
+          }
+        }
+      }
+      leftovers_.clear();
+      for_each_record_here([&](StoredRecord& rec) {
+        if (!rec.consumed && plan_.alive(rec.dst)) leftovers_.push_back(&rec);
+      });
+      std::sort(leftovers_.begin(), leftovers_.end(),
+                [](const StoredRecord* a, const StoredRecord* b) {
+                  return std::tie(a->dst, a->tag, a->src) <
+                         std::tie(b->dst, b->tag, b->src);
+                });
+      for (StoredRecord* rec : leftovers_) {
+        ++stats_.unplanned_records;
+        try {
+          storage_.add_unplanned(local(rec->dst), Codec::decode(rec->payload));
+        } catch (const wire::DecodeError&) {
+          ++stats_.decode_errors;
         }
       }
     }
-    std::sort(leftovers_.begin(), leftovers_.end(),
-              [](const StoredRecord* a, const StoredRecord* b) {
-                return std::tie(a->dst, a->tag, a->src) <
-                       std::tie(b->dst, b->tag, b->src);
-              });
-    for (StoredRecord* rec : leftovers_) {
-      ++stats_.unplanned_records;
-      deliver_record(*rec);
-    }
-    storage_.seal_inboxes();
   }
 
-  /// The peer record carrying a hop this shard receives, if it arrived.
-  [[nodiscard]] StoredRecord* remote(const sim::Hop& hop) const {
-    StoredRecord* rec = hop.leg == sim::Leg::forward
-                            ? fwd_index_[hop.initiator]
-                            : reply_index_[hop.initiator];
-    return rec != nullptr && rec->src == hop.from && rec->dst == hop.to
-               ? rec
-               : nullptr;
+  /// The hop a peer record claims to carry.
+  [[nodiscard]] static sim::Hop hop_of(const StoredRecord& rec) {
+    return rec.tag == wire::BatchTag::forward
+               ? sim::Hop{rec.src, sim::Leg::forward, rec.src, rec.dst}
+               : sim::Hop{rec.dst, sim::Leg::reply, rec.src, rec.dst};
   }
 
   [[nodiscard]] static wire::BatchTag batch_tag(sim::Leg leg) {
@@ -750,19 +747,8 @@ class ShardEngine {
                                     : wire::BatchTag::reply;
   }
 
-  void deliver_record(StoredRecord& rec) {
-    rec.consumed = true;
-    if constexpr (kHasCodec) {
-      try {
-        storage_.deliver(local(rec.dst), Codec::decode(rec.payload));
-      } catch (const wire::DecodeError&) {
-        ++stats_.decode_errors;
-      }
-    }
-  }
-
-  /// Records one step of the delivery walk (one shard, so every message
-  /// is local): a missing target, or a send and what became of it.
+  /// Records one step of the walk: a missing target, or a send and what
+  /// became of it.
   void trace_hop(const sim::Hop& hop, sim::Fate fate) {
     using Event = sim::TraceEventType;
     const auto record = [&](Event type, std::size_t payload) {
@@ -773,8 +759,8 @@ class ShardEngine {
       return;
     }
     std::size_t payload = 1;  // scalar messages (push-sum) count one unit
-    if constexpr (requires { storage_.message(hop.from, hop)->size(); }) {
-      payload = storage_.message(hop.from, hop)->size();  // collections
+    if constexpr (requires { storage_.message(hop)->size(); }) {
+      payload = storage_.message(hop)->size();  // collections
     }
     record(Event::send, payload);
     const Event outcome = fate == sim::Fate::dead_target ? Event::dead_target
@@ -791,11 +777,13 @@ class ShardEngine {
   net::Transport* transport_;
   // Global per-round plan, replayed on every shard.
   sim::RoundPlan plan_;
-  // Multi-shard scratch: the boundary split and the record index.
+  // Multi-shard scratch: the boundary split and the received records.
   std::vector<std::size_t> boundary_js_;
   std::vector<std::size_t> interior_js_;
-  std::vector<StoredRecord*> fwd_index_;
-  std::vector<StoredRecord*> reply_index_;
+  // Peer records as (slot, arrival, record): sorted, the last record
+  // received for a slot comes last.
+  std::vector<std::tuple<std::size_t, std::size_t, StoredRecord*>>
+      candidates_;
   std::vector<StoredRecord*> leftovers_;
   // send_batches() scratch, reused across rounds (hot-path-alloc).
   std::vector<std::vector<std::byte>> encode_scratch_;

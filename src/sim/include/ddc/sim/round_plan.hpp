@@ -10,23 +10,23 @@
 //
 //   plan()            phase 1: every live node's target (eligible counts
 //                     and the draw-to-neighbor map in parallel, the
-//                     selection draws in node order), then the
-//                     reply-request CSR (who owes whom a reply);
+//                     selection draws in node order), then the contact
+//                     CSR (who chose whom);
 //   for_each_split()  phase 2: one node's split order — replies to
 //                     lower-indexed initiators, its own send, replies to
 //                     higher-indexed initiators;
-//   for_each_hop()    phase 3: the delivery walk in node order, each
-//                     initiator's forward then the reply owed to it, with
-//                     the dead-target rule and the loss verdict applied;
+//   for_each_receive() phase 3, read per receiver: its inbox, with the
+//                     dead-target rule and the loss verdict applied;
 //   end_round()       phase 5: crash draws, then the round counter.
 //
 // Phases 2 and 4 (prepare, absorb) are the storage's own; they touch only
-// node-local state, so they may fan out across threads.
+// node-local state, so they may fan out across threads. for_each_hop()
+// walks every delivery in node order (shard senders, tracers).
 //
 // A message is named by a Hop: its initiator and its leg (the initiator's
 // forward, or the reply its contact owes it). A live node initiates at
 // most one exchange per round, so (initiator, leg) is unique within a
-// round, and pool storage maps it into a flat 2n message arena.
+// round, and both storages map it to one message slot.
 //
 // Determinism. Selection and crash draws come from one environment
 // stream consumed sequentially, in node order — so thread count never
@@ -110,6 +110,7 @@ struct Hop {
   Leg leg = Leg::forward;
   NodeId from = 0;
   NodeId to = 0;
+  bool operator==(const Hop&) const = default;
 };
 
 /// What the channel did with a sent message.
@@ -137,8 +138,8 @@ class RoundPlan {
         alive_count_(num_nodes),
         selector_(options.selection, num_nodes),
         targets_(num_nodes, kNoTarget),
-        req_offsets_(num_nodes + 1, 0),
-        req_initiators_(num_nodes, 0) {
+        contact_offsets_(num_nodes + 1, 0),
+        contacts_(num_nodes, 0) {
     DDC_EXPECTS(options_.crash_probability >= 0.0 &&
                 options_.crash_probability <= 1.0);
     DDC_EXPECTS(options_.message_loss_probability >= 0.0 &&
@@ -146,8 +147,8 @@ class RoundPlan {
   }
 
   /// Phase 1 — environment draws only. Picks every live node's gossip
-  /// target and, for patterns with a pull component, lowers who owes whom
-  /// a reply into a CSR (initiators ascending per responder). Consumes
+  /// target and lowers who chose whom into a CSR (initiators ascending
+  /// per contact). Consumes
   /// exactly the selection draws, in node order, regardless of message
   /// contents or thread count. Three passes over targets_, which holds
   /// eligible counts, then drawn indices, then targets: the count and map
@@ -186,17 +187,17 @@ class RoundPlan {
         }
       });
     }
-    if (!replies()) return;  // offsets stay all-zero: nobody owes a reply
-    // Counting sort: req_offsets_[t] first counts t's requests, then
-    // holds its END after an inclusive prefix sum; placing initiators in
-    // descending order walks each END back to its start.
-    std::fill(req_offsets_.begin(), req_offsets_.end(), std::size_t{0});
+    // Counting sort: offsets[t] first counts t's contacts, then holds its
+    // END after an inclusive prefix sum; placing initiators in descending
+    // order walks each END back to its start.
+    std::vector<std::size_t>& offsets = contact_offsets_;
+    std::fill(offsets.begin(), offsets.end(), 0);
     for (NodeId i = 0; i < n_; ++i) {
-      if (owes_reply(i)) ++req_offsets_[targets_[i]];
+      if (targets_[i] != kNoTarget) ++offsets[targets_[i]];
     }
-    for (NodeId j = 1; j <= n_; ++j) req_offsets_[j] += req_offsets_[j - 1];
+    for (NodeId j = 1; j <= n_; ++j) offsets[j] += offsets[j - 1];
     for (NodeId i = n_; i-- > 0;) {
-      if (owes_reply(i)) req_initiators_[--req_offsets_[targets_[i]]] = i;
+      if (targets_[i] != kNoTarget) contacts_[--offsets[targets_[i]]] = i;
     }
   }
 
@@ -208,25 +209,45 @@ class RoundPlan {
   // ddcverify: hotpath
   template <typename Split>
   void for_each_split(NodeId j, Split&& split) const {
-    const std::size_t end = req_offsets_[j + 1];
-    std::size_t r = req_offsets_[j];
-    for (; r < end && req_initiators_[r] < j; ++r) {
-      split(Hop{req_initiators_[r], Leg::reply, j, req_initiators_[r]});
+    const std::span<const NodeId> owed = requests(j);
+    std::size_t r = 0;
+    for (; r < owed.size() && owed[r] < j; ++r) {
+      split(Hop{owed[r], Leg::reply, j, owed[r]});
     }
     if (sends() && targets_[j] != kNoTarget) {
       split(Hop{j, Leg::forward, j, targets_[j]});
     }
-    for (; r < end; ++r) {
-      split(Hop{req_initiators_[r], Leg::reply, j, req_initiators_[r]});
+    for (; r < owed.size(); ++r) {
+      split(Hop{owed[r], Leg::reply, j, owed[r]});
     }
   }
 
-  /// Phase 3 — the wire, in node order: for every live initiator, its
-  /// forward, then the reply owed to it (a dead contact owes none). For
-  /// each planned hop that `sent(hop)` confirms was sent — the engine
-  /// knows whether the message exists and carries data — calls
-  /// `on(hop, fate)`; a live initiator without a target yields one
-  /// Fate::no_target call instead.
+  /// Phase 3 — node j's inbox in for_each_hop's order: forwards from
+  /// lower-indexed contacts, the reply owed to j, forwards from
+  /// higher-indexed contacts; `on(hop, fate)` for each hop that
+  /// `sent(hop)` confirms. Reads only the plan, so absorb may fan out.
+  // ddcverify: hotpath
+  template <typename Sent, typename On>
+  void for_each_receive(NodeId j, Sent&& sent, On&& on) const {
+    const std::span<const NodeId> from =
+        sends() ? contacts(j) : std::span<const NodeId>{};
+    const auto receive = [&](const Hop& hop) {
+      if (sent(hop)) on(hop, fate(hop));
+    };
+    std::size_t r = 0;
+    for (; r < from.size() && from[r] < j; ++r) {
+      receive(Hop{from[r], Leg::forward, from[r], j});
+    }
+    if (replies() && owes_reply(j)) receive(Hop{j, Leg::reply, targets_[j], j});
+    for (; r < from.size(); ++r) {
+      receive(Hop{from[r], Leg::forward, from[r], j});
+    }
+  }
+
+  /// Every delivery in node order: for every live initiator, its
+  /// forward, then the reply owed to it (a dead contact owes none), each
+  /// passed to `on(hop, fate)` if `sent(hop)`; a live initiator without
+  /// a target yields one Fate::no_target call instead.
   // ddcverify: hotpath
   template <typename Sent, typename On>
   void for_each_hop(Sent&& sent, On&& on) const {
@@ -271,10 +292,16 @@ class RoundPlan {
 
   [[nodiscard]] std::size_t round() const noexcept { return round_; }
   [[nodiscard]] NodeId target(NodeId i) const { return targets_[i]; }
-  /// The initiators node j owes a reply this round, ascending.
+  /// The live initiators that chose node j this round, ascending.
+  [[nodiscard]] std::span<const NodeId> contacts(NodeId j) const {
+    return {contacts_.data() + contact_offsets_[j],
+            contact_offsets_[j + 1] - contact_offsets_[j]};
+  }
+  /// The initiators node j owes a reply: its contacts, if j is live and
+  /// the pattern pulls.
   [[nodiscard]] std::span<const NodeId> requests(NodeId j) const {
-    return {req_initiators_.data() + req_offsets_[j],
-            req_offsets_[j + 1] - req_offsets_[j]};
+    if (!replies() || !alive_[j]) return {};
+    return contacts(j);
   }
   [[nodiscard]] bool sends() const noexcept {
     return options_.pattern != GossipPattern::pull;
@@ -337,10 +364,10 @@ class RoundPlan {
   std::size_t alive_count_;
   NeighborSelector selector_;
   std::vector<NodeId> targets_;
-  // Reply-request CSR: responder j owes replies to
-  // req_initiators_[req_offsets_[j] .. req_offsets_[j+1]).
-  std::vector<std::size_t> req_offsets_;
-  std::vector<NodeId> req_initiators_;
+  // Contact CSR: the live initiators that chose node j are
+  // contacts_[contact_offsets_[j] .. contact_offsets_[j+1]).
+  std::vector<std::size_t> contact_offsets_;
+  std::vector<NodeId> contacts_;
   std::size_t round_ = 0;
 };
 

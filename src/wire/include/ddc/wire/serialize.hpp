@@ -97,9 +97,16 @@ template <typename Summary>
   return enc.bytes();
 }
 
+/// The most quanta one classification message may carry in total. An
+/// honest message carries part of the network's n·quanta_per_unit (2^40
+/// for 10^6 nodes at the default 2^20); a forged one past this bound
+/// could overflow the receiver's int64 weight sums, so it is rejected.
+/// 2^53 also keeps every weight exact as a double.
+inline constexpr std::int64_t kMaxMessageQuanta = std::int64_t{1} << 53;
+
 /// Decodes a classification message; throws DecodeError on any malformed
-/// content (bad magic, wrong type, negative weights, truncation, trailing
-/// bytes).
+/// content (bad magic, wrong type, non-positive weights, more than
+/// kMaxMessageQuanta in total, truncation, trailing bytes).
 template <typename Summary>
 [[nodiscard]] core::Classification<Summary> decode_classification(
     std::span<const std::byte> bytes) {
@@ -112,11 +119,16 @@ template <typename Summary>
   const std::uint64_t count = dec.get_varint();
   dec.check_count(count, sizeof(std::int64_t));  // ≥ one weight each
   core::Classification<Summary> out;
+  std::int64_t total = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::int64_t quanta = dec.get_i64();
     if (quanta <= 0) {
       throw DecodeError("wire: non-positive collection weight");
     }
+    if (quanta > kMaxMessageQuanta - total) {
+      throw DecodeError("wire: message weight above kMaxMessageQuanta");
+    }
+    total += quanta;
     core::Collection<Summary> c{SummaryCodec<Summary>::decode(dec),
                                 core::Weight::from_quanta(quanta),
                                 {}};

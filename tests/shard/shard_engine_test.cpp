@@ -285,6 +285,35 @@ TEST(ShardEquivalence, GmDegenerateCovarianceMatchesEveryEngine) {
   }
 }
 
+/// Per shard, the owned nodes that `rounds` rounds of the global plan
+/// give a message across a shard edge — an outbound forward (patterns
+/// that push), or a reply owed to a remote initiator (patterns that
+/// pull, live responders only) — summed over the rounds. Replays a
+/// replica of the plan and reads only its targets and alive flags.
+std::vector<std::uint64_t> expected_boundary_nodes(
+    const sim::Topology& topology, const ShardMap& map,
+    const sim::RoundRunnerOptions& options, std::size_t rounds) {
+  const std::size_t n = topology.num_nodes();
+  const bool pushes = options.pattern != sim::GossipPattern::pull;
+  const bool pulls = options.pattern != sim::GossipPattern::push;
+  sim::RoundPlan plan(options, n);
+  std::vector<std::uint64_t> counts(map.num_shards(), 0);
+  for (std::size_t r = 0; r < rounds; ++r) {
+    plan.plan(topology, nullptr);
+    for (sim::NodeId g = 0; g < n; ++g) {
+      const ShardId home = map.shard_of(g);
+      const sim::NodeId t = plan.target(g);
+      bool boundary = pushes && t != sim::kNoTarget && map.shard_of(t) != home;
+      for (sim::NodeId i = 0; i < n && pulls && plan.alive(g); ++i) {
+        boundary = boundary || (plan.target(i) == g && map.shard_of(i) != home);
+      }
+      counts[home] += boundary ? 1 : 0;
+    }
+    plan.end_round();
+  }
+  return counts;
+}
+
 TEST(ShardEquivalence, PatternsSelectionCrashesAndSparseTopologies) {
   struct Case {
     sim::GossipPattern pattern;
@@ -322,10 +351,23 @@ TEST(ShardEquivalence, PatternsSelectionCrashesAndSparseTopologies) {
         auto cluster = make_centroid_shard_cluster(topology, inputs, config, 3,
                                                    {}, partitioner);
         cluster.run_rounds(kRounds);
-        EXPECT_EQ(digest_cluster(cluster), reference)
-            << "pattern=" << static_cast<int>(c.pattern)
-            << " selection=" << static_cast<int>(c.selection)
-            << " crash=" << c.crash << " map=" << partitioner_name(partitioner);
+        std::ostringstream label;
+        label << "pattern=" << static_cast<int>(c.pattern)
+              << " selection=" << static_cast<int>(c.selection)
+              << " crash=" << c.crash
+              << " map=" << partitioner_name(partitioner);
+        EXPECT_EQ(digest_cluster(cluster), reference) << label.str();
+        // The boundary split prepares exactly the nodes the plan sends
+        // across a shard edge.
+        const std::vector<std::uint64_t> boundary = expected_boundary_nodes(
+            topology, cluster.map(), config.round_options(), kRounds);
+        std::uint64_t total = 0;
+        for (ShardId s = 0; s < cluster.num_shards(); ++s) {
+          EXPECT_EQ(cluster.engine(s).stats().boundary_nodes, boundary[s])
+              << label.str() << " shard=" << s;
+          total += boundary[s];
+        }
+        EXPECT_GT(total, 0u) << label.str();
       }
 
       // Lossless/crashy runs still match the object engine exactly

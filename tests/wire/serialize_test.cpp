@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include <ddc/stats/rng.hpp>
 #include <ddc/summaries/histogram_summary.hpp>
 
@@ -133,6 +135,28 @@ TEST(Serialize, NonPositiveWeightRejected) {
   // The weight i64 sits right after magic(4) + type(1) + count(1 varint).
   for (std::size_t i = 0; i < 8; ++i) bytes[6 + i] = std::byte{0};
   EXPECT_THROW((void)decode_classification<Vector>(bytes), DecodeError);
+}
+
+TEST(Serialize, MessageWeightAboveBoundRejected) {
+  const auto encode = [](std::int64_t first, std::int64_t second) {
+    Classification<Vector> c;
+    c.add(Collection<Vector>{Vector{1.0}, Weight::from_quanta(first), {}});
+    c.add(Collection<Vector>{Vector{2.0}, Weight::from_quanta(second), {}});
+    return encode_classification(c);
+  };
+  const std::int64_t half = kMaxMessageQuanta / 2;
+  EXPECT_EQ(decode_classification<Vector>(encode(half, half))
+                .total_weight()
+                .quanta(),
+            kMaxMessageQuanta);
+  EXPECT_THROW((void)decode_classification<Vector>(encode(half, half + 1)),
+               DecodeError);
+  // Each weight alone in range, their sum past int64: still rejected.
+  const std::int64_t huge = std::numeric_limits<std::int64_t>::max();
+  EXPECT_THROW((void)decode_classification<Vector>(encode(1, huge)),
+               DecodeError);
+  EXPECT_THROW((void)decode_classification<Vector>(encode(huge, huge)),
+               DecodeError);
 }
 
 TEST(Serialize, NonFiniteValuesRejected) {
