@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Benchmark regression gate for the hot-path kernels.
+# Benchmark regression gate for the hot-path kernels and the round engine.
 #
 # Runs the gated subset of bench/micro_ops (greedy partition, EM E-step
 # scoring, full EM reduction, classifier exchange, moment matching,
@@ -7,11 +7,14 @@
 # real_time against the committed baseline in BENCH_hotpath.json. Fails
 # if any gated kernel is more than TOLERANCE above its baseline.
 #
-# Also gates the SoA scale engine (bench/bench_scale) against
-# BENCH_scale.json: gossip throughput (rounds/s) and peak RSS per
-# (protocol, topology, node-count, thread-count) configuration. The scale gate fails
-# if throughput drops below baseline/(1+tolerance) or peak RSS rises
-# above baseline*(1+tolerance).
+# The scale and cluster tiers gate bench/bench_scale against
+# BENCH_scale.json: round throughput (rounds/s) and peak RSS per
+# (protocol, topology, node count, shard count, thread count) entry, the
+# median of three runs each. An entry fails if throughput drops below
+# baseline/(1+tolerance) or peak RSS rises above baseline*(1+tolerance);
+# where the baseline entry carries records_per_frame and cut_edges
+# (the loopback-cluster rows), it also fails if a batching entry stops
+# packing more than one record per frame or cut_edges rises at all.
 #
 # Usage:
 #   scripts/bench_gate.sh            # full gate: 3 repetitions, 0.2s each
@@ -22,23 +25,20 @@
 #   scripts/bench_gate.sh --update   # print a fresh "gate" JSON block to
 #                                    # paste into BENCH_hotpath.json after a
 #                                    # signed-off performance change
-#   scripts/bench_gate.sh --scale        # 10k-node scale tier vs
-#                                        # BENCH_scale.json "gate" block
+#   scripts/bench_gate.sh --scale        # 10k-node tier vs the "gate" block
 #   scripts/bench_gate.sh --scale-full   # adds the 100k and 1M tiers
-#                                        # ("full" block; ~2 min)
-#   scripts/bench_gate.sh --scale-update # print fresh BENCH_scale.json
-#                                        # "gate"/"full" blocks
-#   scripts/bench_gate.sh --cluster        # sharded-cluster tier vs
-#                                          # BENCH_cluster.json
-#   scripts/bench_gate.sh --cluster-update # print a fresh
-#                                          # BENCH_cluster.json block
+#                                        # ("full" block; several minutes)
+#   scripts/bench_gate.sh --cluster      # loopback-cluster tier vs the
+#                                        # "cluster" block
+#   scripts/bench_gate.sh --scale-update   # print fresh "gate"/"full" blocks
+#   scripts/bench_gate.sh --cluster-update # print a fresh "cluster" block
 #
 # Environment:
-#   BUILD_DIR      build tree holding bench/micro_ops (default: build;
+#   BUILD_DIR      build tree holding the bench binaries (default: build;
 #                  the top-level CMakeLists defaults to RelWithDebInfo,
 #                  so the default tree is already optimized)
 #   BASELINE       baseline file (default: BENCH_hotpath.json, or
-#                  BENCH_scale.json in the --scale* modes)
+#                  BENCH_scale.json in the scale and cluster modes)
 #   DDC_BENCH_TOLERANCE  override the regression tolerance, e.g. 0.25
 #                  means "fail if median > baseline * 1.25"
 set -euo pipefail
@@ -61,149 +61,26 @@ case "${1:-}" in
 esac
 
 # ---------------------------------------------------------------------------
-# Sharded-cluster gate (--cluster / --cluster-update).
-#
-# One bench_cluster process per configuration (loopback fabric, S shard
-# engines in one process). Gates throughput and peak RSS like the scale
-# gate, plus the batching invariant: multi-shard entries whose baseline
-# packs more than one message per batch frame must keep doing so — a
-# frame-per-message regression defeats the point of the batch exchange.
+# Scale and cluster tiers: one bench_scale process per run, so ru_maxrss
+# is a clean per-configuration high-water mark.
 # ---------------------------------------------------------------------------
-if [[ "$MODE" == cluster* ]]; then
-  BASELINE=${BASELINE:-BENCH_cluster.json}
-  TOLERANCE=${DDC_BENCH_TOLERANCE:-0.5}
-
-  # Always rebuild: a stale binary would benchmark old code.
-  cmake -B "$BUILD_DIR" -S . >/dev/null
-  cmake --build "$BUILD_DIR" --target bench_cluster -j "$(nproc)"
-
-  # name|bench_cluster arguments. Keep in sync with BENCH_cluster.json.
-  # The geometric/ER pairs run once per partitioner: contiguous is
-  # cut-pessimal there (ids carry no locality), so the edgecut entries
-  # both gate the partitioner's cut and prove the throughput win.
-  CLUSTER_TIER=(
-    "centroid/grid/2048x4|--topology grid --nodes 2048 --shards 4 --rounds 50"
-    "centroid/grid/2048x4-edgecut|--topology grid --nodes 2048 --shards 4 --rounds 50 --shard-map edgecut"
-    "centroid/grid/2048x1|--topology grid --nodes 2048 --shards 1 --rounds 50"
-    "centroid/ring/4096x8|--topology ring --nodes 4096 --shards 8 --rounds 30"
-    "centroid/geometric/2048x4|--topology geometric --nodes 2048 --radius 0.05 --shards 4 --rounds 50"
-    "centroid/geometric/2048x4-edgecut|--topology geometric --nodes 2048 --radius 0.05 --shards 4 --rounds 50 --shard-map edgecut"
-    "centroid/er/2048x4|--topology er --nodes 2048 --er-prob 0.004 --shards 4 --rounds 50"
-    "centroid/er/2048x4-edgecut|--topology er --nodes 2048 --er-prob 0.004 --shards 4 --rounds 50 --shard-map edgecut"
-    "gm/grid/256x4|--protocol gm --topology grid --nodes 256 --shards 4 --rounds 50"
-  )
-
-  # run_cluster_tier — emit
-  # "name rounds_per_s peak_rss_mb records_per_frame cut_edges".
-  run_cluster_tier() {
-    local entry name args line
-    for entry in "$@"; do
-      name=${entry%%|*}
-      args=${entry#*|}
-      # shellcheck disable=SC2086
-      line=$("$BUILD_DIR/bench/bench_cluster" $args \
-               --threads 0 --seed 1 --name "$name")
-      echo "$line" | awk -F'[:,]' -v name="$name" '{
-        for (i = 1; i < NF; ++i) {
-          if ($i ~ /"rounds_per_s"/) rps = $(i + 1)
-          if ($i ~ /"records_per_frame"/) rpf = $(i + 1)
-          if ($i ~ /"cut_edges"/) cut = $(i + 1)
-          if ($i ~ /"peak_rss_mb"/) { rss = $(i + 1); gsub(/}/, "", rss) }
-        }
-        print name, rps, rss, rpf, cut
-      }'
-    done
-  }
-
-  if [[ "$MODE" == cluster-update ]]; then
-    echo
-    echo "Fresh \"gate\" block for BENCH_cluster.json:"
-    echo "  \"gate\": {"
-    run_cluster_tier "${CLUSTER_TIER[@]}" | awk '{
-      printf "    \"%s\": {\"rounds_per_s\": %s, \"peak_rss_mb\": %s, \"records_per_frame\": %s, \"cut_edges\": %s},\n",
-             $1, $2, $3, $4, $5
-    }' | sed '$ s/},$/}/'
-    echo "  }"
-    exit 0
-  fi
-
-  echo "bench_gate: cluster mode (tolerance=±$(awk -v t="$TOLERANCE" 'BEGIN{printf "%.0f%%", t*100}') vs $BASELINE)"
-  STATUS=0
-  while read -r name rps rss rpf cut; do
-    base_rps=""
-    base_rss=""
-    base_rpf=""
-    base_cut=""
-    read -r base_rps base_rss base_rpf base_cut < <(awk -v key="\"$name\":" '
-      index($0, key) {
-        for (i = 1; i <= NF; ++i) {
-          if ($i ~ /"rounds_per_s"/) { v = $(i + 1); gsub(/[,}]/, "", v); r = v }
-          if ($i ~ /"peak_rss_mb"/) { v = $(i + 1); gsub(/[,}]/, "", v); m = v }
-          if ($i ~ /"records_per_frame"/) { v = $(i + 1); gsub(/[,}]/, "", v); f = v }
-          if ($i ~ /"cut_edges"/) { v = $(i + 1); gsub(/[,}]/, "", v); c = v }
-        }
-        print r, m, f, c
-      }' "$BASELINE") || true
-    if [[ -z "${base_rps:-}" || -z "${base_rss:-}" ]]; then
-      echo "bench_gate: FAIL  $name missing from $BASELINE" >&2
-      STATUS=1
-      continue
-    fi
-    # cut_edges is deterministic for a fixed (topology, seed, shards,
-    # partitioner), so any increase over the baseline is a partitioner
-    # regression, not noise — gate it exactly.
-    verdict=$(awk -v rps="$rps" -v rss="$rss" -v rpf="$rpf" -v cut="$cut" \
-                  -v brps="$base_rps" -v brss="$base_rss" \
-                  -v brpf="${base_rpf:-0}" -v bcut="${base_cut:--1}" \
-                  -v t="$TOLERANCE" 'BEGIN {
-      slow = rps < brps / (1 + t)
-      fat = rss > brss * (1 + t)
-      unbatched = brpf > 1 && rpf <= 1
-      cutworse = bcut >= 0 && cut > bcut
-      printf "%s rps=%.3g(min %.3g) rss=%.4gMB(max %.4g) rpf=%.3g cut=%d(max %d)",
-             (slow || fat || unbatched || cutworse ? "FAIL" : "ok"),
-             rps, brps / (1 + t), rss, brss * (1 + t), rpf, cut, bcut
-    }')
-    if [[ "$verdict" == FAIL* ]]; then
-      echo "bench_gate: FAIL  $name  ${verdict#FAIL }" >&2
-      STATUS=1
-    else
-      echo "bench_gate: ok    $name  ${verdict#ok }"
-    fi
-  done < <(run_cluster_tier "${CLUSTER_TIER[@]}")
-
-  if [[ "$STATUS" -ne 0 ]]; then
-    echo "bench_gate: CLUSTER REGRESSION — throughput, memory or batching moved past tolerance." >&2
-    echo "bench_gate: if intentional and signed off, refresh BENCH_cluster.json with" >&2
-    echo "bench_gate: 'scripts/bench_gate.sh --cluster-update'." >&2
-    exit 1
-  fi
-  echo "bench_gate: sharded cluster within ±$(awk -v t="$TOLERANCE" 'BEGIN{printf "%.0f%%", t*100}') of $BASELINE."
-  exit 0
-fi
-
-# ---------------------------------------------------------------------------
-# Scale-engine gate (--scale / --scale-full / --scale-update).
-#
-# One bench_scale process per configuration so ru_maxrss is a clean
-# per-configuration high-water mark. The 10⁵/10⁶-node entries pass
-# explicit sparse --radius/--er-prob: the TopologySpec density defaults
-# are sized for paper-scale graphs, not a million nodes.
-# ---------------------------------------------------------------------------
-if [[ "$MODE" == scale* ]]; then
+if [[ "$MODE" == scale* || "$MODE" == cluster* ]]; then
   BASELINE=${BASELINE:-BENCH_scale.json}
   TOLERANCE=${DDC_BENCH_TOLERANCE:-0.5}
+  RUNS=3  # per entry; the gate reads their medians
 
   # Always rebuild: a stale binary would benchmark old code.
   cmake -B "$BUILD_DIR" -S . >/dev/null
   cmake --build "$BUILD_DIR" --target bench_scale -j "$(nproc)"
 
-  # name|bench_scale arguments. Keep in sync with BENCH_scale.json.
-  # Every entry pins its thread count (the /tN key suffix and the
-  # --threads argument agree), so a baseline taken on one host compares
-  # like with like on another, and a multi-core regression shows up in
-  # the t4 entries instead of being averaged into a host-sized default.
-  SMOKE_TIER=(
+  # name|bench_scale arguments, one array per BENCH_scale.json block; keep
+  # them in sync. Every entry pins its thread count (the /tN key suffix),
+  # so a baseline compares like with like on any host. The gate and full
+  # tiers run pool storage on one shard; the 10⁵/10⁶-node entries pass a
+  # sparse --radius/--er-prob (the defaults are paper-scale). The cluster
+  # tier runs object storage over a loopback fabric; geometric/ER run once
+  # per shard map, since contiguous is cut-pessimal there.
+  GATE_TIER=(
     "centroid/ring/10000/t1|--topology ring --nodes 10000 --rounds 10 --threads 1"
     "centroid/grid/10000/t1|--topology grid --nodes 10000 --rounds 10 --threads 1"
     "centroid/geometric/10000/t1|--topology geometric --nodes 10000 --radius 0.022 --rounds 10 --threads 1"
@@ -215,103 +92,151 @@ if [[ "$MODE" == scale* ]]; then
     "centroid/grid/100000/t1|--topology grid --nodes 100000 --rounds 10 --threads 1"
     "centroid/geometric/100000/t1|--topology geometric --nodes 100000 --radius 0.007 --rounds 10 --threads 1"
     "centroid/er/100000/t1|--topology er --nodes 100000 --er-prob 0.00016 --rounds 10 --threads 1"
+    "centroid/er/100000/t2|--topology er --nodes 100000 --er-prob 0.00016 --rounds 10 --threads 2"
     "centroid/er/100000/t4|--topology er --nodes 100000 --er-prob 0.00016 --rounds 10 --threads 4"
     "gm/ring/100000/t1|--protocol gm --topology ring --nodes 100000 --rounds 3 --threads 1"
+    "gm/er/100000/t1|--protocol gm --topology er --nodes 100000 --er-prob 0.00016 --rounds 3 --threads 1"
+    "gm/er/100000/t2|--protocol gm --topology er --nodes 100000 --er-prob 0.00016 --rounds 3 --threads 2"
     "gm/er/100000/t4|--protocol gm --topology er --nodes 100000 --er-prob 0.00016 --rounds 3 --threads 4"
     "centroid/ring/1000000/t1|--topology ring --nodes 1000000 --rounds 5 --threads 1"
     "centroid/grid/1000000/t1|--topology grid --nodes 1000000 --rounds 5 --threads 1"
     "centroid/geometric/1000000/t1|--topology geometric --nodes 1000000 --radius 0.0022 --rounds 5 --threads 1"
     "centroid/er/1000000/t1|--topology er --nodes 1000000 --er-prob 0.000016 --rounds 5 --threads 1"
   )
+  CLUSTER_TIER=(
+    "centroid/grid/2048x4/t1|--engine object --topology grid --nodes 2048 --shards 4 --rounds 50 --threads 1"
+    "centroid/grid/2048x4-edgecut/t1|--engine object --topology grid --nodes 2048 --shards 4 --shard-map edgecut --rounds 50 --threads 1"
+    "centroid/grid/2048x1/t1|--engine object --topology grid --nodes 2048 --shards 1 --rounds 50 --threads 1"
+    "centroid/ring/4096x8/t1|--engine object --topology ring --nodes 4096 --shards 8 --rounds 30 --threads 1"
+    "centroid/geometric/2048x4/t1|--engine object --topology geometric --nodes 2048 --radius 0.05 --shards 4 --rounds 50 --threads 1"
+    "centroid/geometric/2048x4-edgecut/t1|--engine object --topology geometric --nodes 2048 --radius 0.05 --shards 4 --shard-map edgecut --rounds 50 --threads 1"
+    "centroid/er/2048x4/t1|--engine object --topology er --nodes 2048 --er-prob 0.004 --shards 4 --rounds 50 --threads 1"
+    "centroid/er/2048x4-edgecut/t1|--engine object --topology er --nodes 2048 --er-prob 0.004 --shards 4 --shard-map edgecut --rounds 50 --threads 1"
+    "gm/grid/256x4/t1|--protocol gm --engine object --topology grid --nodes 256 --shards 4 --rounds 50 --threads 1"
+  )
+  case "$MODE" in
+    scale) BLOCKS=(gate) ;;
+    scale-full | scale-update) BLOCKS=(gate full) ;;
+    cluster | cluster-update) BLOCKS=(cluster) ;;
+  esac
 
-  # run_tier <entry>... — emit "name rounds_per_s peak_rss_mb" per entry.
+  # gated_keys — per input line, print its "rounds_per_s peak_rss_mb
+  # records_per_frame cut_edges" values, "-" for a key the line lacks. A
+  # bench_scale record and a BENCH_scale.json entry line read alike.
+  gated_keys() {
+    awk -F'[:,}]' '{
+      r = m = f = c = "-"
+      for (i = 1; i < NF; ++i) {
+        v = $(i + 1); gsub(/ /, "", v)
+        if ($i ~ /"rounds_per_s"/) r = v
+        if ($i ~ /"peak_rss_mb"/) m = v
+        if ($i ~ /"records_per_frame"/) f = v
+        if ($i ~ /"cut_edges"/) c = v
+      }
+      print r, m, f, c
+    }'
+  }
+
+  # run_tier <block> — per entry, print "name" and the medians of its
+  # gated keys over RUNS runs, or "name - - - -" when a run printed no
+  # record.
   run_tier() {
-    local entry name args line
-    for entry in "$@"; do
+    local -n entries="${1^^}_TIER"
+    local entry name args run
+    for entry in "${entries[@]}"; do
       name=${entry%%|*}
       args=${entry#*|}
-      # shellcheck disable=SC2086
-      line=$("$BUILD_DIR/bench/bench_scale" $args \
-               --engine soa --seed 1 --name "$name")
-      echo "$line" | awk -F'[:,]' -v name="$name" '{
-        for (i = 1; i < NF; ++i) {
-          if ($i ~ /"rounds_per_s"/) rps = $(i + 1)
-          if ($i ~ /"peak_rss_mb"/) { rss = $(i + 1); gsub(/}/, "", rss) }
+      for ((run = 0; run < RUNS; ++run)); do
+        # shellcheck disable=SC2086
+        "$BUILD_DIR/bench/bench_scale" $args --seed 1 --name "$name" || true
+      done | gated_keys | awk -v name="$name" -v runs="$RUNS" '
+        function median(col,   v, i, j, t) {
+          for (i = 1; i <= NR; ++i) {
+            v[i] = row[i, col]
+            for (j = i; j > 1 && v[j - 1] + 0 > v[j] + 0; --j) {
+              t = v[j]; v[j] = v[j - 1]; v[j - 1] = t
+            }
+          }
+          return v[int((NR + 1) / 2)]
         }
-        print name, rps, rss
-      }'
+        { for (c = 1; c <= 4; ++c) row[NR, c] = $c }
+        END {
+          if (NR < runs) { print name, "-", "-", "-", "-"; exit }
+          print name, median(1), median(2), median(3), median(4)
+        }'
     done
   }
 
-  if [[ "$MODE" == scale-update ]]; then
-    echo "Fresh \"host\" line for BENCH_scale.json:"
+  if [[ "$MODE" == *-update ]]; then
+    echo "Fresh \"host\" line for $BASELINE:"
     echo "  \"host\": {\"nproc\": $(nproc), \"cpu\": \"$(uname -m)\"},"
-    for block in gate full; do
-      if [[ "$block" == gate ]]; then
-        rows=$(run_tier "${SMOKE_TIER[@]}")
-      else
-        rows=$(run_tier "${FULL_TIER[@]}")
-      fi
+    for block in "${BLOCKS[@]}"; do
       echo
-      echo "Fresh \"$block\" block for BENCH_scale.json:"
+      echo "Fresh \"$block\" block for $BASELINE (medians of $RUNS runs):"
       echo "  \"$block\": {"
-      printf '%s\n' "$rows" | awk '{
-        printf "    \"%s\": {\"rounds_per_s\": %s, \"peak_rss_mb\": %s},\n",
-               $1, $2, $3
+      # The cluster rows also pin the exchange's batching and cut.
+      run_tier "$block" | awk -v exchange="$([[ $block == cluster ]] && echo 1)" '{
+        printf "    \"%s\": {\"rounds_per_s\": %s, \"peak_rss_mb\": %s", $1, $2, $3
+        if (exchange) printf ", \"records_per_frame\": %s, \"cut_edges\": %s", $4, $5
+        print "},"
       }' | sed '$ s/},$/}/'
       echo "  },"
     done
     exit 0
   fi
 
-  echo "bench_gate: scale mode=$MODE (tolerance=±$(awk -v t="$TOLERANCE" 'BEGIN{printf "%.0f%%", t*100}') vs $BASELINE)"
-  ENTRIES=("${SMOKE_TIER[@]}")
-  if [[ "$MODE" == scale-full ]]; then
-    ENTRIES+=("${FULL_TIER[@]}")
-  fi
-
+  echo "bench_gate: $MODE mode, medians of $RUNS runs (tolerance=±$(awk -v t="$TOLERANCE" 'BEGIN{printf "%.0f%%", t*100}') vs $BASELINE)"
   STATUS=0
-  while read -r name rps rss; do
-    # The baseline entry lives on one line: "name": {"rounds_per_s": R,
-    # "peak_rss_mb": M}. Absent entries fail the gate.
-    base_rps=""
-    base_rss=""
-    read -r base_rps base_rss < <(awk -v key="\"$name\":" '
-      index($0, key) {
-        for (i = 1; i <= NF; ++i) {
-          if ($i ~ /"rounds_per_s"/) { v = $(i + 1); gsub(/[,}]/, "", v); r = v }
-          if ($i ~ /"peak_rss_mb"/) { v = $(i + 1); gsub(/[,}]/, "", v); m = v }
-        }
-        print r, m
-      }' "$BASELINE") || true
-    if [[ -z "${base_rps:-}" || -z "${base_rss:-}" ]]; then
-      echo "bench_gate: FAIL  $name missing from $BASELINE" >&2
-      STATUS=1
-      continue
-    fi
-    verdict=$(awk -v rps="$rps" -v rss="$rss" -v brps="$base_rps" \
-                  -v brss="$base_rss" -v t="$TOLERANCE" 'BEGIN {
-      slow = rps < brps / (1 + t)
-      fat = rss > brss * (1 + t)
-      printf "%s rps=%.3g(min %.3g) rss=%.4gMB(max %.4g)",
-             (slow || fat ? "FAIL" : "ok"), rps, brps / (1 + t),
-             rss, brss * (1 + t)
-    }')
-    if [[ "$verdict" == FAIL* ]]; then
-      echo "bench_gate: FAIL  $name  ${verdict#FAIL }" >&2
-      STATUS=1
-    else
-      echo "bench_gate: ok    $name  ${verdict#ok }"
-    fi
-  done < <(run_tier "${ENTRIES[@]}")
+  for block in "${BLOCKS[@]}"; do
+    while read -r name rps rss rpf cut; do
+      # The baseline entry lives on one line: "name": {"rounds_per_s": R,
+      # "peak_rss_mb": M[, "records_per_frame": F, "cut_edges": C]}. A key
+      # the entry does not carry reads "-" and is not gated.
+      read -r base_rps base_rss base_rpf base_cut \
+        < <(grep -F "\"$name\":" "$BASELINE" | head -n 1 | gated_keys) || true
+      if [[ "${base_rps:--}" == - || "${base_rss:--}" == - ]]; then
+        echo "bench_gate: FAIL  $name missing from $BASELINE" >&2
+        STATUS=1
+        continue
+      fi
+      if [[ "$rps" == - ]]; then
+        echo "bench_gate: FAIL  $name  a bench_scale run printed no record" >&2
+        STATUS=1
+        continue
+      fi
+      # cut_edges is deterministic for a fixed (topology, seed, shards,
+      # shard map), so any increase is a partitioner regression, not
+      # noise — gate it exactly.
+      verdict=$(awk -v rps="$rps" -v rss="$rss" -v rpf="$rpf" -v cut="$cut" \
+                    -v brps="$base_rps" -v brss="$base_rss" \
+                    -v brpf="$base_rpf" -v bcut="$base_cut" \
+                    -v t="$TOLERANCE" 'BEGIN {
+        slow = rps < brps / (1 + t)
+        fat = rss > brss * (1 + t)
+        unbatched = brpf != "-" && brpf > 1 && rpf <= 1
+        cutworse = bcut != "-" && cut > bcut + 0
+        printf "%s rps=%.3g(min %.3g) rss=%.4gMB(max %.4g)",
+               (slow || fat || unbatched || cutworse ? "FAIL" : "ok"),
+               rps, brps / (1 + t), rss, brss * (1 + t)
+        if (brpf != "-") printf " rpf=%.3g(base %.3g)", rpf, brpf
+        if (bcut != "-") printf " cut=%d(max %d)", cut, bcut
+      }')
+      if [[ "$verdict" == FAIL* ]]; then
+        echo "bench_gate: FAIL  $name  ${verdict#FAIL }" >&2
+        STATUS=1
+      else
+        echo "bench_gate: ok    $name  ${verdict#ok }"
+      fi
+    done < <(run_tier "$block")
+  done
 
   if [[ "$STATUS" -ne 0 ]]; then
-    echo "bench_gate: SCALE REGRESSION — throughput or memory moved past tolerance." >&2
-    echo "bench_gate: if intentional and signed off, refresh BENCH_scale.json with" >&2
-    echo "bench_gate: 'scripts/bench_gate.sh --scale-update'." >&2
+    echo "bench_gate: REGRESSION — throughput, memory, batching or cut moved past its bound." >&2
+    echo "bench_gate: if intentional and signed off, refresh $BASELINE with" >&2
+    echo "bench_gate: 'scripts/bench_gate.sh --${MODE%-full}-update'." >&2
     exit 1
   fi
-  echo "bench_gate: scale engine within ±$(awk -v t="$TOLERANCE" 'BEGIN{printf "%.0f%%", t*100}') of $BASELINE."
+  echo "bench_gate: block(s) ${BLOCKS[*]} within ±$(awk -v t="$TOLERANCE" 'BEGIN{printf "%.0f%%", t*100}') of $BASELINE."
   exit 0
 fi
 

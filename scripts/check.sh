@@ -34,7 +34,8 @@
 #                  under ASan here too, as do the shard suite, the
 #                  schedule explorer and the multi-shard UDP smoke
 #                  (cluster_multishard_smoke drives sanitized ddcnode
-#                  shard processes).
+#                  shard processes); bench_scale is built too, for the
+#                  record-schema ctests.
 #   8. SIMD tiers  a dedicated -mavx2 build runs the kernel-equivalence
 #                  and batched-scorer suites (the lanewise AVX2 kernels
 #                  must be bit-identical to the scalar reference), then
@@ -46,12 +47,13 @@
 #                  BENCH_hotpath.json, so a hot-path complexity
 #                  regression (say, an accidental return to the O(m³)
 #                  partition rescan) fails even when every unit test
-#                  still passes; then the 10k-node scale tier against
-#                  BENCH_scale.json (throughput + peak RSS of the SoA
-#                  engine; the 100k/1M tiers are on-demand via
-#                  scripts/bench_gate.sh --scale-full); then the
-#                  sharded-cluster tier against BENCH_cluster.json
-#                  (loopback throughput, RSS, records per batch frame).
+#                  still passes; then the 10k-node scale tier and the
+#                  loopback-cluster tier, both bench_scale entries of
+#                  BENCH_scale.json gated on the medians of three runs
+#                  (throughput + peak RSS; the cluster rows also gate
+#                  records per batch frame and exact cut edges). The 100k/1M
+#                  tiers are on-demand via scripts/bench_gate.sh
+#                  --scale-full.
 #  10. fuzz smoke  the four fuzz harnesses (wire framing decode,
 #                  classifier invariants via the ddc::audit pool
 #                  auditors, the SoA pool receive against
@@ -135,7 +137,7 @@ cmake --build "$ASAN_DIR" -j "$(nproc)" --target \
   partition_tests exec_tests sim_tests gossip_tests wire_tests net_tests \
   shard_tests schedule_tests audit_tests metrics_tests workload_tests \
   io_tests cli_tests integration_tests em_alloc_tests ddcsim ddcnode \
-  ddcverify
+  ddcverify bench_scale
 
 # halt_on_error so UBSan findings fail the gate instead of scrolling by.
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
@@ -188,17 +190,18 @@ scripts/bench_gate.sh --smoke
 
 echo "Bench gate passed: hot-path kernels within tolerance of BENCH_hotpath.json."
 
-# Scale-engine tier: 10k-node throughput/RSS vs BENCH_scale.json. The
-# 100k/1M tiers are on-demand only (scripts/bench_gate.sh --scale-full).
+# Scale and cluster tiers: one bench_gate.sh path, medians of three
+# bench_scale runs per entry vs BENCH_scale.json — the 10k-node "gate"
+# block, then the loopback-cluster "cluster" block (plus the batching
+# rule and exact cut edges). The 100k/1M tiers are on-demand only
+# (scripts/bench_gate.sh --scale-full).
 scripts/bench_gate.sh --scale
 
 echo "Scale gate passed: 10k-node tier within tolerance of BENCH_scale.json."
 
-# Sharded-cluster tier: loopback-fabric throughput/RSS plus the
-# records-per-frame batching invariant vs BENCH_cluster.json.
 scripts/bench_gate.sh --cluster
 
-echo "Cluster gate passed: sharded tier within tolerance of BENCH_cluster.json."
+echo "Cluster gate passed: cluster tier within tolerance of BENCH_scale.json."
 
 echo
 echo "=== gate 10/10: fuzz smoke ==="

@@ -1,7 +1,7 @@
 // In-process sharded cluster: S ShardEngines over one LoopbackNetwork.
 //
 // The deterministic harness behind the equivalence matrix tests and
-// bench_cluster: every engine begins the round, then the driver
+// bench_scale --shards: every engine begins the round, then the driver
 // alternates fabric advances with engine polls until all S barriers
 // resolve. Because the engines are stepped (never blocking), one thread
 // drives the whole cluster without deadlock, and because the loopback

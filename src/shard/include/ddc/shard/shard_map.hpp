@@ -65,9 +65,6 @@ class ShardMap {
 
   [[nodiscard]] std::size_t num_nodes() const noexcept { return num_nodes_; }
   [[nodiscard]] ShardId num_shards() const noexcept { return num_shards_; }
-  [[nodiscard]] Partitioner partitioner() const noexcept {
-    return partitioner_;
-  }
 
   /// Global node ids owned by shard s, ascending. Valid while the map
   /// lives.
@@ -80,11 +77,6 @@ class ShardMap {
   /// use for per-node local state.
   [[nodiscard]] std::size_t local_index(sim::NodeId node) const;
 
-  /// First global node id owned by shard s. Contiguous maps only.
-  [[nodiscard]] sim::NodeId begin(ShardId s) const;
-  /// One past the last global node id owned by shard s. Contiguous only.
-  [[nodiscard]] sim::NodeId end(ShardId s) const;
-
   /// Cross-shard directed edge count of `topology` under this map — the
   /// traffic the cluster pushes through Transport (each undirected edge
   /// counts twice, matching the two records it can carry per round).
@@ -94,7 +86,7 @@ class ShardMap {
                                       ShardId s) const;
 
  private:
-  ShardMap(std::size_t num_nodes, ShardId num_shards, Partitioner partitioner,
+  ShardMap(std::size_t num_nodes, ShardId num_shards,
            std::vector<ShardId> owner);
 
   static std::vector<ShardId> grow_edgecut(const sim::Topology& topology,
@@ -102,7 +94,6 @@ class ShardMap {
 
   std::size_t num_nodes_;
   ShardId num_shards_;
-  Partitioner partitioner_;
   std::vector<ShardId> owner_;            // node -> owning shard
   std::vector<std::size_t> local_;        // node -> index in owner's list
   std::vector<sim::NodeId> owned_flat_;   // CSR values: owned ids per shard

@@ -66,14 +66,13 @@ Partitioner parse_partitioner(std::string_view name) {
 }
 
 ShardMap::ShardMap(std::size_t num_nodes, ShardId num_shards)
-    : ShardMap(num_nodes, num_shards, Partitioner::contiguous,
+    : ShardMap(num_nodes, num_shards,
                contiguous_owner(num_nodes, num_shards)) {}
 
 ShardMap::ShardMap(std::size_t num_nodes, ShardId num_shards,
-                   Partitioner partitioner, std::vector<ShardId> owner)
+                   std::vector<ShardId> owner)
     : num_nodes_(num_nodes),
       num_shards_(num_shards),
-      partitioner_(partitioner),
       owner_(std::move(owner)),
       local_(num_nodes),
       owned_begin_(static_cast<std::size_t>(num_shards) + 1, 0) {
@@ -112,7 +111,7 @@ ShardMap ShardMap::make(Partitioner partitioner, const sim::Topology& topology,
   if (cut_of(topology, grown) >= cut_of(topology, contig)) {
     grown = std::move(contig);
   }
-  return ShardMap(n, num_shards, Partitioner::edgecut, std::move(grown));
+  return ShardMap(n, num_shards, std::move(grown));
 }
 
 std::vector<ShardId> ShardMap::grow_edgecut(const sim::Topology& topology,
@@ -235,14 +234,6 @@ std::size_t ShardMap::local_index(sim::NodeId node) const {
   DDC_EXPECTS(node < num_nodes_);
   return local_[node];
 }
-
-sim::NodeId ShardMap::begin(ShardId s) const {
-  DDC_EXPECTS(s < num_shards_);
-  DDC_EXPECTS(partitioner_ == Partitioner::contiguous);
-  return owned_flat_[owned_begin_[s]];
-}
-
-sim::NodeId ShardMap::end(ShardId s) const { return begin(s) + size(s); }
 
 std::size_t ShardMap::cut_edges(const sim::Topology& topology) const {
   std::size_t cut = 0;

@@ -77,15 +77,9 @@ struct TopologySpec {
   [[nodiscard]] double resolved_edge_probability() const;
 };
 
-/// Which driver executes the run.
-enum class EngineMode {
-  round,  ///< synchronous rounds (the paper's measurement methodology)
-  async,  ///< event-driven, arbitrary delays (the convergence model)
-};
-
 /// Which node storage backs a round-mode run of the one-shard
-/// shard::ShardEngine. Async mode has only the object engine and ignores
-/// this choice.
+/// shard::ShardEngine. The async factories have only the object engine
+/// and ignore this choice.
 enum class EngineBackend {
   /// Object storage: one heap-allocated protocol object per node
   /// (shard/factories.hpp). Serves protocols without a pool binding
@@ -97,7 +91,7 @@ enum class EngineBackend {
   soa,
 };
 
-/// Timing parameters of the async engine (EngineMode::async only).
+/// Timing parameters of the async engine (read by async_options only).
 struct AsyncTiming {
   /// Mean interval between a node's gossip emissions; actual intervals
   /// are uniform in [0.5, 1.5]× this, independently per node per tick.
@@ -119,7 +113,6 @@ struct EngineConfig : RoundRunnerOptions {
   /// bit-exact. Applied process-wide by the tools via
   /// linalg::simd::configure.
   linalg::simd::Mode simd = linalg::simd::Mode::auto_detect;
-  EngineMode mode = EngineMode::round;
   EngineBackend backend = EngineBackend::soa;
   AsyncTiming async;
 
@@ -148,7 +141,7 @@ struct EngineConfig : RoundRunnerOptions {
   /// Builds the configured topology (see TopologySpec::build).
   [[nodiscard]] Topology build_topology(stats::Rng& rng) const;
 
-  /// True when a round-mode run asks for the SoA backend.
+  /// True when a round-mode run asks for the SoA backend (pool storage).
   [[nodiscard]] bool use_soa() const noexcept;
 
   /// Throws ddc::ConfigError on out-of-range values (probabilities,

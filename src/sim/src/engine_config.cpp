@@ -98,7 +98,7 @@ Topology EngineConfig::build_topology(stats::Rng& rng) const {
 }
 
 bool EngineConfig::use_soa() const noexcept {
-  return mode == EngineMode::round && backend == EngineBackend::soa;
+  return backend == EngineBackend::soa;
 }
 
 void EngineConfig::validate() const {

@@ -20,8 +20,10 @@ TEST(ShardMap, BalancedContiguousPartition) {
       std::size_t min_size = n;
       std::size_t max_size = 0;
       for (ShardId shard = 0; shard < s; ++shard) {
-        EXPECT_EQ(map.begin(shard), total);
-        EXPECT_EQ(map.end(shard) - map.begin(shard), map.size(shard));
+        const auto owned = map.owned(shard);
+        ASSERT_FALSE(owned.empty());
+        EXPECT_EQ(owned.front(), total);
+        EXPECT_EQ(owned.back() - owned.front() + 1, map.size(shard));
         total += map.size(shard);
         min_size = std::min(min_size, map.size(shard));
         max_size = std::max(max_size, map.size(shard));
@@ -35,7 +37,7 @@ TEST(ShardMap, BalancedContiguousPartition) {
 TEST(ShardMap, ShardOfInvertsRanges) {
   const ShardMap map(103, 7);
   for (ShardId s = 0; s < map.num_shards(); ++s) {
-    for (sim::NodeId i = map.begin(s); i < map.end(s); ++i) {
+    for (const sim::NodeId i : map.owned(s)) {
       EXPECT_EQ(map.shard_of(i), s);
     }
   }
@@ -77,7 +79,10 @@ TEST(ShardMap, ContiguousFactoryMatchesDirectConstruction) {
   const auto grid = sim::Topology::grid(8, 16);
   const ShardMap direct(grid.num_nodes(), 4);
   const ShardMap made = ShardMap::make(Partitioner::contiguous, grid, 4);
-  EXPECT_EQ(made.partitioner(), Partitioner::contiguous);
+  for (ShardId s = 0; s < made.num_shards(); ++s) {
+    const auto owned = made.owned(s);
+    EXPECT_EQ(owned.back() - owned.front() + 1, made.size(s));
+  }
   for (sim::NodeId i = 0; i < grid.num_nodes(); ++i) {
     EXPECT_EQ(made.shard_of(i), direct.shard_of(i));
     EXPECT_EQ(made.local_index(i), direct.local_index(i));

@@ -94,9 +94,6 @@ TEST(EngineConfig, BackendResolution) {
   EXPECT_EQ(config.backend, EngineBackend::soa);  // SoA is the default
   config.topology.nodes = 10;
   EXPECT_TRUE(config.use_soa());  // at any size
-  config.mode = EngineMode::async;
-  EXPECT_FALSE(config.use_soa());  // async has only the object engine
-  config.mode = EngineMode::round;
   config.backend = EngineBackend::object;
   EXPECT_FALSE(config.use_soa());
 }
@@ -128,11 +125,6 @@ TEST(EngineConfig, ValidateRejectsBadValues) {
   bad = config;
   bad.async.min_delay = 3.0;  // > max_delay
   EXPECT_THROW(bad.validate(), ConfigError);
-
-  // An async config that never sets the backend is valid as it stands.
-  EngineConfig async_config;
-  async_config.mode = EngineMode::async;
-  EXPECT_NO_THROW(async_config.validate());
 }
 
 }  // namespace

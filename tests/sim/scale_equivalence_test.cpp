@@ -187,7 +187,6 @@ TEST(ScaleEquivalence, AsyncFacadeBitIdentical) {
   constexpr double kHorizon = 20.0;
   for (const std::uint64_t seed : {1, 2, 3}) {
     EngineConfig config = base_config(kGmNodes, seed);
-    config.mode = EngineMode::async;
     const auto inputs = bimodal_inputs(kGmNodes, seed);
 
     AsyncRunnerOptions options;
