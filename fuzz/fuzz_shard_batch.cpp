@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include <ddc/linalg/vector.hpp>
 #include <ddc/net/loopback.hpp>
 #include <ddc/shard/factories.hpp>
 #include <ddc/wire/framing.hpp>
@@ -50,6 +51,7 @@
 namespace {
 
 using ddc_fuzz::FuzzInput;
+namespace linalg = ddc::linalg;
 namespace net = ddc::net;
 namespace shard = ddc::shard;
 namespace sim = ddc::sim;
@@ -114,7 +116,7 @@ struct Ledger {
     for (const wire::BatchRecord& rec : batch.records) {
       if (rec.dst >= nodes || map->shard_of(rec.dst) != 0) continue;
       try {
-        a.quanta += shard::CentroidCodec::decode(rec.payload)
+        a.quanta += wire::decode_classification<linalg::Vector>(rec.payload)
                         .total_weight()
                         .quanta();
       } catch (const wire::DecodeError&) {
@@ -132,8 +134,9 @@ struct Ledger {
     if (shipped_by_shard0.count(batch.round) != 0) return;
     std::int64_t quanta = 0;
     for (const wire::BatchRecord& rec : batch.records) {
-      quanta +=
-          shard::CentroidCodec::decode(rec.payload).total_weight().quanta();
+      quanta += wire::decode_classification<linalg::Vector>(rec.payload)
+                    .total_weight()
+                    .quanta();
     }
     shipped_by_shard0[batch.round] = quanta;
   }

@@ -80,7 +80,9 @@ void declare_engine_flags(Flags& flags, const sim::EngineConfig& defaults,
   }
   if (set.protocol) {
     flags.declare("k", "max collections per node", std::to_string(defaults.k));
-    flags.declare("quanta-exp", "weight quanta per unit = 2^this",
+    flags.declare("quanta-exp",
+                  "weight quanta per unit = 2^this; nodes × 2^this must be "
+                  "≤ 2^62",
                   std::to_string(quanta_exponent(defaults.quanta_per_unit)));
   }
   if (set.backend) {

@@ -4,10 +4,10 @@
 // protocol-agnostic: it stores node state in flat pools and splits on
 // them directly. This header supplies what it cannot know — how one
 // protocol's summary embeds into a fixed number of doubles, and how that
-// protocol receives on the packed rows the storage gathers
-// (receive_rows: Algorithm 1's receive, bit for bit) — plus the
-// factories that assemble a ready-to-run one-shard pool engine from an
-// EngineConfig:
+// protocol partitions and merges the packed rows the storage gathers
+// (PoolReceive::receive_rows, Algorithm 1's receive bit for bit, is
+// written once for both) — plus the factories that assemble a
+// ready-to-run one-shard pool engine from an EngineConfig:
 //
 //   auto engine = ddc::gossip::make_centroid_scale_engine(
 //       ddc::sim::Topology::grid(1000, 1000, false), inputs, config);
@@ -40,11 +40,86 @@
 
 namespace ddc::gossip {
 
+/// What both pool bindings share: the dimension, the config, and
+/// Algorithm 1's receive on packed rows. The `Binding` deriving from it
+/// supplies summary_doubles() (sd, whose first dim doubles place a
+/// summary), a PoolScratch, grouping(s) (the core::Grouping partition
+/// fills), partition(s, m) (groups the m gathered rows, returns their
+/// count) and merge(s, group, out) (writes a group's merged row).
+template <typename Binding>
+class PoolReceive {
+ public:
+  PoolReceive(std::size_t dim, const sim::EngineConfig& config)
+      : dim_(dim), config_(config) {
+    DDC_EXPECTS(dim_ >= 1);
+  }
+
+  [[nodiscard]] std::size_t k() const noexcept { return config_.k; }
+  [[nodiscard]] std::int64_t quanta_per_unit() const noexcept {
+    return config_.quanta_per_unit;
+  }
+
+  /// GenericClassifier::receive on packed rows, bit for bit: the m
+  /// collections in s.rows / s.quanta (the receiver's own first, then its
+  /// inbox in delivery order — receive's union order) go through the
+  /// binding's partition and the shared grouping step
+  /// (core::group_collections; re-home distance: distance2 on each row's
+  /// first dim doubles). A singleton group keeps its row and quanta
+  /// verbatim, exactly as GenericClassifier::merge_groups does; a larger
+  /// one is merged by the binding in group order. Writes the ≤ k result
+  /// collections to out_rows (row-major, sd each) / out_quanta, which
+  /// must not alias s, and returns their count.
+  // ddcverify: hotpath
+  template <typename Scratch>
+  [[nodiscard]] std::size_t receive_rows(Scratch& s, std::size_t m,
+                                         double* out_rows,
+                                         std::int64_t* out_quanta) const {
+    const Binding& binding = static_cast<const Binding&>(*this);
+    const std::size_t sd = binding.summary_doubles();
+    const double* const rows = s.rows.data();
+    const std::int64_t* const quanta = s.quanta.data();
+    const auto row = [rows, sd](std::size_t j) { return rows + j * sd; };
+    ++s.stats.receives;
+
+    core::Grouping& groups = Binding::grouping(s);
+    const std::size_t count = core::group_collections(
+        groups, m, config_.k, s.seen, s.stats,
+        [&] { return binding.partition(s, m); },
+        [quanta](std::size_t j) { return quanta[j] == 1; },
+        [&](std::size_t a, std::size_t b) {
+          return linalg::kernels::dispatch_dim(dim_, [&](auto dd) {
+            return linalg::kernels::distance2<dd()>(row(a), row(b), dim_);
+          });
+        });
+
+    // Algorithm 1, line 11.
+    for (std::size_t g = 0; g < count; ++g) {
+      const std::vector<std::size_t>& group = groups[g];
+      double* const out = out_rows + g * sd;
+      if (group.size() == 1) {
+        std::copy_n(row(group.front()), sd, out);
+        out_quanta[g] = quanta[group.front()];
+        continue;
+      }
+      std::int64_t total = 0;
+      for (const std::size_t j : group) total += quanta[j];
+      binding.merge(s, group, out);
+      out_quanta[g] = total;
+      s.stats.collections_merged += group.size();
+    }
+    return count;
+  }
+
+ protected:
+  std::size_t dim_;
+  sim::EngineConfig config_;
+};
+
 /// SoA embedding of the centroid protocol (Algorithm 2): a summary is its
 /// centroid, packed as d doubles. That row is a plain Euclidean point, so
 /// the partition itself runs on the packed rows too, and a chunk's
 /// scratch stops allocating once it has seen its largest inbox.
-class CentroidScaleProtocol {
+class CentroidScaleProtocol : public PoolReceive<CentroidScaleProtocol> {
  public:
   using SummaryPolicy = summaries::CentroidPolicy;
   using Partition = partition::GreedyDistancePartition<SummaryPolicy>;
@@ -64,15 +139,8 @@ class CentroidScaleProtocol {
     core::ClassifierStats stats;
   };
 
-  CentroidScaleProtocol(std::size_t dim, const sim::EngineConfig& config)
-      : dim_(dim), config_(config) {
-    DDC_EXPECTS(dim_ >= 1);
-  }
+  using PoolReceive::PoolReceive;
 
-  [[nodiscard]] std::size_t k() const noexcept { return config_.k; }
-  [[nodiscard]] std::int64_t quanta_per_unit() const noexcept {
-    return config_.quanta_per_unit;
-  }
   [[nodiscard]] std::size_t summary_doubles() const noexcept { return dim_; }
 
   void pack(const Summary& summary, double* out) const {
@@ -84,77 +152,37 @@ class CentroidScaleProtocol {
     return linalg::Vector(std::vector<double>(in, in + dim_));
   }
 
-  /// GenericClassifier::receive on packed rows, bit for bit: the m
-  /// collections in s.rows / s.quanta (the receiver's own first, then its
-  /// inbox in delivery order — receive's union order) go through the
-  /// packed greedy partition and the shared grouping step
-  /// (core::group_collections), and each group is merged with
-  /// CentroidPolicy::merge_rows in group order. Writes the ≤ k result
-  /// collections to out_rows (row-major, d each) / out_quanta, which must
-  /// not alias s, and returns their count.
-  // ddcverify: hotpath
-  [[nodiscard]] std::size_t receive_rows(PoolScratch& s, std::size_t m,
-                                         double* out_rows,
-                                         std::int64_t* out_quanta) const {
-    const std::size_t d = dim_;
-    const std::size_t k = config_.k;
-    const double* const rows = s.rows.data();
-    const std::int64_t* const quanta = s.quanta.data();
-    const auto row = [rows, d](std::size_t j) { return rows + j * d; };
-    const auto weight = [quanta](std::size_t j) {
-      return static_cast<double>(quanta[j]);
-    };
-    ++s.stats.receives;
-
-    Partition::PackedWorkspace& p = s.partition;
-    if (p.rows.size() < m * d) p.rows.resize(m * d);
-    if (p.weights.size() < m) p.weights.resize(m);
-    std::copy_n(rows, m * d, p.rows.data());
-    for (std::size_t j = 0; j < m; ++j) p.weights[j] = weight(j);
-    core::Grouping& groups = p.agglomeration.groups;
-    const std::size_t count = core::group_collections(
-        groups, m, k, s.seen, s.stats,
-        [&] { return Partition::partition_rows(p, m, d, k); },
-        [quanta](std::size_t j) { return quanta[j] == 1; },
-        [&](std::size_t a, std::size_t b) {
-          return linalg::kernels::dispatch_dim(d, [&](auto dd) {
-            return linalg::kernels::distance2<dd()>(row(a), row(b), d);
-          });
-        });
-
-    // Algorithm 1, line 11. A singleton group keeps its collection
-    // unchanged, exactly as GenericClassifier::merge_groups does.
-    for (std::size_t g = 0; g < count; ++g) {
-      const std::vector<std::size_t>& group = groups[g];
-      double* const out = out_rows + g * d;
-      if (group.size() == 1) {
-        std::copy_n(row(group.front()), d, out);
-        out_quanta[g] = quanta[group.front()];
-        continue;
-      }
-      std::int64_t total = 0;
-      for (const std::size_t j : group) total += quanta[j];
-      SummaryPolicy::merge_rows(
-          group.size(), [&](std::size_t t) { return row(group[t]); },
-          [&](std::size_t t) { return weight(group[t]); }, out, d);
-      out_quanta[g] = total;
-      s.stats.collections_merged += group.size();
-    }
-    return count;
+  [[nodiscard]] static core::Grouping& grouping(PoolScratch& s) {
+    return s.partition.agglomeration.groups;
   }
-
- private:
-  std::size_t dim_;
-  sim::EngineConfig config_;
+  /// The packed greedy partition, on a copy of the rows it may reorder.
+  [[nodiscard]] std::size_t partition(PoolScratch& s, std::size_t m) const {
+    Partition::PackedWorkspace& p = s.partition;
+    if (p.rows.size() < m * dim_) p.rows.resize(m * dim_);
+    if (p.weights.size() < m) p.weights.resize(m);
+    std::copy_n(s.rows.data(), m * dim_, p.rows.data());
+    for (std::size_t j = 0; j < m; ++j) {
+      p.weights[j] = static_cast<double>(s.quanta[j]);
+    }
+    return Partition::partition_rows(p, m, dim_, config_.k);
+  }
+  /// CentroidPolicy::merge_rows: the quanta-weighted mean.
+  void merge(const PoolScratch& s, const std::vector<std::size_t>& group,
+             double* out) const {
+    SummaryPolicy::merge_rows(
+        group.size(),
+        [&](std::size_t t) { return s.rows.data() + group[t] * dim_; },
+        [&](std::size_t t) { return static_cast<double>(s.quanta[group[t]]); },
+        out, dim_);
+  }
 };
 
 /// SoA embedding of the GM protocol (Section 5): a summary is ⟨µ, Σ⟩,
-/// packed as d + d² doubles (mean, then covariance row-major). The
-/// receive runs on the engine's gathered rows like the centroid
-/// binding's: em::reduce_em_rows (the EM EmPartition::partition runs)
-/// reduces them in a workspace the chunk reuses, and each group is
+/// packed as d + d² doubles (mean, then covariance row-major).
+/// em::reduce_em_rows (the EM EmPartition::partition runs) partitions the
+/// gathered rows in a workspace the chunk reuses, and each group is
 /// moment-matched straight into the pools. No Gaussian is built.
-class GmScaleProtocol {
+class GmScaleProtocol : public PoolReceive<GmScaleProtocol> {
  public:
   using SummaryPolicy = summaries::GaussianPolicy;
   using Partition = partition::EmPartition;
@@ -181,15 +209,8 @@ class GmScaleProtocol {
     double em_seconds = 0.0;  // EmPartition::em_seconds' counterpart
   };
 
-  GmScaleProtocol(std::size_t dim, const sim::EngineConfig& config)
-      : dim_(dim), config_(config) {
-    DDC_EXPECTS(dim_ >= 1);
-  }
+  using PoolReceive::PoolReceive;
 
-  [[nodiscard]] std::size_t k() const noexcept { return config_.k; }
-  [[nodiscard]] std::int64_t quanta_per_unit() const noexcept {
-    return config_.quanta_per_unit;
-  }
   [[nodiscard]] std::size_t summary_doubles() const noexcept {
     return dim_ + dim_ * dim_;
   }
@@ -214,72 +235,34 @@ class GmScaleProtocol {
     return stats::Gaussian(std::move(mean), std::move(cov));
   }
 
-  /// GenericClassifier<GaussianPolicy, EmPartition>::receive on packed
-  /// rows, bit for bit: the m collections in s.rows / s.quanta (receive's
-  /// union order) go through em::reduce_em_rows and core::group_collections
-  /// (re-home distance: distance2 on the rows' mean part); singleton
-  /// groups keep their rows verbatim and the rest are moment-matched as
-  /// GaussianPolicy::merge_set does. Writes the ≤ k results to out_rows /
-  /// out_quanta, which must not alias s, and returns their count.
-  // ddcverify: hotpath
-  [[nodiscard]] std::size_t receive_rows(PoolScratch& s, std::size_t m,
-                                         double* out_rows,
-                                         std::int64_t* out_quanta) const {
-    const std::size_t d = dim_;
-    const std::size_t sd = summary_doubles();
-    const double* const rows = s.rows.data();
-    const std::int64_t* const quanta = s.quanta.data();
-    const auto row = [rows, sd](std::size_t j) { return rows + j * sd; };
-    ++s.stats.receives;
-
-    s.weights.assign(quanta, quanta + m);
-    const std::size_t count = core::group_collections(
-        s.groups, m, config_.k, s.seen, s.stats,
-        [&] {
-          std::size_t reduced = 0;
-          timed_phase(s.em_seconds, [&] {
-            reduced = em::reduce_em_rows(rows, s.weights.data(), m, d,
-                                         config_.k, s.em, s.groups, nullptr,
-                                         kReduction)
-                          .groups;
-          });
-          return reduced;
-        },
-        [quanta](std::size_t j) { return quanta[j] == 1; },
-        [&](std::size_t a, std::size_t b) {
-          return linalg::kernels::dispatch_dim(d, [&](auto dd) {
-            return linalg::kernels::distance2<dd()>(row(a), row(b), d);
-          });
-        });
-
-    // Algorithm 1, line 11, as GenericClassifier::merge_groups does it.
-    for (std::size_t g = 0; g < count; ++g) {
-      const std::vector<std::size_t>& group = s.groups[g];
-      double* const out = out_rows + g * sd;
-      if (group.size() == 1) {
-        std::copy_n(row(group.front()), sd, out);
-        out_quanta[g] = quanta[group.front()];
-        continue;
-      }
-      std::int64_t total = 0;
-      for (std::size_t t = 0; t < group.size(); ++t) {
-        const std::size_t j = group[t];
-        total += quanta[j];
-        s.em.parts[t] = {s.weights[j], s.em.means.data() + j * d,
-                         s.em.covs.data() + j * d * d};
-      }
-      stats::moment_match_rows({s.em.parts.data(), group.size()}, out,
-                               out + d, s.em.scratch.data(), d);
-      stats::symmetrize_checked(out + d, d);
-      out_quanta[g] = total;
-      s.stats.collections_merged += group.size();
-    }
-    return count;
+  [[nodiscard]] static core::Grouping& grouping(PoolScratch& s) {
+    return s.groups;
   }
-
- private:
-  std::size_t dim_;
-  sim::EngineConfig config_;
+  /// EmPartition::partition on the rows: em::reduce_em_rows, timed.
+  [[nodiscard]] std::size_t partition(PoolScratch& s, std::size_t m) const {
+    s.weights.assign(s.quanta.data(), s.quanta.data() + m);
+    std::size_t reduced = 0;
+    timed_phase(s.em_seconds, [&] {
+      reduced = em::reduce_em_rows(s.rows.data(), s.weights.data(), m, dim_,
+                                   config_.k, s.em, s.groups, nullptr,
+                                   kReduction)
+                    .groups;
+    });
+    return reduced;
+  }
+  /// GaussianPolicy::merge_set: moment matching over the group's EM
+  /// views of its rows.
+  void merge(PoolScratch& s, const std::vector<std::size_t>& group,
+             double* out) const {
+    for (std::size_t t = 0; t < group.size(); ++t) {
+      const std::size_t j = group[t];
+      s.em.parts[t] = {s.weights[j], s.em.means.data() + j * dim_,
+                       s.em.covs.data() + j * dim_ * dim_};
+    }
+    stats::moment_match_rows({s.em.parts.data(), group.size()}, out,
+                             out + dim_, s.em.scratch.data(), dim_);
+    stats::symmetrize_checked(out + dim_, dim_);
+  }
 };
 
 /// Centroid network on the SoA engine: the one-shard ShardEngine over

@@ -21,10 +21,10 @@
 
 namespace ddc::shard {
 
-template <sim::GossipNode Node, typename Codec>
+template <sim::GossipNode Node>
 class ShardCluster {
  public:
-  using Engine = ShardEngine<Node, Codec>;
+  using Engine = ShardEngine<Node>;
 
   /// Splits `all_nodes` (one per topology vertex, global order) into
   /// `num_shards` shards — assigned by options.partitioner — over a

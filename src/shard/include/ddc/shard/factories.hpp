@@ -10,7 +10,6 @@
 // equivalence matrix (1 vs S shards) can demand bit-identical states.
 #pragma once
 
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -25,32 +24,13 @@
 #include <ddc/shard/shard_engine.hpp>
 #include <ddc/shard/shard_map.hpp>
 #include <ddc/sim/engine_config.hpp>
-#include <ddc/wire/serialize.hpp>
 
 namespace ddc::shard {
 
-/// The ShardEngine codec for classifier nodes (Message =
-/// core::Classification<Summary>). decode throws wire::DecodeError on a
-/// malformed payload; the engine counts and drops those records.
-/// Auxiliary vectors never travel — they are diagnostic-only and O(n).
-template <typename Summary>
-struct ClassificationCodec {
-  using Message = core::Classification<Summary>;
-
-  [[nodiscard]] static std::vector<std::byte> encode(const Message& message) {
-    return wire::encode_classification(message);
-  }
-  [[nodiscard]] static Message decode(std::span<const std::byte> payload) {
-    return wire::decode_classification<Summary>(payload);
-  }
-};
-
-using GmCodec = ClassificationCodec<stats::Gaussian>;
-using CentroidCodec = ClassificationCodec<linalg::Vector>;
-using GmShardEngine = ShardEngine<gossip::GmNode, GmCodec>;
-using CentroidShardEngine = ShardEngine<gossip::CentroidNode, CentroidCodec>;
-using GmShardCluster = ShardCluster<gossip::GmNode, GmCodec>;
-using CentroidShardCluster = ShardCluster<gossip::CentroidNode, CentroidCodec>;
+using GmShardEngine = ShardEngine<gossip::GmNode>;
+using CentroidShardEngine = ShardEngine<gossip::CentroidNode>;
+using GmShardCluster = ShardCluster<gossip::GmNode>;
+using CentroidShardCluster = ShardCluster<gossip::CentroidNode>;
 
 /// ShardEngineOptions for a run: the exchange-pacing and partitioning
 /// knobs come from `exchange`, the simulation slice from `config`.

@@ -1,8 +1,11 @@
 // Node storage of the round engine (shard_engine.hpp): where node state
-// and in-flight messages live. ShardEngine picks one from its node type;
-// both answer the same calls, addressed by a node's local index (its
-// global id on one shard) and the planned sim::Hop: clear_messages,
-// prepare, sent, absorb, and the classification read-outs.
+// and in-flight messages live, and the only place that knows how those
+// messages are encoded, traced and received. ShardEngine picks one from
+// its node type; both answer the same calls, addressed by a node's local
+// index (its global id on one shard) and the planned sim::Hop:
+// clear_messages, prepare, sent, sent_size (the collection count the
+// trace records), the wire hooks kWire/encode/decode/decode_unplanned,
+// absorb, and the classification read-outs.
 //
 // Both keep 2n message slots, one per (leg, initiator). No inbox is
 // built: absorb reads each receiver's hops from the plan
@@ -10,18 +13,22 @@
 // one receiver, so the parallel absorb touches disjoint slots.
 //
 //   * ObjectStorage: one sim::GossipNode object per owned node; a
-//     message decoded off the wire lands in its hop's slot.
+//     message decoded off the wire lands in its hop's slot. Messages
+//     travel as wire::encode_classification where the summary domain
+//     has a wire::SummaryCodec; push-sum and dkmeans stay on one shard.
 //   * PoolStorage: the whole network in flat pools, for 10⁵–10⁶ nodes
 //     where per-node objects drown in pointer chasing and allocator
-//     metadata. One shard only: it has no row codec and no tracer.
+//     metadata. One shard only: it has no row codec yet.
 //
 // Bit-identity between the two is pinned by tests:
 // tests/sim/soa_pool_receive_test.cpp compares each pool binding's
 // receive_rows with GenericClassifier::receive, and
-// tests/sim/scale_equivalence_test.cpp compares whole runs by digest.
+// tests/sim/scale_equivalence_test.cpp compares whole runs by digest and
+// by event trace.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -34,6 +41,7 @@
 #include <ddc/exec/thread_pool.hpp>
 #include <ddc/sim/gossip_node.hpp>
 #include <ddc/sim/round_plan.hpp>
+#include <ddc/wire/serialize.hpp>
 
 namespace ddc::shard {
 
@@ -44,12 +52,24 @@ namespace ddc::shard {
   return hop.leg == sim::Leg::forward ? hop.initiator : n + hop.initiator;
 }
 
+/// Every wire hook of a storage without a wire format: the engine keeps
+/// such a storage on one shard, so none is ever reached.
+[[noreturn]] inline void no_wire_format() {
+  throw ContractViolation("node storage has no wire format");
+}
+
 /// The owned nodes in local order, and message slots over all
 /// `num_nodes` initiators.
 template <typename Node>
 class ObjectStorage {
  public:
   using Message = typename Node::Message;
+  /// A classification whose summary domain has a wire::SummaryCodec
+  /// crosses a shard edge as wire::encode_classification bytes (its
+  /// diagnostic, O(n) aux vectors never travel).
+  static constexpr bool kWire = requires {
+    wire::SummaryCodec<decltype(Message::value_type::summary)>::type;
+  };
 
   ObjectStorage(std::vector<Node> nodes, std::size_t num_nodes)
       : nodes_(std::move(nodes)),
@@ -67,24 +87,37 @@ class ObjectStorage {
     for (std::vector<Message>& batch : batches_) batch.clear();
   }
 
-  /// A hop's message, prepared here or decoded off the wire.
-  [[nodiscard]] std::optional<Message>& message(const sim::Hop& hop) {
-    return slots_[slot_of(hop, slots_.size() / 2)];
-  }
   /// Local node j splits for `hop`; an empty message is never sent.
   // ddcverify: hotpath
   void prepare(std::size_t j, const sim::Hop& hop) {
     Message msg = nodes_[j].prepare_message();
-    if (!msg.empty()) message(hop) = std::move(msg);
+    if (!msg.empty()) slots_[slot(hop)] = std::move(msg);
   }
   [[nodiscard]] bool sent(const sim::Hop& hop) const {
-    return slots_[slot_of(hop, slots_.size() / 2)].has_value();
+    return slots_[slot(hop)].has_value();
+  }
+  /// A sent hop's collection count, for the trace (a scalar message, as
+  /// push-sum's, counts one).
+  [[nodiscard]] std::size_t sent_size(const sim::Hop& hop) const {
+    const Message& msg = *slots_[slot(hop)];
+    if constexpr (requires { msg.size(); }) return msg.size();
+    return 1;
   }
 
-  /// A message decoded off the wire that matched no planned hop; local
-  /// node j absorbs it after its planned ones, in the order added.
-  void add_unplanned(std::size_t j, Message&& msg) {
-    batches_[j].push_back(std::move(msg));
+  /// A sent hop's message in its wire format. decode puts a message read
+  /// off the wire into its hop's slot; decode_unplanned queues one that
+  /// matched no planned hop, for local node j to absorb after its planned
+  /// ones, in the order added. Both throw wire::DecodeError on a
+  /// malformed payload.
+  [[nodiscard]] std::vector<std::byte> encode(const sim::Hop& hop) const {
+    if constexpr (kWire) return wire::encode_classification(*slots_[slot(hop)]);
+    no_wire_format();
+  }
+  void decode(const sim::Hop& hop, std::span<const std::byte> payload) {
+    slots_[slot(hop)] = decode_message(payload);
+  }
+  void decode_unplanned(std::size_t j, std::span<const std::byte> payload) {
+    batches_[j].push_back(decode_message(payload));
   }
 
   /// Every live owned node moves its delivered messages out of their
@@ -101,7 +134,7 @@ class ObjectStorage {
           owned[j], [&](const sim::Hop& hop) { return sent(hop); },
           [&](const sim::Hop& hop, sim::Fate fate) {
             if (fate == sim::Fate::delivered) {
-              batch.push_back(std::move(*message(hop)));
+              batch.push_back(std::move(*slots_[slot(hop)]));
             }
           });
       std::rotate(batch.begin(), batch.begin() + unplanned, batch.end());
@@ -139,6 +172,18 @@ class ObjectStorage {
   }
 
  private:
+  [[nodiscard]] std::size_t slot(const sim::Hop& hop) const {
+    return slot_of(hop, slots_.size() / 2);
+  }
+  [[nodiscard]] static Message decode_message(
+      std::span<const std::byte> payload) {
+    if constexpr (kWire) {
+      return wire::decode_classification<
+          decltype(Message::value_type::summary)>(payload);
+    }
+    no_wire_format();
+  }
+
   std::vector<Node> nodes_;
   std::vector<std::optional<Message>> slots_;
   // Per owned node: the batch absorb hands it, reused across rounds
@@ -219,7 +264,19 @@ class PoolStorage {
     slot_counts_[slot] = sent_count;
   }
   [[nodiscard]] bool sent(const sim::Hop& hop) const {
-    return slot_counts_[slot_of(hop, n_)] > 0;
+    return sent_size(hop) > 0;
+  }
+  /// A hop's collection count, for the trace.
+  [[nodiscard]] std::size_t sent_size(const sim::Hop& hop) const {
+    return slot_counts_[slot_of(hop, n_)];
+  }
+
+  /// No row codec yet: the engine keeps pool storage on one shard.
+  static constexpr bool kWire = false;
+  std::vector<std::byte> encode(const sim::Hop&) const { no_wire_format(); }
+  void decode(const sim::Hop&, std::span<const std::byte>) { no_wire_format(); }
+  void decode_unplanned(std::size_t, std::span<const std::byte>) {
+    no_wire_format();
   }
 
   // ddcverify: hotpath

@@ -15,11 +15,12 @@
 // Node state lives in a storage picked from the node type
 // (node_storage.hpp): object storage for a sim::GossipNode (the object
 // engine), pool storage for a pool protocol (gossip/scale.hpp, the SoA
-// engine), whose absorb reads each inbox straight from the plan. One
-// shard needs no transport, completes each round in its first poll and
-// skips the boundary split and the record decode. Only one-shard engines
-// take node types with no wire format (Codec = void, which pool storage
-// always is) and event traces (object storage).
+// engine). The storage owns its messages: it encodes and decodes them
+// for the wire and sizes them for the event trace, so the engine never
+// branches on it. One shard needs no transport, completes each round in
+// its first poll and skips the boundary split and the record decode.
+// Only one-shard engines take storages with no wire format (push-sum,
+// dkmeans, pool storage) and event traces.
 //
 // Compute/communication overlap: with several shards, begin_round()
 // splits the owned nodes into BOUNDARY (this round's plan moves one of
@@ -133,15 +134,11 @@ struct ShardEngineStats {
 };
 
 /// One process's shard of a round-based gossip simulation over a
-/// sim::GossipNode or a pool protocol. `Codec` encodes Node::Message
-/// payloads for the wire: static encode(Message) and decode(bytes), as
-/// ClassificationCodec in factories.hpp; `void` (no wire format) is
-/// allowed on one-shard maps only.
-template <typename Node, typename Codec = void>
+/// sim::GossipNode or a pool protocol. A storage with no wire format
+/// (Storage::kWire false) is allowed on one-shard maps only.
+template <typename Node>
 class ShardEngine {
   static constexpr bool kPools = !sim::GossipNode<Node>;
-  static constexpr bool kHasCodec = !std::is_void_v<Codec>;
-  static_assert(!(kPools && kHasCodec), "pool storage has no row codec");
   using Storage =
       std::conditional_t<kPools, PoolStorage<Node>, ObjectStorage<Node>>;
 
@@ -308,11 +305,8 @@ class ShardEngine {
   }
 
   /// Attaches (or detaches, with nullptr) an execution trace recorder,
-  /// borrowed: it must outlive the rounds it observes. One-shard object
-  /// storage only.
-  void set_trace(sim::TraceRecorder* recorder)
-    requires(!kPools)
-  {
+  /// borrowed: it must outlive the rounds it observes. One shard only.
+  void set_trace(sim::TraceRecorder* recorder) {
     DDC_EXPECTS(one_shard());
     trace_ = recorder;
   }
@@ -370,8 +364,7 @@ class ShardEngine {
         plan_(options_, map_.num_nodes()),
         peers_(map_.num_shards()),
         pool_(exec::ThreadPool::for_parallelism(options_.parallelism)) {
-    // Pool storage has no codec, so this also keeps it on one shard.
-    DDC_EXPECTS(kHasCodec || one_shard());
+    DDC_EXPECTS(Storage::kWire || one_shard());
     DDC_EXPECTS(shard_ < map_.num_shards());
     DDC_EXPECTS(topology_.num_nodes() == map_.num_nodes());
     DDC_EXPECTS(storage_.size() == map_.size(shard_));
@@ -471,15 +464,12 @@ class ShardEngine {
           return owns(hop.from) && !owns(hop.to) && storage_.sent(hop);
         },
         [&](const sim::Hop& hop, sim::Fate fate) {
-          if constexpr (kHasCodec) {
-            if (fate != sim::Fate::delivered) return;
-            encoded.push_back(
-                Codec::encode(*storage_.message(hop)));
-            outgoing[map_.shard_of(hop.to)].push_back(
-                {static_cast<std::uint32_t>(hop.from),
-                 static_cast<std::uint32_t>(hop.to), batch_tag(hop.leg),
-                 encoded.back()});
-          }
+          if (fate != sim::Fate::delivered) return;
+          encoded.push_back(storage_.encode(hop));
+          outgoing[map_.shard_of(hop.to)].push_back(
+              {static_cast<std::uint32_t>(hop.from),
+               static_cast<std::uint32_t>(hop.to), batch_tag(hop.leg),
+               encoded.back()});
         });
     for (ShardId s = 0; s < map_.num_shards(); ++s) {
       if (s == shard_) continue;
@@ -676,61 +666,59 @@ class ShardEngine {
   /// a peer restarted with a diverged plan — are absorbed after the
   /// planned ones in (dst, tag, src) order, so healthy shards agree.
   void receive_records() {
-    if constexpr (kHasCodec) {
-      const std::size_t n = map_.num_nodes();
-      const auto for_each_record_here = [&](auto&& fn) {
-        for (ShardId s = 0; s < map_.num_shards(); ++s) {
-          if (s == shard_) continue;
-          for (StoredRecord& rec : peers_[s].records) {
-            if (rec.dst < n && owns(rec.dst)) fn(rec);
-          }
-        }
-      };
-      candidates_.clear();
-      for_each_record_here([&](StoredRecord& rec) {
-        if (rec.src < n) {
-          candidates_.emplace_back(slot_of(hop_of(rec), n), candidates_.size(),
-                                   &rec);
-        }
-      });
-      std::sort(candidates_.begin(), candidates_.end());  // arrivals unique
-      for (std::size_t c = 0; c < candidates_.size(); ++c) {
-        const std::size_t slot = std::get<0>(candidates_[c]);
-        StoredRecord& rec = *std::get<2>(candidates_[c]);
-        const sim::Hop hop = hop_of(rec);
-        const bool last = c + 1 == candidates_.size() ||
-                          std::get<0>(candidates_[c + 1]) != slot;
-        bool delivered = false;  // the plan delivers `hop` to its receiver
-        plan_.for_each_receive(
-            hop.to, [&](const sim::Hop& planned) { return planned == hop; },
-            [&](const sim::Hop&, sim::Fate fate) {
-              delivered = fate == sim::Fate::delivered;
-            });
-        if (last && !owns(hop.from) && delivered) {
-          rec.consumed = true;
-          try {
-            storage_.message(hop) = Codec::decode(rec.payload);
-          } catch (const wire::DecodeError&) {
-            ++stats_.decode_errors;
-          }
+    const std::size_t n = map_.num_nodes();
+    const auto for_each_record_here = [&](auto&& fn) {
+      for (ShardId s = 0; s < map_.num_shards(); ++s) {
+        if (s == shard_) continue;
+        for (StoredRecord& rec : peers_[s].records) {
+          if (rec.dst < n && owns(rec.dst)) fn(rec);
         }
       }
-      leftovers_.clear();
-      for_each_record_here([&](StoredRecord& rec) {
-        if (!rec.consumed && plan_.alive(rec.dst)) leftovers_.push_back(&rec);
-      });
-      std::sort(leftovers_.begin(), leftovers_.end(),
-                [](const StoredRecord* a, const StoredRecord* b) {
-                  return std::tie(a->dst, a->tag, a->src) <
-                         std::tie(b->dst, b->tag, b->src);
-                });
-      for (StoredRecord* rec : leftovers_) {
-        ++stats_.unplanned_records;
+    };
+    candidates_.clear();
+    for_each_record_here([&](StoredRecord& rec) {
+      if (rec.src < n) {
+        candidates_.emplace_back(slot_of(hop_of(rec), n), candidates_.size(),
+                                 &rec);
+      }
+    });
+    std::sort(candidates_.begin(), candidates_.end());  // arrivals unique
+    for (std::size_t c = 0; c < candidates_.size(); ++c) {
+      const std::size_t slot = std::get<0>(candidates_[c]);
+      StoredRecord& rec = *std::get<2>(candidates_[c]);
+      const sim::Hop hop = hop_of(rec);
+      const bool last = c + 1 == candidates_.size() ||
+                        std::get<0>(candidates_[c + 1]) != slot;
+      bool delivered = false;  // the plan delivers `hop` to its receiver
+      plan_.for_each_receive(
+          hop.to, [&](const sim::Hop& planned) { return planned == hop; },
+          [&](const sim::Hop&, sim::Fate fate) {
+            delivered = fate == sim::Fate::delivered;
+          });
+      if (last && !owns(hop.from) && delivered) {
+        rec.consumed = true;
         try {
-          storage_.add_unplanned(local(rec->dst), Codec::decode(rec->payload));
+          storage_.decode(hop, rec.payload);
         } catch (const wire::DecodeError&) {
           ++stats_.decode_errors;
         }
+      }
+    }
+    leftovers_.clear();
+    for_each_record_here([&](StoredRecord& rec) {
+      if (!rec.consumed && plan_.alive(rec.dst)) leftovers_.push_back(&rec);
+    });
+    std::sort(leftovers_.begin(), leftovers_.end(),
+              [](const StoredRecord* a, const StoredRecord* b) {
+                return std::tie(a->dst, a->tag, a->src) <
+                       std::tie(b->dst, b->tag, b->src);
+              });
+    for (StoredRecord* rec : leftovers_) {
+      ++stats_.unplanned_records;
+      try {
+        storage_.decode_unplanned(local(rec->dst), rec->payload);
+      } catch (const wire::DecodeError&) {
+        ++stats_.decode_errors;
       }
     }
   }
@@ -758,10 +746,7 @@ class ShardEngine {
       record(Event::no_live_neighbor, 0);
       return;
     }
-    std::size_t payload = 1;  // scalar messages (push-sum) count one unit
-    if constexpr (requires { storage_.message(hop)->size(); }) {
-      payload = storage_.message(hop)->size();  // collections
-    }
+    const std::size_t payload = storage_.sent_size(hop);
     record(Event::send, payload);
     const Event outcome = fate == sim::Fate::dead_target ? Event::dead_target
                           : fate == sim::Fate::lost      ? Event::loss

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include <ddc/common/error.hpp>
 
@@ -115,6 +117,14 @@ void EngineConfig::validate() const {
   }
   if (k == 0) throw ConfigError("k must be ≥ 1");
   if (quanta_per_unit < 1) throw ConfigError("quanta_per_unit must be ≥ 1");
+  // Lemma 1's total weight W = n · quanta_per_unit must fit the int64
+  // weight sums with headroom: at most 2^62.
+  if (static_cast<std::uint64_t>(quanta_per_unit) >
+      (std::uint64_t{1} << 62) / topology.nodes) {
+    throw ConfigError("topology.nodes (" + std::to_string(topology.nodes) +
+                      ") × quanta_per_unit (" +
+                      std::to_string(quanta_per_unit) + ") must be ≤ 2^62");
+  }
   if (async.mean_tick_interval <= 0.0) {
     throw ConfigError("async.mean_tick_interval must be > 0");
   }

@@ -450,6 +450,15 @@ TEST(ShardEquivalence, ParallelShardsMatchSequentialAndObjectEngine) {
   }
 }
 
+// The storage owns the wire format: classifications of a summary domain
+// with a wire::SummaryCodec have one; push-sum, dkmeans and pool storage
+// do not, so they stay on one shard.
+static_assert(ObjectStorage<gossip::GmNode>::kWire);
+static_assert(ObjectStorage<gossip::CentroidNode>::kWire);
+static_assert(!ObjectStorage<gossip::PushSumNode>::kWire);
+static_assert(!ObjectStorage<gossip::DistributedKMeansNode>::kWire);
+static_assert(!PoolStorage<gossip::CentroidScaleProtocol>::kWire);
+
 TEST(ShardContracts, OneShardFeaturesRejectMultiShardMaps) {
   constexpr std::size_t kNodes = 8;
   const auto topology = sim::Topology::complete(kNodes);

@@ -3,6 +3,9 @@
 
 #include <ddc/common/error.hpp>
 
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace ddc::sim {
@@ -125,6 +128,34 @@ TEST(EngineConfig, ValidateRejectsBadValues) {
   bad = config;
   bad.async.min_delay = 3.0;  // > max_delay
   EXPECT_THROW(bad.validate(), ConfigError);
+}
+
+// Lemma 1's total weight n · quanta_per_unit must stay within 2^62, so
+// the int64 weight sums cannot overflow.
+TEST(EngineConfig, ValidateBoundsTotalWeight) {
+  EngineConfig config;
+  config.topology.nodes = 64;
+  config.quanta_per_unit = std::int64_t{1} << 56;  // W = 2^62 exactly
+  config.validate();
+
+  config.quanta_per_unit = (std::int64_t{1} << 56) + 1;
+  EXPECT_THROW(config.validate(), ConfigError);
+  config.quanta_per_unit = std::int64_t{1} << 62;
+  try {
+    config.validate();
+    ADD_FAILURE() << "64 nodes × 2^62 quanta accepted";
+  } catch (const ConfigError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("64"), std::string::npos) << message;
+    EXPECT_NE(message.find("4611686018427387904"), std::string::npos)
+        << message;
+  }
+
+  config.topology.nodes = 1'000'000;
+  config.quanta_per_unit = std::int64_t{1} << 42;  // W ≈ 2^61.9
+  config.validate();
+  config.quanta_per_unit = std::int64_t{1} << 43;
+  EXPECT_THROW(config.validate(), ConfigError);
 }
 
 }  // namespace

@@ -10,7 +10,8 @@
 //      selection policies, thread counts, topology families and coarse
 //      quanta (one-quantum re-homes) — the struct-of-arrays pools,
 //      message arena, pool split and pool receive must not change a
-//      single mantissa bit relative to one-object-per-node execution.
+//      single mantissa bit relative to one-object-per-node execution,
+//      and a traced pool run records the object run's event trace.
 //   2. Each factory's object or async engine ≡ the same engine built
 //      directly (ShardEngine / AsyncRunner over gossip::make_*_nodes,
 //      runner options spelled out field by field), for both {round,
@@ -24,6 +25,7 @@
 #include <ddc/metrics/classification_metrics.hpp>
 #include <ddc/metrics/streaming.hpp>
 #include <ddc/shard/factories.hpp>
+#include <ddc/sim/trace.hpp>
 #include <ddc/wire/serialize.hpp>
 
 #include <cstdint>
@@ -354,6 +356,57 @@ TEST(ScaleEquivalence, CrashModels) {
                                policy == CrashSendPolicy::avoid_crashed
                                    ? "avoid_crashed"
                                    : "drop_at_crashed");
+    }
+  });
+}
+
+/// Runs `engine` traced for kRounds and returns its trace CSV.
+template <typename Engine>
+std::string trace_csv(Engine engine) {
+  TraceRecorder trace;
+  engine.set_trace(&trace);
+  engine.run_rounds(kRounds);
+  std::ostringstream csv;
+  trace.write_csv(csv);
+  return csv.str();
+}
+
+// A traced pool run records the object run's events byte for byte: the
+// same walk, and each send's payload is the same collection count.
+TEST(ScaleEquivalence, TracesMatch) {
+  for_each_protocol([](auto protocol) {
+    using Protocol = decltype(protocol);
+    constexpr std::size_t n = Protocol::kNodes;
+    const auto inputs = bimodal_inputs(n, 17);
+    const Topology topology = Topology::complete(n);
+    for (const GossipPattern pattern :
+         {GossipPattern::push, GossipPattern::pull, GossipPattern::push_pull}) {
+      for (const CrashSendPolicy policy :
+           {CrashSendPolicy::avoid_crashed, CrashSendPolicy::drop_at_crashed}) {
+        EngineConfig config = base_config(n, 17);
+        config.pattern = pattern;
+        config.crash_probability = 0.05;
+        config.crash_send_policy = policy;
+        config.message_loss_probability = 0.1;
+        const std::string label =
+            std::string(Protocol::kName) + " pattern " +
+            std::to_string(static_cast<int>(pattern)) + " policy " +
+            std::to_string(static_cast<int>(policy));
+        const std::string object =
+            trace_csv(Protocol::round_runner(topology, inputs, config));
+        EXPECT_EQ(object,
+                  trace_csv(Protocol::scale_engine(topology, inputs, config)))
+            << label;
+        for (const char* event : {",send,", ",deliver,", ",loss,", ",crash,"}) {
+          EXPECT_NE(object.find(event), std::string::npos)
+              << label << " records no" << event << "event";
+        }
+        // A pull from a crashed contact sends nothing to drop.
+        if (policy == CrashSendPolicy::drop_at_crashed &&
+            pattern != GossipPattern::pull) {
+          EXPECT_NE(object.find(",dead_target,"), std::string::npos) << label;
+        }
+      }
     }
   });
 }

@@ -1,5 +1,6 @@
 // Event traces of the object engine (the one-shard shard::ShardEngine;
-// the suite keeps its historical name, RoundRunnerTrace).
+// the suite keeps its historical name, RoundRunnerTrace). Pool runs trace
+// the same events (ScaleEquivalence.TracesMatch).
 #include <ddc/sim/trace.hpp>
 
 #include <sstream>

@@ -11,9 +11,9 @@
 //   ddcsim --trace events.csv                      # per-event trace CSV
 //
 // Every run is the one-shard shard::ShardEngine. gm and centroid use its
-// pool storage (the SoA engine) by default; push-sum and --trace runs use
-// object storage (the object engine), which pool storage matches bit for
-// bit.
+// pool storage (the SoA engine) by default, traced or not; push-sum runs
+// and --engine object use object storage (the object engine), which pool
+// storage matches bit for bit, event traces included.
 //
 // The engine flags (--topology/--nodes/--pattern/--threads/--engine/...)
 // are the shared cli::declare_engine_flags surface; only the
@@ -99,23 +99,45 @@ void flush_trace(const ToolConfig& tool, const ddc::sim::TraceRecorder& trace) {
             << tool.trace_path << '\n';
 }
 
+std::string describe(const Vector& v) {
+  std::ostringstream os;
+  os << v;
+  return os.str();
+}
+
+std::string describe(const ddc::stats::Gaussian& g) {
+  std::ostringstream os;
+  os << "N(" << g.mean() << ", diag≈[";
+  for (std::size_t i = 0; i < g.dim(); ++i) {
+    if (i > 0) os << ", ";
+    os << g.cov()(i, i);
+  }
+  os << "])";
+  return os.str();
+}
+
+/// A summary's position, for the RESULT line.
+const Vector& mean_of(const Vector& v) { return v; }
+const Vector& mean_of(const ddc::stats::Gaussian& g) { return g.mean(); }
+
 /// Prints node 0's classification table and the optional RESULT line.
-template <typename Summary, typename SummaryPrinter, typename MeanFn>
+template <typename Summary>
 void report_classification(const ToolConfig& tool,
-                           const ddc::core::Classification<Summary>& c,
-                           SummaryPrinter print_summary, MeanFn mean_of) {
+                           const ddc::core::Classification<Summary>& c) {
   std::cout << "\nnode 0's classification after " << tool.rounds
             << " rounds:\n";
   ddc::io::Table result({"collection", "share", "summary"});
   for (std::size_t j = 0; j < c.size(); ++j) {
     result.add_row({static_cast<long long>(j), c.relative_weight(j),
-                    print_summary(c[j].summary)});
+                    describe(c[j].summary)});
   }
   emit(tool, result);
   if (tool.summary_line) {
     // Machine-readable mirror of node 0's classification, comparable
     // against a ddcnode cluster's RESULT lines (scripts/run_cluster.sh).
-    std::cout << ddc::tools::result_line(c, mean_of) << '\n';
+    std::cout << ddc::tools::result_line(
+                     c, [](const Summary& s) { return mean_of(s); })
+              << '\n';
   }
 }
 
@@ -131,14 +153,10 @@ void report_timing(const ddc::sim::RoundPhaseTimings& t, double partition_s,
 /// The gm/centroid run on either storage: progress table, node 0's
 /// classification and the TIMING line, all through the read-outs both
 /// storages share (no per-node vector is ever materialized).
-template <typename Policy, typename Engine, typename SummaryPrinter,
-          typename MeanFn>
-int run_classifier(const ToolConfig& tool, Engine engine,
-                   SummaryPrinter print_summary, MeanFn mean_of) {
+template <typename Policy, typename Engine>
+int run_classifier(const ToolConfig& tool, Engine engine) {
   ddc::sim::TraceRecorder trace;
-  if constexpr (requires { engine.set_trace(&trace); }) {
-    if (!tool.trace_path.empty()) engine.set_trace(&trace);
-  }
+  if (!tool.trace_path.empty()) engine.set_trace(&trace);
 
   ddc::io::Table progress({"round", "alive", "disagreement"}, 6);
   for (std::size_t r = 0; r < tool.rounds; ++r) {
@@ -152,8 +170,7 @@ int run_classifier(const ToolConfig& tool, Engine engine,
   }
   emit(tool, progress);
 
-  report_classification(tool, engine.classification_of(0), print_summary,
-                        mean_of);
+  report_classification(tool, engine.classification_of(0));
   if (tool.timing) {
     // Per-phase wall-clock from the engine (plan/prepare/deliver/absorb)
     // and its storage (partition, and em: 0 without an EM stage).
@@ -198,23 +215,6 @@ int run_push_sum(const ToolConfig& tool,
   return 0;
 }
 
-std::string describe(const Vector& v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-std::string describe(const ddc::stats::Gaussian& g) {
-  std::ostringstream os;
-  os << "N(" << g.mean() << ", diag≈[";
-  for (std::size_t i = 0; i < g.dim(); ++i) {
-    if (i > 0) os << ", ";
-    os << g.cov()(i, i);
-  }
-  os << "])";
-  return os.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -240,6 +240,9 @@ int main(int argc, char** argv) {
     }
     const ddc::sim::EngineConfig config = ddc::cli::parse_engine_config(flags);
     ddc::linalg::simd::configure(config.simd);
+    if (flags.get_int("rounds") < 0 || flags.get_int("report-every") < 1) {
+      throw ddc::ConfigError("--rounds must be ≥ 0 and --report-every ≥ 1");
+    }
     const ToolConfig tool{
         flags.get("protocol"),
         flags.get("workload"),
@@ -259,40 +262,25 @@ int main(int argc, char** argv) {
     const std::vector<Vector> inputs =
         make_inputs(tool, config.topology.nodes, rng);
     ddc::sim::Topology topology = config.build_topology(rng);
-
-    // Pool storage keeps no per-event trace and has no push-sum binding;
-    // those runs take object storage.
-    const bool pools = config.use_soa() && tool.trace_path.empty();
+    const bool pools = config.use_soa();
 
     if (tool.protocol == "gm") {
       using Policy = ddc::summaries::GaussianPolicy;
-      auto print = [](const ddc::stats::Gaussian& g) { return describe(g); };
-      auto mean = [](const ddc::stats::Gaussian& g) { return g.mean(); };
       return pools ? run_classifier<Policy>(
-                         tool,
-                         ddc::gossip::make_gm_scale_engine(std::move(topology),
-                                                           inputs, config),
-                         print, mean)
+                         tool, ddc::gossip::make_gm_scale_engine(
+                                   std::move(topology), inputs, config))
                    : run_classifier<Policy>(
-                         tool,
-                         ddc::shard::make_gm_round_runner(std::move(topology),
-                                                          inputs, config),
-                         print, mean);
+                         tool, ddc::shard::make_gm_round_runner(
+                                   std::move(topology), inputs, config));
     }
     if (tool.protocol == "centroid") {
       using Policy = ddc::summaries::CentroidPolicy;
-      auto print = [](const Vector& v) { return describe(v); };
-      auto mean = [](const Vector& v) { return v; };
       return pools ? run_classifier<Policy>(
-                         tool,
-                         ddc::gossip::make_centroid_scale_engine(
-                             std::move(topology), inputs, config),
-                         print, mean)
+                         tool, ddc::gossip::make_centroid_scale_engine(
+                                   std::move(topology), inputs, config))
                    : run_classifier<Policy>(
-                         tool,
-                         ddc::shard::make_centroid_round_runner(
-                             std::move(topology), inputs, config),
-                         print, mean);
+                         tool, ddc::shard::make_centroid_round_runner(
+                                   std::move(topology), inputs, config));
     }
     if (tool.protocol == "pushsum") {
       return run_push_sum(tool,
