@@ -42,7 +42,6 @@
 #include <ddc/cli/engine_flags.hpp>
 #include <ddc/exec/thread_pool.hpp>
 #include <ddc/gossip/scale.hpp>
-#include <ddc/linalg/simd.hpp>
 #include <ddc/shard/factories.hpp>
 #include <ddc/workload/scenarios.hpp>
 
@@ -129,7 +128,6 @@ int main(int argc, char** argv) {
     }
     ddc::sim::EngineConfig config =
         ddc::cli::parse_engine_config(flags, {}, set);
-    ddc::linalg::simd::configure(config.simd);
     const std::string protocol = flags.get("protocol");
     if (flags.get_int("rounds") < 1 || flags.get_int("shards") < 1) {
       throw ddc::ConfigError("--rounds and --shards must be ≥ 1");

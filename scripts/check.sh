@@ -41,8 +41,8 @@
 #                  must be bit-identical to the scalar reference), then
 #                  the same binaries rerun with
 #                  DDC_SIMD=scalar — including the sim golden digests —
-#                  and a ddcsim cross-mode run asserts --simd=auto and
-#                  --simd=scalar produce byte-identical RESULT lines.
+#                  and a ddcsim cross-mode run asserts DDC_SIMD=auto and
+#                  DDC_SIMD=scalar produce byte-identical RESULT lines.
 #   9. bench gate  smoke-mode scripts/bench_gate.sh against
 #                  BENCH_hotpath.json, so a hot-path complexity
 #                  regression (say, an accidental return to the O(m³)
@@ -167,12 +167,12 @@ DDC_SIMD=scalar "$SIMD_DIR"/tests/sim_tests
 
 # Cross-mode determinism: node 0's final classification must be
 # byte-identical whichever bit-exact tier scored the E step.
-simd_auto=$("$SIMD_DIR"/tools/ddcsim --nodes=24 --rounds=20 --seed=7 \
-  --summary-line --simd=auto | grep '^RESULT')
-simd_scalar=$("$SIMD_DIR"/tools/ddcsim --nodes=24 --rounds=20 --seed=7 \
-  --summary-line --simd=scalar | grep '^RESULT')
+simd_auto=$(DDC_SIMD=auto "$SIMD_DIR"/tools/ddcsim --nodes=24 --rounds=20 \
+  --seed=7 --summary-line | grep '^RESULT')
+simd_scalar=$(DDC_SIMD=scalar "$SIMD_DIR"/tools/ddcsim --nodes=24 --rounds=20 \
+  --seed=7 --summary-line | grep '^RESULT')
 if [[ "$simd_auto" != "$simd_scalar" ]]; then
-  echo "SIMD gate FAILED: --simd=auto and --simd=scalar disagree" >&2
+  echo "SIMD gate FAILED: DDC_SIMD=auto and DDC_SIMD=scalar disagree" >&2
   echo "  auto:   $simd_auto" >&2
   echo "  scalar: $simd_scalar" >&2
   exit 1

@@ -56,6 +56,7 @@ if [[ "$SHARDS" -le 0 || "$NODES_PER_SHARD" -le 0 ]]; then
   echo "run_cluster.sh: --shards and --nodes-per-shard (both >= 1) are required" >&2
   exit 1
 fi
+NODES=$(( SHARDS * NODES_PER_SHARD ))
 
 # Port base: seed-derived, not $RANDOM, so two runs on the same seed pick
 # the same range (reproducible) while different seeds spread across the
@@ -84,7 +85,7 @@ declare -a PIDS
 launch_member() {
   local i=$1
   "$DDCNODE" --shard-id "$i" --num-shards "$SHARDS" \
-    --nodes-per-shard "$NODES_PER_SHARD" --base-port "$BASE_PORT" \
+    --nodes "$NODES" --base-port "$BASE_PORT" \
     --protocol "$PROTOCOL" --seed "$SEED" --rounds "$ROUNDS" \
     --shard-map "$SHARD_MAP" --loss-prob "$LOSS" --stats-json \
     > "$WORK_DIR/node$i.out" 2> "$WORK_DIR/node$i.err" &
@@ -161,7 +162,7 @@ done
 # replay the simulator's round protocol exactly, so they compare against
 # a lossless simulator run (transport loss is absorbed by retransmits).
 SIM_LINE=$("$DDCSIM" --protocol "$PROTOCOL" --workload clusters \
-  --nodes "$(( SHARDS * NODES_PER_SHARD ))" --rounds "$ROUNDS" \
+  --nodes "$NODES" --rounds "$ROUNDS" \
   --seed "$SEED" --summary-line | grep '^RESULT ')
 echo "ddcsim: $SIM_LINE"
 

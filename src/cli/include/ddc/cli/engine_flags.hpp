@@ -23,7 +23,6 @@ struct EngineFlagSet {
   bool parallelism = true;  ///< --threads
   bool protocol = true;     ///< --k --quanta-exp
   bool backend = true;      ///< --engine (soa | object)
-  bool simd = true;         ///< --simd (auto | scalar)
   bool timing = true;       ///< --timing
 };
 

@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include <ddc/linalg/simd.hpp>
-
 namespace ddc::cli {
 namespace {
 
@@ -92,12 +90,6 @@ void declare_engine_flags(Flags& flags, const sim::EngineConfig& defaults,
                   "identical, and runs soa cannot serve use object",
                   backend_name(defaults.backend));
   }
-  if (set.simd) {
-    flags.declare("simd",
-                  "math-kernel dispatch: auto (bit-exact SIMD when the CPU "
-                  "supports it) | scalar (reference kernels)",
-                  linalg::simd::mode_name(defaults.simd));
-  }
   if (set.timing) {
     flags.declare_bool("timing",
                        "print accumulated per-phase wall-clock (plan / "
@@ -141,6 +133,9 @@ sim::EngineConfig parse_engine_config(const Flags& flags,
     config.parallelism = static_cast<std::size_t>(flags.get_int("threads"));
   }
   if (set.protocol) {
+    if (flags.get_int("k") < 1) {
+      throw ConfigError("--k must be ≥ 1");
+    }
     config.k = static_cast<std::size_t>(flags.get_int("k"));
     const long long quanta_exp = flags.get_int("quanta-exp");
     if (quanta_exp < 0 || quanta_exp > 62) {
@@ -150,15 +145,6 @@ sim::EngineConfig parse_engine_config(const Flags& flags,
   }
   if (set.backend) {
     config.backend = parse_backend(flags.get("engine"));
-  }
-  if (set.simd) {
-    const std::string name = flags.get("simd");
-    const auto mode = linalg::simd::parse_mode(name);
-    if (!mode) {
-      throw ConfigError("unknown simd mode '" + name +
-                        "' (auto | scalar)");
-    }
-    config.simd = *mode;
   }
 
   // The historical ddcsim seed split: protocol (node-local EM restarts)

@@ -20,10 +20,10 @@
 //     otherwise.
 //   Mode::scalar — force the reference tier (CI fallback leg).
 //
-// The DDC_SIMD environment variable ("auto" | "scalar") provides a soft
-// process-wide default: it is read once and unrecognized values fall
-// back to auto. Tools wire the --simd flag through cli::engine_flags and
-// call configure() right after parsing.
+// The DDC_SIMD environment variable ("auto" | "scalar") is the one
+// switch: it is read once and unrecognized values fall back to auto.
+// The tools take no flag for it; tests call configure() to compare the
+// tiers within one process.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +34,7 @@
 
 namespace ddc::linalg::simd {
 
-/// Requested dispatch policy (the --simd flag / DDC_SIMD env values).
+/// Requested dispatch policy (the DDC_SIMD values).
 enum class Mode { auto_detect, scalar };
 
 /// Resolved implementation tier actually executing.
@@ -57,7 +57,6 @@ void configure(Mode mode);
 /// Parses "auto" / "scalar"; nullopt on anything else.
 [[nodiscard]] std::optional<Mode> parse_mode(std::string_view text) noexcept;
 
-[[nodiscard]] const char* mode_name(Mode mode) noexcept;
 [[nodiscard]] const char* tier_name(Tier tier) noexcept;
 
 /// Batched scorer kernel: scores `count` SoA inputs (means count×d,

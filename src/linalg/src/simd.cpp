@@ -89,16 +89,6 @@ std::optional<Mode> parse_mode(std::string_view text) noexcept {
   return std::nullopt;
 }
 
-const char* mode_name(Mode mode) noexcept {
-  switch (mode) {
-    case Mode::auto_detect:
-      return "auto";
-    case Mode::scalar:
-      return "scalar";
-  }
-  return "auto";
-}
-
 const char* tier_name(Tier tier) noexcept {
   return tier == Tier::avx2 ? "avx2" : "scalar";
 }

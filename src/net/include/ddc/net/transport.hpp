@@ -12,6 +12,10 @@
 //   * UdpTransport (udp.hpp) — non-blocking UDP sockets; one process
 //     per shard, localhost or LAN.
 //
+// Neither keeps a failure detector: a transport only moves datagrams.
+// Whether a silent peer is gone is decided once, by the shard engine's
+// poll-counted timeout (ShardEngineOptions::max_exchange_polls).
+//
 // Frames are opaque byte vectors; src/wire defines their contents
 // (envelope in framing.hpp, payloads in serialize.hpp).
 #pragma once

@@ -7,21 +7,16 @@
 // datagrams are attributed to peers by source address; datagrams from
 // addresses outside the table are counted and dropped.
 //
-// Liveness: the transport keeps a probe-based failure detector. Call
-// maintain() periodically; a peer silent for longer than
-// `probe_timeout` is probed, and after `probe_retries` unanswered
-// probes it is reported unreachable (peer_reachable() == false). Any
-// later frame from the peer revives it — the detector is a diagnostic,
-// never a permanent eviction, matching the paper's crash-recovery-free
-// but silence-tolerant model. The probe traffic also lets a start
-// barrier hear peers that have nothing to send yet.
-//
-// Probe and probe-ack frames (wire::FrameKind) are handled inside the
-// transport; receive() surfaces only gossip, batch and batch_ack
-// frames, still wrapped in their full envelope.
+// The transport keeps no liveness state: deciding that a peer is gone
+// is the shard engine's job (ShardEngineOptions::max_exchange_polls).
+// probe() sends a hello that the peer's receive() answers with a
+// probe-ack, so a start barrier can hear peers that have nothing to
+// send yet. Probe and probe-ack frames (wire::FrameKind) are handled
+// inside the transport and count in stats() like any other frame;
+// receive() surfaces only gossip, batch and batch_ack frames, still
+// wrapped in their full envelope.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -40,10 +35,6 @@ struct UdpPeer {
 };
 
 struct UdpOptions {
-  /// Silence span after which a peer gets probed.
-  std::chrono::milliseconds probe_timeout{250};
-  /// Unanswered probes before the peer is reported unreachable.
-  int probe_retries = 3;
   /// Test hook: probability of dropping each incoming datagram before
   /// it is even parsed, simulating channel loss on a lossless loopback
   /// interface. Applies to every frame kind, probes included.
@@ -71,21 +62,17 @@ class UdpTransport final : public Transport {
   [[nodiscard]] std::vector<Packet> receive() override;
   [[nodiscard]] const LinkStats& stats(PeerId peer) const override;
 
-  /// The probe-based liveness estimate for `to`. Advisory only — a
-  /// "reachable" peer can still drop frames.
-  [[nodiscard]] bool peer_reachable(PeerId to) const;
+  /// Sends `to` a hello (a probe frame); its receive() answers with a
+  /// probe-ack, which counts in stats(to).frames_received here.
+  void probe(PeerId to);
 
   /// The port the socket actually bound (== configured port unless 0).
   [[nodiscard]] std::uint16_t local_port() const { return local_port_; }
 
   /// Rebinds the table entry for `peer` (two-phase setup with ephemeral
-  /// ports). Resets that peer's liveness state.
+  /// ports).
   void set_peer_address(PeerId peer, const std::string& host,
                         std::uint16_t port);
-
-  /// Failure-detector upkeep: probes silent peers, expires the ones that
-  /// exhausted their retries. Call once per driver tick.
-  void maintain();
 
   /// Datagrams from addresses outside the peer table (dropped).
   [[nodiscard]] std::uint64_t unknown_source_frames() const noexcept {
@@ -101,22 +88,8 @@ class UdpTransport final : public Transport {
   }
 
  private:
-  // Liveness timeouts run on real time by design: a transport is not a
-  // deterministic module. ddcverify: allow(wall-clock)
-  using Clock = std::chrono::steady_clock;
-
-  struct PeerState {
-    std::uint64_t addr_key = 0;  // packed ip:port for the reverse map
-    Clock::time_point last_heard;
-    Clock::time_point last_probe;
-    int probes_outstanding = 0;
-    bool reachable = true;
-  };
-
   void bind_socket(const UdpPeer& own);
   void update_peer_key(PeerId peer);
-  void note_heard(PeerId peer);
-  void send_raw(PeerId to, const std::vector<std::byte>& frame);
 
   PeerId self_;
   std::vector<UdpPeer> peers_;
@@ -124,7 +97,7 @@ class UdpTransport final : public Transport {
   stats::Rng loss_rng_;
   int fd_ = -1;
   std::uint16_t local_port_ = 0;
-  std::vector<PeerState> state_;
+  std::vector<std::uint64_t> addr_keys_;  // packed ip:port per peer
   std::vector<LinkStats> stats_;
   // Source-address lookup only (find/insert/erase), never iterated, so
   // hash order cannot reach any output. ddcverify: allow(unordered-iter)

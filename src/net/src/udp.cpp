@@ -52,19 +52,13 @@ UdpTransport::UdpTransport(PeerId self, std::vector<UdpPeer> peers,
       peers_(std::move(peers)),
       options_(options),
       loss_rng_(stats::Rng::derive(options.loss_seed, 0x55445000ULL)),
-      state_(peers_.size()),
+      addr_keys_(peers_.size()),
       stats_(peers_.size()) {
   DDC_EXPECTS(self_ < peers_.size());
-  DDC_EXPECTS(options_.probe_retries >= 1);
   DDC_EXPECTS(options_.inject_receive_loss >= 0.0 &&
               options_.inject_receive_loss <= 1.0);
   bind_socket(peers_[self_]);
-  const auto now = Clock::now();
-  for (PeerId p = 0; p < peers_.size(); ++p) {
-    state_[p].last_heard = now;
-    state_[p].last_probe = now;
-    update_peer_key(p);
-  }
+  for (PeerId p = 0; p < peers_.size(); ++p) update_peer_key(p);
 }
 
 UdpTransport::~UdpTransport() {
@@ -97,11 +91,11 @@ void UdpTransport::bind_socket(const UdpPeer& own) {
 }
 
 void UdpTransport::update_peer_key(PeerId peer) {
-  by_address_.erase(state_[peer].addr_key);
+  by_address_.erase(addr_keys_[peer]);
   const sockaddr_in sa = make_sockaddr(peers_[peer]);
-  state_[peer].addr_key = address_key(sa);
+  addr_keys_[peer] = address_key(sa);
   if (peers_[peer].port != 0) {
-    by_address_[state_[peer].addr_key] = peer;
+    by_address_[addr_keys_[peer]] = peer;
   }
 }
 
@@ -109,13 +103,12 @@ void UdpTransport::set_peer_address(PeerId peer, const std::string& host,
                                     std::uint16_t port) {
   DDC_EXPECTS(peer < peers_.size());
   peers_[peer] = UdpPeer{host, port};
-  state_[peer].last_heard = Clock::now();
-  state_[peer].probes_outstanding = 0;
-  state_[peer].reachable = true;
   update_peer_key(peer);
 }
 
-void UdpTransport::send_raw(PeerId to, const std::vector<std::byte>& frame) {
+void UdpTransport::send(PeerId to, const std::vector<std::byte>& frame) {
+  DDC_EXPECTS(to < peers_.size());
+  DDC_EXPECTS(frame.size() <= kMaxDatagram);
   LinkStats& s = stats_[to];
   const sockaddr_in sa = make_sockaddr(peers_[to]);
   const ssize_t n =
@@ -131,10 +124,8 @@ void UdpTransport::send_raw(PeerId to, const std::vector<std::byte>& frame) {
   }
 }
 
-void UdpTransport::send(PeerId to, const std::vector<std::byte>& frame) {
-  DDC_EXPECTS(to < peers_.size());
-  DDC_EXPECTS(frame.size() <= kMaxDatagram);
-  send_raw(to, frame);
+void UdpTransport::probe(PeerId to) {
+  send(to, wire::encode_frame(wire::FrameKind::probe, self_, ++probe_seq_));
 }
 
 std::vector<Packet> UdpTransport::receive() {
@@ -171,17 +162,16 @@ std::vector<Packet> UdpTransport::receive() {
       ++malformed_frames_;
       continue;
     }
-    note_heard(from);
     LinkStats& s = stats_[from];
     ++s.frames_received;
     s.bytes_received += bytes.size();
     switch (frame.kind) {
       case wire::FrameKind::probe:
-        send_raw(from, wire::encode_frame(wire::FrameKind::probe_ack, self_,
-                                          ++probe_seq_));
+        send(from, wire::encode_frame(wire::FrameKind::probe_ack, self_,
+                                      ++probe_seq_));
         break;
       case wire::FrameKind::probe_ack:
-        break;  // note_heard above is the whole effect
+        break;  // the frames_received count above is the whole effect
       case wire::FrameKind::gossip:
       case wire::FrameKind::batch:
       case wire::FrameKind::batch_ack:
@@ -192,41 +182,9 @@ std::vector<Packet> UdpTransport::receive() {
   return out;
 }
 
-void UdpTransport::note_heard(PeerId peer) {
-  state_[peer].last_heard = Clock::now();
-  state_[peer].probes_outstanding = 0;
-  state_[peer].reachable = true;
-}
-
-bool UdpTransport::peer_reachable(PeerId to) const {
-  DDC_EXPECTS(to < peers_.size());
-  return state_[to].reachable;
-}
-
 const LinkStats& UdpTransport::stats(PeerId peer) const {
   DDC_EXPECTS(peer < stats_.size());
   return stats_[peer];
-}
-
-void UdpTransport::maintain() {
-  const auto now = Clock::now();
-  for (PeerId p = 0; p < peers_.size(); ++p) {
-    if (p == self_ || peers_[p].port == 0) continue;
-    PeerState& st = state_[p];
-    if (now - st.last_heard <= options_.probe_timeout) continue;
-    if (st.probes_outstanding >= options_.probe_retries) {
-      st.reachable = false;
-      continue;
-    }
-    // Bounded retry: one probe per timeout span, up to probe_retries.
-    if (st.probes_outstanding == 0 ||
-        now - st.last_probe > options_.probe_timeout) {
-      send_raw(p, wire::encode_frame(wire::FrameKind::probe, self_,
-                                     ++probe_seq_));
-      st.last_probe = now;
-      ++st.probes_outstanding;
-    }
-  }
 }
 
 }  // namespace ddc::net

@@ -102,7 +102,7 @@ struct ShardEngineOptions : sim::RoundRunnerOptions {
   /// overlap schedule. 0 disables mid-compute polling (one block).
   std::size_t overlap_chunk = 512;
   /// Called by run_round() between unsuccessful polls — the driver's
-  /// pump (LoopbackNetwork::advance, UdpTransport::maintain + sleep).
+  /// pump (LoopbackNetwork::advance; a short sleep over UDP).
   std::function<void()> idle = nullptr;
   /// TESTING ONLY — re-enables a historic bug class for the schedule
   /// explorer's planted-bug self-test: when set, empty batches (bare

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <string>
 
-#include <ddc/linalg/simd.hpp>
 #include <ddc/sim/async_runner.hpp>
 #include <ddc/sim/gossip_node.hpp>
 #include <ddc/sim/round_plan.hpp>
@@ -109,10 +108,6 @@ struct AsyncTiming {
 /// ignores the fault fields.
 struct EngineConfig : RoundRunnerOptions {
   TopologySpec topology;
-  /// Math-kernel dispatch policy (linalg/simd.hpp): auto or scalar, both
-  /// bit-exact. Applied process-wide by the tools via
-  /// linalg::simd::configure.
-  linalg::simd::Mode simd = linalg::simd::Mode::auto_detect;
   EngineBackend backend = EngineBackend::soa;
   AsyncTiming async;
 

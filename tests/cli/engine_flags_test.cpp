@@ -77,6 +77,13 @@ TEST(EngineFlags, ValidationMirrorsDdcsim) {
     EXPECT_THROW((void)parse_engine_config(flags), ConfigError);
   }
   {
+    // A negative --k must not wrap to a huge size_t (which later aborts
+    // in a vector allocation).
+    Flags flags = make_flags();
+    ASSERT_TRUE(flags.parse({"--k=-1"}));
+    EXPECT_THROW((void)parse_engine_config(flags), ConfigError);
+  }
+  {
     Flags flags = make_flags();
     ASSERT_TRUE(flags.parse({"--quanta-exp=63"}));
     EXPECT_THROW((void)parse_engine_config(flags), ConfigError);

@@ -1,5 +1,5 @@
 // UdpTransport over real localhost sockets: frame exchange, counters,
-// resilience to garbage, and the probe-based failure detector. Tests
+// resilience to garbage, and hellos answered inside receive(). Tests
 // bind ephemeral ports (port 0) and wire the table up afterwards, so
 // parallel test runs never collide.
 #include <ddc/net/udp.hpp>
@@ -96,7 +96,8 @@ TEST(Udp, MalformedDatagramsCountedAndDropped) {
 
 TEST(Udp, ProbesAnsweredInvisibly) {
   Pair pair;
-  pair.a.send(1, wire::encode_frame(wire::FrameKind::probe, 0, 1));
+  pair.a.probe(1);
+  EXPECT_EQ(pair.a.stats(1).frames_sent, 1u);
   // The probe is consumed inside b's transport; nothing surfaces.
   EXPECT_TRUE(receive_within(pair.b, 200ms).empty());
   // ...but a answered it got an ack (also invisible) and counted traffic.
@@ -107,37 +108,6 @@ TEST(Udp, ProbesAnsweredInvisibly) {
     std::this_thread::sleep_for(1ms);
   }
   EXPECT_EQ(pair.a.stats(1).frames_received, 1u);
-}
-
-TEST(Udp, SilentPeerExpiresAfterRetriesAndRevives) {
-  UdpOptions options;
-  options.probe_timeout = 30ms;
-  options.probe_retries = 2;
-  // Peer 1's address points at a socket we bind and never answer from.
-  UdpTransport quiet(1, {{"127.0.0.1", 0}, {"127.0.0.1", 0}});
-  UdpTransport t(0, {{"127.0.0.1", 0}, {"127.0.0.1", 0}}, options);
-  t.set_peer_address(1, "127.0.0.1", quiet.local_port());
-  EXPECT_TRUE(t.peer_reachable(1));
-
-  const auto deadline = std::chrono::steady_clock::now() + 5000ms;
-  while (t.peer_reachable(1) && std::chrono::steady_clock::now() < deadline) {
-    (void)t.receive();
-    t.maintain();
-    std::this_thread::sleep_for(5ms);
-  }
-  EXPECT_FALSE(t.peer_reachable(1));
-
-  // Any frame from the peer revives it — the detector is a hint, not an
-  // eviction.
-  quiet.set_peer_address(0, "127.0.0.1", t.local_port());
-  quiet.send(0, gossip_frame(1, 1));
-  const auto revive_deadline = std::chrono::steady_clock::now() + 2000ms;
-  while (!t.peer_reachable(1) &&
-         std::chrono::steady_clock::now() < revive_deadline) {
-    (void)t.receive();
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_TRUE(t.peer_reachable(1));
 }
 
 TEST(Udp, InjectedReceiveLossDropsFrames) {

@@ -157,8 +157,6 @@ TEST(SimdSeam, ParseAndNames) {
   EXPECT_EQ(simd::parse_mode("scalar"), simd::Mode::scalar);
   EXPECT_FALSE(simd::parse_mode("avx2").has_value());
   EXPECT_FALSE(simd::parse_mode("fast").has_value());
-  EXPECT_STREQ(simd::mode_name(simd::Mode::auto_detect), "auto");
-  EXPECT_STREQ(simd::mode_name(simd::Mode::scalar), "scalar");
 }
 
 TEST(SimdSeam, ScalarModeForcesCleanFallback) {

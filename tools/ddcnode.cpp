@@ -1,33 +1,35 @@
 // ddcnode — one shard of a networked classification cluster.
 //
-// A cluster is S ddcnode processes. Each runs one ShardEngine hosting M
-// of the S*M nodes (the same GM or centroid nodes the simulator drives)
-// and exchanges batched cross-shard traffic over UDP: one frame per
-// peer shard per round. Every process derives the full input set, the
-// topology and the node->shard map from the same flags, exactly how a
-// sensor deployment ships one flashed configuration to every mote.
+// A cluster is S ddcnode processes. Each runs one ShardEngine hosting
+// its share of the --nodes nodes (the same GM or centroid nodes the
+// simulator drives) and exchanges batched cross-shard traffic over UDP:
+// one frame per peer shard per round. Every process derives the full
+// input set, the topology and the node->shard map from the same flags,
+// exactly how a sensor deployment ships one flashed configuration to
+// every mote.
 // Together the shards replay the round protocol ddcsim runs in-process,
 // so a healthy cluster's RESULT matches `ddcsim --summary-line` bit for
-// bit. One mote per process is `--nodes-per-shard 1`.
+// bit. One mote per process is `--nodes S --num-shards S`.
 //
-// Lifecycle: bind socket -> wait until every peer shard has been heard
-// from (bounded by --start-timeout-ms) -> run --rounds rounds -> drain
-// -> print the first owned node's classification as a RESULT line.
+// Lifecycle: bind socket -> say hello to every peer shard until each has
+// been heard from (at most 5 s) -> run --rounds rounds -> drain -> print
+// the first owned node's classification as a RESULT line.
 //
-//   ddcnode --shard-id 0 --num-shards 4 --nodes-per-shard 1000
+//   ddcnode --shard-id 0 --num-shards 4 --nodes 4000
 //
-// The shared engine flags (--topology/--k/--quanta-exp/--seed) come from
-// cli::declare_engine_flags; the node count is num-shards *
-// nodes-per-shard. Every process runs the same inputs-then-topology
-// derivation ddcsim does, so a cluster and a simulator run on the same
-// seed classify the same workload over the same graph.
-// scripts/run_cluster.sh launches and checks a whole cluster.
+// The shared engine flags (--topology/--nodes/--k/--quanta-exp/--seed)
+// come from cli::declare_engine_flags and mean what they mean to ddcsim.
+// Every process runs the same inputs-then-topology derivation ddcsim
+// does, so a cluster and a simulator run on the same seed classify the
+// same workload over the same graph. Whether a silent peer shard is gone
+// is the engine's verdict alone (--max-exchange-polls); the transport
+// keeps no liveness state. scripts/run_cluster.sh launches and checks a
+// whole cluster.
 #include <chrono>
 #include <iostream>
 #include <sstream>
 #include <thread>
 
-#include <ddc/linalg/simd.hpp>
 #include <ddc/cli/engine_flags.hpp>
 #include <ddc/net/udp.hpp>
 #include <ddc/shard/factories.hpp>
@@ -40,9 +42,21 @@
 namespace {
 
 using ddc::linalg::Vector;
+using namespace std::chrono_literals;
 // The start barrier waits on real time, outside any round: a process
 // cluster is nondeterministic by design. ddcverify: allow(wall-clock)
 using Clock = std::chrono::steady_clock;
+
+/// How long the start barrier waits for every peer shard.
+constexpr auto kStartTimeout = 5000ms;
+/// Interval between the start barrier's hellos to peers not yet heard.
+constexpr auto kHelloInterval = 250ms;
+/// After the last round the shard keeps answering its peers for
+/// kDrainTicks ticks of kDrainTick each.
+constexpr auto kDrainTick = 20ms;
+constexpr std::size_t kDrainTicks = 25;
+/// Sleep between the engine's unsuccessful exchange polls.
+constexpr auto kIdleSleep = 500us;
 
 /// Which engine flag groups ddcnode exposes. Faults stay off — the
 /// engine fault model simulates lossy channels, while ddcnode's own
@@ -61,19 +75,10 @@ struct Config {
   std::string protocol;
   std::string workload;
   std::size_t rounds;
-  std::size_t tick_ms;
-  std::size_t drain_ticks;
-  std::size_t start_timeout_ms;
-  std::size_t probe_timeout_ms;
-  int probe_retries;
   double loss_prob;
-  bool verbose;
   bool stats_json;
-  // This process hosts nodes_per_shard of the num_shards *
-  // nodes_per_shard nodes.
   std::size_t num_shards;
   std::size_t shard_id;
-  std::size_t nodes_per_shard;
   std::size_t max_exchange_polls;
   ddc::shard::Partitioner shard_map;
   ddc::sim::EngineConfig engine;
@@ -103,8 +108,6 @@ ddc::net::UdpTransport make_shard_transport(const Config& config) {
                      static_cast<std::uint16_t>(config.base_port + s)});
   }
   ddc::net::UdpOptions options;
-  options.probe_timeout = std::chrono::milliseconds(config.probe_timeout_ms);
-  options.probe_retries = config.probe_retries;
   options.inject_receive_loss = config.loss_prob;
   options.loss_seed =
       ddc::stats::derive_seed(config.seed(), 7000 + config.shard_id);
@@ -114,20 +117,22 @@ ddc::net::UdpTransport make_shard_transport(const Config& config) {
 }
 
 /// One-line JSON stats dump (--stats-json): the engine's batch-exchange
-/// counters plus per-peer link counters. Printed to stdout so
-/// run_cluster.sh can assert on batching efficiency.
+/// counters plus per-peer link counters and the engine's verdict on
+/// whether each peer shard is alive. Printed to stdout so run_cluster.sh
+/// can assert on batching efficiency.
+template <typename Engine>
 std::string stats_json(const ddc::net::UdpTransport& transport,
-                       std::size_t num_peers, std::size_t self,
-                       const ddc::shard::ShardEngineStats& engine,
-                       const char* shard_map) {
+                       const Engine& shard, const char* shard_map) {
+  const ddc::shard::ShardEngineStats& engine = shard.stats();
   const double records_per_frame =
       engine.batch_frames_sent > 0
           ? static_cast<double>(engine.batch_records_sent) /
                 static_cast<double>(engine.batch_frames_sent)
           : 0.0;
   std::ostringstream os;
-  os << "{\"mode\":\"shard\",\"id\":" << self << ",\"injected_losses\":"
-     << transport.injected_losses() << ",\"shard_map\":\"" << shard_map
+  os << "{\"mode\":\"shard\",\"id\":" << shard.shard_id()
+     << ",\"injected_losses\":" << transport.injected_losses()
+     << ",\"shard_map\":\"" << shard_map
      << "\",\"engine\":{\"batch_frames_sent\":" << engine.batch_frames_sent
      << ",\"batch_records_sent\":" << engine.batch_records_sent
      << ",\"batch_frames_received\":" << engine.batch_frames_received
@@ -142,80 +147,65 @@ std::string stats_json(const ddc::net::UdpTransport& transport,
      << ",\"polls_during_compute\":" << engine.polls_during_compute
      << ",\"records_per_frame\":" << records_per_frame << "}";
   os << ",\"peers\":[";
-  for (std::size_t p = 0; p < num_peers; ++p) {
-    const auto& s = transport.stats(static_cast<ddc::net::PeerId>(p));
+  for (ddc::net::PeerId p = 0; p < transport.num_peers(); ++p) {
+    const auto& s = transport.stats(p);
     if (p > 0) os << ',';
     os << "{\"peer\":" << p << ",\"frames_sent\":" << s.frames_sent
        << ",\"bytes_sent\":" << s.bytes_sent
        << ",\"frames_received\":" << s.frames_received
        << ",\"bytes_received\":" << s.bytes_received
-       << ",\"send_failures\":" << s.send_failures << ",\"reachable\":"
-       << (p == self || transport.peer_reachable(
-                            static_cast<ddc::net::PeerId>(p))
-               ? "true"
-               : "false")
-       << '}';
+       << ",\"send_failures\":" << s.send_failures << ",\"alive\":"
+       << (shard.peer_shard_alive(p) ? "true" : "false") << '}';
   }
   os << "]}";
   return os.str();
 }
 
-/// Startup barrier: wait (bounded) until every peer shard has been heard
-/// from at least once, so slow-starting processes don't stall the first
-/// exchange. Proceeds after the timeout regardless — a shard that is
-/// down from the start must not wedge the cluster. Discarding data
-/// frames here is safe: every batch is retransmitted until acked, so
-/// nothing a fast-starting peer sent during our barrier is lost.
-void await_shard_peers(const Config& config,
-                       ddc::net::UdpTransport& transport) {
-  if (config.num_shards <= 1) return;
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(config.start_timeout_ms);
+/// Startup barrier: say hello to every peer shard not yet heard from,
+/// once per kHelloInterval, until all have been heard (a hello's ack, a
+/// hello or any other frame) or kStartTimeout passes, so slow-starting
+/// processes don't stall the first exchange. Proceeds after the timeout
+/// regardless — a shard that is down from the start must not wedge the
+/// cluster. Discarding data frames here is safe: every batch is
+/// retransmitted until acked, so nothing a fast-starting peer sent
+/// during our barrier is lost.
+void await_shard_peers(ddc::net::UdpTransport& transport) {
+  const auto deadline = Clock::now() + kStartTimeout;
+  auto next_hello = Clock::now();
   while (Clock::now() < deadline) {
-    transport.maintain();
     (void)transport.receive();
+    const bool hello = Clock::now() >= next_hello;
+    if (hello) next_hello += kHelloInterval;
     bool all_heard = true;
-    for (std::size_t p = 0; p < config.num_shards; ++p) {
-      if (p == config.shard_id) continue;
-      if (transport.stats(static_cast<ddc::net::PeerId>(p)).frames_received ==
-          0) {
-        all_heard = false;
-        break;
+    for (ddc::net::PeerId p = 0; p < transport.num_peers(); ++p) {
+      if (p == transport.self() || transport.stats(p).frames_received > 0) {
+        continue;
       }
+      all_heard = false;
+      if (hello) transport.probe(p);
     }
     if (all_heard) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::this_thread::sleep_for(5ms);
   }
-  std::cerr << "ddcnode shard " << config.shard_id
+  std::cerr << "ddcnode shard " << transport.self()
             << ": start barrier timed out; proceeding\n";
 }
 
 template <typename Engine, typename MeanFn>
 int drive_shard(const Config& config, ddc::net::UdpTransport& transport,
                 Engine& engine, MeanFn mean_of) {
-  await_shard_peers(config, transport);
+  await_shard_peers(transport);
   engine.run_rounds(config.rounds);
   // Drain: a lagging or restarted peer shard may still be replaying
   // rounds and needs this shard's re-acks (service() answers them
   // without opening a new round).
-  const auto tick = std::chrono::milliseconds(config.tick_ms);
-  for (std::size_t t = 0; t < config.drain_ticks; ++t) {
+  for (std::size_t t = 0; t < kDrainTicks; ++t) {
     engine.service();
-    transport.maintain();
-    std::this_thread::sleep_for(tick);
-  }
-  if (config.verbose) {
-    const auto& st = engine.stats();
-    std::cerr << "ddcnode shard " << config.shard_id << ": frames_sent="
-              << st.batch_frames_sent << " records_sent="
-              << st.batch_records_sent << " retransmits=" << st.retransmits
-              << " peer_timeouts=" << st.peer_timeouts
-              << " injected_losses=" << transport.injected_losses() << '\n';
+    std::this_thread::sleep_for(kDrainTick);
   }
   if (config.stats_json) {
     std::cout << stats_json(
-                     transport, config.num_shards, config.shard_id,
-                     engine.stats(),
+                     transport, engine,
                      ddc::shard::partitioner_name(config.shard_map).data())
               << '\n';
   }
@@ -241,13 +231,6 @@ int main(int argc, char** argv) {
   flags.declare("protocol", "gm | centroid", "gm");
   flags.declare("workload", "clusters | fence", "clusters");
   flags.declare("rounds", "gossip rounds to run", "60");
-  flags.declare("tick-ms", "milliseconds between drain ticks", "20");
-  flags.declare("drain-ticks", "receive-only ticks after the last round", "25");
-  flags.declare("start-timeout-ms", "max wait for peers at startup", "5000");
-  flags.declare("probe-timeout-ms", "silence span before probing a peer",
-                "250");
-  flags.declare("probe-retries", "unanswered probes before a peer is dead",
-                "3");
   flags.declare("loss-prob",
                 "probability of dropping each incoming datagram (loss "
                 "injection for tests; the batch protocol retransmits "
@@ -256,10 +239,6 @@ int main(int argc, char** argv) {
   flags.declare("num-shards", "number of shard processes (required, >= 1)",
                 "0");
   flags.declare("shard-id", "this process's shard index", "0");
-  flags.declare("nodes-per-shard",
-                "nodes hosted by each shard (required, >= 1; total nodes = "
-                "num-shards * nodes-per-shard)",
-                "0");
   flags.declare("max-exchange-polls",
                 "polls without traffic before a peer shard is declared "
                 "dead (0 waits forever)",
@@ -269,7 +248,6 @@ int main(int argc, char** argv) {
   flags.declare_bool("stats-json",
                      "print one line of JSON link/batch statistics to "
                      "stdout before the RESULT line");
-  flags.declare_bool("verbose", "print traffic stats to stderr");
   ddc::cli::declare_engine_flags(flags, {}, kNodeFlagSet);
 
   try {
@@ -277,33 +255,25 @@ int main(int argc, char** argv) {
       std::cout << flags.help_text();
       return 0;
     }
-    Config config{
+    const Config config{
         static_cast<std::uint16_t>(flags.get_int("base-port")),
         flags.get("host"),
         flags.get("protocol"),
         flags.get("workload"),
         static_cast<std::size_t>(flags.get_int("rounds")),
-        static_cast<std::size_t>(flags.get_int("tick-ms")),
-        static_cast<std::size_t>(flags.get_int("drain-ticks")),
-        static_cast<std::size_t>(flags.get_int("start-timeout-ms")),
-        static_cast<std::size_t>(flags.get_int("probe-timeout-ms")),
-        static_cast<int>(flags.get_int("probe-retries")),
         flags.get_double("loss-prob"),
-        flags.get_bool("verbose"),
         flags.get_bool("stats-json"),
         static_cast<std::size_t>(flags.get_int("num-shards")),
         static_cast<std::size_t>(flags.get_int("shard-id")),
-        static_cast<std::size_t>(flags.get_int("nodes-per-shard")),
         static_cast<std::size_t>(flags.get_int("max-exchange-polls")),
         ddc::shard::parse_partitioner(flags.get("shard-map")),
         ddc::cli::parse_engine_config(flags, {}, kNodeFlagSet),
     };
-    ddc::linalg::simd::configure(config.engine.simd);
     if (config.num_shards == 0) {
       throw ddc::ConfigError("--num-shards must be >= 1");
     }
-    if (config.nodes_per_shard == 0) {
-      throw ddc::ConfigError("--nodes-per-shard must be >= 1");
+    if (config.nodes() < config.num_shards) {
+      throw ddc::ConfigError("--nodes must be >= --num-shards");
     }
     if (config.shard_id >= config.num_shards) {
       throw ddc::ConfigError("--shard-id must be < --num-shards");
@@ -311,10 +281,6 @@ int main(int argc, char** argv) {
     if (config.loss_prob < 0.0 || config.loss_prob > 1.0) {
       throw ddc::ConfigError("--loss-prob must be in [0, 1]");
     }
-    // The population is derived, not taken from --nodes: every shard
-    // must agree on the global node count.
-    config.engine.topology.nodes = config.num_shards * config.nodes_per_shard;
-
     // Same derivation sequence as ddcsim: inputs first, then the
     // topology, from one RNG seeded with --seed. Every process (and a
     // simulator run on the same flags) lands on the identical graph.
@@ -326,10 +292,7 @@ int main(int argc, char** argv) {
     ddc::shard::ShardEngineOptions pacing;
     pacing.max_exchange_polls = config.max_exchange_polls;
     pacing.partitioner = config.shard_map;
-    pacing.idle = [&transport] {
-      transport.maintain();
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
-    };
+    pacing.idle = [] { std::this_thread::sleep_for(kIdleSleep); };
     const auto shard_id = static_cast<ddc::shard::ShardId>(config.shard_id);
     const auto num_shards =
         static_cast<ddc::shard::ShardId>(config.num_shards);

@@ -23,7 +23,6 @@
 #include <iostream>
 #include <sstream>
 
-#include <ddc/linalg/simd.hpp>
 #include <ddc/cli/engine_flags.hpp>
 #include <ddc/gossip/network.hpp>
 #include <ddc/gossip/scale.hpp>
@@ -239,7 +238,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     const ddc::sim::EngineConfig config = ddc::cli::parse_engine_config(flags);
-    ddc::linalg::simd::configure(config.simd);
     if (flags.get_int("rounds") < 0 || flags.get_int("report-every") < 1) {
       throw ddc::ConfigError("--rounds must be ≥ 0 and --report-every ≥ 1");
     }
