@@ -13,7 +13,7 @@
 //
 //   {"name":"centroid/ring/10000","engine":"soa",...,"nproc":4,
 //    "threads":1,"shards":1,"shard_map":"contiguous",...,
-//    "rounds_per_s":...,"cut_edges":0,...,"peak_rss_mb":...}
+//    "topology_s":...,"rounds_per_s":...,"cut_edges":0,...,"peak_rss_mb":...}
 //
 // The exchange counters (cut_edges, frames_per_round, records_per_frame,
 // retransmits, boundary_nodes, polls_during_compute) are summed over the
@@ -147,8 +147,13 @@ int main(int argc, char** argv) {
 
     // Topology first: grid packing can round the vertex count up, and
     // the engine needs one input per vertex.
+    // topology_s times the graph build on its own; build_s is the engine.
     ddc::stats::Rng rng(config.protocol_seed);
+    const auto topology_t0 = std::chrono::steady_clock::now();
     ddc::sim::Topology topology = config.build_topology(rng);
+    const double topology_s = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - topology_t0)
+                                  .count();
     const std::size_t n = topology.num_nodes();
     const std::size_t edges = topology.num_edges();
     const std::vector<Vector> inputs =
@@ -224,14 +229,15 @@ int main(int argc, char** argv) {
     std::printf(
         "{\"name\":\"%s\",\"engine\":\"%s\",\"nodes\":%zu,\"edges\":%zu,"
         "\"nproc\":%zu,\"threads\":%zu,\"shards\":%u,\"shard_map\":\"%s\","
-        "\"rounds\":%zu,\"alive\":%zu,\"build_s\":%.4f,\"run_s\":%.4f,"
-        "\"rounds_per_s\":%.4f,\"cut_edges\":%llu,\"frames_per_round\":%.1f,"
-        "\"records_per_frame\":%.2f,\"retransmits\":%llu,"
+        "\"rounds\":%zu,\"alive\":%zu,\"topology_s\":%.4f,\"build_s\":%.4f,"
+        "\"run_s\":%.4f,\"rounds_per_s\":%.4f,\"cut_edges\":%llu,"
+        "\"frames_per_round\":%.1f,\"records_per_frame\":%.2f,"
+        "\"retransmits\":%llu,"
         "\"boundary_nodes\":%llu,\"polls_during_compute\":%llu,"
         "\"peak_rss_mb\":%.1f}\n",
         name.c_str(), engine_name.c_str(), n, edges, nproc, threads,
         static_cast<unsigned>(shards), map_name.c_str(), rounds, m.alive,
-        m.build_s, m.run_s, static_cast<double>(rounds) / m.run_s,
+        topology_s, m.build_s, m.run_s, static_cast<double>(rounds) / m.run_s,
         static_cast<unsigned long long>(x.cut_edges), frames_per_round,
         records_per_frame, static_cast<unsigned long long>(x.retransmits),
         static_cast<unsigned long long>(x.boundary_nodes),

@@ -5,11 +5,13 @@
 # classification, and cross-validates the result against the in-process
 # simulator (ddcsim --summary-line) on the same seeded workload. A
 # healthy run must match ddcsim exactly. One mote per process is
-# --nodes-per-shard 1.
+# --nodes-per-shard 1. --kill-shard I kills shard I with SIGKILL 4 s
+# after launch and restarts it; the run must outlast the 4 s (raise
+# --rounds), else the script fails.
 #
 #   scripts/run_cluster.sh --shards 4 --nodes-per-shard 1000
 #   scripts/run_cluster.sh --shards 6 --nodes-per-shard 1 --protocol gm
-#   scripts/run_cluster.sh --shards 4 --nodes-per-shard 1000 --kill-shard 2
+#   scripts/run_cluster.sh --shards 4 --nodes-per-shard 1000 --rounds 600 --kill-shard 2
 #   scripts/run_cluster.sh --shards 4 --nodes-per-shard 512 --shard-map edgecut
 #
 # Exit status 0 iff the cluster converged and matches the simulator.
@@ -33,7 +35,7 @@ BUILD_DIR=build
 WEIGHT_TOL=0.05
 MEAN_TOL=1.0
 
-usage() { sed -n '2,15p' "$0"; exit "${1:-0}"; }
+usage() { sed -n '2,17p' "$0"; exit "${1:-0}"; }
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -126,9 +128,15 @@ if [[ -n "$KILL_SHARD" ]]; then
   # round loop), then restart it: the survivors must time the dead shard
   # out and keep rounding; the restarted process replays its rounds from
   # scratch, catches up through the survivors' buffered batches, and
-  # rejoins the exchange.
+  # rejoins the exchange. A shard that already exited would make this a
+  # restart into an empty cluster, not a kill: that is a failure, and
+  # --rounds must grow until the run outlasts the 4 s.
   sleep 4
-  kill -9 "${PIDS[KILL_SHARD]}" 2>/dev/null || true
+  if ! kill -0 "${PIDS[KILL_SHARD]}" 2>/dev/null; then
+    echo "run_cluster.sh: shard $KILL_SHARD exited before the kill at 4 s; raise --rounds so the kill lands mid-run" >&2
+    exit 1
+  fi
+  kill -9 "${PIDS[KILL_SHARD]}"
   echo "killed shard $KILL_SHARD (pid ${PIDS[KILL_SHARD]})"
   sleep 1.5
   launch_member "$KILL_SHARD"

@@ -10,9 +10,10 @@
 // Storage is compressed sparse row (CSR): one flat offsets array and one
 // flat targets array, so a million-node sparse graph costs two cache-dense
 // allocations instead of a million little adjacency vectors, and
-// `neighbors(i)` is an O(1) span lookup. Neighbor ORDER is part of the
-// contract — the engines' round-robin cursors and uniform draws index into
-// it — and matches the historical per-node insertion order exactly.
+// `neighbors(i)` is an O(1) span lookup. Every undirected edge is stored
+// as both of its directed arcs. Neighbor ORDER is part of the contract —
+// the engines' round-robin cursors and uniform draws index into it — and
+// matches the historical per-node insertion order exactly.
 #pragma once
 
 #include <cstddef>
@@ -94,7 +95,11 @@ class Topology {
   /// True iff there is an edge i → j.
   [[nodiscard]] bool has_edge(NodeId i, NodeId j) const;
 
-  /// Strong connectivity (the paper's standing assumption).
+  /// Strong connectivity (the paper's standing assumption): every node
+  /// reaches every other along directed edges. For the undirected
+  /// families (all but `from_edges` and `directed_ring`) this is plain
+  /// connectivity, settled by one reachability pass from node 0; a
+  /// directed graph also needs node 0 reachable from every node.
   [[nodiscard]] bool is_connected() const;
 
   /// Diameter of the underlying graph (longest shortest path, following
@@ -109,24 +114,34 @@ class Topology {
   }
 
  private:
-  /// Accumulates directed edges in insertion order, then compresses into
-  /// CSR with a stable counting sort by source — so each node's neighbor
-  /// list keeps the exact order in which its edges were added, matching
-  /// the pre-CSR adjacency-vector behaviour draw for draw.
+  /// Collects edges in insertion order, then compresses into CSR with a
+  /// stable counting scatter by source — so each node's neighbor list
+  /// keeps the exact order in which its edges were added, matching the
+  /// pre-CSR adjacency-vector behaviour draw for draw.
+  ///
+  /// A directed builder takes `add_edge` and stores one pair per arc. An
+  /// undirected builder takes `add_undirected` and stores one pair per
+  /// edge; `finish` scatters both arcs of a pair at that pair's place in
+  /// the insertion order, which is exactly where adding the two arcs one
+  /// after the other would have put them. `finish` frees the pair list
+  /// before it checks for duplicates, so the list and the topology's
+  /// connectivity check never hold memory at the same time.
   class Builder {
    public:
-    explicit Builder(std::size_t n) : degree_(n, 0) {}
-    void add_edge(NodeId from, NodeId to);
-    void add_undirected(NodeId a, NodeId b);
-    [[nodiscard]] std::size_t num_nodes() const noexcept {
-      return degree_.size();
-    }
+    enum class Kind { directed, undirected };
+    Builder(std::size_t n, Kind kind)
+        : degree_(n, 0), undirected_(kind == Kind::undirected) {}
+    void add_edge(NodeId from, NodeId to);      // directed builders only
+    void add_undirected(NodeId a, NodeId b);    // undirected builders only
     /// Compresses into a Topology. Rejects duplicate edges (DDC_EXPECTS).
     [[nodiscard]] Topology finish() &&;
 
    private:
+    void add_pair(NodeId a, NodeId b);
+
     std::vector<std::pair<NodeId, NodeId>> edges_;
     std::vector<std::size_t> degree_;
+    bool undirected_;
   };
 
   Topology() = default;
@@ -135,6 +150,8 @@ class Topology {
   /// offsets_[i]..offsets_[i+1] delimit node i's slice of targets_.
   std::vector<std::size_t> offsets_;
   std::vector<NodeId> targets_;
+  /// Built from undirected edges: every arc has its reverse.
+  bool undirected_ = false;
   std::optional<std::vector<std::pair<double, double>>> positions_;
 };
 

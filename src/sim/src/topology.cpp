@@ -10,41 +10,56 @@
 
 namespace ddc::sim {
 
+void Topology::Builder::add_pair(NodeId a, NodeId b) {
+  DDC_EXPECTS(a < degree_.size() && b < degree_.size());
+  DDC_EXPECTS(a != b);
+  edges_.emplace_back(a, b);
+  ++degree_[a];
+}
+
 void Topology::Builder::add_edge(NodeId from, NodeId to) {
-  DDC_EXPECTS(from < degree_.size() && to < degree_.size());
-  DDC_EXPECTS(from != to);
-  edges_.emplace_back(from, to);
-  ++degree_[from];
+  DDC_EXPECTS(!undirected_);
+  add_pair(from, to);
 }
 
 void Topology::Builder::add_undirected(NodeId a, NodeId b) {
-  add_edge(a, b);
-  add_edge(b, a);
+  DDC_EXPECTS(undirected_);
+  add_pair(a, b);
+  ++degree_[b];
 }
 
 Topology Topology::Builder::finish() && {
   const std::size_t n = degree_.size();
   Topology t;
   t.num_nodes_ = n;
+  t.undirected_ = undirected_;
   t.offsets_.assign(n + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
     t.offsets_[i + 1] = t.offsets_[i] + degree_[i];
   }
-  t.targets_.resize(edges_.size());
-  // Stable counting sort by source: each node's slice receives its edges
-  // in global insertion order, reproducing the old per-vector push_back
-  // order exactly.
-  std::vector<std::size_t> cursor(t.offsets_.begin(), t.offsets_.end() - 1);
-  for (const auto& [from, to] : edges_) t.targets_[cursor[from]++] = to;
-  // Duplicate-edge rejection, deferred to here so construction stays
-  // O(E log deg) instead of O(E·deg) has_edge probes.
-  std::vector<NodeId> scratch;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto nbrs = t.neighbors(i);
-    scratch.assign(nbrs.begin(), nbrs.end());
-    std::sort(scratch.begin(), scratch.end());
-    DDC_EXPECTS(std::adjacent_find(scratch.begin(), scratch.end()) ==
-                scratch.end());
+  t.targets_.resize(t.offsets_[n]);
+  // Stable counting scatter by source: each node's slice receives its
+  // arcs in global insertion order, reproducing the old per-vector
+  // push_back order exactly. The degrees become the write cursors.
+  std::vector<std::size_t> cursor = std::move(degree_);
+  std::copy(t.offsets_.begin(), t.offsets_.end() - 1, cursor.begin());
+  {
+    const auto edges = std::move(edges_);  // freed at the end of the scope
+    for (const auto& [a, b] : edges) {
+      t.targets_[cursor[a]++] = b;
+      if (undirected_) t.targets_[cursor[b]++] = a;
+    }
+  }
+  // Duplicate-edge rejection in one O(m) pass: last_row[v] is the last
+  // node whose row listed v, so a second v in row i finds i there. It
+  // takes over the cursors' storage.
+  std::vector<NodeId> last_row = std::move(cursor);
+  std::fill(last_row.begin(), last_row.end(), n);
+  for (NodeId i = 0; i < n; ++i) {
+    for (const NodeId v : t.neighbors(i)) {
+      DDC_EXPECTS(last_row[v] != i);
+      last_row[v] = i;
+    }
   }
   return t;
 }
@@ -52,25 +67,25 @@ Topology Topology::Builder::finish() && {
 Topology Topology::from_edges(
     std::size_t num_nodes, const std::vector<std::pair<NodeId, NodeId>>& edges) {
   DDC_EXPECTS(num_nodes >= 1);
-  Builder b(num_nodes);
+  Builder b(num_nodes, Builder::Kind::directed);
   for (const auto& [from, to] : edges) b.add_edge(from, to);
   return std::move(b).finish();
 }
 
 Topology Topology::complete(std::size_t n) {
   DDC_EXPECTS(n >= 2);
-  Builder b(n);
+  // Pairs in ascending (i, j), i < j, give every node the ascending list
+  // 0..n−1 without itself — the order of adding each node's arcs in turn.
+  Builder b(n, Builder::Kind::undirected);
   for (NodeId i = 0; i < n; ++i) {
-    for (NodeId j = 0; j < n; ++j) {
-      if (i != j) b.add_edge(i, j);
-    }
+    for (NodeId j = i + 1; j < n; ++j) b.add_undirected(i, j);
   }
   return std::move(b).finish();
 }
 
 Topology Topology::ring(std::size_t n) {
   DDC_EXPECTS(n >= 2);
-  Builder b(n);
+  Builder b(n, Builder::Kind::undirected);
   if (n == 2) {
     // One undirected pair; the wrap-around edge would be a duplicate.
     b.add_undirected(0, 1);
@@ -82,28 +97,28 @@ Topology Topology::ring(std::size_t n) {
 
 Topology Topology::directed_ring(std::size_t n) {
   DDC_EXPECTS(n >= 2);
-  Builder b(n);
+  Builder b(n, Builder::Kind::directed);
   for (NodeId i = 0; i < n; ++i) b.add_edge(i, (i + 1) % n);
   return std::move(b).finish();
 }
 
 Topology Topology::line(std::size_t n) {
   DDC_EXPECTS(n >= 2);
-  Builder b(n);
+  Builder b(n, Builder::Kind::undirected);
   for (NodeId i = 0; i + 1 < n; ++i) b.add_undirected(i, i + 1);
   return std::move(b).finish();
 }
 
 Topology Topology::star(std::size_t n) {
   DDC_EXPECTS(n >= 2);
-  Builder b(n);
+  Builder b(n, Builder::Kind::undirected);
   for (NodeId i = 1; i < n; ++i) b.add_undirected(0, i);
   return std::move(b).finish();
 }
 
 Topology Topology::grid(std::size_t rows, std::size_t cols, bool torus) {
   DDC_EXPECTS(rows >= 1 && cols >= 1 && rows * cols >= 2);
-  Builder b(rows * cols);
+  Builder b(rows * cols, Builder::Kind::undirected);
   const auto id = [cols](std::size_t r, std::size_t c) { return r * cols + c; };
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
@@ -202,7 +217,7 @@ Topology Topology::random_geometric(std::size_t n, double radius,
     for (auto& p : pos) p = {rng.uniform(), rng.uniform()};
     const double r2 = radius * radius;
     const CellIndex index(pos, radius);
-    Builder b(n);
+    Builder b(n, Builder::Kind::undirected);
     std::vector<std::size_t> candidates;
     std::vector<std::size_t> hits;
     for (NodeId i = 0; i < n; ++i) {
@@ -236,7 +251,7 @@ Topology Topology::erdos_renyi(std::size_t n, double p, stats::Rng& rng,
   DDC_EXPECTS(n >= 2);
   DDC_EXPECTS(p > 0.0 && p <= 1.0);
   for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    Builder b(n);
+    Builder b(n, Builder::Kind::undirected);
     if (p >= 1.0) {
       for (NodeId i = 0; i < n; ++i) {
         for (NodeId j = i + 1; j < n; ++j) b.add_undirected(i, j);
@@ -312,10 +327,12 @@ bool Topology::is_connected() const {
   if (num_nodes_ <= 1) return true;
   // Strong connectivity: everyone reachable from 0 following edges, and 0
   // reachable from everyone (equivalently: everyone reachable from 0 in
-  // the reverse graph).
+  // the reverse graph). An undirected graph is its own reverse, so the
+  // first pass settles it.
   if (reachable_count(num_nodes_, offsets_, targets_, 0) != num_nodes_) {
     return false;
   }
+  if (undirected_) return true;
   // Reverse CSR via one more counting pass.
   std::vector<std::size_t> rev_offsets(num_nodes_ + 1, 0);
   for (const NodeId v : targets_) ++rev_offsets[v + 1];

@@ -28,6 +28,7 @@
 #include <chrono>
 #include <iostream>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include <ddc/cli/engine_flags.hpp>
@@ -255,8 +256,24 @@ int main(int argc, char** argv) {
       std::cout << flags.help_text();
       return 0;
     }
+    // Range checks before the casts below: a negative --rounds would
+    // wrap to about 2^64 rounds, and a port past 65535 to a low one.
+    const long long shards = flags.get_int("num-shards");
+    if (shards < 1) {
+      throw ddc::ConfigError("--num-shards must be >= 1");
+    }
+    if (flags.get_int("rounds") < 0) {
+      throw ddc::ConfigError("--rounds must be >= 0");
+    }
+    const long long base_port = flags.get_int("base-port");
+    const long long last_base_port = 65535 - (shards - 1);
+    if (base_port < 1 || base_port > last_base_port) {
+      throw ddc::ConfigError("--base-port must be in [1, " +
+                             std::to_string(last_base_port) +
+                             "] (shard s listens on base-port + s)");
+    }
     const Config config{
-        static_cast<std::uint16_t>(flags.get_int("base-port")),
+        static_cast<std::uint16_t>(base_port),
         flags.get("host"),
         flags.get("protocol"),
         flags.get("workload"),
@@ -269,9 +286,6 @@ int main(int argc, char** argv) {
         ddc::shard::parse_partitioner(flags.get("shard-map")),
         ddc::cli::parse_engine_config(flags, {}, kNodeFlagSet),
     };
-    if (config.num_shards == 0) {
-      throw ddc::ConfigError("--num-shards must be >= 1");
-    }
     if (config.nodes() < config.num_shards) {
       throw ddc::ConfigError("--nodes must be >= --num-shards");
     }
