@@ -11,7 +11,9 @@
 # BENCH_scale.json: round throughput (rounds/s) and peak RSS per
 # (protocol, topology, node count, shard count, thread count) entry, the
 # median of three runs each. An entry fails if throughput drops below
-# baseline/(1+tolerance) or peak RSS rises above baseline*(1+tolerance);
+# baseline/(1+tolerance) or peak RSS rises more than 20% above baseline
+# (BENCHMARK.json's peak_rss_mb bound; peak RSS is steady to within a few
+# percent between runs, so it needs none of the throughput's slack);
 # where the baseline entry carries records_per_frame and cut_edges
 # (the loopback-cluster rows), it also fails if a batching entry stops
 # packing more than one record per frame or cut_edges rises at all.
@@ -40,7 +42,9 @@
 #   BASELINE       baseline file (default: BENCH_hotpath.json, or
 #                  BENCH_scale.json in the scale and cluster modes)
 #   DDC_BENCH_TOLERANCE  override the regression tolerance, e.g. 0.25
-#                  means "fail if median > baseline * 1.25"
+#                  means "fail if median > baseline * 1.25" (in the scale
+#                  and cluster tiers: throughput only; peak RSS is
+#                  always gated at +20%)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -185,7 +189,7 @@ if [[ "$MODE" == scale* || "$MODE" == cluster* ]]; then
     exit 0
   fi
 
-  echo "bench_gate: $MODE mode, medians of $RUNS runs (tolerance=±$(awk -v t="$TOLERANCE" 'BEGIN{printf "%.0f%%", t*100}') vs $BASELINE)"
+  echo "bench_gate: $MODE mode, medians of $RUNS runs (throughput tolerance=$(awk -v t="$TOLERANCE" 'BEGIN{printf "%.0f%%", t*100}'), peak RSS +20% vs $BASELINE)"
   STATUS=0
   for block in "${BLOCKS[@]}"; do
     while read -r name rps rss rpf cut; do
@@ -212,12 +216,12 @@ if [[ "$MODE" == scale* || "$MODE" == cluster* ]]; then
                     -v brpf="$base_rpf" -v bcut="$base_cut" \
                     -v t="$TOLERANCE" 'BEGIN {
         slow = rps < brps / (1 + t)
-        fat = rss > brss * (1 + t)
+        fat = rss > brss * 1.2  # BENCHMARK.json peak_rss_mb bound
         unbatched = brpf != "-" && brpf > 1 && rpf <= 1
         cutworse = bcut != "-" && cut > bcut + 0
         printf "%s rps=%.3g(min %.3g) rss=%.4gMB(max %.4g)",
                (slow || fat || unbatched || cutworse ? "FAIL" : "ok"),
-               rps, brps / (1 + t), rss, brss * (1 + t)
+               rps, brps / (1 + t), rss, brss * 1.2
         if (brpf != "-") printf " rpf=%.3g(base %.3g)", rpf, brpf
         if (bcut != "-") printf " cut=%d(max %d)", cut, bcut
       }')
@@ -236,7 +240,7 @@ if [[ "$MODE" == scale* || "$MODE" == cluster* ]]; then
     echo "bench_gate: 'scripts/bench_gate.sh --${MODE%-full}-update'." >&2
     exit 1
   fi
-  echo "bench_gate: block(s) ${BLOCKS[*]} within ±$(awk -v t="$TOLERANCE" 'BEGIN{printf "%.0f%%", t*100}') of $BASELINE."
+  echo "bench_gate: block(s) ${BLOCKS[*]} within bounds of $BASELINE (throughput $(awk -v t="$TOLERANCE" 'BEGIN{printf "%.0f%%", t*100}'), peak RSS +20%)."
   exit 0
 fi
 

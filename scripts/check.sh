@@ -136,7 +136,8 @@ cmake --build "$ASAN_DIR" -j "$(nproc)" --target \
   linalg_tests stats_tests core_tests summaries_tests em_tests \
   partition_tests exec_tests sim_tests gossip_tests wire_tests net_tests \
   shard_tests schedule_tests audit_tests metrics_tests workload_tests \
-  io_tests cli_tests integration_tests em_alloc_tests ddcsim ddcnode \
+  io_tests cli_tests integration_tests em_alloc_tests topology_alloc_tests \
+  ddcsim ddcnode \
   ddcverify bench_scale
 
 # halt_on_error so UBSan findings fail the gate instead of scrolling by.

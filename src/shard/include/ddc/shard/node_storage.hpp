@@ -7,10 +7,11 @@
 // trace records), the wire hooks kWire/encode/decode/decode_unplanned,
 // absorb, and the classification read-outs.
 //
-// Both keep 2n message slots, one per (leg, initiator). No inbox is
-// built: absorb reads each receiver's hops from the plan
-// (RoundPlan::for_each_receive) and gathers their slots; every slot has
-// one receiver, so the parallel absorb touches disjoint slots.
+// Both keep one message slot per initiator for each leg the gossip
+// pattern uses (SlotLayout): n slots for push or pull, 2n for
+// push-pull. No inbox is built: absorb reads each receiver's hops from
+// the plan (RoundPlan::for_each_receive) and gathers their slots; every
+// slot has one receiver, so the parallel absorb touches disjoint slots.
 //
 //   * ObjectStorage: one sim::GossipNode object per owned node; a
 //     message decoded off the wire lands in its hop's slot. Messages
@@ -39,18 +40,38 @@
 #include <ddc/core/classifier.hpp>
 #include <ddc/exec/parallel_for.hpp>
 #include <ddc/exec/thread_pool.hpp>
+#include <ddc/shard/shard_map.hpp>
 #include <ddc/sim/gossip_node.hpp>
 #include <ddc/sim/round_plan.hpp>
 #include <ddc/wire/serialize.hpp>
 
 namespace ddc::shard {
 
-/// A hop's message slot among 2n: initiator i's forward is slot i, the
-/// reply addressed to it slot n+i.
-[[nodiscard]] inline std::size_t slot_of(const sim::Hop& hop,
-                                         std::size_t n) noexcept {
-  return hop.leg == sim::Leg::forward ? hop.initiator : n + hop.initiator;
-}
+/// The message slots of a round over n nodes: one per initiator for each
+/// leg the pattern uses, so n for push or pull and 2n for push-pull.
+/// Initiator i's message on the pattern's first leg (its forward; under
+/// pull, the reply owed to it) is slot i, its other leg slot n+i. The
+/// numbering covers every (leg, initiator) pair without collisions, so a
+/// hop on a leg the pattern never plans maps to a slot ≥ size(), which no
+/// storage holds or writes.
+class SlotLayout {
+ public:
+  SlotLayout(std::size_t num_nodes, sim::GossipPattern pattern) noexcept
+      : n_(num_nodes), pattern_(pattern) {}
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return pattern_ == sim::GossipPattern::push_pull ? 2 * n_ : n_;
+  }
+  [[nodiscard]] std::size_t slot(const sim::Hop& hop) const noexcept {
+    const bool first_leg = (hop.leg == sim::Leg::forward) !=
+                           (pattern_ == sim::GossipPattern::pull);
+    return first_leg ? hop.initiator : n_ + hop.initiator;
+  }
+
+ private:
+  std::size_t n_;
+  sim::GossipPattern pattern_;
+};
 
 /// Every wire hook of a storage without a wire format: the engine keeps
 /// such a storage on one shard, so none is ever reached.
@@ -59,7 +80,7 @@ namespace ddc::shard {
 }
 
 /// The owned nodes in local order, and message slots over all
-/// `num_nodes` initiators.
+/// `num_nodes` initiators (SlotLayout).
 template <typename Node>
 class ObjectStorage {
  public:
@@ -71,9 +92,10 @@ class ObjectStorage {
     wire::SummaryCodec<decltype(Message::value_type::summary)>::type;
   };
 
-  ObjectStorage(std::vector<Node> nodes, std::size_t num_nodes)
+  ObjectStorage(std::vector<Node> nodes, SlotLayout layout)
       : nodes_(std::move(nodes)),
-        slots_(2 * num_nodes),
+        layout_(layout),
+        slots_(layout.size()),
         batches_(nodes_.size()) {}
 
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
@@ -91,15 +113,15 @@ class ObjectStorage {
   // ddcverify: hotpath
   void prepare(std::size_t j, const sim::Hop& hop) {
     Message msg = nodes_[j].prepare_message();
-    if (!msg.empty()) slots_[slot(hop)] = std::move(msg);
+    if (!msg.empty()) slots_[layout_.slot(hop)] = std::move(msg);
   }
   [[nodiscard]] bool sent(const sim::Hop& hop) const {
-    return slots_[slot(hop)].has_value();
+    return slots_[layout_.slot(hop)].has_value();
   }
   /// A sent hop's collection count, for the trace (a scalar message, as
   /// push-sum's, counts one).
   [[nodiscard]] std::size_t sent_size(const sim::Hop& hop) const {
-    const Message& msg = *slots_[slot(hop)];
+    const Message& msg = *slots_[layout_.slot(hop)];
     if constexpr (requires { msg.size(); }) return msg.size();
     return 1;
   }
@@ -110,11 +132,13 @@ class ObjectStorage {
   /// ones, in the order added. Both throw wire::DecodeError on a
   /// malformed payload.
   [[nodiscard]] std::vector<std::byte> encode(const sim::Hop& hop) const {
-    if constexpr (kWire) return wire::encode_classification(*slots_[slot(hop)]);
+    if constexpr (kWire) {
+      return wire::encode_classification(*slots_[layout_.slot(hop)]);
+    }
     no_wire_format();
   }
   void decode(const sim::Hop& hop, std::span<const std::byte> payload) {
-    slots_[slot(hop)] = decode_message(payload);
+    slots_[layout_.slot(hop)] = decode_message(payload);
   }
   void decode_unplanned(std::size_t j, std::span<const std::byte> payload) {
     batches_[j].push_back(decode_message(payload));
@@ -124,7 +148,7 @@ class ObjectStorage {
   /// slots, in plan order and ahead of any unplanned ones, and absorbs
   /// them.
   // ddcverify: hotpath
-  void absorb(const sim::RoundPlan& plan, std::span<const sim::NodeId> owned,
+  void absorb(const sim::RoundPlan& plan, const OwnedIds& owned,
               exec::ThreadPool* pool) {
     exec::parallel_for(pool, nodes_.size(), [&](std::size_t j) {
       if (!plan.alive(owned[j])) return;
@@ -134,7 +158,7 @@ class ObjectStorage {
           owned[j], [&](const sim::Hop& hop) { return sent(hop); },
           [&](const sim::Hop& hop, sim::Fate fate) {
             if (fate == sim::Fate::delivered) {
-              batch.push_back(std::move(*slots_[slot(hop)]));
+              batch.push_back(std::move(*slots_[layout_.slot(hop)]));
             }
           });
       std::rotate(batch.begin(), batch.begin() + unplanned, batch.end());
@@ -172,9 +196,6 @@ class ObjectStorage {
   }
 
  private:
-  [[nodiscard]] std::size_t slot(const sim::Hop& hop) const {
-    return slot_of(hop, slots_.size() / 2);
-  }
   [[nodiscard]] static Message decode_message(
       std::span<const std::byte> payload) {
     if constexpr (kWire) {
@@ -185,6 +206,7 @@ class ObjectStorage {
   }
 
   std::vector<Node> nodes_;
+  SlotLayout layout_;
   std::vector<std::optional<Message>> slots_;
   // Per owned node: the batch absorb hands it, reused across rounds
   // (nodes take it by rvalue reference and leave its buffer here).
@@ -195,9 +217,10 @@ class ObjectStorage {
 ///
 ///   * node state: a weight-quanta array (n × k int64), a packed summary
 ///     array (n × k × sd doubles) and a collection-count array;
-///   * messages: an arena of 2n slots (slot i holds node i's forward,
-///     slot n+i the reply addressed to node i), so the parallel prepare
-///     writes disjoint slots with no allocation and no synchronization.
+///   * messages: an arena of SlotLayout (n slots for push or pull, 2n
+///     for push-pull), each a count, k quanta and k packed summaries, so
+///     the parallel prepare writes disjoint slots with no allocation and
+///     no synchronization.
 ///
 /// `Protocol` (gossip/scale.hpp) says how one protocol embeds into the
 /// pools: k() collections per node, summary_doubles() = sd per packed
@@ -214,18 +237,19 @@ class PoolStorage {
 
   /// Node i starts as one full-weight collection of initial_summary(i).
   template <typename InitSummary>
-  PoolStorage(std::size_t num_nodes, Protocol protocol,
+  PoolStorage(std::size_t num_nodes, SlotLayout layout, Protocol protocol,
               InitSummary&& initial_summary)
       : protocol_(std::move(protocol)),
         n_(num_nodes),
         k_(protocol_.k()),
         sd_(protocol_.summary_doubles()),
+        layout_(layout),
         counts_(n_, 1),
         weights_(n_ * k_, 0),
         summaries_(n_ * k_ * sd_, 0.0),
-        slot_counts_(2 * n_, 0),
-        slot_weights_(2 * n_ * k_, 0),
-        slot_summaries_(2 * n_ * k_ * sd_, 0.0) {
+        slot_counts_(layout.size(), 0),
+        slot_weights_(layout.size() * k_, 0),
+        slot_summaries_(layout.size() * k_ * sd_, 0.0) {
     DDC_EXPECTS(n_ >= 2);
     DDC_EXPECTS(k_ >= 1);
     DDC_EXPECTS(sd_ >= 1);
@@ -247,7 +271,7 @@ class PoolStorage {
   /// j's prepare writes.
   // ddcverify: hotpath
   void prepare(std::size_t j, const sim::Hop& hop) {
-    const std::size_t slot = slot_of(hop, n_);
+    const std::size_t slot = layout_.slot(hop);
     std::uint32_t sent_count = 0;
     for (std::size_t c = 0; c < counts_[j]; ++c) {
       std::int64_t& quanta = weights_[j * k_ + c];
@@ -268,7 +292,7 @@ class PoolStorage {
   }
   /// A hop's collection count, for the trace.
   [[nodiscard]] std::size_t sent_size(const sim::Hop& hop) const {
-    return slot_counts_[slot_of(hop, n_)];
+    return slot_counts_[layout_.slot(hop)];
   }
 
   /// No row codec yet: the engine keeps pool storage on one shard.
@@ -280,15 +304,16 @@ class PoolStorage {
   }
 
   // ddcverify: hotpath
-  void absorb(const sim::RoundPlan& plan, std::span<const sim::NodeId> owned,
+  void absorb(const sim::RoundPlan& plan, const OwnedIds& owned,
               exec::ThreadPool* pool) {
     DDC_ASSERT(owned.size() == n_);
     const std::size_t chunks = exec::parallel_chunk_count(pool, n_);
     if (scratch_.size() < chunks) scratch_.resize(chunks);
     exec::parallel_for_chunks(
         pool, n_, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          for (sim::NodeId i = begin; i < end; ++i) {
-            if (plan.alive(i)) receive_on_pools(plan, scratch_[chunk], i);
+          for (std::size_t i = begin; i < end; ++i) {
+            const auto id = static_cast<sim::NodeId>(i);
+            if (plan.alive(id)) receive_on_pools(plan, scratch_[chunk], id);
           }
         });
   }
@@ -346,7 +371,7 @@ class PoolStorage {
         i, [&](const sim::Hop& hop) { return sent(hop); },
         [&](const sim::Hop& hop, sim::Fate fate) {
           if (fate != sim::Fate::delivered) return;
-          const std::size_t slot = slot_of(hop, n_);
+          const std::size_t slot = layout_.slot(hop);
           m = gather_rows(&slot_weights_[slot * k_],
                           &slot_summaries_[slot * k_ * sd_],
                           slot_counts_[slot], s, m);
@@ -388,13 +413,14 @@ class PoolStorage {
   std::size_t n_;
   std::size_t k_;
   std::size_t sd_;
+  SlotLayout layout_;
 
   // Node-state pools. counts_[i] collections live at rows i·k … i·k+c.
   std::vector<std::uint32_t> counts_;
   std::vector<std::int64_t> weights_;
   std::vector<double> summaries_;
 
-  // Message slot arena: slot i / n+i is initiator i's forward / reply.
+  // Message slot arena, numbered by layout_.
   std::vector<std::uint32_t> slot_counts_;
   std::vector<std::int64_t> slot_weights_;
   std::vector<double> slot_summaries_;

@@ -153,7 +153,8 @@ class ShardEngine {
               ShardEngineOptions options = {})
     requires(!kPools)
       : ShardEngine(std::move(topology), std::move(map), shard_id,
-                    Storage(std::move(owned_nodes), map.num_nodes()),
+                    Storage(std::move(owned_nodes),
+                            SlotLayout(map.num_nodes(), options.pattern)),
                     transport, std::move(options)) {}
 
   /// The one-shard object engine: takes ownership of `nodes`, one per
@@ -162,8 +163,9 @@ class ShardEngine {
               const sim::RoundRunnerOptions& options = {})
     requires(!kPools)
       : ShardEngine(std::move(topology), ShardMap(topology.num_nodes(), 1), 0,
-                    Storage(std::move(nodes), topology.num_nodes()), nullptr,
-                    ShardEngineOptions{options}) {}
+                    Storage(std::move(nodes),
+                            SlotLayout(topology.num_nodes(), options.pattern)),
+                    nullptr, ShardEngineOptions{options}) {}
 
   /// The pool engine over `map`, which must have one shard: node i
   /// starts as one full-weight collection of summary
@@ -174,8 +176,9 @@ class ShardEngine {
               InitSummary&& initial_summary)
     requires(kPools)
       : ShardEngine(std::move(topology), std::move(map), 0,
-                    Storage(map.num_nodes(), std::move(protocol),
-                            initial_summary),
+                    Storage(map.num_nodes(),
+                            SlotLayout(map.num_nodes(), options.pattern),
+                            std::move(protocol), initial_summary),
                     nullptr, ShardEngineOptions{options}) {}
 
   /// Plans the round (global replay) and prepares the owned nodes; with
@@ -327,7 +330,7 @@ class ShardEngine {
   /// reference is invalidated by the next call of `fn`.
   template <typename Fn>
   void for_each_classification(Fn&& fn) const {
-    const std::span<const sim::NodeId> owned = map_.owned(shard_);
+    const OwnedIds owned = map_.owned(shard_);
     storage_.for_each_classification(
         [&](std::size_t j, const auto& c) { fn(owned[j], c); });
   }
@@ -406,7 +409,7 @@ class ShardEngine {
     return map_.num_shards() == 1;
   }
   [[nodiscard]] bool owns(sim::NodeId i) const {
-    return one_shard() || map_.shard_of(i) == shard_;
+    return one_shard() || map_.owns(shard_, i);
   }
   [[nodiscard]] std::size_t local(sim::NodeId i) const {
     return one_shard() ? i : map_.local_index(i);
@@ -418,7 +421,7 @@ class ShardEngine {
   void classify_boundary() {
     boundary_js_.clear();
     interior_js_.clear();
-    const std::span<const sim::NodeId> owned = map_.owned(shard_);
+    const OwnedIds owned = map_.owned(shard_);
     for (std::size_t j = 0; j < owned.size(); ++j) {
       bool boundary = false;
       plan_.for_each_split(owned[j], [&](const sim::Hop& hop) {
@@ -440,7 +443,7 @@ class ShardEngine {
         g, [&](const sim::Hop& hop) { storage_.prepare(j, hop); });
   }
   void prepare_nodes(std::span<const std::size_t> js) {
-    const std::span<const sim::NodeId> owned = map_.owned(shard_);
+    const OwnedIds owned = map_.owned(shard_);
     exec::parallel_for(pool_.get(), js.size(), [&](std::size_t idx) {
       prepare_node(js[idx], owned[js[idx]]);
     });
@@ -467,9 +470,7 @@ class ShardEngine {
           if (fate != sim::Fate::delivered) return;
           encoded.push_back(storage_.encode(hop));
           outgoing[map_.shard_of(hop.to)].push_back(
-              {static_cast<std::uint32_t>(hop.from),
-               static_cast<std::uint32_t>(hop.to), batch_tag(hop.leg),
-               encoded.back()});
+              {hop.from, hop.to, batch_tag(hop.leg), encoded.back()});
         });
     for (ShardId s = 0; s < map_.num_shards(); ++s) {
       if (s == shard_) continue;
@@ -675,11 +676,12 @@ class ShardEngine {
         }
       }
     };
+    const SlotLayout layout(n, options_.pattern);
     candidates_.clear();
     for_each_record_here([&](StoredRecord& rec) {
       if (rec.src < n) {
-        candidates_.emplace_back(slot_of(hop_of(rec), n), candidates_.size(),
-                                 &rec);
+        candidates_.emplace_back(layout.slot(hop_of(rec)),
+                                 candidates_.size(), &rec);
       }
     });
     std::sort(candidates_.begin(), candidates_.end());  // arrivals unique

@@ -11,6 +11,7 @@ namespace ddc::shard {
 namespace {
 
 void validate_spec(std::size_t num_nodes, ShardId num_shards) {
+  DDC_EXPECTS(num_nodes <= sim::kMaxNodes);
   if (num_shards == 0) {
     throw ConfigError("shard: num_shards must be >= 1");
   }
@@ -19,20 +20,6 @@ void validate_spec(std::size_t num_nodes, ShardId num_shards) {
                       " shards need at least that many nodes, got " +
                       std::to_string(num_nodes));
   }
-}
-
-std::vector<ShardId> contiguous_owner(std::size_t num_nodes,
-                                      ShardId num_shards) {
-  validate_spec(num_nodes, num_shards);
-  const std::size_t base = num_nodes / num_shards;
-  const std::size_t remainder = num_nodes % num_shards;
-  std::vector<ShardId> owner(num_nodes);
-  std::size_t next = 0;
-  for (ShardId s = 0; s < num_shards; ++s) {
-    const std::size_t count = base + (s < remainder ? 1 : 0);
-    for (std::size_t k = 0; k < count; ++k) owner[next++] = s;
-  }
-  return owner;
 }
 
 std::size_t cut_of(const sim::Topology& topology,
@@ -66,13 +53,21 @@ Partitioner parse_partitioner(std::string_view name) {
 }
 
 ShardMap::ShardMap(std::size_t num_nodes, ShardId num_shards)
-    : ShardMap(num_nodes, num_shards,
-               contiguous_owner(num_nodes, num_shards)) {}
+    : num_nodes_(num_nodes),
+      num_shards_(num_shards),
+      base_(0),
+      fat_(0) {
+  validate_spec(num_nodes, num_shards);
+  base_ = static_cast<sim::NodeId>(num_nodes / num_shards);
+  fat_ = static_cast<ShardId>(num_nodes % num_shards);
+}
 
 ShardMap::ShardMap(std::size_t num_nodes, ShardId num_shards,
                    std::vector<ShardId> owner)
     : num_nodes_(num_nodes),
       num_shards_(num_shards),
+      base_(0),
+      fat_(0),
       owner_(std::move(owner)),
       local_(num_nodes),
       owned_begin_(static_cast<std::size_t>(num_shards) + 1, 0) {
@@ -90,26 +85,23 @@ ShardMap::ShardMap(std::size_t num_nodes, ShardId num_shards,
     const ShardId s = owner_[i];
     const std::size_t pos = cursor[s]++;
     owned_flat_[pos] = i;  // ids land ascending within each shard
-    local_[i] = pos - owned_begin_[s];
+    local_[i] = static_cast<sim::NodeId>(pos - owned_begin_[s]);
   }
 }
 
 ShardMap ShardMap::make(Partitioner partitioner, const sim::Topology& topology,
                         ShardId num_shards) {
   const std::size_t n = topology.num_nodes();
-  if (partitioner == Partitioner::contiguous) {
-    return ShardMap(n, num_shards);
-  }
-  validate_spec(n, num_shards);
+  ShardMap contiguous(n, num_shards);
+  if (partitioner == Partitioner::contiguous) return contiguous;
   // BFS balls lose to contiguous bands on a few shapes (short-and-wide
   // grids, rings where contiguous arcs are already optimal). Keep the
   // grown assignment only when it strictly wins, so
   // cut_edges(edgecut) <= cut_edges(contiguous) holds unconditionally —
   // both candidates are deterministic, so the choice is too.
   std::vector<ShardId> grown = grow_edgecut(topology, num_shards);
-  std::vector<ShardId> contig = contiguous_owner(n, num_shards);
-  if (cut_of(topology, grown) >= cut_of(topology, contig)) {
-    grown = std::move(contig);
+  if (cut_of(topology, grown) >= contiguous.cut_edges(topology)) {
+    return contiguous;
   }
   return ShardMap(n, num_shards, std::move(grown));
 }
@@ -214,25 +206,16 @@ std::vector<ShardId> ShardMap::grow_edgecut(const sim::Topology& topology,
   return owner;
 }
 
-std::span<const sim::NodeId> ShardMap::owned(ShardId s) const {
+OwnedIds ShardMap::owned(ShardId s) const {
   DDC_EXPECTS(s < num_shards_);
-  return {owned_flat_.data() + owned_begin_[s],
-          owned_begin_[static_cast<std::size_t>(s) + 1] - owned_begin_[s]};
+  if (!tabled()) return {first(s), count(s)};
+  return OwnedIds({owned_flat_.data() + owned_begin_[s], size(s)});
 }
 
 std::size_t ShardMap::size(ShardId s) const {
   DDC_EXPECTS(s < num_shards_);
+  if (!tabled()) return count(s);
   return owned_begin_[static_cast<std::size_t>(s) + 1] - owned_begin_[s];
-}
-
-ShardId ShardMap::shard_of(sim::NodeId node) const {
-  DDC_EXPECTS(node < num_nodes_);
-  return owner_[node];
-}
-
-std::size_t ShardMap::local_index(sim::NodeId node) const {
-  DDC_EXPECTS(node < num_nodes_);
-  return local_[node];
 }
 
 std::size_t ShardMap::cut_edges(const sim::Topology& topology) const {
@@ -248,7 +231,7 @@ std::size_t ShardMap::cut_edges(const sim::Topology& topology,
   std::size_t cut = 0;
   for (const sim::NodeId i : owned(s)) {
     for (const sim::NodeId j : topology.neighbors(i)) {
-      if (owner_[j] != s) ++cut;
+      if (!owns(s, j)) ++cut;
     }
   }
   return cut;

@@ -140,8 +140,9 @@ struct EngineConfig : RoundRunnerOptions {
   [[nodiscard]] bool use_soa() const noexcept;
 
   /// Throws ddc::ConfigError on out-of-range values (probabilities,
-  /// nodes < 2, k = 0, quanta_per_unit < 1, a total weight
-  /// nodes × quanta_per_unit above 2^62, bad async timing).
+  /// nodes < 2 or above kMaxNodes = 2^32 − 2, k = 0, quanta_per_unit < 1,
+  /// a total weight nodes × quanta_per_unit above 2^62, bad async
+  /// timing).
   void validate() const;
 };
 

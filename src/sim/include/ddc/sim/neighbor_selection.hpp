@@ -4,13 +4,15 @@
 // Both selection policies satisfy the paper's fairness requirement (each
 // neighbor chosen infinitely often): round-robin deterministically,
 // uniform-random with probability 1. The selector owns the per-node
-// round-robin cursors; random draws come from the caller's environment
-// RNG so the engine keeps control of its draw ordering. A uniform pick
+// round-robin cursors (4 B per node, allocated only for round-robin);
+// random draws come from the caller's environment RNG so the engine
+// keeps control of its draw ordering. A uniform pick
 // is three steps — count the eligible neighbors, draw an index, map it to
 // a neighbor — exposed separately so RoundPlan can run the first and last
 // for all nodes in parallel and keep only the draws sequential.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -23,11 +25,12 @@
 namespace ddc::sim {
 
 /// Picks gossip targets for the nodes of one topology. Stateful only for
-/// round-robin (one cursor per node).
+/// round-robin (one cursor per node; uniform selection holds none).
 class NeighborSelector {
  public:
   NeighborSelector(NeighborSelection selection, std::size_t num_nodes)
-      : selection_(selection), rr_position_(num_nodes, 0) {}
+      : selection_(selection),
+        rr_position_(draws() ? 0 : num_nodes, 0) {}
 
   /// True when pick() draws from its RNG (uniform_random); round-robin
   /// consumes no randomness.
@@ -94,7 +97,8 @@ class NeighborSelector {
     DDC_ASSERT(!nbrs.empty());
     for (std::size_t step = 0; step < nbrs.size(); ++step) {
       const NodeId target = nbrs[rr_position_[i] % nbrs.size()];
-      rr_position_[i] = (rr_position_[i] + 1) % nbrs.size();
+      rr_position_[i] =
+          static_cast<std::uint32_t>((rr_position_[i] + 1) % nbrs.size());
       if (!avoid || alive[target]) return target;
     }
     return std::nullopt;
@@ -102,7 +106,9 @@ class NeighborSelector {
 
  private:
   NeighborSelection selection_;
-  std::vector<std::size_t> rr_position_;
+  // Node i's next position in its neighbor list (a degree is below n, so
+  // 32 bits hold it); empty under uniform selection.
+  std::vector<std::uint32_t> rr_position_;
 };
 
 }  // namespace ddc::sim

@@ -28,6 +28,11 @@
 // most one exchange per round, so (initiator, leg) is unique within a
 // round, and both storages map it to one message slot.
 //
+// Memory: the plan holds three 4 B entries per node (its target, and
+// the contact CSR's offset and entry), an alive bit, and under
+// round-robin selection one 4 B cursor per node; n is at most
+// kMaxNodes, so every id stays below kNoTarget.
+//
 // Determinism. Selection and crash draws come from one environment
 // stream consumed sequentially, in node order — so thread count never
 // changes them, and every shard of a cluster replays them identically
@@ -131,7 +136,7 @@ class RoundPlan {
  public:
   RoundPlan(const RoundRunnerOptions& options, std::size_t num_nodes)
       : options_(options),
-        n_(num_nodes),
+        n_(checked_node_count(num_nodes)),
         env_rng_(stats::Rng::derive(options.seed, 0x524e445255ULL)),
         loss_seed_(stats::derive_seed(options.seed, 0x4c4f5353ULL)),
         alive_(num_nodes, true),
@@ -173,12 +178,19 @@ class RoundPlan {
       });
     } else {
       for_each_node(pool, [&](NodeId i) {
-        targets_[i] =
-            alive_[i] ? selector_.eligible(topology, i, alive_, avoid) : 0;
+        targets_[i] = 0;
+        if (alive_[i]) {
+          targets_[i] = static_cast<NodeId>(
+              selector_.eligible(topology, i, alive_, avoid));
+        }
       });
       for (NodeId i = 0; i < n_; ++i) {
-        targets_[i] = targets_[i] == 0 ? kNoTarget
-                                       : env_rng_.uniform_index(targets_[i]);
+        if (targets_[i] == 0) {
+          targets_[i] = kNoTarget;
+        } else {
+          targets_[i] =
+              static_cast<NodeId>(env_rng_.uniform_index(targets_[i]));
+        }
       }
       for_each_node(pool, [&](NodeId i) {
         if (targets_[i] != kNoTarget) {
@@ -190,13 +202,13 @@ class RoundPlan {
     // Counting sort: offsets[t] first counts t's contacts, then holds its
     // END after an inclusive prefix sum; placing initiators in descending
     // order walks each END back to its start.
-    std::vector<std::size_t>& offsets = contact_offsets_;
+    std::vector<std::uint32_t>& offsets = contact_offsets_;
     std::fill(offsets.begin(), offsets.end(), 0);
     for (NodeId i = 0; i < n_; ++i) {
       if (targets_[i] != kNoTarget) ++offsets[targets_[i]];
     }
-    for (NodeId j = 1; j <= n_; ++j) offsets[j] += offsets[j - 1];
-    for (NodeId i = n_; i-- > 0;) {
+    for (std::size_t j = 1; j <= n_; ++j) offsets[j] += offsets[j - 1];
+    for (auto i = static_cast<NodeId>(n_); i-- > 0;) {
       if (targets_[i] != kNoTarget) contacts_[--offsets[targets_[i]]] = i;
     }
   }
@@ -330,7 +342,9 @@ class RoundPlan {
   void for_each_node(exec::ThreadPool* pool, Body&& body) const {
     exec::parallel_for_chunks(
         pool, n_, [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (NodeId i = begin; i < end; ++i) body(i);
+          for (std::size_t i = begin; i < end; ++i) {
+            body(static_cast<NodeId>(i));
+          }
         });
   }
 
@@ -363,10 +377,13 @@ class RoundPlan {
   std::vector<bool> alive_;
   std::size_t alive_count_;
   NeighborSelector selector_;
+  // 4 B per node each: targets (eligible counts and drawn indices while
+  // plan() runs; all below n), the contact offsets (at most n) and the
+  // contacts.
   std::vector<NodeId> targets_;
   // Contact CSR: the live initiators that chose node j are
   // contacts_[contact_offsets_[j] .. contact_offsets_[j+1]).
-  std::vector<std::size_t> contact_offsets_;
+  std::vector<std::uint32_t> contact_offsets_;
   std::vector<NodeId> contacts_;
   std::size_t round_ = 0;
 };

@@ -10,13 +10,16 @@
 // Storage is compressed sparse row (CSR): one flat offsets array and one
 // flat targets array, so a million-node sparse graph costs two cache-dense
 // allocations instead of a million little adjacency vectors, and
-// `neighbors(i)` is an O(1) span lookup. Every undirected edge is stored
-// as both of its directed arcs. Neighbor ORDER is part of the contract —
+// `neighbors(i)` is an O(1) span lookup. Node ids are 32-bit, so a graph
+// costs 4 B per arc plus 8 B per node of arc offsets (which stay 64-bit:
+// the arc count may pass 2³²). Every undirected edge is stored as both
+// of its directed arcs. Neighbor ORDER is part of the contract —
 // the engines' round-robin cursors and uniform draws index into it — and
 // matches the historical per-node insertion order exactly.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <utility>
@@ -26,13 +29,23 @@
 
 namespace ddc::sim {
 
-using NodeId = std::size_t;
+/// A node's id, 0 … n−1. The wire carries ids as u32 varints too.
+using NodeId = std::uint32_t;
+static_assert(sizeof(NodeId) == 4);
+
+/// The largest node count: every id, and n itself, stays below the
+/// largest NodeId (2³² − 1), which RoundPlan reserves as kNoTarget.
+inline constexpr std::size_t kMaxNodes = (std::size_t{1} << 32) - 2;
+
+/// `n`, once DDC_EXPECTS has checked n ≤ kMaxNodes: for sizing per-node
+/// arrays only after the count is known to fit NodeId.
+[[nodiscard]] std::size_t checked_node_count(std::size_t n);
 
 /// A static directed graph in CSR form. Immutable once built.
 class Topology {
  public:
   /// Graph from explicit directed edges. Self-loops and duplicate edges
-  /// are rejected.
+  /// are rejected. Every builder requires n ≤ kMaxNodes.
   [[nodiscard]] static Topology from_edges(
       std::size_t num_nodes, const std::vector<std::pair<NodeId, NodeId>>& edges);
 
@@ -129,8 +142,7 @@ class Topology {
   class Builder {
    public:
     enum class Kind { directed, undirected };
-    Builder(std::size_t n, Kind kind)
-        : degree_(n, 0), undirected_(kind == Kind::undirected) {}
+    Builder(std::size_t n, Kind kind);
     void add_edge(NodeId from, NodeId to);      // directed builders only
     void add_undirected(NodeId a, NodeId b);    // undirected builders only
     /// Compresses into a Topology. Rejects duplicate edges (DDC_EXPECTS).

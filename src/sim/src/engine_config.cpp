@@ -105,6 +105,13 @@ bool EngineConfig::use_soa() const noexcept {
 
 void EngineConfig::validate() const {
   if (topology.nodes < 2) throw ConfigError("topology.nodes must be ≥ 2");
+  // Node ids are 32-bit, and the largest id value means "no target".
+  if (topology.nodes > kMaxNodes) {
+    throw ConfigError("topology.nodes (" + std::to_string(topology.nodes) +
+                      ") must be below 2^32 - 1 (" +
+                      std::to_string(kMaxNodes + 1) +
+                      "): node ids are 32-bit");
+  }
   if (topology.radius < 0.0) throw ConfigError("topology.radius must be ≥ 0");
   if (topology.edge_probability < 0.0 || topology.edge_probability > 1.0) {
     throw ConfigError("topology.edge_probability must be in [0, 1]");

@@ -10,6 +10,15 @@
 
 namespace ddc::sim {
 
+std::size_t checked_node_count(std::size_t n) {
+  DDC_EXPECTS(n <= kMaxNodes);
+  return n;
+}
+
+Topology::Builder::Builder(std::size_t n, Kind kind)
+    : degree_(checked_node_count(n), 0),
+      undirected_(kind == Kind::undirected) {}
+
 void Topology::Builder::add_pair(NodeId a, NodeId b) {
   DDC_EXPECTS(a < degree_.size() && b < degree_.size());
   DDC_EXPECTS(a != b);
@@ -53,7 +62,7 @@ Topology Topology::Builder::finish() && {
   // Duplicate-edge rejection in one O(m) pass: last_row[v] is the last
   // node whose row listed v, so a second v in row i finds i there. It
   // takes over the cursors' storage.
-  std::vector<NodeId> last_row = std::move(cursor);
+  std::vector<std::size_t> last_row = std::move(cursor);
   std::fill(last_row.begin(), last_row.end(), n);
   for (NodeId i = 0; i < n; ++i) {
     for (const NodeId v : t.neighbors(i)) {
@@ -119,7 +128,9 @@ Topology Topology::star(std::size_t n) {
 Topology Topology::grid(std::size_t rows, std::size_t cols, bool torus) {
   DDC_EXPECTS(rows >= 1 && cols >= 1 && rows * cols >= 2);
   Builder b(rows * cols, Builder::Kind::undirected);
-  const auto id = [cols](std::size_t r, std::size_t c) { return r * cols + c; };
+  const auto id = [cols](std::size_t r, std::size_t c) {
+    return static_cast<NodeId>(r * cols + c);
+  };
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
       if (c + 1 < cols) {
@@ -157,14 +168,14 @@ class CellIndex {
       offsets_[c + 1] = offsets_[c] + count[c];
     }
     std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
-    for (std::size_t i = 0; i < pos.size(); ++i) {
+    for (NodeId i = 0; i < pos.size(); ++i) {
       members_[cursor[cell_of(pos[i])]++] = i;
     }
   }
 
   /// Appends to `out` every point index in the 3×3 stencil around `p`.
   void stencil(const std::pair<double, double>& p,
-               std::vector<std::size_t>& out) const {
+               std::vector<NodeId>& out) const {
     const std::size_t cr = clamp_axis(p.first);
     const std::size_t cc = clamp_axis(p.second);
     const std::size_t r_lo = cr == 0 ? 0 : cr - 1;
@@ -203,14 +214,14 @@ class CellIndex {
 
   std::size_t side_;
   std::vector<std::size_t> offsets_;
-  std::vector<std::size_t> members_;
+  std::vector<NodeId> members_;
 };
 
 }  // namespace
 
 Topology Topology::random_geometric(std::size_t n, double radius,
                                     stats::Rng& rng, std::size_t max_attempts) {
-  DDC_EXPECTS(n >= 2);
+  DDC_EXPECTS(n >= 2 && n <= kMaxNodes);
   DDC_EXPECTS(radius > 0.0);
   for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
     std::vector<std::pair<double, double>> pos(n);
@@ -218,13 +229,13 @@ Topology Topology::random_geometric(std::size_t n, double radius,
     const double r2 = radius * radius;
     const CellIndex index(pos, radius);
     Builder b(n, Builder::Kind::undirected);
-    std::vector<std::size_t> candidates;
-    std::vector<std::size_t> hits;
+    std::vector<NodeId> candidates;
+    std::vector<NodeId> hits;
     for (NodeId i = 0; i < n; ++i) {
       candidates.clear();
       index.stencil(pos[i], candidates);
       hits.clear();
-      for (const std::size_t j : candidates) {
+      for (const NodeId j : candidates) {
         if (j <= i) continue;  // each pair once, owned by its lower index
         const double dx = pos[i].first - pos[j].first;
         const double dy = pos[i].second - pos[j].second;
@@ -234,7 +245,7 @@ Topology Topology::random_geometric(std::size_t n, double radius,
       // insertion order, keeping neighbor lists (and thus every engine
       // draw downstream) bit-identical to the seed era.
       std::sort(hits.begin(), hits.end());
-      for (const std::size_t j : hits) b.add_undirected(i, j);
+      for (const NodeId j : hits) b.add_undirected(i, j);
     }
     Topology t = std::move(b).finish();
     if (t.is_connected()) {

@@ -24,6 +24,16 @@ TEST(ShardMap, BalancedContiguousPartition) {
         ASSERT_FALSE(owned.empty());
         EXPECT_EQ(owned.front(), total);
         EXPECT_EQ(owned.back() - owned.front() + 1, map.size(shard));
+        // No tables: shard_of divides, owns compares, local_index
+        // subtracts; all must agree with the ranges.
+        for (std::size_t j = 0; j < owned.size(); ++j) {
+          EXPECT_EQ(owned[j], total + j);
+          EXPECT_EQ(map.shard_of(owned[j]), shard);
+          EXPECT_EQ(map.local_index(owned[j]), j);
+          for (ShardId t = 0; t < s; ++t) {
+            EXPECT_EQ(map.owns(t, owned[j]), t == shard);
+          }
+        }
         total += map.size(shard);
         min_size = std::min(min_size, map.size(shard));
         max_size = std::max(max_size, map.size(shard));
@@ -114,6 +124,7 @@ TEST(ShardMap, EdgecutOwnsEveryNodeExactlyOnceAndBalances) {
           ASSERT_LT(i, n);
           ++owners_seen[i];
           EXPECT_EQ(map.shard_of(i), shard);
+          EXPECT_TRUE(map.owns(shard, i));
           EXPECT_EQ(map.local_index(i), j);
           if (j > 0) {
             EXPECT_GT(i, prev);  // owned lists stay ascending

@@ -130,6 +130,26 @@ TEST(EngineConfig, ValidateRejectsBadValues) {
   EXPECT_THROW(bad.validate(), ConfigError);
 }
 
+// Node ids are 32-bit and the largest id value means "no target", so a
+// run has at most kMaxNodes = 2^32 − 2 nodes. Validating sizes nothing.
+TEST(EngineConfig, ValidateBoundsNodesByNodeId) {
+  EngineConfig config;
+  config.quanta_per_unit = 1;
+  config.topology.nodes = kMaxNodes;
+  config.validate();
+
+  config.topology.nodes = kMaxNodes + 1;  // 2^32 − 1
+  try {
+    config.validate();
+    ADD_FAILURE() << "2^32 - 1 nodes accepted";
+  } catch (const ConfigError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("4294967295"), std::string::npos) << message;
+  }
+  config.topology.nodes = std::size_t{1} << 32;
+  EXPECT_THROW(config.validate(), ConfigError);
+}
+
 // Lemma 1's total weight n · quanta_per_unit must stay within 2^62, so
 // the int64 weight sums cannot overflow.
 TEST(EngineConfig, ValidateBoundsTotalWeight) {
