@@ -137,6 +137,7 @@ cmake --build "$ASAN_DIR" -j "$(nproc)" --target \
   partition_tests exec_tests sim_tests gossip_tests wire_tests net_tests \
   shard_tests schedule_tests audit_tests metrics_tests workload_tests \
   io_tests cli_tests integration_tests em_alloc_tests topology_alloc_tests \
+  exchange_alloc_tests \
   ddcsim ddcnode \
   ddcverify bench_scale
 

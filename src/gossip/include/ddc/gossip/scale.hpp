@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -149,7 +150,7 @@ class CentroidScaleProtocol : public PoolReceive<CentroidScaleProtocol> {
   }
 
   [[nodiscard]] Summary unpack(const double* in) const {
-    return linalg::Vector(std::vector<double>(in, in + dim_));
+    return linalg::Vector(std::span<const double>(in, dim_));
   }
 
   [[nodiscard]] static core::Grouping& grouping(PoolScratch& s) {
@@ -222,7 +223,7 @@ class GmScaleProtocol : public PoolReceive<GmScaleProtocol> {
   }
 
   [[nodiscard]] Summary unpack(const double* in) const {
-    linalg::Vector mean(std::vector<double>(in, in + dim_));
+    linalg::Vector mean(std::span<const double>(in, dim_));
     linalg::Matrix cov(dim_, dim_);
     for (std::size_t r = 0; r < dim_; ++r) {
       for (std::size_t c = 0; c < dim_; ++c) {

@@ -5,12 +5,20 @@
 // Section 4.2 live in R^n.  A simple contiguous double vector with value
 // semantics covers both uses; all operations are bounds-checked through
 // contracts.
+//
+// Up to two components live inline: the storage is a union of a heap
+// pointer and two doubles, so the centroid benchmark's d = 1 and the
+// paper's d = 2 summaries are copied, split and merged without touching
+// the heap, while a Vector stays 24 bytes (a std::vector's size) and no
+// Collection grows. Longer vectors own one heap block of exactly dim()
+// doubles. data() is a span over the components.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <initializer_list>
 #include <iosfwd>
-#include <vector>
+#include <span>
 
 #include <ddc/common/assert.hpp>
 
@@ -27,42 +35,83 @@ class Vector {
   Vector() = default;
 
   /// Zero vector of dimension `dim`.
-  explicit Vector(std::size_t dim) : elems_(dim, 0.0) {}
+  explicit Vector(std::size_t dim) : Vector(dim, 0.0) {}
 
   /// Vector of dimension `dim` with every component equal to `fill`.
-  Vector(std::size_t dim, double fill) : elems_(dim, fill) {}
+  Vector(std::size_t dim, double fill) : dim_(dim) {
+    allocate();
+    std::fill_n(ptr(), dim_, fill);
+  }
 
   /// Vector from an explicit component list, e.g. `Vector{1.0, 2.0}`.
-  Vector(std::initializer_list<double> init) : elems_(init) {}
+  Vector(std::initializer_list<double> init)
+      : Vector(std::span<const double>(init.begin(), init.size())) {}
 
-  /// Vector adopting the contents of `elems`.
-  explicit Vector(std::vector<double> elems) : elems_(std::move(elems)) {}
+  /// Vector holding a copy of `elems`.
+  explicit Vector(std::span<const double> elems) : dim_(elems.size()) {
+    allocate();
+    std::copy(elems.begin(), elems.end(), ptr());
+  }
+
+  Vector(const Vector& other) : Vector(other.data()) {}
+  Vector(Vector&& other) noexcept : dim_(other.dim_) {
+    if (on_heap()) {
+      heap_ = other.heap_;
+    } else {
+      std::copy_n(other.inline_, kInline, inline_);
+    }
+    other.dim_ = 0;
+  }
+  Vector& operator=(const Vector& other) {
+    if (this == &other) return *this;
+    if (dim_ == other.dim_) {
+      std::copy_n(other.ptr(), dim_, ptr());
+      return *this;
+    }
+    return *this = Vector(other);
+  }
+  Vector& operator=(Vector&& other) noexcept {
+    if (this != &other) {
+      release();
+      dim_ = other.dim_;
+      if (on_heap()) {
+        heap_ = other.heap_;
+      } else {
+        std::copy_n(other.inline_, kInline, inline_);
+      }
+      other.dim_ = 0;
+    }
+    return *this;
+  }
+  ~Vector() { release(); }
 
   /// Number of components.
-  [[nodiscard]] std::size_t dim() const noexcept { return elems_.size(); }
+  [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
 
   /// True iff the vector has no components.
-  [[nodiscard]] bool empty() const noexcept { return elems_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return dim_ == 0; }
 
   /// Component access (checked).
   [[nodiscard]] double& operator[](std::size_t i) {
-    DDC_EXPECTS(i < elems_.size());
-    return elems_[i];
+    DDC_EXPECTS(i < dim_);
+    return ptr()[i];
   }
   [[nodiscard]] double operator[](std::size_t i) const {
-    DDC_EXPECTS(i < elems_.size());
-    return elems_[i];
+    DDC_EXPECTS(i < dim_);
+    return ptr()[i];
   }
 
   /// Raw storage access for interoperation with algorithms.
-  [[nodiscard]] const std::vector<double>& data() const noexcept { return elems_; }
-  [[nodiscard]] std::vector<double>& data() noexcept { return elems_; }
+  [[nodiscard]] std::span<const double> data() const noexcept {
+    return {ptr(), dim_};
+  }
+  [[nodiscard]] std::span<double> data() noexcept { return {ptr(), dim_}; }
 
   // Iteration (enables range-for and <algorithm> use).
-  [[nodiscard]] auto begin() noexcept { return elems_.begin(); }
-  [[nodiscard]] auto end() noexcept { return elems_.end(); }
-  [[nodiscard]] auto begin() const noexcept { return elems_.begin(); }
-  [[nodiscard]] auto end() const noexcept { return elems_.end(); }
+  [[nodiscard]] double* begin() noexcept { return ptr(); }
+  [[nodiscard]] double* end() noexcept { return ptr() + dim_; }
+  [[nodiscard]] const double* begin() const noexcept { return ptr(); }
+  [[nodiscard]] const double* end() const noexcept { return ptr() + dim_; }
 
   // In-place arithmetic.  All binary forms require matching dimensions.
   Vector& operator+=(const Vector& rhs);
@@ -70,11 +119,34 @@ class Vector {
   Vector& operator*=(double s) noexcept;
   Vector& operator/=(double s);
 
-  friend bool operator==(const Vector&, const Vector&) = default;
+  friend bool operator==(const Vector& a, const Vector& b) noexcept {
+    return std::ranges::equal(a.data(), b.data());
+  }
 
  private:
-  std::vector<double> elems_;
+  /// Components held inline, without a heap block.
+  static constexpr std::size_t kInline = 2;
+
+  [[nodiscard]] bool on_heap() const noexcept { return dim_ > kInline; }
+  [[nodiscard]] double* ptr() noexcept { return on_heap() ? heap_ : inline_; }
+  [[nodiscard]] const double* ptr() const noexcept {
+    return on_heap() ? heap_ : inline_;
+  }
+  /// Gives a vector of dim_ > kInline its heap block.
+  void allocate() {
+    if (on_heap()) heap_ = new double[dim_];
+  }
+  void release() noexcept {
+    if (on_heap()) delete[] heap_;
+  }
+
+  std::size_t dim_ = 0;
+  union {
+    double* heap_;
+    double inline_[kInline] = {};
+  };
 };
+static_assert(sizeof(Vector) == 24);
 
 [[nodiscard]] Vector operator+(Vector lhs, const Vector& rhs);
 [[nodiscard]] Vector operator-(Vector lhs, const Vector& rhs);

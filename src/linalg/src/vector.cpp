@@ -12,24 +12,28 @@ namespace ddc::linalg {
 
 Vector& Vector::operator+=(const Vector& rhs) {
   DDC_EXPECTS(dim() == rhs.dim());
-  for (std::size_t i = 0; i < elems_.size(); ++i) elems_[i] += rhs.elems_[i];
+  double* out = ptr();
+  const double* in = rhs.ptr();
+  for (std::size_t i = 0; i < dim_; ++i) out[i] += in[i];
   return *this;
 }
 
 Vector& Vector::operator-=(const Vector& rhs) {
   DDC_EXPECTS(dim() == rhs.dim());
-  for (std::size_t i = 0; i < elems_.size(); ++i) elems_[i] -= rhs.elems_[i];
+  double* out = ptr();
+  const double* in = rhs.ptr();
+  for (std::size_t i = 0; i < dim_; ++i) out[i] -= in[i];
   return *this;
 }
 
 Vector& Vector::operator*=(double s) noexcept {
-  for (double& e : elems_) e *= s;
+  for (double& e : *this) e *= s;
   return *this;
 }
 
 Vector& Vector::operator/=(double s) {
   DDC_EXPECTS(s != 0.0);
-  for (double& e : elems_) e /= s;
+  for (double& e : *this) e /= s;
   return *this;
 }
 

@@ -7,10 +7,12 @@
 // drives the whole cluster without deadlock, and because the loopback
 // fabric is deterministic, a run is bit-identical for a fixed
 // configuration — including under injected link loss, which the batch
-// retransmit protocol must (and does) absorb.
+// retransmit protocol must (and does) absorb. The engines share one
+// read-only copy of the topology.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -37,6 +39,8 @@ class ShardCluster {
       : map_(ShardMap::make(options.partitioner, topology, num_shards)),
         network_(num_shards, net_options) {
     DDC_EXPECTS(topology.num_nodes() == all_nodes.size());
+    const auto shared =
+        std::make_shared<const sim::Topology>(std::move(topology));
     engines_.reserve(num_shards);
     for (ShardId s = 0; s < num_shards; ++s) {
       std::vector<Node> owned;
@@ -44,7 +48,7 @@ class ShardCluster {
       for (const sim::NodeId i : map_.owned(s)) {
         owned.push_back(std::move(all_nodes[i]));
       }
-      engines_.emplace_back(topology, map_, s, std::move(owned),
+      engines_.emplace_back(shared, map_, s, std::move(owned),
                             num_shards > 1 ? &network_.endpoint(s) : nullptr,
                             options);
     }

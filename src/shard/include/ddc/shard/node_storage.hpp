@@ -5,7 +5,10 @@
 // index (its global id on one shard) and the planned sim::Hop:
 // clear_messages, prepare, sent, sent_size (the collection count the
 // trace records), the wire hooks kWire/encode/decode/decode_unplanned,
-// absorb, and the classification read-outs.
+// absorb, and the classification read-outs. encode appends a message to
+// the engine's record encoder, so the engine writes a peer's whole batch
+// frame in one reused buffer; decode reads a span of the received frame
+// the engine keeps for the round.
 //
 // Both keep one message slot per initiator for each leg the gossip
 // pattern uses (SlotLayout): n slots for push or pull, 2n for
@@ -126,14 +129,15 @@ class ObjectStorage {
     return 1;
   }
 
-  /// A sent hop's message in its wire format. decode puts a message read
-  /// off the wire into its hop's slot; decode_unplanned queues one that
-  /// matched no planned hop, for local node j to absorb after its planned
-  /// ones, in the order added. Both throw wire::DecodeError on a
-  /// malformed payload.
-  [[nodiscard]] std::vector<std::byte> encode(const sim::Hop& hop) const {
+  /// Appends a sent hop's message in its wire format to `out`. decode
+  /// puts a message read off the wire into its hop's slot;
+  /// decode_unplanned queues one that matched no planned hop, for local
+  /// node j to absorb after its planned ones, in the order added. Both
+  /// throw wire::DecodeError on a malformed payload.
+  void encode(const sim::Hop& hop, wire::Encoder& out) const {
     if constexpr (kWire) {
-      return wire::encode_classification(*slots_[layout_.slot(hop)]);
+      wire::append_classification(out, *slots_[layout_.slot(hop)]);
+      return;
     }
     no_wire_format();
   }
@@ -297,7 +301,7 @@ class PoolStorage {
 
   /// No row codec yet: the engine keeps pool storage on one shard.
   static constexpr bool kWire = false;
-  std::vector<std::byte> encode(const sim::Hop&) const { no_wire_format(); }
+  void encode(const sim::Hop&, wire::Encoder&) const { no_wire_format(); }
   void decode(const sim::Hop&, std::span<const std::byte>) { no_wire_format(); }
   void decode_unplanned(std::size_t, std::span<const std::byte>) {
     no_wire_format();

@@ -8,9 +8,20 @@
 // (round_plan.hpp) for it, and exchanges the messages that cross a
 // shard boundary through a net::Transport — all of one round's
 // cross-shard messages to a given peer packed into a single
-// wire::FrameKind::batch frame (encode_batch), acknowledged and
-// retransmitted until delivered, with one batch per peer per round
-// acting as the round barrier (an empty batch is the barrier token).
+// wire::FrameKind::batch frame, acknowledged and retransmitted until
+// delivered, with one batch per peer per round acting as the round
+// barrier (an empty batch is the barrier token).
+//
+// Once warm, the exchange allocates nothing per message (decoding one
+// still builds its classification). The sender writes each peer's
+// frame in place into that peer's reused resend buffer
+// (wire::append_frame_header, append_batch_header, then one
+// append_batch_record per message, whose payload the storage appends
+// to a reused record encoder). The receiver keeps each batch frame the
+// transport hands it whole, for the round it belongs to or the one
+// after, and its records are spans into that frame until the round
+// retires them. A loopback cluster's engines share one read-only
+// Topology.
 //
 // Node state lives in a storage picked from the node type
 // (node_storage.hpp): object storage for a sim::GossipNode (the object
@@ -152,6 +163,16 @@ class ShardEngine {
               std::vector<Node> owned_nodes, net::Transport* transport,
               ShardEngineOptions options = {})
     requires(!kPools)
+      : ShardEngine(std::make_shared<const sim::Topology>(std::move(topology)),
+                    std::move(map), shard_id, std::move(owned_nodes),
+                    transport, std::move(options)) {}
+
+  /// The same over a topology shared with other engines (ShardCluster
+  /// builds one for all its shards).
+  ShardEngine(std::shared_ptr<const sim::Topology> topology, ShardMap map,
+              ShardId shard_id, std::vector<Node> owned_nodes,
+              net::Transport* transport, ShardEngineOptions options = {})
+    requires(!kPools)
       : ShardEngine(std::move(topology), std::move(map), shard_id,
                     Storage(std::move(owned_nodes),
                             SlotLayout(map.num_nodes(), options.pattern)),
@@ -189,7 +210,7 @@ class ShardEngine {
   void begin_round() {
     DDC_EXPECTS(!round_open_);
     timed_phase(timings_.plan_seconds,
-                [&] { plan_.plan(topology_, pool_.get()); });
+                [&] { plan_.plan(*topology_, pool_.get()); });
     if (!one_shard()) classify_boundary();
     // Multi-shard, the timed prepare includes the sends and polls.
     timed_phase(timings_.prepare_seconds, [&] {
@@ -291,7 +312,7 @@ class ShardEngine {
   [[nodiscard]] ShardId shard_id() const noexcept { return shard_; }
   [[nodiscard]] const ShardMap& map() const noexcept { return map_; }
   [[nodiscard]] const sim::Topology& topology() const noexcept {
-    return topology_;
+    return *topology_;
   }
   [[nodiscard]] std::size_t num_nodes() const noexcept {
     return map_.num_nodes();
@@ -352,11 +373,17 @@ class ShardEngine {
   [[nodiscard]] double em_seconds() const { return storage_.em_seconds(); }
 
  private:
-  // The delegation target. Binds `topology` and `map` by reference so
-  // that the public constructors can size the storage from them before
-  // anything is moved from.
+  // The delegation targets. They bind `topology` and `map` by reference
+  // so that the public constructors can size the storage from them
+  // before anything is moved from.
   ShardEngine(sim::Topology&& topology, ShardMap&& map, ShardId shard_id,
               Storage&& storage, net::Transport* transport,
+              ShardEngineOptions&& options)
+      : ShardEngine(std::make_shared<const sim::Topology>(std::move(topology)),
+                    std::move(map), shard_id, std::move(storage), transport,
+                    std::move(options)) {}
+  ShardEngine(std::shared_ptr<const sim::Topology> topology, ShardMap&& map,
+              ShardId shard_id, Storage&& storage, net::Transport* transport,
               ShardEngineOptions&& options)
       : topology_(std::move(topology)),
         map_(std::move(map)),
@@ -369,35 +396,43 @@ class ShardEngine {
         pool_(exec::ThreadPool::for_parallelism(options_.parallelism)) {
     DDC_EXPECTS(Storage::kWire || one_shard());
     DDC_EXPECTS(shard_ < map_.num_shards());
-    DDC_EXPECTS(topology_.num_nodes() == map_.num_nodes());
+    DDC_EXPECTS(topology_ != nullptr &&
+                topology_->num_nodes() == map_.num_nodes());
     DDC_EXPECTS(storage_.size() == map_.size(shard_));
     DDC_EXPECTS(one_shard() ||
                 (transport_ != nullptr &&
                  transport_->num_peers() == map_.num_shards() &&
                  transport_->self() == shard_));
-    if (!one_shard()) stats_.cut_edges = map_.cut_edges(topology_, shard_);
+    if (!one_shard()) stats_.cut_edges = map_.cut_edges(*topology_, shard_);
   }
 
-  /// One logical message captured off the wire, owning its payload.
+  /// One logical message captured off the wire; its payload is a span
+  /// of the received frame its peer keeps for the record's round.
   struct StoredRecord {
     sim::NodeId src = 0;
     sim::NodeId dst = 0;
     wire::BatchTag tag = wire::BatchTag::forward;
-    std::vector<std::byte> payload;
+    std::span<const std::byte> payload;
     bool consumed = false;
   };
 
-  /// Exchange state for one peer shard.
+  /// Exchange state for one peer shard. The hop list, the resend
+  /// encoder and the record arrays are reused across rounds; a received
+  /// frame is the transport's buffer, held until the next one kept
+  /// replaces it.
   struct PeerState {
-    std::vector<std::byte> sent_frame;  // this round's batch, for resend
-    bool sent_records = false;  // false = bare barrier token
+    std::vector<sim::Hop> hops;  // this round's delivered hops to it
+    wire::Encoder sent_frame;    // this round's batch, for resend
+    bool sent_records = false;   // false = bare barrier token
     bool acked = false;
     bool got_batch = false;
-    std::vector<StoredRecord> records;
+    std::vector<std::byte> frame;  // the received batch frame of...
+    std::vector<StoredRecord> records;  // ...these records
     /// One-round-ahead buffer: a lockstep peer can be at most one round
     /// ahead of us, and its next batch may arrive while we still wait
     /// for a slower peer.
     std::optional<std::uint64_t> future_round;
+    std::vector<std::byte> future_frame;
     std::vector<StoredRecord> future_records;
     std::size_t silent_polls = 0;
     bool dead = false;
@@ -449,56 +484,55 @@ class ShardEngine {
     });
   }
 
-  /// Packs this round's outbound cross-shard messages into one batch per
-  /// peer and ships every batch (empty ones included — the barrier
-  /// token). Loss and dead-target verdicts are applied HERE, sender-side
-  /// — they are global functions, so the receiver would agree.
+  /// Writes this round's outbound cross-shard messages into one batch
+  /// frame per peer, in place, and ships every frame (empty batches
+  /// included — the barrier token). Loss and dead-target verdicts are
+  /// applied HERE, sender-side — they are global functions, so the
+  /// receiver would agree.
   void send_batches() {
-    // Reused member scratch (hot-path-alloc): the outer vectors keep
-    // their capacity across rounds; `encoded` keeps payloads alive
-    // until the per-peer frames are built below.
-    std::vector<std::vector<std::byte>>& encoded = encode_scratch_;
-    encoded.clear();
-    outgoing_scratch_.resize(map_.num_shards());
-    std::vector<std::vector<wire::BatchRecord>>& outgoing = outgoing_scratch_;
-    for (std::vector<wire::BatchRecord>& records : outgoing) records.clear();
+    for (PeerState& peer : peers_) peer.hops.clear();
     plan_.for_each_hop(
         [&](const sim::Hop& hop) {
           return owns(hop.from) && !owns(hop.to) && storage_.sent(hop);
         },
         [&](const sim::Hop& hop, sim::Fate fate) {
-          if (fate != sim::Fate::delivered) return;
-          encoded.push_back(storage_.encode(hop));
-          outgoing[map_.shard_of(hop.to)].push_back(
-              {hop.from, hop.to, batch_tag(hop.leg), encoded.back()});
+          if (fate == sim::Fate::delivered) {
+            peers_[map_.shard_of(hop.to)].hops.push_back(hop);
+          }
         });
     for (ShardId s = 0; s < map_.num_shards(); ++s) {
       if (s == shard_) continue;
       PeerState& peer = peers_[s];
-      // Audited: one bounded frame per peer per round; encode_batch
-      // sizes its buffer once from the record set and the result is
-      // immediately moved into the peer's resend slot.
-      // ddcverify: allow(hot-path-alloc)
-      const std::vector<std::byte> payload = wire::encode_batch(
-          plan_.round(), shard_, map_.num_shards(), outgoing[s]);
-      peer.sent_frame = wire::encode_frame(wire::FrameKind::batch, shard_,
-                                           plan_.round() + 1, payload);
-      peer.sent_records = !outgoing[s].empty();
+      wire::Encoder& frame = peer.sent_frame;
+      frame.clear();
+      wire::append_frame_header(frame, wire::FrameKind::batch, shard_,
+                                plan_.round() + 1);
+      wire::append_batch_header(frame, plan_.round(), shard_,
+                                map_.num_shards(), peer.hops.size());
+      for (const sim::Hop& hop : peer.hops) {
+        record_.clear();
+        storage_.encode(hop, record_);
+        wire::append_batch_record(
+            frame, {hop.from, hop.to, batch_tag(hop.leg), record_.bytes()});
+      }
+      peer.sent_records = !peer.hops.empty();
       peer.acked = false;
       peer.silent_polls = 0;
-      // A batch buffered one round ahead becomes current now. (A batch
-      // for THIS round that arrived between rounds is already slotted —
-      // try_complete_round cleared the state before advancing.)
+      // A batch buffered one round ahead becomes current now, its frame
+      // with it. (A batch for THIS round that arrived between rounds is
+      // already slotted — try_complete_round cleared the state before
+      // advancing.)
       if (!peer.got_batch && peer.future_round &&
           *peer.future_round == plan_.round()) {
-        peer.records = std::move(peer.future_records);
+        peer.records.swap(peer.future_records);
+        peer.frame.swap(peer.future_frame);
         peer.future_records.clear();
         peer.future_round.reset();
         peer.got_batch = true;
       }
-      transport_->send(s, peer.sent_frame);
+      transport_->send(s, frame.bytes());
       ++stats_.batch_frames_sent;
-      stats_.batch_records_sent += outgoing[s].size();
+      stats_.batch_records_sent += peer.hops.size();
     }
   }
 
@@ -513,7 +547,7 @@ class ShardEngine {
         continue;
       }
       if (frame.kind == wire::FrameKind::batch) {
-        handle_batch(packet.from, frame.payload);
+        handle_batch(packet.from, frame.payload, packet.bytes);
       } else if (frame.kind == wire::FrameKind::batch_ack) {
         handle_ack(packet.from, frame.payload);
       }
@@ -521,10 +555,14 @@ class ShardEngine {
     }
   }
 
-  void handle_batch(net::PeerId from, std::span<const std::byte> payload) {
-    wire::Batch batch;
+  /// `payload` is the batch inside `bytes`, the frame the transport
+  /// handed over. A batch kept for this round or the next takes the
+  /// frame with it, and its records' payloads are spans into it.
+  void handle_batch(net::PeerId from, std::span<const std::byte> payload,
+                    std::vector<std::byte>& bytes) {
+    wire::Batch& batch = decoded_;
     try {
-      batch = wire::decode_batch(payload);
+      wire::decode_batch(payload, batch);
     } catch (const wire::DecodeError&) {
       ++stats_.decode_errors;
       return;
@@ -538,13 +576,14 @@ class ShardEngine {
     peer.dead = false;
     peer.silent_polls = 0;
     // Always ack — receipt, not application, is what stops retransmits.
-    transport_->send(static_cast<ShardId>(from),
-                     wire::encode_frame(wire::FrameKind::batch_ack, shard_,
-                                        batch.round + 1,
-                                        wire::encode_batch_ack(batch.round)));
+    ack_.clear();
+    wire::append_frame_header(ack_, wire::FrameKind::batch_ack, shard_,
+                              batch.round + 1);
+    wire::append_batch_ack(ack_, batch.round);
+    transport_->send(static_cast<ShardId>(from), ack_.bytes());
     if (batch.round == plan_.round()) {
       if (!peer.got_batch) {
-        peer.records = store_records(batch);
+        keep(batch, bytes, peer.frame, peer.records);
         peer.got_batch = true;
         ++stats_.batch_frames_received;
         stats_.batch_records_received += batch.records.size();
@@ -555,7 +594,7 @@ class ShardEngine {
       // way its current-round batch is implicitly settled.
       if (!peer.future_round || batch.round > *peer.future_round) {
         peer.future_round = batch.round;
-        peer.future_records = store_records(batch);
+        keep(batch, bytes, peer.future_frame, peer.future_records);
         ++stats_.batch_frames_received;
         stats_.batch_records_received += batch.records.size();
       }
@@ -582,23 +621,18 @@ class ShardEngine {
     }
   }
 
-  [[nodiscard]] std::vector<StoredRecord> store_records(
-      const wire::Batch& batch) const {
-    // Audited: the received payload spans borrow the transport's frame
-    // buffer, which dies at the next receive() — copying them out is
-    // the point. Bounded by the peer's record count for the round.
-    // ddcverify: allow(hot-path-alloc)
-    std::vector<StoredRecord> stored;
-    stored.reserve(batch.records.size());
+  /// Keeps a batch decoded from `bytes`: the frame is swapped into
+  /// `frame` (whose old bytes no record points into any more) and the
+  /// records, spans into it, replace `records`. A swap keeps each
+  /// buffer where it is, so the spans stay valid.
+  static void keep(const wire::Batch& batch, std::vector<std::byte>& bytes,
+                   std::vector<std::byte>& frame,
+                   std::vector<StoredRecord>& records) {
+    frame.swap(bytes);
+    records.clear();
     for (const wire::BatchRecord& rec : batch.records) {
-      StoredRecord s;
-      s.src = rec.src;
-      s.dst = rec.dst;
-      s.tag = rec.tag;
-      s.payload.assign(rec.payload.begin(), rec.payload.end());
-      stored.push_back(std::move(s));
+      records.push_back({rec.src, rec.dst, rec.tag, rec.payload});
     }
-    return stored;
   }
 
   /// A peer no longer blocks the barrier once its batch arrived, it
@@ -642,7 +676,7 @@ class ShardEngine {
           !peer.sent_records) {
         continue;
       }
-      transport_->send(s, peer.sent_frame);
+      transport_->send(s, peer.sent_frame.bytes());
       ++stats_.retransmits;
     }
   }
@@ -756,7 +790,7 @@ class ShardEngine {
     record(outcome, payload);
   }
 
-  sim::Topology topology_;
+  std::shared_ptr<const sim::Topology> topology_;
   ShardMap map_;
   ShardId shard_;
   Storage storage_;
@@ -772,9 +806,11 @@ class ShardEngine {
   std::vector<std::tuple<std::size_t, std::size_t, StoredRecord*>>
       candidates_;
   std::vector<StoredRecord*> leftovers_;
-  // send_batches() scratch, reused across rounds (hot-path-alloc).
-  std::vector<std::vector<std::byte>> encode_scratch_;
-  std::vector<std::vector<wire::BatchRecord>> outgoing_scratch_;
+  // Exchange scratch, reused across rounds: one message's payload on its
+  // way into a batch frame, the ack frame, the batch being received.
+  wire::Encoder record_;
+  wire::Encoder ack_;
+  wire::Batch decoded_;
   std::vector<PeerState> peers_;
   std::unique_ptr<exec::ThreadPool> pool_;
   std::size_t polls_this_round_ = 0;

@@ -9,11 +9,17 @@
 // (bit-copied), unsigned LEB128 ("varint") for counts. Decoding is fully
 // bounds-checked and throws ddc::wire::DecodeError on malformed input —
 // a sensor node must survive a corrupt packet.
+//
+// An Encoder only appends, so one buffer can hold a whole frame written
+// in place (framing.hpp's appenders, serialize.hpp's
+// append_classification). clear() keeps the capacity: an encoder reused
+// across rounds allocates nothing once it has held its largest frame.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <ddc/common/error.hpp>
@@ -31,6 +37,11 @@ class DecodeError : public Error {
 /// Append-only byte-buffer writer.
 class Encoder {
  public:
+  /// Forgets the bytes but keeps the capacity, for reuse.
+  void clear() noexcept { buffer_.clear(); }
+  /// Hands the bytes over, leaving the encoder empty.
+  [[nodiscard]] std::vector<std::byte> take() && { return std::move(buffer_); }
+
   /// Fixed-width little-endian primitives.
   void put_u8(std::uint8_t v);
   void put_u32(std::uint32_t v);

@@ -17,8 +17,16 @@
 // Decoding is bounds-checked and throws DecodeError on bad magic,
 // unsupported version, or unknown kind — a node must survive any
 // datagram the network hands it.
+//
+// Every layout here has an appender that writes it into a caller's
+// Encoder, so a sender can build a whole batch frame in one reused
+// buffer: append_frame_header, append_batch_header (with the record
+// count), then append_batch_record per record. encode_frame,
+// encode_batch and encode_batch_ack are byte-for-byte wrappers over
+// them for callers that want a fresh buffer.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -50,6 +58,10 @@ struct Frame {
   std::uint64_t seq;
   std::span<const std::byte> payload;
 };
+
+/// Appends an envelope header; the payload is whatever follows it.
+void append_frame_header(Encoder& enc, FrameKind kind, std::uint32_t sender,
+                         std::uint64_t seq);
 
 /// Wraps `payload` in an envelope from `sender` with sequence `seq`.
 [[nodiscard]] std::vector<std::byte> encode_frame(
@@ -98,12 +110,25 @@ struct Batch {
     std::uint64_t round, std::uint32_t shard, std::uint32_t num_shards,
     std::span<const BatchRecord> records);
 
+/// Appends a batch payload's header, up to and including the record
+/// count; exactly `count` append_batch_record calls must follow.
+void append_batch_header(Encoder& enc, std::uint64_t round,
+                         std::uint32_t shard, std::uint32_t num_shards,
+                         std::size_t count);
+/// Appends one batch record.
+void append_batch_record(Encoder& enc, const BatchRecord& record);
+
 /// Parses a batch payload; throws DecodeError on malformed input
 /// (including trailing bytes). Record payloads are NOT validated here.
 [[nodiscard]] Batch decode_batch(std::span<const std::byte> payload);
+/// The same, into `out`, whose record array keeps its capacity. On a
+/// throw `out` holds a partial batch.
+void decode_batch(std::span<const std::byte> payload, Batch& out);
 
 /// Payload for a FrameKind::batch_ack envelope: the acked round.
 [[nodiscard]] std::vector<std::byte> encode_batch_ack(std::uint64_t round);
+/// Appends a batch_ack payload.
+void append_batch_ack(Encoder& enc, std::uint64_t round);
 
 /// Parses a batch_ack payload; throws DecodeError on malformed input.
 [[nodiscard]] std::uint64_t decode_batch_ack(

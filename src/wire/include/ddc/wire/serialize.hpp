@@ -21,7 +21,14 @@
 //   Histogram:          f64 lo, f64 hi, varint bins, bins × f64 mass
 //
 // PushSum body: varint dim, dim × f64 sum, f64 weight.
+//
+// append_classification writes a message into a caller's Encoder, so a
+// batch frame (framing.hpp) can carry its records without a buffer per
+// message; encode_classification is the same bytes in a buffer of its
+// own.
 #pragma once
+
+#include <utility>
 
 #include <ddc/core/collection.hpp>
 #include <ddc/gossip/push_sum.hpp>
@@ -73,14 +80,13 @@ void encode_header(Encoder& enc, MessageType type);
 /// Reads and validates the header; returns the message type.
 [[nodiscard]] MessageType decode_header(Decoder& dec);
 
-/// Encodes a classification message. `include_aux` ships the auxiliary
+/// Appends a classification message. `include_aux` ships the auxiliary
 /// mixture vectors too (diagnostic runs only — aux is O(n) per collection
 /// and defeats the bounded-message-size property).
 template <typename Summary>
-[[nodiscard]] std::vector<std::byte> encode_classification(
-    const core::Classification<Summary>& classification,
+void append_classification(
+    Encoder& enc, const core::Classification<Summary>& classification,
     bool include_aux = false) {
-  Encoder enc;
   encode_header(enc, SummaryCodec<Summary>::type);
   enc.put_varint(classification.size());
   for (const auto& c : classification) {
@@ -94,7 +100,16 @@ template <typename Summary>
       enc.put_u8(0);
     }
   }
-  return enc.bytes();
+}
+
+/// The same message in a buffer of its own.
+template <typename Summary>
+[[nodiscard]] std::vector<std::byte> encode_classification(
+    const core::Classification<Summary>& classification,
+    bool include_aux = false) {
+  Encoder enc;
+  append_classification(enc, classification, include_aux);
+  return std::move(enc).take();
 }
 
 /// The most quanta one classification message may carry in total. An
@@ -119,6 +134,7 @@ template <typename Summary>
   const std::uint64_t count = dec.get_varint();
   dec.check_count(count, sizeof(std::int64_t));  // ≥ one weight each
   core::Classification<Summary> out;
+  out.collections().reserve(static_cast<std::size_t>(count));
   std::int64_t total = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::int64_t quanta = dec.get_i64();

@@ -8,9 +8,11 @@ namespace {
 
 template <typename T>
 void put_le(std::vector<std::byte>& buffer, T value) {
-  // Serialize little-endian regardless of host order.
+  // Serialize little-endian regardless of host order, in one resize.
+  const std::size_t at = buffer.size();
+  buffer.resize(at + sizeof(T));
   for (std::size_t i = 0; i < sizeof(T); ++i) {
-    buffer.push_back(static_cast<std::byte>((value >> (8 * i)) & 0xff));
+    buffer[at + i] = static_cast<std::byte>((value >> (8 * i)) & 0xff);
   }
 }
 

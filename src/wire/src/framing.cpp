@@ -1,5 +1,7 @@
 #include <ddc/wire/framing.hpp>
 
+#include <utility>
+
 namespace ddc::wire {
 
 namespace {
@@ -17,16 +19,21 @@ std::uint32_t narrow_u32(std::uint64_t v, const char* what) {
 
 }  // namespace
 
-std::vector<std::byte> encode_frame(FrameKind kind, std::uint32_t sender,
-                                    std::uint64_t seq,
-                                    std::span<const std::byte> payload) {
-  Encoder enc;
+void append_frame_header(Encoder& enc, FrameKind kind, std::uint32_t sender,
+                         std::uint64_t seq) {
   enc.put_u32(kFrameMagic);
   enc.put_u8(static_cast<std::uint8_t>(kind));
   enc.put_u32(sender);
   enc.put_u64(seq);
+}
+
+std::vector<std::byte> encode_frame(FrameKind kind, std::uint32_t sender,
+                                    std::uint64_t seq,
+                                    std::span<const std::byte> payload) {
+  Encoder enc;
+  append_frame_header(enc, kind, sender, seq);
   enc.put_bytes(payload);
-  return enc.bytes();
+  return std::move(enc).take();
 }
 
 Frame decode_frame(std::span<const std::byte> bytes) {
@@ -55,27 +62,41 @@ Frame decode_frame(std::span<const std::byte> bytes) {
   return frame;
 }
 
+void append_batch_header(Encoder& enc, std::uint64_t round,
+                         std::uint32_t shard, std::uint32_t num_shards,
+                         std::size_t count) {
+  enc.put_u64(round);
+  enc.put_varint(shard);
+  enc.put_varint(num_shards);
+  enc.put_varint(count);
+}
+
+void append_batch_record(Encoder& enc, const BatchRecord& record) {
+  enc.put_varint(record.src);
+  enc.put_varint(record.dst);
+  enc.put_u8(static_cast<std::uint8_t>(record.tag));
+  enc.put_varint(record.payload.size());
+  enc.put_bytes(record.payload);
+}
+
 std::vector<std::byte> encode_batch(std::uint64_t round, std::uint32_t shard,
                                     std::uint32_t num_shards,
                                     std::span<const BatchRecord> records) {
   Encoder enc;
-  enc.put_u64(round);
-  enc.put_varint(shard);
-  enc.put_varint(num_shards);
-  enc.put_varint(records.size());
-  for (const BatchRecord& rec : records) {
-    enc.put_varint(rec.src);
-    enc.put_varint(rec.dst);
-    enc.put_u8(static_cast<std::uint8_t>(rec.tag));
-    enc.put_varint(rec.payload.size());
-    enc.put_bytes(rec.payload);
-  }
-  return enc.bytes();
+  append_batch_header(enc, round, shard, num_shards, records.size());
+  for (const BatchRecord& rec : records) append_batch_record(enc, rec);
+  return std::move(enc).take();
 }
 
 Batch decode_batch(std::span<const std::byte> payload) {
-  Decoder dec(payload);
   Batch batch;
+  decode_batch(payload, batch);
+  return batch;
+}
+
+void decode_batch(std::span<const std::byte> payload, Batch& batch) {
+  Decoder dec(payload);
+  batch.records.clear();
   batch.round = dec.get_u64();
   batch.shard = narrow_u32(dec.get_varint(), "wire: batch shard id");
   batch.num_shards = narrow_u32(dec.get_varint(), "wire: batch num_shards");
@@ -104,13 +125,16 @@ Batch decode_batch(std::span<const std::byte> payload) {
     batch.records.push_back(rec);
   }
   dec.expect_done();
-  return batch;
+}
+
+void append_batch_ack(Encoder& enc, std::uint64_t round) {
+  enc.put_u64(round);
 }
 
 std::vector<std::byte> encode_batch_ack(std::uint64_t round) {
   Encoder enc;
-  enc.put_u64(round);
-  return enc.bytes();
+  append_batch_ack(enc, round);
+  return std::move(enc).take();
 }
 
 std::uint64_t decode_batch_ack(std::span<const std::byte> payload) {

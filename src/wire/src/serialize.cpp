@@ -1,6 +1,7 @@
 #include <ddc/wire/serialize.hpp>
 
 #include <cmath>
+#include <utility>
 
 namespace ddc::wire {
 
@@ -117,7 +118,7 @@ std::vector<std::byte> encode_push_sum(const gossip::PushSumMessage& message) {
   enc.put_varint(message.sum.dim());
   for (const double x : message.sum) enc.put_f64(x);
   enc.put_f64(message.weight);
-  return enc.bytes();
+  return std::move(enc).take();
 }
 
 gossip::PushSumMessage decode_push_sum(std::span<const std::byte> bytes) {

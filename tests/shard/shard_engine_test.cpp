@@ -663,5 +663,109 @@ TEST(ShardFaults, CorruptAndForeignFramesAreCountedAndDropped) {
   EXPECT_EQ(cluster.engine(1).stats().decode_errors, 0UL);
 }
 
+// ---------------------------------------------------------------------------
+// Buffer lifetime: a batch that arrives a round early is kept whole with
+// its frame and promoted at the next round. Run under ASan (check.sh
+// gate 7), a record span left pointing into a freed frame fails here.
+// ---------------------------------------------------------------------------
+
+/// Shard 0's endpoint, with the frames from one peer held back while
+/// `hold` is set and handed over, in arrival order, once it clears.
+class HoldingTransport final : public net::Transport {
+ public:
+  HoldingTransport(net::Transport& inner, net::PeerId held)
+      : inner_(inner), held_(held) {}
+
+  bool hold = false;
+
+  [[nodiscard]] net::PeerId self() const override { return inner_.self(); }
+  [[nodiscard]] std::size_t num_peers() const override {
+    return inner_.num_peers();
+  }
+  void send(net::PeerId to, const std::vector<std::byte>& frame) override {
+    inner_.send(to, frame);
+  }
+  [[nodiscard]] std::vector<net::Packet> receive() override {
+    std::vector<net::Packet> out;
+    if (!hold) out.swap(stash_);
+    for (net::Packet& packet : inner_.receive()) {
+      (hold && packet.from == held_ ? stash_ : out)
+          .push_back(std::move(packet));
+    }
+    return out;
+  }
+  [[nodiscard]] const net::LinkStats& stats(net::PeerId peer) const override {
+    return inner_.stats(peer);
+  }
+
+ private:
+  net::Transport& inner_;
+  net::PeerId held_;
+  std::vector<net::Packet> stash_;
+};
+
+TEST(ShardBuffers, BatchBufferedOneRoundAheadIsPromotedIntact) {
+  // Shard 2's frames to shard 0 are held back every round until shard
+  // 1 has finished the round and sent its next batch, which shard 0
+  // must buffer one round ahead, frame and all, and promote when it
+  // begins that round. The run must match the one-shard engine.
+  constexpr std::size_t kNodes = 90;
+  constexpr std::size_t kTarget = 12;
+  sim::EngineConfig config = base_config(kNodes, 9);
+  config.pattern = sim::GossipPattern::push_pull;
+  const auto inputs = bimodal_inputs(kNodes, 9);
+  const auto topology = sim::Topology::complete(kNodes);
+
+  auto mono = make_centroid_shard_cluster(topology, inputs, config, 1);
+  mono.run_rounds(kTarget);
+
+  net::LoopbackNetwork fabric(3);
+  HoldingTransport gate(fabric.endpoint(0), 2);
+  std::vector<CentroidShardEngine> engines;
+  for (ShardId s = 0; s < 3; ++s) {
+    engines.push_back(make_centroid_shard_engine(
+        topology, inputs, config, s, 3,
+        s == 0 ? static_cast<net::Transport*>(&gate) : &fabric.endpoint(s)));
+  }
+  std::vector<bool> open(3, false);
+  std::size_t rounds_ahead = 0;  // rounds shard 1 began before shard 0
+  for (int iter = 0; iter < 100000; ++iter) {
+    if (engines[0].round() == kTarget && engines[2].round() == kTarget &&
+        engines[1].round() == kTarget) {
+      break;
+    }
+    for (ShardId s = 0; s < 3; ++s) {
+      if (!open[s] && engines[s].round() < kTarget) {
+        engines[s].begin_round();
+        open[s] = true;
+        if (s == 1 && open[0] && engines[1].round() > engines[0].round()) {
+          ++rounds_ahead;
+        }
+      }
+    }
+    // Held until shard 1 has begun the next round: shard 0 then reads
+    // shard 2's batch and, in the same poll, shard 1's early one.
+    gate.hold = engines[1].round() == engines[0].round();
+    fabric.advance();
+    for (ShardId s = 0; s < 3; ++s) {
+      if (open[s] && engines[s].try_complete_round()) open[s] = false;
+    }
+  }
+  for (ShardId s = 0; s < 3; ++s) {
+    ASSERT_EQ(engines[s].round(), kTarget) << "shard " << s;
+    EXPECT_EQ(engines[s].stats().decode_errors, 0U);
+    EXPECT_EQ(engines[s].stats().unplanned_records, 0U);
+  }
+  EXPECT_EQ(rounds_ahead, kTarget - 1);
+
+  Digest digest;
+  for (sim::NodeId i = 0; i < kNodes; ++i) {
+    const ShardId s = engines[0].map().shard_of(i);
+    digest.absorb(
+        wire::encode_classification(engines[s].classification_of(i)));
+  }
+  EXPECT_EQ(digest.hex(), digest_cluster(mono));
+}
+
 }  // namespace
 }  // namespace ddc::shard

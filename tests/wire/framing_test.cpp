@@ -1,5 +1,10 @@
 #include <ddc/wire/framing.hpp>
 
+#include <cstdint>
+#include <initializer_list>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include <ddc/wire/serialize.hpp>
@@ -170,6 +175,142 @@ TEST(Framing, EnvelopeDoesNotValidateGossipPayload) {
   EXPECT_THROW(
       (void)decode_classification<stats::Gaussian>(frame.payload),
       DecodeError);
+}
+
+// ---------------------------------------------------------------------------
+// The in-place batch frame writer (the shard engine's send path): an
+// envelope, a batch header with the record count, then each record with
+// its message appended through one reused record encoder, all in one
+// reused frame encoder. It must write exactly the bytes of
+// encode_frame(FrameKind::batch, ..., encode_batch(...)).
+// ---------------------------------------------------------------------------
+
+/// One message of a test batch: its ids, tag and classification.
+template <typename Summary>
+struct Outgoing {
+  std::uint32_t src;
+  std::uint32_t dst;
+  BatchTag tag;
+  core::Classification<Summary> message;
+};
+
+template <typename Summary>
+void write_in_place(Encoder& frame, Encoder& record, std::uint64_t round,
+                    std::uint32_t shard, std::uint32_t num_shards,
+                    const std::vector<Outgoing<Summary>>& out) {
+  frame.clear();
+  append_frame_header(frame, FrameKind::batch, shard, round + 1);
+  append_batch_header(frame, round, shard, num_shards, out.size());
+  for (const Outgoing<Summary>& o : out) {
+    record.clear();
+    append_classification(record, o.message);
+    append_batch_record(frame, {o.src, o.dst, o.tag, record.bytes()});
+  }
+}
+
+template <typename Summary>
+std::vector<std::byte> write_with_wrappers(
+    std::uint64_t round, std::uint32_t shard, std::uint32_t num_shards,
+    const std::vector<Outgoing<Summary>>& out) {
+  std::vector<std::vector<std::byte>> payloads;
+  std::vector<BatchRecord> records;
+  payloads.reserve(out.size());
+  for (const Outgoing<Summary>& o : out) {
+    payloads.push_back(encode_classification(o.message));
+    records.push_back({o.src, o.dst, o.tag, payloads.back()});
+  }
+  return encode_frame(FrameKind::batch, shard, round + 1,
+                      encode_batch(round, shard, num_shards, records));
+}
+
+/// Writes `out` both ways, twice through the same encoders (the second
+/// time warm, over a longer earlier frame), and reads the frame back.
+template <typename Summary>
+void expect_in_place_matches(std::uint64_t round, std::uint32_t shard,
+                             std::uint32_t num_shards,
+                             const std::vector<Outgoing<Summary>>& out) {
+  const std::vector<std::byte> expected =
+      write_with_wrappers(round, shard, num_shards, out);
+  Encoder frame;
+  Encoder record;
+  for (int pass = 0; pass < 2; ++pass) {
+    write_in_place(frame, record, round, shard, num_shards, out);
+    ASSERT_EQ(frame.bytes(), expected) << "pass " << pass;
+  }
+  const Frame envelope = decode_frame(frame.bytes());
+  EXPECT_EQ(envelope.kind, FrameKind::batch);
+  EXPECT_EQ(envelope.sender, shard);
+  EXPECT_EQ(envelope.seq, round + 1);
+  const Batch batch = decode_batch(envelope.payload);
+  EXPECT_EQ(batch.round, round);
+  EXPECT_EQ(batch.shard, shard);
+  EXPECT_EQ(batch.num_shards, num_shards);
+  ASSERT_EQ(batch.records.size(), out.size());
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    EXPECT_EQ(batch.records[r].src, out[r].src);
+    EXPECT_EQ(batch.records[r].dst, out[r].dst);
+    EXPECT_EQ(batch.records[r].tag, out[r].tag);
+    EXPECT_EQ(encode_classification(
+                  decode_classification<Summary>(batch.records[r].payload)),
+              encode_classification(out[r].message));
+  }
+}
+
+core::Classification<linalg::Vector> centroids(
+    std::initializer_list<std::pair<double, std::int64_t>> points) {
+  core::Classification<linalg::Vector> c;
+  for (const auto& [x, quanta] : points) {
+    c.add({linalg::Vector{x, -x}, core::Weight::from_quanta(quanta), {}});
+  }
+  return c;
+}
+
+TEST(FrameWriter, EmptyBatchMatchesWrappers) {
+  expect_in_place_matches<linalg::Vector>(0, 0, 2, {});
+  expect_in_place_matches<linalg::Vector>(1ULL << 40, 127, 128, {});
+}
+
+TEST(FrameWriter, VarintBoundaryIdsAndReplyTagsMatchWrappers) {
+  const std::vector<Outgoing<linalg::Vector>> out = {
+      {127, 128, BatchTag::forward, centroids({{1.5, 3}})},
+      {128, 127, BatchTag::reply, centroids({{-2.0, 1}, {7.25, 1 << 20}})},
+      {16383, 16384, BatchTag::forward, centroids({{0.0, 5}})},
+      {16384, 16383, BatchTag::reply, centroids({{1e-300, 2}, {3.0, 9}})},
+      {0, 0xffffffffU, BatchTag::forward, centroids({{42.0, 1}})},
+  };
+  expect_in_place_matches(16383, 3, 16384, out);
+}
+
+TEST(FrameWriter, GaussianPayloadsMatchWrappers) {
+  const auto gaussian = [](double mean, double var) {
+    return stats::Gaussian(linalg::Vector{mean, -mean},
+                           linalg::Matrix{{var, 0.1 * var}, {0.1 * var, var}});
+  };
+  std::vector<Outgoing<stats::Gaussian>> out(2);
+  out[0] = {5, 900, BatchTag::forward, {}};
+  out[0].message.add({gaussian(1.0, 2.0), core::Weight::from_quanta(7), {}});
+  out[1] = {900, 5, BatchTag::reply, {}};
+  out[1].message.add({gaussian(-3.0, 0.5), core::Weight::from_quanta(1), {}});
+  out[1].message.add({gaussian(8.0, 0.0), core::Weight::from_quanta(4), {}});
+  expect_in_place_matches(9, 1, 3, out);
+}
+
+TEST(FrameWriter, DecodeIntoReusedBatchReplacesRecords) {
+  const auto longer = encode_batch(3, 0, 2,
+                                   std::vector<BatchRecord>{
+                                       {1, 2, BatchTag::forward, {}},
+                                       {3, 4, BatchTag::reply, {}},
+                                   });
+  const auto shorter = encode_batch(
+      4, 1, 2, std::vector<BatchRecord>{{5, 6, BatchTag::forward, {}}});
+  Batch batch;
+  decode_batch(longer, batch);
+  decode_batch(shorter, batch);
+  EXPECT_EQ(batch.round, 4u);
+  EXPECT_EQ(batch.shard, 1u);
+  ASSERT_EQ(batch.records.size(), 1u);
+  EXPECT_EQ(batch.records[0].src, 5u);
+  EXPECT_EQ(batch.records[0].dst, 6u);
 }
 
 }  // namespace
